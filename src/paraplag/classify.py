@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .editsim import insdel_similarity
 from .errors import ParaplagError
 from .resources import KnowledgeStores
-from .semsim import SemThresholds, semantic_similarity
+from .semsim import SemThresholds, WordMatch, match_sentence
 from .synsim import syntactic_similarity
 from .textprep import PrepConfig, preprocess_passage
 
@@ -101,18 +102,37 @@ def _aggregate(per_sentence_maxima: list[float], discard: float) -> float:
     return sum(kept) / len(kept)
 
 
-def passage_features(
+@dataclass(frozen=True)
+class SentenceMatch:
+    """A suspect sentence's best semantic source sentence and its word matches."""
+
+    suspect_sentence: int
+    source_sentence: int
+    matches: tuple[WordMatch, ...]
+
+
+@dataclass(frozen=True)
+class PassageScore:
+    """Passage vector plus, per contentful suspect sentence, its best semantic match."""
+
+    vector: SimilarityVector
+    best_semantic: tuple[SentenceMatch, ...]
+
+
+def score_passages(
     suspect: str,
     source: str,
     stores: KnowledgeStores | None = None,
     params: FeatureParams | None = None,
     prep: PrepConfig | None = None,
-) -> SimilarityVector:
+) -> PassageScore:
     """Best-match sentence scores per dimension, filtered and averaged.
 
     Every suspect sentence keeps only its best score against the source
     passage; scores under the dimension's discard threshold drop out, and
     the survivors' mean is the passage score (0.0 when nothing survives).
+    The first source sentence with the best semantic score is the one kept
+    with its word matches.
     """
     p = params if params is not None else FeatureParams()
     sp_sentences = preprocess_passage(suspect, prep)
@@ -122,12 +142,17 @@ def passage_features(
 
     semantic_maxima = []
     insdel_maxima = []
+    best_semantic = []
     for sp in sp_sentences:
         if not sp.content_tokens:
             continue
-        semantic_maxima.append(
-            max(semantic_similarity(sp, sr, stores, p.sem) for sr in sr_sentences)
-        )
+        best, best_matches = None, None
+        for sr in sr_sentences:
+            matches = match_sentence(sp, sr, stores, p.sem)
+            if best_matches is None or len(matches) > len(best_matches):
+                best, best_matches = sr, matches
+        semantic_maxima.append(len(best_matches) / len(sp.content_tokens))
+        best_semantic.append(SentenceMatch(sp.sentence_id, best.sentence_id, tuple(best_matches)))
         sp_stems = [t.stem for t in sp.content_tokens]
         insdel_maxima.append(
             max(
@@ -147,11 +172,23 @@ def passage_features(
             )
         )
 
-    return SimilarityVector(
+    vector = SimilarityVector(
         semantic=_aggregate(semantic_maxima, p.discard_semantic),
         syntactic=_aggregate(syntactic_maxima, p.discard_syntactic),
         insdel=_aggregate(insdel_maxima, p.discard_insdel),
     )
+    return PassageScore(vector, tuple(best_semantic))
+
+
+def passage_features(
+    suspect: str,
+    source: str,
+    stores: KnowledgeStores | None = None,
+    params: FeatureParams | None = None,
+    prep: PrepConfig | None = None,
+) -> SimilarityVector:
+    """The vector of `score_passages`."""
+    return score_passages(suspect, source, stores, params, prep).vector
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +218,12 @@ class Confusion:
             self.fn + other.fn,
             self.tn + other.tn,
         )
+
+    @classmethod
+    def tally(cls, outcomes: Iterable[tuple[bool, bool]]) -> "Confusion":
+        """Count (predicted, actual) outcomes."""
+        n = Counter((bool(predicted), bool(actual)) for predicted, actual in outcomes)
+        return cls(n[True, True], n[True, False], n[False, True], n[False, False])
 
     def to_dict(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
@@ -418,6 +461,14 @@ class EvalReport:
         }
 
 
+def build_report(confusion: Confusion, scores, labels, folds=()) -> EvalReport:
+    """Report for a confusion matrix, with AUC over the matching scores."""
+    auc = auc_roc(scores, labels)
+    return EvalReport(
+        confusion, *metrics(confusion), auc, misclassification_rate(confusion), folds
+    )
+
+
 def report_to_json(report: EvalReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2)
 
@@ -458,34 +509,15 @@ def cross_validate(
         held_out = set(test_indices)
         train = [dataset[i] for i in range(len(dataset)) if i not in held_out]
         model = fit_classifier(spec, train)
-        tp = fp = fn = tn = 0
+        outcomes = []
         for i in test_indices:
             x, raw_label = dataset[i]
             truth = bool(raw_label)
             predicted, score = predict_classifier(model, x)
             pooled_scores.append(score)
             pooled_labels.append(truth)
-            if predicted and truth:
-                tp += 1
-            elif predicted and not truth:
-                fp += 1
-            elif not predicted and truth:
-                fn += 1
-            else:
-                tn += 1
-        confusion = Confusion(tp, fp, fn, tn)
-        precision, recall, f1 = metrics(confusion)
-        fold_metrics.append(
-            FoldMetrics(fold_index, confusion, precision, recall, f1)
-        )
+            outcomes.append((predicted, truth))
+        confusion = Confusion.tally(outcomes)
+        fold_metrics.append(FoldMetrics(fold_index, confusion, *metrics(confusion)))
         aggregate = aggregate + confusion
-    precision, recall, f1 = metrics(aggregate)
-    return EvalReport(
-        confusion=aggregate,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        auc=auc_roc(pooled_scores, pooled_labels),
-        misclassification_rate=misclassification_rate(aggregate),
-        folds=tuple(fold_metrics),
-    )
+    return build_report(aggregate, pooled_scores, pooled_labels, tuple(fold_metrics))

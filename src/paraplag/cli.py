@@ -28,20 +28,17 @@ from .classify import (
     cross_validate,
     fit_classifier,
     load_model,
-    passage_features,
     predict_classifier,
     report_to_json,
     save_model,
+    score_passages,
 )
 from .config import (
     ConfigError,
     EngineConfig,
     MissingResource,
-    build_stores,
     classifier_spec,
-    feature_params,
     load_config,
-    prep_config,
 )
 from .corpus import (
     NOT_PARAPHRASED,
@@ -56,9 +53,11 @@ from .engine import (
     baseline_csv_rows,
     extract_features,
     labelled_dataset,
-    pair_traces,
     read_feature_csv,
+    score_pairs,
+    scoring_state,
     threshold_report,
+    trace_records,
     write_feature_csv,
 )
 from .errors import ParaplagError
@@ -131,17 +130,21 @@ def _print_report(report: EvalReport, title: str) -> None:
     )
 
 
-def _write_traces(out_dir: str, pairs, config: EngineConfig) -> str:
-    stores = build_stores(config)
-    params = feature_params(config)
-    prep = prep_config(config)
-    path = os.path.join(out_dir, "traces.jsonl")
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            for record in pair_traces(pair, stores, params, prep):
+def _write_traces(out_dir: str, pairs, scores) -> None:
+    with open(os.path.join(out_dir, "traces.jsonl"), "w", encoding="utf-8") as fh:
+        for pair, score in zip(pairs, scores):
+            for record in trace_records(pair.pair_id, score):
                 fh.write(json.dumps(record, sort_keys=True))
                 fh.write("\n")
-    return path
+
+
+def _run_baseline(out_dir: str, pairs, config: EngineConfig, jobs: int) -> None:
+    containments = baseline_containments(pairs, config, jobs=jobs)
+    labels = [p.is_paraphrased for p in pairs]
+    report = threshold_report(containments, labels, config.gst_threshold)
+    _write_report(out_dir, "baseline.json", report)
+    baseline_csv_rows(os.path.join(out_dir, "baseline.csv"), pairs, containments)
+    _print_report(report, f"tiling baseline at threshold {config.gst_threshold}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +152,11 @@ def _write_traces(out_dir: str, pairs, config: EngineConfig) -> str:
 
 def cmd_score(args) -> int:
     config = _effective_config(args)
-    stores = build_stores(config)
-    params = feature_params(config)
-    prep = prep_config(config)
+    state = scoring_state(config)
     suspect = _read_text_file(args.suspect)
     source = _read_text_file(args.source)
-    vec = passage_features(suspect, source, stores=stores, params=params, prep=prep)
+    scored = score_passages(suspect, source, *state)
+    vec = scored.vector
     if args.model is not None:
         model = load_model(args.model)
         label, score = predict_classifier(model, vec)
@@ -170,15 +172,7 @@ def cmd_score(args) -> int:
         "rule": rule,
     }
     if args.debug_traces:
-        pair = LabelledPair(
-            pair_id="score",
-            suspect_text=suspect,
-            source_text=source,
-            label=NOT_PARAPHRASED,
-            origin="cli",
-            raw_category="",
-        )
-        result["traces"] = pair_traces(pair, stores, params, prep)
+        result["traces"] = trace_records("score", scored)
     print(json.dumps(result, sort_keys=True, indent=2))
     return 0
 
@@ -187,7 +181,8 @@ def cmd_evaluate(args) -> int:
     config = _effective_config(args)
     pairs = _load_pairs(args, config)
     out_dir = _ensure_out_dir(args)
-    vectors = extract_features(pairs, config, jobs=args.jobs)
+    scores = score_pairs(pairs, config, jobs=args.jobs)
+    vectors = [s.vector for s in scores]
     dataset = labelled_dataset(pairs, vectors)
     report = cross_validate(
         dataset, classifier_spec(config), k=config.folds, seed=config.seed
@@ -196,27 +191,16 @@ def cmd_evaluate(args) -> int:
     write_feature_csv(os.path.join(out_dir, "features.csv"), pairs, vectors)
     _print_report(report, f"{config.classifier} over {len(pairs)} pairs, {config.folds}-fold")
     if args.baseline:
-        containments = baseline_containments(pairs, config, jobs=args.jobs)
-        labels = [p.is_paraphrased for p in pairs]
-        breport = threshold_report(containments, labels, config.gst_threshold)
-        _write_report(out_dir, "baseline.json", breport)
-        baseline_csv_rows(os.path.join(out_dir, "baseline.csv"), pairs, containments)
-        _print_report(breport, f"tiling baseline at threshold {config.gst_threshold}")
+        _run_baseline(out_dir, pairs, config, args.jobs)
     if args.debug_traces:
-        _write_traces(out_dir, pairs, config)
+        _write_traces(out_dir, pairs, scores)
     return 0
 
 
 def cmd_baseline(args) -> int:
     config = _effective_config(args)
     pairs = _load_pairs(args, config)
-    out_dir = _ensure_out_dir(args)
-    containments = baseline_containments(pairs, config, jobs=args.jobs)
-    labels = [p.is_paraphrased for p in pairs]
-    report = threshold_report(containments, labels, config.gst_threshold)
-    _write_report(out_dir, "baseline.json", report)
-    baseline_csv_rows(os.path.join(out_dir, "baseline.csv"), pairs, containments)
-    _print_report(report, f"tiling baseline at threshold {config.gst_threshold}")
+    _run_baseline(_ensure_out_dir(args), pairs, config, args.jobs)
     return 0
 
 
@@ -302,6 +286,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:
+            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -1,108 +1,115 @@
 """Pair-scoring pipeline behind the command-line entry points.
 
-Turns labelled text pairs into similarity vectors (optionally across a
-process pool), computes tiling-containment baseline scores, builds
-evaluation reports, and round-trips per-pair feature tables as CSV.
-Workers rebuild their knowledge stores from the config, so results never
-depend on how work was scheduled: output order always follows input
-order.
+Scores labelled text pairs (vectors, and the word matches that traces
+show), computes tiling-containment baseline scores, builds evaluation
+reports, and round-trips per-pair feature tables as CSV.  Every fan-out
+goes through `parallel_map`: one job runs inline, and each pool worker
+runs the set-up (loading stores, say) once.  Output order always follows
+input order, so results never depend on how work was scheduled.
 """
 
 from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .classify import (
     Confusion,
     EvalReport,
-    FeatureParams,
     LabelledVector,
+    PassageScore,
     SimilarityVector,
-    auc_roc,
-    metrics,
-    misclassification_rate,
-    passage_features,
+    build_report,
+    score_passages,
 )
 from .config import EngineConfig, build_stores, feature_params, gst_params, prep_config
 from .corpus import LabelledPair
 from .errors import ParaplagError
 from .gst import GstParams, gst_containment
 from .resources import KnowledgeStores
-from .semsim import match_sentence, semantic_similarity, trace_matches
-from .textprep import PrepConfig, preprocess_passage
-
-
-def features_for_pair(
-    pair: LabelledPair,
-    stores: KnowledgeStores,
-    params: FeatureParams,
-    prep: Optional[PrepConfig] = None,
-) -> SimilarityVector:
-    return passage_features(
-        pair.suspect_text, pair.source_text, stores=stores, params=params, prep=prep
-    )
-
-
-def pair_traces(
-    pair: LabelledPair,
-    stores: KnowledgeStores,
-    params: FeatureParams,
-    prep: Optional[PrepConfig] = None,
-) -> list[dict]:
-    """Word-match traces for the best-matching source sentence per suspect sentence."""
-    sp_sentences = preprocess_passage(pair.suspect_text, prep)
-    sr_sentences = preprocess_passage(pair.source_text, prep)
-    out: list[dict] = []
-    for sp in sp_sentences:
-        if not sp.content_tokens or not sr_sentences:
-            continue
-        best = max(
-            sr_sentences,
-            key=lambda sr: semantic_similarity(sp, sr, stores, params.sem),
-        )
-        out.append(
-            {
-                "pair_id": pair.pair_id,
-                "suspect_sentence": sp.sentence_id,
-                "source_sentence": best.sentence_id,
-                "matches": trace_matches(match_sentence(sp, best, stores, params.sem)),
-            }
-        )
-    return out
-
+from .semsim import trace_matches
 
 # ---------------------------------------------------------------------------
-# Parallel feature extraction
+# Fan-out
 
-# Each worker process loads the stores once at startup; tasks then carry
-# only the pair payload.  Module-level state is the standard pattern for
-# ProcessPoolExecutor initializers.
+# This pool worker's set-up result, "state", or the "error" it raised, which
+# every task re-raises: a raising initializer would break the whole pool.
 _WORKER: dict = {}
 
 
-def _init_feature_worker(config_payload: dict) -> None:
-    config = EngineConfig.from_dict(config_payload)
-    _WORKER["stores"] = build_stores(config)
-    _WORKER["params"] = feature_params(config)
-    _WORKER["prep"] = prep_config(config)
+def _init_worker(setup, config: EngineConfig) -> None:
+    try:
+        _WORKER["state"] = setup(config)
+    except Exception as exc:
+        _WORKER["error"] = exc
 
 
-def _feature_task(pair_payload: dict) -> dict:
-    pair = LabelledPair.from_dict(pair_payload)
-    vec = features_for_pair(pair, _WORKER["stores"], _WORKER["params"], _WORKER["prep"])
-    return vec.to_dict()
+def _run_task(task, state, pair: LabelledPair):
+    try:
+        return task(state, pair)
+    except ParaplagError as exc:
+        exc.args = (f"pair {pair.pair_id}: {exc}",)
+        raise
 
 
-def _init_baseline_worker(config_payload: dict) -> None:
-    config = EngineConfig.from_dict(config_payload)
-    _WORKER["gst"] = gst_params(config)
+def _worker_task(task, pair: LabelledPair):
+    if "error" in _WORKER:
+        raise _WORKER["error"]
+    return _run_task(task, _WORKER["state"], pair)
 
 
-def _baseline_task(pair_payload: dict) -> float:
-    pair = LabelledPair.from_dict(pair_payload)
-    return gst_containment(pair.suspect_text, pair.source_text, _WORKER["gst"])
+def parallel_map(
+    task: Callable,
+    setup: Callable[[EngineConfig], object],
+    config: EngineConfig,
+    pairs: Sequence[LabelledPair],
+    jobs: int,
+) -> list:
+    """`task(setup(config), pair)` for each pair, in input order.
+
+    jobs == 1 runs inline; otherwise `jobs` worker processes each run
+    `setup` once, so task and setup must pickle.  A set-up error keeps its
+    class; an error raised on a pair names the pair.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        state = setup(config)
+        return [_run_task(task, state, pair) for pair in pairs]
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(setup, config)
+    ) as pool:
+        return list(pool.map(partial(_worker_task, task), pairs, chunksize=8))
+
+
+# ---------------------------------------------------------------------------
+# Features and traces
+
+def scoring_state(config: EngineConfig, stores: KnowledgeStores | None = None):
+    """(stores, feature params, preprocessing settings) for scoring under config."""
+    if stores is None:
+        stores = build_stores(config)
+    return stores, feature_params(config), prep_config(config)
+
+
+def _score_task(state, pair: LabelledPair) -> PassageScore:
+    return score_passages(pair.suspect_text, pair.source_text, *state)
+
+
+def score_pairs(
+    pairs: Sequence[LabelledPair],
+    config: EngineConfig,
+    jobs: int = 1,
+    stores: KnowledgeStores | None = None,
+) -> list[PassageScore]:
+    """Vector and best semantic matches for each pair, in input order.
+
+    Prebuilt stores serve only the inline run; pool workers load their own.
+    """
+    setup = partial(scoring_state, stores=stores) if jobs == 1 else scoring_state
+    return parallel_map(_score_task, setup, config, pairs, jobs)
 
 
 def extract_features(
@@ -111,25 +118,29 @@ def extract_features(
     jobs: int = 1,
     stores: KnowledgeStores | None = None,
 ) -> list[SimilarityVector]:
-    """Similarity vectors for each pair, in input order.
+    """Similarity vectors for each pair, in input order."""
+    return [score.vector for score in score_pairs(pairs, config, jobs, stores)]
 
-    jobs > 1 spreads pairs over a process pool; passing prebuilt stores
-    only short-circuits the serial path.
-    """
-    if jobs <= 1:
-        if stores is None:
-            stores = build_stores(config)
-        params = feature_params(config)
-        prep = prep_config(config)
-        return [features_for_pair(p, stores, params, prep) for p in pairs]
-    payloads = [p.to_dict() for p in pairs]
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_init_feature_worker,
-        initargs=(config.to_dict(),),
-    ) as pool:
-        rows = list(pool.map(_feature_task, payloads, chunksize=8))
-    return [SimilarityVector.from_dict(row) for row in rows]
+
+def trace_records(pair_id: str, score: PassageScore) -> list[dict]:
+    """Word-match traces: the best semantic source sentence per suspect sentence."""
+    return [
+        {
+            "pair_id": pair_id,
+            "suspect_sentence": best.suspect_sentence,
+            "source_sentence": best.source_sentence,
+            "matches": trace_matches(best.matches),
+        }
+        for best in score.best_semantic
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Baseline
+
+
+def _containment_task(gp: GstParams, pair: LabelledPair) -> float:
+    return gst_containment(pair.suspect_text, pair.source_text, gp)
 
 
 def baseline_containments(
@@ -138,16 +149,7 @@ def baseline_containments(
     jobs: int = 1,
 ) -> list[float]:
     """Tiling containment score for each pair, in input order."""
-    if jobs <= 1:
-        gp = gst_params(config)
-        return [gst_containment(p.suspect_text, p.source_text, gp) for p in pairs]
-    payloads = [p.to_dict() for p in pairs]
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_init_baseline_worker,
-        initargs=(config.to_dict(),),
-    ) as pool:
-        return list(pool.map(_baseline_task, payloads, chunksize=8))
+    return parallel_map(_containment_task, gst_params, config, pairs, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -167,28 +169,10 @@ def threshold_report(scores: Sequence[float], labels: Sequence[bool], threshold:
         raise ValueError("scores and labels must align one-to-one")
     if not scores:
         raise ParaplagError("cannot evaluate an empty pair list")
-    tp = fp = fn = tn = 0
-    for score, label in zip(scores, labels):
-        predicted = score >= threshold
-        if predicted and label:
-            tp += 1
-        elif predicted:
-            fp += 1
-        elif label:
-            fn += 1
-        else:
-            tn += 1
-    confusion = Confusion(tp=tp, fp=fp, fn=fn, tn=tn)
-    precision, recall, f1 = metrics(confusion)
-    return EvalReport(
-        confusion=confusion,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        auc=auc_roc(scores, labels),
-        misclassification_rate=misclassification_rate(confusion),
-        folds=(),
+    confusion = Confusion.tally(
+        (score >= threshold, label) for score, label in zip(scores, labels)
     )
+    return build_report(confusion, scores, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,17 @@ so callers (the CLI in particular) can distinguish expected failure modes
 from genuine bugs.
 """
 
+import copyreg
+
 
 class ParaplagError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Rebuild from the message, not the constructor arguments (some
+        # subclasses take others), so an error keeps its class and message
+        # on its way back from a pool worker.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class MissingFile(ParaplagError):

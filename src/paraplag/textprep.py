@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from typing import Iterable
 
-from .errors import ParaplagError
 from ._porter import porter_stem
 
 __all__ = [
@@ -57,10 +56,6 @@ _ABBREVIATIONS = frozenset(
 _STOPWORD_RESOURCE = "stopwords_english.txt"
 
 
-class UnknownStemmer(ParaplagError):
-    """Raised when PrepConfig names a stemmer variant that does not exist."""
-
-
 @dataclass(frozen=True)
 class Token:
     """One token of a sentence.
@@ -85,19 +80,9 @@ class ProcessedSentence:
 
 @dataclass(frozen=True)
 class PrepConfig:
-    """Preprocessing knobs.
-
-    stopwords is the active stopword set (already loaded); stemmer names the
-    stemming variant.  Only the classic Porter stemmer is implemented, but
-    the field keeps the choice explicit and validated.
-    """
+    """Preprocessing knobs: stopwords is the active stopword set (already loaded)."""
 
     stopwords: frozenset[str] = field(default_factory=frozenset)
-    stemmer: str = "porter"
-
-    def __post_init__(self) -> None:
-        if self.stemmer != "porter":
-            raise UnknownStemmer(f"unknown stemmer variant: {self.stemmer!r}")
 
     @classmethod
     def default(cls) -> "PrepConfig":

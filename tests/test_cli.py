@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from paraplag import engine, semsim
 from paraplag.cli import main
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair, save_pairs_jsonl
 
@@ -152,6 +153,54 @@ class TestExitCodes:
         assert rc == 2
         capsys.readouterr()
 
+    def test_pool_missing_resource_exits_3(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, n=8)
+        cfg = write_config(tmp_path, folds=2, embedding_file=str(tmp_path / "absent.vec"))
+        rc = main(
+            ["evaluate", corpus, "--corpus", "jsonl", "--config", cfg,
+             "--out", str(tmp_path / "out"), "--jobs", "2"]
+        )
+        assert rc == 3
+        assert "embedding_file" in capsys.readouterr().err
+
+    def test_pool_corrupt_embeddings_exit_2(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, n=8)
+        vectors = write_text(tmp_path, "bad.vec", "2 3\nfoo 0.1 0.2\n")
+        cfg = write_config(tmp_path, folds=2, embedding_file=vectors)
+        rc = main(
+            ["evaluate", corpus, "--corpus", "jsonl", "--config", cfg,
+             "--out", str(tmp_path / "out"), "--jobs", "2"]
+        )
+        assert rc == 2
+        assert "truncated vector for 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "baseline", "fit"])
+    def test_jobs_below_one_rejected_before_loading(self, tmp_path, capsys, monkeypatch, command):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no pool may start")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        corpus = write_corpus(tmp_path)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = main(
+            [command, corpus, "--corpus", "jsonl", "--config", cfg, "--out", str(out), "--jobs", "0"]
+        )
+        assert rc == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_pair_error_names_the_pair(self, tmp_path, capsys, jobs):
+        corpus = write_corpus(tmp_path)
+        cfg = write_config(tmp_path, gst_max_chars=20)
+        rc = main(
+            ["baseline", corpus, "--corpus", "jsonl", "--config", cfg,
+             "--out", str(tmp_path / "out"), "--jobs", jobs]
+        )
+        assert rc == 2
+        assert "error: pair p000: text of" in capsys.readouterr().err
+
     def test_cs_without_truth_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(
@@ -190,13 +239,32 @@ class TestEvaluate:
         corpus = write_corpus(tmp_path, seed=4)
         cfg = write_config(tmp_path)
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["evaluate", corpus, "--corpus", "jsonl", "--config", cfg, "--out", str(serial)]) == 0
-        assert main(
-            ["evaluate", corpus, "--corpus", "jsonl", "--config", cfg,
-             "--out", str(parallel), "--jobs", "2"]
-        ) == 0
+        base = ["evaluate", corpus, "--corpus", "jsonl", "--config", cfg, "--debug-traces"]
+        assert main(base + ["--out", str(serial)]) == 0
+        assert main(base + ["--out", str(parallel), "--jobs", "2"]) == 0
         assert (serial / "report.json").read_bytes() == (parallel / "report.json").read_bytes()
         assert (serial / "features.csv").read_bytes() == (parallel / "features.csv").read_bytes()
+        assert (serial / "traces.jsonl").read_bytes() == (parallel / "traces.jsonl").read_bytes()
+        capsys.readouterr()
+
+    def test_debug_traces_reuse_the_scoring_pass(self, tmp_path, capsys, monkeypatch):
+        # traces are a view of the feature pass: no word is matched twice
+        calls = []
+        match_word = semsim.match_word
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return match_word(*args, **kwargs)
+
+        monkeypatch.setattr(semsim, "match_word", counted)
+        corpus = write_corpus(tmp_path, n=8)
+        cfg = write_config(tmp_path, folds=2, knn_k=3)
+        base = ["evaluate", corpus, "--corpus", "jsonl", "--config", cfg]
+        assert main(base + ["--out", str(tmp_path / "plain")]) == 0
+        untraced = len(calls)
+        assert main(base + ["--out", str(tmp_path / "traced"), "--debug-traces"]) == 0
+        assert untraced > 0
+        assert len(calls) - untraced == untraced
         capsys.readouterr()
 
     def test_baseline_flag_adds_comparison(self, tmp_path, capsys):

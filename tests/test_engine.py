@@ -1,24 +1,26 @@
 """Pair-scoring pipeline: feature extraction, baseline scores, CSV tables."""
 
+import pickle
 import random
 
 import pytest
 
 from paraplag.classify import SimilarityVector
-from paraplag.config import EngineConfig
+from paraplag.config import EngineConfig, MissingResource
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair
 from paraplag.engine import (
     baseline_containments,
     extract_features,
     labelled_dataset,
-    pair_traces,
     read_feature_csv,
+    score_pairs,
     threshold_report,
+    trace_records,
     write_feature_csv,
 )
 from paraplag.errors import ParaplagError
-from paraplag.resources import KnowledgeStores
-from paraplag.config import feature_params, prep_config
+from paraplag.gst import InputTooLarge
+from paraplag.resources import KnowledgeStores, MalformedLine, TruncatedVector
 
 WORDS = ["river", "stone", "cloud", "meadow", "forest", "harbor", "lantern", "copper"]
 OTHER = ["quartz", "violin", "sulfur", "ledger", "orbit", "basalt"]
@@ -71,6 +73,25 @@ class TestExtractFeatures:
         vectors = extract_features(pairs, EngineConfig(), stores=KnowledgeStores.empty())
         assert len(vectors) == 4
 
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            extract_features(synthetic_pairs(2), EngineConfig(), jobs=0)
+
+    def test_pool_setup_error_keeps_its_class(self, tmp_path):
+        config = EngineConfig(embedding_file=str(tmp_path / "absent.vec"))
+        with pytest.raises(MissingResource, match="embedding_file"):
+            extract_features(synthetic_pairs(4), config, jobs=2)
+
+    @pytest.mark.parametrize(
+        "error", [MalformedLine("data.noun", 7, "bad offset"), TruncatedVector("foo", "found 2")]
+    )
+    def test_errors_survive_the_trip_from_a_worker(self, error):
+        # these constructors take more than the message
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert vars(copy) == vars(error)
+
 
 class TestBaseline:
     def test_identical_pair_full_containment(self):
@@ -85,6 +106,14 @@ class TestBaseline:
         pairs = synthetic_pairs(12, seed=5)
         config = EngineConfig(gst_min_match=3, gst_min_tile=3)
         assert baseline_containments(pairs, config, jobs=2) == baseline_containments(pairs, config)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pair_error_names_the_pair(self, jobs):
+        long_text = "Rivers carve stone " * 20 + "."
+        pairs = synthetic_pairs(3) + [make_pair(3, long_text, long_text)]
+        config = EngineConfig(gst_max_chars=200)
+        with pytest.raises(InputTooLarge, match=r"^pair p003: text of \d+ chars exceeds cap 200"):
+            baseline_containments(pairs, config, jobs=jobs)
 
 
 class TestThresholdReport:
@@ -154,7 +183,8 @@ class TestTraces:
     def test_exact_matches_traced(self):
         pair = make_pair(0, "Rivers carve stone.", "Rivers carve stone.")
         config = EngineConfig()
-        records = pair_traces(pair, KnowledgeStores.empty(), feature_params(config), prep_config(config))
+        [score] = score_pairs([pair], config)
+        records = trace_records(pair.pair_id, score)
         assert len(records) == 1
         rec = records[0]
         assert rec["pair_id"] == "p000"
@@ -164,5 +194,12 @@ class TestTraces:
     def test_one_record_per_contentful_suspect_sentence(self):
         pair = make_pair(0, "Rivers carve stone. The of and. Clouds drift.", "Rivers carve stone.")
         config = EngineConfig()
-        records = pair_traces(pair, KnowledgeStores.empty(), feature_params(config), prep_config(config))
+        [score] = score_pairs([pair], config)
+        records = trace_records(pair.pair_id, score)
         assert [r["suspect_sentence"] for r in records] == [0, 2]
+
+    def test_tied_source_sentences_trace_the_first(self):
+        pair = make_pair(0, "Rivers carve stone.", "Rivers carve stone. Rivers carve stone.")
+        [score] = score_pairs([pair], EngineConfig())
+        [record] = trace_records(pair.pair_id, score)
+        assert record["source_sentence"] == 0

@@ -5,12 +5,9 @@ from __future__ import annotations
 import json
 import random
 
-import pytest
-
 from paraplag._porter import porter_stem
 from paraplag.textprep import (
     PrepConfig,
-    UnknownStemmer,
     load_stopwords,
     normalize,
     preprocess_passage,
@@ -240,11 +237,6 @@ def test_default_stopwords_content():
     assert "ran" not in stops
     assert "cat" not in stops
     assert len(stops) == 127
-
-
-def test_unknown_stemmer_rejected():
-    with pytest.raises(UnknownStemmer):
-        PrepConfig(stopwords=frozenset(), stemmer="snowball")
 
 
 def test_normalized_form_invariant():
