@@ -22,7 +22,7 @@ import numpy as np
 from .editsim import insdel_similarity
 from .errors import ParaplagError
 from .resources import KnowledgeStores
-from .semsim import SemThresholds, WordMatch, match_sentence
+from .semsim import PairTables, SemThresholds, WordMatch, match_sentence
 from .synsim import syntactic_similarity
 from .textprep import PrepConfig, preprocess_passage
 
@@ -132,7 +132,8 @@ def score_passages(
     passage; scores under the dimension's discard threshold drop out, and
     the survivors' mean is the passage score (0.0 when nothing survives).
     The first source sentence with the best semantic score is the one kept
-    with its word matches.
+    with its word matches.  Word expansions, embedding cosines and Resnik
+    values come from one `PairTables` for the whole pair.
     """
     p = params if params is not None else FeatureParams()
     sp_sentences = preprocess_passage(suspect, prep)
@@ -140,6 +141,7 @@ def score_passages(
     if not sp_sentences or not sr_sentences:
         raise EmptyPassage("both passages need at least one sentence")
 
+    tables = PairTables((t for sr in sr_sentences for t in sr.content_tokens), stores)
     semantic_maxima = []
     insdel_maxima = []
     best_semantic = []
@@ -148,7 +150,7 @@ def score_passages(
             continue
         best, best_matches = None, None
         for sr in sr_sentences:
-            matches = match_sentence(sp, sr, stores, p.sem)
+            matches = match_sentence(sp, sr, stores, p.sem, tables)
             if best_matches is None or len(matches) > len(best_matches):
                 best, best_matches = sr, matches
         semantic_maxima.append(len(best_matches) / len(sp.content_tokens))

@@ -71,7 +71,8 @@ def parallel_map(
 
     jobs == 1 runs inline; otherwise `jobs` worker processes each run
     `setup` once, so task and setup must pickle.  A set-up error keeps its
-    class; an error raised on a pair names the pair.
+    class; an error raised on a pair names the pair, and in a pool cancels
+    the pairs not yet started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -81,7 +82,11 @@ def parallel_map(
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(setup, config)
     ) as pool:
-        return list(pool.map(partial(_worker_task, task), pairs, chunksize=8))
+        try:
+            return list(pool.map(partial(_worker_task, task), pairs, chunksize=8))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,16 @@ A synset is identified by ``(byte_offset, pos_char)`` exactly as in the
 source files, so identifiers line up with external information-content
 tables keyed the same way.
 
-The store is immutable after load and safe to share across threads; the
-internal ancestor/depth memos are only ever extended with values that any
-racing computation would reproduce identically.
+The store is immutable after load and safe to share across threads; its
+internal ancestor/depth/Resnik memos only ever hold values that any racing
+computation would reproduce identically.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from ..errors import MissingFile, ParaplagError
@@ -39,6 +39,9 @@ __all__ = [
 SynsetId = tuple[int, str]
 
 _POS_FILES = (("noun", "n"), ("verb", "v"), ("adj", "a"), ("adv", "r"))
+
+# Parts of speech with a hypernym hierarchy, the ones Resnik scores use.
+_TAXONOMY_POS = ("n", "v")
 
 # ss_type 's' (satellite adjective) lives in the adj data file; collapse it
 # so identifiers match index references and IC table keys.
@@ -92,6 +95,8 @@ class LexicalStore:
                 self._lemma_pos[lemma] = existing + (pos,)
         self._ancestor_memo: dict[SynsetId, frozenset[SynsetId]] = {}
         self._depth_memo: dict[SynsetId, int] = {}
+        # (weak reference to the IC table served, {(w1, w2): resnik value})
+        self._resnik_memo: tuple[Optional[weakref.ref], dict] = (None, {})
 
     def synset(self, sid: SynsetId) -> Synset:
         try:
@@ -115,6 +120,10 @@ class LexicalStore:
         for _, pos in _POS_FILES:
             out.extend(self._senses.get((word, pos), ()))
         return out
+
+    def in_taxonomy(self, word: str) -> bool:
+        """Whether the lemma has a sense with a hypernym hierarchy (noun or verb)."""
+        return any((word, pos) in self._senses for pos in _TAXONOMY_POS)
 
     def hypernyms(self, sid: SynsetId) -> tuple[SynsetId, ...]:
         return self.synset(sid).hypernyms
@@ -311,12 +320,15 @@ def lcs(
     return max(common, key=lambda cid: (store.depth(cid), (-cid[0], cid[1])))
 
 
-# Word-pair specificity scores repeat heavily across sentence pairs; the
-# stores are immutable, so caching on their identities is safe.
-@lru_cache(maxsize=262144)
-def _resnik_cached(store: LexicalStore, ic, w1: str, w2: str) -> Optional[float]:
+# Word-pair specificity scores repeat heavily across sentence pairs; each
+# store memoises them for the IC table it last served, holding that table
+# weakly, and empties the memo when it fills.
+_RESNIK_MEMO_SIZE = 1 << 18
+
+
+def _resnik(store: LexicalStore, ic, w1: str, w2: str) -> Optional[float]:
     best: Optional[float] = None
-    for pos in ("n", "v"):
+    for pos in _TAXONOMY_POS:
         for s1 in store.senses(w1, pos):
             for s2 in store.senses(w2, pos):
                 subsumer = lcs(store, s1, s2, ic)
@@ -337,4 +349,15 @@ def resnik(store: LexicalStore, ic, w1: str, w2: str) -> Optional[float]:
     None when either word is unknown in those parts of speech or no sense
     pair shares a subsumer carrying an IC value.
     """
-    return _resnik_cached(store, ic, w1, w2)
+    table, memo = store._resnik_memo
+    if table is None or table() is not ic:
+        table, memo = store._resnik_memo = (weakref.ref(ic), {})
+    key = (w1, w2)
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    if len(memo) >= _RESNIK_MEMO_SIZE:
+        memo.clear()
+    value = memo[key] = _resnik(store, ic, w1, w2)
+    return value

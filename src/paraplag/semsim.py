@@ -16,6 +16,10 @@ The first channel that fires wins and consumes the matched source word,
 so one source word never accounts for two query words.  The sentence
 score is the fraction of query words that found a match: containment in
 the suspect direction, not a symmetric similarity.
+
+The per-word work behind the channels (synonym expansion, embedding
+cosines, Resnik values) is done once per pair in `PairTables`, not once per
+sentence pair; matching a sentence then reduces to lookups.
 """
 
 from __future__ import annotations
@@ -23,10 +27,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ._porter import porter_stem
 from .errors import ParaplagError
-from .resources import KnowledgeStores, LexicalStore, cosine, resnik, synonyms
+# The cells of `PairTables.cosines` follow `cosine`'s definition; it stays
+# importable from here with the other store queries.
+from .resources import KnowledgeStores, cosine, resnik, synonyms  # noqa: F401
 from .textprep import ProcessedSentence, Token
 
 
@@ -69,19 +78,128 @@ class WordMatch:
         }
 
 
-def _expand(lexdb: LexicalStore | None, token: Token) -> set[str]:
-    """Synonyms of the query word; stem is the one fallback headword."""
-    if lexdb is None:
-        return set()
-    if lexdb.synsets_of(token.normalized):
-        return synonyms(lexdb, token.normalized)
-    return synonyms(lexdb, token.stem)
+class PairTables:
+    """Per-pair word lookups for the cascade, each computed once.
 
+    Built over the source content words a pair's matches may draw on, keyed
+    by normalized form.  Per suspect word, keyed by (normalized, stem), the
+    tables hold its synonyms and their stems and its best embedding cosine
+    against every source word, from one float64 matmul.  Per lexdb form,
+    they hold its Resnik value against every source word.  Entries are
+    filled on first use, so a channel that never runs costs nothing.
+    """
 
-def _db_form(lexdb: LexicalStore, token: Token) -> str:
-    if lexdb.synsets_of(token.normalized):
-        return token.normalized
-    return token.stem
+    def __init__(self, sources: Iterable[Token], stores: KnowledgeStores | None = None):
+        self.stores = stores if stores is not None else KnowledgeStores.empty()
+        self._sources: dict[str, Token] = {}
+        for tok in sources:
+            self._sources.setdefault(tok.normalized, tok)
+        self._forms: dict[tuple[str, str], str] = {}
+        self._expansions: dict[tuple[str, str], tuple[set[str], set[str]]] = {}
+        self._cosines: dict[tuple[str, str], dict[str, float]] = {}
+        self._resnik_rows: dict[str, dict[str, float]] = {}
+
+    def _per_query(self, memo: dict, query: Token, compute):
+        key = (query.normalized, query.stem)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = compute(query)
+        return entry
+
+    def form(self, token: Token) -> str:
+        """The token's lexdb headword: its normalized form if known, else its stem."""
+        key = (token.normalized, token.stem)
+        form = self._forms.get(key)
+        if form is None:
+            known = self.stores.lexdb.synsets_of(token.normalized)
+            form = self._forms[key] = token.normalized if known else token.stem
+        return form
+
+    def expansion(self, query: Token) -> tuple[set[str], set[str]]:
+        """The query's synonyms and their stems; empty without a lexdb."""
+        return self._per_query(self._expansions, query, self._expand)
+
+    def _expand(self, query: Token) -> tuple[set[str], set[str]]:
+        if self.stores.lexdb is None:
+            return set(), set()
+        syns = synonyms(self.stores.lexdb, self.form(query))
+        return syns, {porter_stem(s) for s in syns}
+
+    def cosines(self, query: Token) -> dict[str, float]:
+        """Best cosine per source word over the query's vectors.
+
+        The query's vectors are its synonyms' or, without synonyms, its own.
+        Each cell is `cosine` of one query and one source vector; source
+        words without a vector are absent, and so is everything when the
+        query has no vector or no embeddings are loaded.
+        """
+        return self._per_query(self._cosines, query, self._best_cosines)
+
+    @cached_property
+    def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """Source words with a vector, their float64 vectors and squared norms."""
+        emb = self.stores.embeddings
+        words, vecs = [], []
+        for word in self._sources:
+            vec = emb.lookup_folded(word)
+            if vec is not None:
+                words.append(word)
+                vecs.append(vec)
+        matrix = np.array(vecs, dtype=np.float64).reshape(len(vecs), emb.dim)
+        return tuple(words), matrix, np.einsum("ij,ij->i", matrix, matrix)
+
+    def _best_cosines(self, query: Token) -> dict[str, float]:
+        emb = self.stores.embeddings
+        if emb is None:
+            return {}
+        syns, _ = self.expansion(query)
+        query_words = sorted(syns) if syns else [query.normalized]
+        vecs = [vec for w in query_words if (vec := emb.lookup_folded(w)) is not None]
+        words, sources, source_sq = self._source_vectors
+        if not vecs or not words:
+            return {}
+        queries = np.array(vecs, dtype=np.float64)
+        query_sq = np.einsum("ij,ij->i", queries, queries)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = (queries @ sources.T) / np.sqrt(np.outer(query_sq, source_sq))
+        # cosine's clamp, under which NaN becomes -1.0, then its zero-norm rule
+        value = np.minimum(np.fmax(value, -1.0), 1.0)
+        value[np.logical_or.outer(query_sq == 0.0, source_sq == 0.0)] = 0.0
+        return dict(zip(words, value.max(axis=0).tolist()))
+
+    def resnik_values(self, query: Token) -> dict[str, float]:
+        """`resnik` of the query's and each source word's lexdb forms.
+
+        Needs both the lexdb and the IC table.  Source words scoring None
+        are left out, so a query with no noun or verb sense gets no entries.
+        """
+        qform = self.form(query)
+        row = self._resnik_rows.get(qform)
+        if row is None:
+            row = self._resnik_rows[qform] = self._resnik_row(qform)
+        return row
+
+    @cached_property
+    def _source_forms(self) -> dict[str, list[str]]:
+        """Source words by lexdb form, for forms with a noun or verb sense."""
+        forms: dict[str, list[str]] = {}
+        for word, tok in self._sources.items():
+            form = self.form(tok)
+            if self.stores.lexdb.in_taxonomy(form):
+                forms.setdefault(form, []).append(word)
+        return forms
+
+    def _resnik_row(self, qform: str) -> dict[str, float]:
+        lexdb, ic = self.stores.lexdb, self.stores.ic
+        row: dict[str, float] = {}
+        if not lexdb.in_taxonomy(qform):
+            return row
+        for sform, words in self._source_forms.items():
+            value = resnik(lexdb, ic, qform, sform)
+            if value is not None:
+                for word in words:
+                    row[word] = value
+        return row
 
 
 def match_word(
@@ -89,47 +207,48 @@ def match_word(
     source_remaining: Sequence[Token],
     stores: KnowledgeStores | None = None,
     thresholds: SemThresholds | None = None,
+    tables: PairTables | None = None,
 ) -> WordMatch | None:
-    """First match for one query word, or None when no channel fires."""
-    stores = stores if stores is not None else KnowledgeStores.empty()
+    """First match for one query word, or None when no channel fires.
+
+    `tables` must cover every source word in `source_remaining` and be
+    built on the stores to use; without it, one is built over
+    `source_remaining` and `stores`.
+    """
     th = thresholds if thresholds is not None else SemThresholds()
 
     for tok in source_remaining:
         if tok.stem == query.stem or tok.normalized == query.normalized:
             return WordMatch(query.index, tok.index, "exact", 1.0)
 
-    syns = _expand(stores.lexdb, query)
+    if tables is None:
+        tables = PairTables(source_remaining, stores)
+
+    syns, stemmed = tables.expansion(query)
     if syns:
-        stemmed = {porter_stem(s) for s in syns}
         for tok in source_remaining:
             if tok.normalized in syns or tok.stem in stemmed:
                 return WordMatch(query.index, tok.index, "synonym", 1.0)
 
-    emb = stores.embeddings
-    if emb is not None:
-        query_words = sorted(syns) if syns else [query.normalized]
-        query_vecs = [
-            vec for w in query_words if (vec := emb.lookup_folded(w)) is not None
-        ]
-        if query_vecs:
-            best_tok: Token | None = None
-            best_score = 0.0
-            for tok in source_remaining:
-                svec = emb.lookup_folded(tok.normalized)
-                if svec is None:
-                    continue
-                score = max(cosine(qvec, svec) for qvec in query_vecs)
-                if score >= th.embed_min and (best_tok is None or score > best_score):
-                    best_tok, best_score = tok, score
-            if best_tok is not None:
-                return WordMatch(query.index, best_tok.index, "embedding", best_score)
+    cosines = tables.cosines(query)
+    if cosines:
+        best_tok: Token | None = None
+        best_score = 0.0
+        for tok in source_remaining:
+            score = cosines.get(tok.normalized)
+            if score is None:
+                continue
+            if score >= th.embed_min and (best_tok is None or score > best_score):
+                best_tok, best_score = tok, score
+        if best_tok is not None:
+            return WordMatch(query.index, best_tok.index, "embedding", best_score)
 
-    if stores.lexdb is not None and stores.ic is not None:
-        qform = _db_form(stores.lexdb, query)
+    if tables.stores.lexdb is not None and tables.stores.ic is not None:
+        values = tables.resnik_values(query)
         best_tok = None
         best_ic = 0.0
         for tok in source_remaining:
-            value = resnik(stores.lexdb, stores.ic, qform, _db_form(stores.lexdb, tok))
+            value = values.get(tok.normalized)
             if value is None or value < th.resnik_min:
                 continue
             if best_tok is None or value > best_ic:
@@ -145,12 +264,19 @@ def match_sentence(
     sr: ProcessedSentence,
     stores: KnowledgeStores | None = None,
     thresholds: SemThresholds | None = None,
+    tables: PairTables | None = None,
 ) -> list[WordMatch]:
-    """Matches for every suspect content word, consuming source words."""
+    """Matches for every suspect content word, consuming source words.
+
+    `tables` is as for `match_word`; without it, one is built over the
+    source sentence.
+    """
     remaining = list(sr.content_tokens)
+    if tables is None:
+        tables = PairTables(remaining, stores)
     matches: list[WordMatch] = []
     for query in sp.content_tokens:
-        found = match_word(query, remaining, stores, thresholds)
+        found = match_word(query, remaining, stores, thresholds, tables)
         if found is not None:
             matches.append(found)
             remaining = [t for t in remaining if t.index != found.source_index]

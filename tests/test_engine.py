@@ -2,6 +2,9 @@
 
 import pickle
 import random
+import time
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from paraplag.engine import (
     baseline_containments,
     extract_features,
     labelled_dataset,
+    parallel_map,
     read_feature_csv,
     score_pairs,
     threshold_report,
@@ -49,6 +53,28 @@ def synthetic_pairs(n, seed=0):
             suspect = " ".join(rng.sample(OTHER, 5)).capitalize() + "."
             pairs.append(make_pair(i, suspect, source, NOT_PARAPHRASED))
     return pairs
+
+
+def _directory(path, config):
+    return path
+
+
+def _fail_first_then_record(directory, pair):
+    # the first pair fails at once; every later pair leaves a file behind
+    if pair.pair_id == "p000":
+        raise ParaplagError("first pair fails")
+    time.sleep(0.005)
+    (Path(directory) / pair.pair_id).touch()
+
+
+class TestParallelMap:
+    def test_pool_failure_cancels_queued_pairs(self, tmp_path):
+        pairs = synthetic_pairs(400)
+        setup = partial(_directory, str(tmp_path))
+        with pytest.raises(ParaplagError, match="^pair p000: first pair fails$"):
+            parallel_map(_fail_first_then_record, setup, EngineConfig(), pairs, jobs=2)
+        ran = len(list(tmp_path.iterdir()))
+        assert ran < len(pairs) // 4
 
 
 class TestExtractFeatures:

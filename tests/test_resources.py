@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import shutil
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,6 +171,28 @@ class TestResnik:
     def test_verb_taxonomy(self, store):
         table = ICTable.from_dict({MOVE: 1.2})
         assert resnik(store, table, "run", "walk") == pytest.approx(1.2)
+
+    def test_taxonomy_holds_nouns_and_verbs(self, store):
+        assert store.in_taxonomy("cat") and store.in_taxonomy("walk")
+        assert not store.in_taxonomy("happy")
+        assert not store.in_taxonomy("zzgronk")
+
+    def test_memo_is_kept_per_ic_table(self, store):
+        low = ICTable.from_dict({ANIMAL: 2.0})
+        high = ICTable.from_dict({ANIMAL: 3.0})
+        assert resnik(store, low, "cat", "dog") == pytest.approx(2.0)
+        assert resnik(store, high, "cat", "dog") == pytest.approx(3.0)
+        assert resnik(store, low, "cat", "dog") == pytest.approx(2.0)
+
+    def test_memo_does_not_keep_stores_alive(self):
+        lexdb = load_lexdb(FIXTURES / "lexdb")
+        table = ICTable.from_dict({ANIMAL: 2.0})
+        assert resnik(lexdb, table, "cat", "dog") == pytest.approx(2.0)
+        assert resnik(lexdb, table, "cat", "car") is None
+        refs = [weakref.ref(lexdb), weakref.ref(table)]
+        del lexdb, table
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestICTable:

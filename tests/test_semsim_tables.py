@@ -1,0 +1,217 @@
+"""Per-pair word tables, checked against the scalar cascade they replaced."""
+
+from __future__ import annotations
+
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from paraplag import semsim
+from paraplag._porter import porter_stem
+from paraplag.classify import score_passages
+from paraplag.resources import (
+    EmbeddingStore,
+    ICTable,
+    KnowledgeStores,
+    cosine,
+    load_lexdb,
+    resnik,
+    synonyms,
+)
+from paraplag.semsim import PairTables, SemThresholds, WordMatch, match_sentence
+from paraplag.textprep import preprocess_passage
+
+FIXTURES = Path(__file__).parent / "fixtures"
+LEXDB = load_lexdb(FIXTURES / "lexdb")
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the cascade as one scalar pass per sentence pair, with no tables.
+
+
+def _oracle_db_form(lexdb, token):
+    if lexdb.synsets_of(token.normalized):
+        return token.normalized
+    return token.stem
+
+
+def _oracle_expand(lexdb, token):
+    if lexdb is None:
+        return set()
+    return synonyms(lexdb, _oracle_db_form(lexdb, token))
+
+
+def oracle_match_word(query, source_remaining, stores, th):
+    for tok in source_remaining:
+        if tok.stem == query.stem or tok.normalized == query.normalized:
+            return WordMatch(query.index, tok.index, "exact", 1.0)
+
+    syns = _oracle_expand(stores.lexdb, query)
+    if syns:
+        stemmed = {porter_stem(s) for s in syns}
+        for tok in source_remaining:
+            if tok.normalized in syns or tok.stem in stemmed:
+                return WordMatch(query.index, tok.index, "synonym", 1.0)
+
+    emb = stores.embeddings
+    if emb is not None:
+        query_words = sorted(syns) if syns else [query.normalized]
+        query_vecs = [vec for w in query_words if (vec := emb.lookup_folded(w)) is not None]
+        if query_vecs:
+            best_tok, best_score = None, 0.0
+            for tok in source_remaining:
+                svec = emb.lookup_folded(tok.normalized)
+                if svec is None:
+                    continue
+                score = max(cosine(qvec, svec) for qvec in query_vecs)
+                if score >= th.embed_min and (best_tok is None or score > best_score):
+                    best_tok, best_score = tok, score
+            if best_tok is not None:
+                return WordMatch(query.index, best_tok.index, "embedding", best_score)
+
+    if stores.lexdb is not None and stores.ic is not None:
+        qform = _oracle_db_form(stores.lexdb, query)
+        best_tok, best_ic = None, 0.0
+        for tok in source_remaining:
+            value = resnik(stores.lexdb, stores.ic, qform, _oracle_db_form(stores.lexdb, tok))
+            if value is None or value < th.resnik_min:
+                continue
+            if best_tok is None or value > best_ic:
+                best_tok, best_ic = tok, value
+        if best_tok is not None:
+            return WordMatch(query.index, best_tok.index, "resnik", best_ic)
+    return None
+
+
+def oracle_match_sentence(sp, sr, stores, th):
+    remaining = list(sr.content_tokens)
+    matches = []
+    for query in sp.content_tokens:
+        found = oracle_match_word(query, remaining, stores, th)
+        if found is not None:
+            matches.append(found)
+            remaining = [t for t in remaining if t.index != found.source_index]
+    return matches
+
+
+# ---------------------------------------------------------------------------
+# Random stores and sentences over the fixture lexdb
+
+# headwords, inflections that fall back to their stem, and words no store knows
+VOCAB = (
+    "cat cats dog dogs car cars auto automobile machine motorcar canine feline "
+    "animal entity vehicle caterpillar run running walk walked move moves go "
+    "displace happy glad cheerful content zzqx quartz violin"
+).split()
+LEMMAS = "canid canis_familiaris domestic_dog felid true_cat animate_being".split()
+SYNSETS = [
+    (1740, "n"), (15388, "n"), (4524313, "n"), (2083346, "n"), (2084071, "n"),
+    (2120997, "n"), (2121620, "n"), (2958343, "n"), (2970849, "n"),
+    (1835496, "v"), (1904930, "v"), (1926311, "v"),
+]
+DIM = 4
+
+
+@st.composite
+def vectors(draw):
+    """Word vectors with OOV words, zero vectors and case-folded aliases.
+
+    Small integer vectors give exact ties and exact 1.0 cosines under any
+    summation order; generic float vectors come from a seeded generator, so
+    they tie with nothing.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = {}
+    for word in VOCAB + LEMMAS:
+        kind = draw(st.sampled_from(["absent", "zero", "int", "float"]))
+        if kind == "absent":
+            continue
+        if kind == "zero":
+            vec = np.zeros(DIM)
+        elif kind == "int":
+            vec = np.array(draw(st.lists(st.integers(-2, 2), min_size=DIM, max_size=DIM)))
+        else:
+            vec = rng.standard_normal(DIM)
+        casing = draw(st.sampled_from(["lower", "title", "both"]))
+        if casing != "lower":
+            out[word.title()] = vec.astype(np.float32)
+        if casing == "lower":
+            out[word] = vec.astype(np.float32)
+        elif casing == "both":
+            out[word] = rng.standard_normal(DIM).astype(np.float32)
+    return EmbeddingStore(out, DIM)
+
+
+def sentence_text(draw):
+    return " ".join(draw(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8))) + "."
+
+
+@st.composite
+def cases(draw):
+    ic_values = st.one_of(
+        st.none(), st.sampled_from([0.0, 1.5, 3.0, 4.5]), st.floats(0.0, 6.0)
+    )
+    ic = {sid: v for sid in SYNSETS if (v := draw(ic_values)) is not None}
+    present = st.sampled_from([True, True, True, False])
+    stores = KnowledgeStores(
+        lexdb=LEXDB if draw(present) else None,
+        ic=ICTable.from_dict(ic) if draw(present) else None,
+        embeddings=draw(vectors()) if draw(present) else None,
+    )
+    th = SemThresholds(
+        embed_min=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))),
+        resnik_min=draw(st.one_of(st.sampled_from([0.0, 1.5, 3.0]), st.floats(0.0, 6.0))),
+    )
+    [sp] = preprocess_passage(sentence_text(draw))
+    sources = [
+        preprocess_passage(sentence_text(draw))[0]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return stores, th, sp, sources
+
+
+def _key(matches):
+    return [(m.query_index, m.source_index, m.channel) for m in matches]
+
+
+@given(cases())
+def test_tables_agree_with_the_scalar_cascade(case):
+    stores, th, sp, sources = case
+    shared = PairTables((t for sr in sources for t in sr.content_tokens), stores)
+    for sr in sources:
+        expected = oracle_match_sentence(sp, sr, stores, th)
+        for got in (match_sentence(sp, sr, stores, th, shared), match_sentence(sp, sr, stores, th)):
+            assert _key(got) == _key(expected)
+            for g, e in zip(got, expected):
+                if e.channel in ("exact", "synonym"):
+                    assert g.score == 1.0
+                else:
+                    # the matmul sums in another order than the scalar dot
+                    assert abs(g.score - e.score) <= 1e-12
+
+
+def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
+    calls = Counter()
+    expand = semsim.synonyms
+
+    def counted(store, word):
+        calls[word] += 1
+        return expand(store, word)
+
+    monkeypatch.setattr(semsim, "synonyms", counted)
+    stores = KnowledgeStores(
+        lexdb=LEXDB, ic=ICTable.from_dict({(15388, "n"): 3.5}),
+        embeddings=EmbeddingStore({"machine": np.ones(DIM, np.float32)}, DIM),
+    )
+    suspect = "The car chased a cat. A dog and the car slept."
+    source = "An automobile passed. The canine barked loudly. A feline hid. Machines run."
+    score = score_passages(suspect, source, stores)
+    assert "synonym" in {m.channel for best in score.best_semantic for m in best.matches}
+    suspect_words = {
+        (t.normalized, t.stem) for s in preprocess_passage(suspect) for t in s.content_tokens
+    }
+    assert 0 < sum(calls.values()) <= len(suspect_words)
+    assert max(calls.values()) == 1
