@@ -18,9 +18,10 @@ from .lexdb import (
     Synset,
     SynsetId,
     UnknownSynset,
-    lcs,
     load_lexdb,
+    max_shared_ic,
     resnik,
+    subsumer_ics,
     synonyms,
 )
 from .ic import ICTable, load_ic
@@ -52,7 +53,8 @@ __all__ = [
     "load_embeddings",
     "save_embeddings",
     "synonyms",
-    "lcs",
+    "subsumer_ics",
+    "max_shared_ic",
     "resnik",
     "cosine",
 ]

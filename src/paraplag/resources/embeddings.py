@@ -100,10 +100,9 @@ def _load_text(path: str) -> EmbeddingStore:
         count, dim = _parse_header(header, path)
         vectors: dict[str, np.ndarray] = {}
         for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
+            fields = raw.split()
+            if not fields:
                 continue
-            fields = line.split()
             word = fields[0]
             if len(fields) - 1 != dim:
                 raise TruncatedVector(word, f"expected {dim} components, found {len(fields) - 1}")

@@ -78,12 +78,16 @@ def load_ic(path) -> ICTable:
                 count = float(count_text)
             except ValueError:
                 raise MalformedLine(path, line_no, f"bad count {count_text!r}") from None
+            if not math.isfinite(count):
+                raise MalformedLine(path, line_no, f"non-finite count {count_text!r}")
             if count < 0:
                 raise MalformedLine(path, line_no, "negative count")
             sid = (int(offset), pos)
             counts[sid] = counts.get(sid, 0.0) + count
             if root_flag:
                 root_total[pos] = root_total.get(pos, 0.0) + count
+            if not (math.isfinite(counts[sid]) and math.isfinite(root_total.get(pos, 0.0))):
+                raise MalformedLine(path, line_no, "counts sum to more than a float holds")
     values: dict[SynsetId, float] = {}
     for (offset, pos), count in counts.items():
         total = root_total.get(pos, 0.0)

@@ -10,14 +10,13 @@ source files, so identifiers line up with external information-content
 tables keyed the same way.
 
 The store is immutable after load and safe to share across threads; its
-internal ancestor/depth/Resnik memos only ever hold values that any racing
-computation would reproduce identically.
+internal ancestor memo only ever holds values that any racing computation
+would reproduce identically.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -32,7 +31,8 @@ __all__ = [
     "UnknownSynset",
     "load_lexdb",
     "synonyms",
-    "lcs",
+    "subsumer_ics",
+    "max_shared_ic",
     "resnik",
 ]
 
@@ -88,15 +88,7 @@ class LexicalStore:
     ):
         self._synsets = synsets
         self._senses = senses
-        self._lemma_pos: dict[str, tuple[str, ...]] = {}
-        for lemma, pos in senses:
-            existing = self._lemma_pos.get(lemma, ())
-            if pos not in existing:
-                self._lemma_pos[lemma] = existing + (pos,)
         self._ancestor_memo: dict[SynsetId, frozenset[SynsetId]] = {}
-        self._depth_memo: dict[SynsetId, int] = {}
-        # (weak reference to the IC table served, {(w1, w2): resnik value})
-        self._resnik_memo: tuple[Optional[weakref.ref], dict] = (None, {})
 
     def synset(self, sid: SynsetId) -> Synset:
         try:
@@ -121,10 +113,6 @@ class LexicalStore:
             out.extend(self._senses.get((word, pos), ()))
         return out
 
-    def in_taxonomy(self, word: str) -> bool:
-        """Whether the lemma has a sense with a hypernym hierarchy (noun or verb)."""
-        return any((word, pos) in self._senses for pos in _TAXONOMY_POS)
-
     def hypernyms(self, sid: SynsetId) -> tuple[SynsetId, ...]:
         return self.synset(sid).hypernyms
 
@@ -141,19 +129,6 @@ class LexicalStore:
         result = frozenset(acc)
         memo[sid] = result
         return result
-
-    def depth(self, sid: SynsetId) -> int:
-        """Longest hypernym path length from the synset to a root."""
-        memo = self._depth_memo
-        cached = memo.get(sid)
-        if cached is not None:
-            return cached
-        node = self.synset(sid)
-        value = 0
-        if node.hypernyms:
-            value = 1 + max(self.depth(h) for h in node.hypernyms)
-        memo[sid] = value
-        return value
 
 
 def _parse_data_line(line: str, pos: str, file: str, line_no: int) -> Synset:
@@ -292,72 +267,40 @@ def synonyms(store: LexicalStore, word: str) -> set[str]:
     return out
 
 
-def lcs(
-    store: LexicalStore,
-    c1: SynsetId,
-    c2: SynsetId,
-    ic=None,
-) -> Optional[SynsetId]:
-    """Lowest common subsumer of two synsets.
+def subsumer_ics(store: LexicalStore, ic, word: str) -> dict[tuple[str, SynsetId], float]:
+    """IC of every subsumer of the word's noun and verb senses that has one.
 
-    With an information-content table the candidate with maximal IC wins;
-    without one (or when no common ancestor carries an IC value) the
-    deepest common ancestor wins.  Returns None when the taxonomies are
-    disjoint.  Ties resolve to the deepest candidate, then the smallest
-    identifier, so the choice is deterministic.
+    A subsumer is a sense or any of its transitive hypernyms.  Entries are
+    keyed by the part of speech of the sense they come from as well as the
+    subsumer's id, so that only senses of one part of speech share a key,
+    even where a hypernym pointer crosses parts of speech.  Words with no
+    noun or verb sense get an empty map.
     """
-    common = store.ancestors(c1) & store.ancestors(c2)
-    if not common:
-        return None
-    if ic is not None:
-        with_ic = [(cid, ic.get(cid)) for cid in common]
-        scored = [(v, cid) for cid, v in with_ic if v is not None]
-        if scored:
-            return max(
-                scored,
-                key=lambda t: (t[0], store.depth(t[1]), (-t[1][0], t[1][1])),
-            )[1]
-    return max(common, key=lambda cid: (store.depth(cid), (-cid[0], cid[1])))
-
-
-# Word-pair specificity scores repeat heavily across sentence pairs; each
-# store memoises them for the IC table it last served, holding that table
-# weakly, and empties the memo when it fills.
-_RESNIK_MEMO_SIZE = 1 << 18
-
-
-def _resnik(store: LexicalStore, ic, w1: str, w2: str) -> Optional[float]:
-    best: Optional[float] = None
+    out: dict[tuple[str, SynsetId], float] = {}
     for pos in _TAXONOMY_POS:
-        for s1 in store.senses(w1, pos):
-            for s2 in store.senses(w2, pos):
-                subsumer = lcs(store, s1, s2, ic)
-                if subsumer is None:
-                    continue
+        for sid in store.senses(word, pos):
+            for subsumer in store.ancestors(sid):
                 value = ic.get(subsumer)
-                if value is None:
-                    continue
-                if best is None or value > best:
-                    best = value
+                if value is not None:
+                    out[(pos, subsumer)] = value
+    return out
+
+
+def max_shared_ic(ics1: dict, ics2: dict) -> Optional[float]:
+    """The largest IC under a key both `subsumer_ics` maps hold, or None."""
+    best: Optional[float] = None
+    for key, value in ics1.items():
+        if key in ics2 and (best is None or value > best):
+            best = value
     return best
 
 
 def resnik(store: LexicalStore, ic, w1: str, w2: str) -> Optional[float]:
-    """Maximum subsumer information content over noun and verb sense pairs.
+    """Information content of the most informative shared subsumer.
 
-    Only parts of speech with a hypernym hierarchy take part.  Returns
-    None when either word is unknown in those parts of speech or no sense
-    pair shares a subsumer carrying an IC value.
+    Only noun and verb senses take part, and a subsumer counts as shared
+    only when it subsumes senses of both words in one part of speech.
+    Returns None when either word is unknown in those parts of speech or
+    no shared subsumer carries an IC value.
     """
-    table, memo = store._resnik_memo
-    if table is None or table() is not ic:
-        table, memo = store._resnik_memo = (weakref.ref(ic), {})
-    key = (w1, w2)
-    try:
-        return memo[key]
-    except KeyError:
-        pass
-    if len(memo) >= _RESNIK_MEMO_SIZE:
-        memo.clear()
-    value = memo[key] = _resnik(store, ic, w1, w2)
-    return value
+    return max_shared_ic(subsumer_ics(store, ic, w1), subsumer_ics(store, ic, w2))

@@ -9,8 +9,8 @@ in a fixed order:
   embedding  best cosine between the query's synonym vectors (or the
              query's own vector when it has no synonyms) and a source
              word vector, kept when it reaches ``embed_min``
-  resnik     information content of the most specific shared ancestor,
-             kept when it reaches ``resnik_min``
+  resnik     information content of the most informative shared
+             subsumer, kept when it reaches ``resnik_min``
 
 The first channel that fires wins and consumes the matched source word,
 so one source word never accounts for two query words.  The sentence
@@ -33,9 +33,11 @@ import numpy as np
 
 from ._porter import porter_stem
 from .errors import ParaplagError
-# The cells of `PairTables.cosines` follow `cosine`'s definition; it stays
-# importable from here with the other store queries.
+# The cells of `PairTables.cosines` and `PairTables.resnik_values` follow
+# `cosine`'s and `resnik`'s definitions; both stay importable from here with
+# the other store queries.
 from .resources import KnowledgeStores, cosine, resnik, synonyms  # noqa: F401
+from .resources import max_shared_ic, subsumer_ics
 from .textprep import ProcessedSentence, Token
 
 
@@ -85,8 +87,9 @@ class PairTables:
     by normalized form.  Per suspect word, keyed by (normalized, stem), the
     tables hold its synonyms and their stems and its best embedding cosine
     against every source word, from one float64 matmul.  Per lexdb form,
-    they hold its Resnik value against every source word.  Entries are
-    filled on first use, so a channel that never runs costs nothing.
+    they hold its Resnik value against every source word, from the
+    `subsumer_ics` maps of both forms, each source map built once.  Entries
+    are filled on first use, so a channel that never runs costs nothing.
     """
 
     def __init__(self, sources: Iterable[Token], stores: KnowledgeStores | None = None):
@@ -176,30 +179,24 @@ class PairTables:
         qform = self.form(query)
         row = self._resnik_rows.get(qform)
         if row is None:
-            row = self._resnik_rows[qform] = self._resnik_row(qform)
+            row = self._resnik_rows[qform] = {}
+            query_ics = subsumer_ics(self.stores.lexdb, self.stores.ic, qform)
+            if query_ics:
+                for word, ics in self._source_ics:
+                    value = max_shared_ic(query_ics, ics)
+                    if value is not None:
+                        row[word] = value
         return row
 
     @cached_property
-    def _source_forms(self) -> dict[str, list[str]]:
-        """Source words by lexdb form, for forms with a noun or verb sense."""
-        forms: dict[str, list[str]] = {}
+    def _source_ics(self) -> list[tuple[str, dict]]:
+        """Source words whose lexdb form has a non-empty `subsumer_ics` map, with it."""
+        out = []
         for word, tok in self._sources.items():
-            form = self.form(tok)
-            if self.stores.lexdb.in_taxonomy(form):
-                forms.setdefault(form, []).append(word)
-        return forms
-
-    def _resnik_row(self, qform: str) -> dict[str, float]:
-        lexdb, ic = self.stores.lexdb, self.stores.ic
-        row: dict[str, float] = {}
-        if not lexdb.in_taxonomy(qform):
-            return row
-        for sform, words in self._source_forms.items():
-            value = resnik(lexdb, ic, qform, sform)
-            if value is not None:
-                for word in words:
-                    row[word] = value
-        return row
+            ics = subsumer_ics(self.stores.lexdb, self.stores.ic, self.form(tok))
+            if ics:
+                out.append((word, ics))
+        return out
 
 
 def match_word(

@@ -12,47 +12,35 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .resources import cosine
-
-
-@dataclass(frozen=True)
-class OrderVectorPair:
-    base: tuple[int, ...]
-    other: tuple[int, ...]
-
-
-def _key(token: object) -> str:
-    # Accepts textprep tokens or plain pre-normalized strings.
-    return getattr(token, "normalized", token)  # type: ignore[return-value]
+from .textprep import Token
 
 
 def build_order_vectors(
-    sp_tokens: Sequence[object], sr_tokens: Sequence[object]
-) -> OrderVectorPair:
-    """Position vectors for the source sequence against the suspect.
+    sp_tokens: Sequence[Token], sr_tokens: Sequence[Token]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(base, other) position vectors for the source sequence against the suspect.
 
-    Repeated words pair up in left-to-right order: the i-th source
-    occurrence takes the i-th suspect occurrence, and occurrences left
-    over on either side stay unmatched (component 0).
+    Tokens are compared by normalized form.  Repeated words pair up in
+    left-to-right order: the i-th source occurrence takes the i-th suspect
+    occurrence, and occurrences left over on either side stay unmatched
+    (component 0).
     """
     positions: dict[str, deque[int]] = {}
     for pos, token in enumerate(sp_tokens, start=1):
-        positions.setdefault(_key(token), deque()).append(pos)
+        positions.setdefault(token.normalized, deque()).append(pos)
     base = tuple(range(1, len(sr_tokens) + 1))
     other = []
     for token in sr_tokens:
-        queue = positions.get(_key(token))
+        queue = positions.get(token.normalized)
         other.append(queue.popleft() if queue else 0)
-    return OrderVectorPair(base=base, other=tuple(other))
+    return base, tuple(other)
 
 
-def syntactic_similarity(
-    sp_tokens: Sequence[object], sr_tokens: Sequence[object]
-) -> float:
+def syntactic_similarity(sp_tokens: Sequence[Token], sr_tokens: Sequence[Token]) -> float:
     """Cosine of the order vectors; 0.0 when there is nothing to compare."""
-    pair = build_order_vectors(sp_tokens, sr_tokens)
-    if not pair.base or not any(pair.other):
+    base, other = build_order_vectors(sp_tokens, sr_tokens)
+    if not base or not any(other):
         return 0.0
-    return cosine(pair.base, pair.other)
+    return cosine(base, other)

@@ -174,6 +174,27 @@ class TestExitCodes:
         assert rc == 2
         assert "truncated vector for 'foo'" in capsys.readouterr().err
 
+    def test_non_finite_ic_count_exits_2(self, tmp_path, capsys):
+        ic = write_text(tmp_path, "ic.dat", "wnver::30\n1740n inf ROOT\n15388n 10\n")
+        cfg = write_config(tmp_path, lexdb_dir=os.path.join(FIXTURES, "lexdb"), ic_file=ic)
+        a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
+        assert main(["score", a, a, "--config", cfg]) == 2
+        assert f"{ic}:2: non-finite count" in capsys.readouterr().err
+
+    def test_whitespace_line_in_embeddings_skipped(self, tmp_path, capsys):
+        vectors = write_text(tmp_path, "gap.vec", "2 3\nriver 1 0 0\n   \nstone 0 1 0\n")
+        cfg = write_config(tmp_path, embedding_file=vectors)
+        a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
+        assert main(["score", a, a, "--config", cfg]) == 0
+        capsys.readouterr()
+
+    def test_whitespace_line_counted_against_header_exits_2(self, tmp_path, capsys):
+        vectors = write_text(tmp_path, "gap.vec", "3 3\nriver 1 0 0\n   \nstone 0 1 0\n")
+        cfg = write_config(tmp_path, embedding_file=vectors)
+        a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
+        assert main(["score", a, a, "--config", cfg]) == 2
+        assert f"{vectors}: header declares 3 words" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["evaluate", "baseline", "fit"])
     def test_jobs_below_one_rejected_before_loading(self, tmp_path, capsys, monkeypatch, command):
         def no_pool(*args, **kwargs):

@@ -23,12 +23,12 @@ from paraplag.resources import (
     TruncatedVector,
     UnknownSynset,
     cosine,
-    lcs,
     load_embeddings,
     load_ic,
     load_lexdb,
     resnik,
     save_embeddings,
+    subsumer_ics,
     synonyms,
 )
 
@@ -38,13 +38,10 @@ ENTITY = (1740, "n")
 ANIMAL = (15388, "n")
 CANINE = (2083346, "n")
 DOG = (2084071, "n")
-FELINE = (2120997, "n")
 CAT = (2121620, "n")
-CAR = (2958343, "n")
 TRACTOR_CAT = (2970849, "n")
 VEHICLE = (4524313, "n")
 MOVE = (1835496, "v")
-RUN = (1926311, "v")
 
 
 @pytest.fixture(scope="module")
@@ -124,29 +121,6 @@ class TestSynonyms:
             assert word not in synonyms(store, word)
 
 
-class TestLcs:
-    def test_common_ancestor_by_depth(self, store):
-        assert lcs(store, CAT, DOG) == ANIMAL
-
-    def test_ancestor_of_itself(self, store):
-        assert lcs(store, CAT, CAT) == CAT
-
-    def test_direct_ancestor(self, store):
-        assert lcs(store, CAT, FELINE) == FELINE
-
-    def test_disjoint_taxonomies(self, store):
-        assert lcs(store, CAT, RUN) is None
-
-    def test_ic_overrides_depth(self, store):
-        # entity is shallower but carries the only IC value
-        table = ICTable.from_dict({ENTITY: 0.5})
-        assert lcs(store, CAT, DOG, table) == ENTITY
-
-    def test_ic_maximum_wins(self, store):
-        table = ICTable.from_dict({ENTITY: 0.5, ANIMAL: 2.0})
-        assert lcs(store, CAT, DOG, table) == ANIMAL
-
-
 class TestResnik:
     def test_subsumer_ic_value(self, store):
         table = ICTable.from_dict({ANIMAL: 2.0, ENTITY: 0.0})
@@ -172,10 +146,14 @@ class TestResnik:
         table = ICTable.from_dict({MOVE: 1.2})
         assert resnik(store, table, "run", "walk") == pytest.approx(1.2)
 
-    def test_taxonomy_holds_nouns_and_verbs(self, store):
-        assert store.in_taxonomy("cat") and store.in_taxonomy("walk")
-        assert not store.in_taxonomy("happy")
-        assert not store.in_taxonomy("zzgronk")
+    def test_subsumer_ics_keyed_by_sense_pos(self, store):
+        table = ICTable.from_dict({VEHICLE: 1.5, ANIMAL: 2.0, CAT: 4.0, MOVE: 1.2})
+        assert subsumer_ics(store, table, "cat") == {
+            ("n", CAT): 4.0, ("n", ANIMAL): 2.0, ("n", VEHICLE): 1.5,
+        }
+        assert subsumer_ics(store, table, "walk") == {("v", MOVE): 1.2}
+        assert subsumer_ics(store, table, "happy") == {}
+        assert subsumer_ics(store, table, "zzgronk") == {}
 
     def test_memo_is_kept_per_ic_table(self, store):
         low = ICTable.from_dict({ANIMAL: 2.0})
@@ -246,6 +224,28 @@ class TestICTable:
         with pytest.raises(MissingFile):
             load_ic(tmp_path / "absent.dat")
 
+    def test_load_rejects_infinite_root_count(self, tmp_path):
+        path = tmp_path / "ic.dat"
+        path.write_text("wnver::30\n1740n inf ROOT\n15388n 10\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_ic(path)
+        assert (exc.value.file, exc.value.line_no) == (str(path), 2)
+        assert "non-finite count 'inf'" in str(exc.value)
+
+    def test_load_rejects_nan_count(self, tmp_path):
+        path = tmp_path / "ic.dat"
+        path.write_text("wnver::30\n1740n 1000 ROOT\n15388n nan\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_ic(path)
+        assert (exc.value.file, exc.value.line_no) == (str(path), 3)
+
+    def test_load_rejects_counts_summing_past_float_range(self, tmp_path):
+        path = tmp_path / "ic.dat"
+        path.write_text("wnver::30\n100v 1e308 ROOT\n200v 1e308 ROOT\n300v 40\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_ic(path)
+        assert (exc.value.file, exc.value.line_no) == (str(path), 3)
+
 
 class TestEmbeddings:
     def test_text_load(self, tmp_path):
@@ -268,6 +268,18 @@ class TestEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text("3 3\napple 1 0 0\nbanana 0 1 0\n")
         with pytest.raises(HeaderMismatch):
+            load_embeddings(path, "text")
+
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 3\napple 1 0 0\n   \n\t\nbanana 0 1 0\n")
+        store = load_embeddings(path, "text")
+        assert sorted(store.words()) == ["apple", "banana"]
+
+    def test_whitespace_only_line_is_not_a_word(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("3 3\napple 1 0 0\n   \nbanana 0 1 0\n")
+        with pytest.raises(HeaderMismatch, match="declares 3 words, file holds 2"):
             load_embeddings(path, "text")
 
     def test_binary_round_trip(self, tmp_path):

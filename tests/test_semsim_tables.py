@@ -1,4 +1,9 @@
-"""Per-pair word tables, checked against the scalar cascade they replaced."""
+"""Per-pair word tables, checked against the scalar cascade they replaced.
+
+The oracle's Resnik score is the sense-pair form: per noun or verb sense
+pair, the IC of the lowest common subsumer chosen by IC, then by depth,
+then by id; the maximum over sense pairs wins.
+"""
 
 from __future__ import annotations
 
@@ -29,7 +34,42 @@ LEXDB = load_lexdb(FIXTURES / "lexdb")
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the cascade as one scalar pass per sentence pair, with no tables.
+# Oracle: the cascade as one scalar pass per sentence pair, with no tables,
+# and Resnik through a lowest common subsumer per sense pair.
+
+
+def _oracle_depth(store, sid):
+    hypernyms = store.synset(sid).hypernyms
+    return 1 + max(_oracle_depth(store, h) for h in hypernyms) if hypernyms else 0
+
+
+def oracle_lcs(store, c1, c2, ic):
+    common = store.ancestors(c1) & store.ancestors(c2)
+    if not common:
+        return None
+    scored = [(v, cid) for cid in common if (v := ic.get(cid)) is not None]
+    if scored:
+        return max(
+            scored,
+            key=lambda t: (t[0], _oracle_depth(store, t[1]), (-t[1][0], t[1][1])),
+        )[1]
+    return max(common, key=lambda cid: (_oracle_depth(store, cid), (-cid[0], cid[1])))
+
+
+def oracle_resnik(store, ic, w1, w2):
+    best = None
+    for pos in ("n", "v"):
+        for s1 in store.senses(w1, pos):
+            for s2 in store.senses(w2, pos):
+                subsumer = oracle_lcs(store, s1, s2, ic)
+                if subsumer is None:
+                    continue
+                value = ic.get(subsumer)
+                if value is None:
+                    continue
+                if best is None or value > best:
+                    best = value
+    return best
 
 
 def _oracle_db_form(lexdb, token):
@@ -76,7 +116,9 @@ def oracle_match_word(query, source_remaining, stores, th):
         qform = _oracle_db_form(stores.lexdb, query)
         best_tok, best_ic = None, 0.0
         for tok in source_remaining:
-            value = resnik(stores.lexdb, stores.ic, qform, _oracle_db_form(stores.lexdb, tok))
+            value = oracle_resnik(
+                stores.lexdb, stores.ic, qform, _oracle_db_form(stores.lexdb, tok)
+            )
             if value is None or value < th.resnik_min:
                 continue
             if best_tok is None or value > best_ic:
@@ -110,7 +152,7 @@ LEMMAS = "canid canis_familiaris domestic_dog felid true_cat animate_being".spli
 SYNSETS = [
     (1740, "n"), (15388, "n"), (4524313, "n"), (2083346, "n"), (2084071, "n"),
     (2120997, "n"), (2121620, "n"), (2958343, "n"), (2970849, "n"),
-    (1835496, "v"), (1904930, "v"), (1926311, "v"),
+    (1835496, "v"), (1904930, "v"), (1926311, "v"), (1000, "a"),
 ]
 DIM = 4
 
@@ -150,15 +192,18 @@ def sentence_text(draw):
 
 
 @st.composite
+def ic_tables(draw):
+    """IC tables over some of the fixture synsets, with exact ties."""
+    values = st.one_of(st.none(), st.sampled_from([0.0, 1.5, 3.0, 4.5]), st.floats(0.0, 6.0))
+    return ICTable.from_dict({sid: v for sid in SYNSETS if (v := draw(values)) is not None})
+
+
+@st.composite
 def cases(draw):
-    ic_values = st.one_of(
-        st.none(), st.sampled_from([0.0, 1.5, 3.0, 4.5]), st.floats(0.0, 6.0)
-    )
-    ic = {sid: v for sid in SYNSETS if (v := draw(ic_values)) is not None}
     present = st.sampled_from([True, True, True, False])
     stores = KnowledgeStores(
         lexdb=LEXDB if draw(present) else None,
-        ic=ICTable.from_dict(ic) if draw(present) else None,
+        ic=draw(ic_tables()) if draw(present) else None,
         embeddings=draw(vectors()) if draw(present) else None,
     )
     th = SemThresholds(
@@ -171,6 +216,43 @@ def cases(draw):
         for _ in range(draw(st.integers(1, 3)))
     ]
     return stores, th, sp, sources
+
+
+# one part of speech drawn first, so that pairs within a group come up often
+RESNIK_WORDS = st.sampled_from([
+    ["cat", "dog", "car", "canine", "feline", "animal", "entity", "vehicle", "caterpillar"]
+    + LEMMAS,
+    ["run", "walk", "move", "go", "displace"],
+    ["happy", "glad", "cheerful", "content"],
+    ["cats", "running", "zzqx", "quartz", "violin"],
+]).flatmap(st.sampled_from)
+
+
+@given(RESNIK_WORDS, RESNIK_WORDS, ic_tables())
+def test_resnik_agrees_with_the_sense_pair_oracle(w1, w2, ic):
+    assert resnik(LEXDB, ic, w1, w2) == oracle_resnik(LEXDB, ic, w1, w2)
+
+
+def test_cross_pos_hypernym_shares_no_subsumer(tmp_path):
+    # the verb "act" has the noun "action" as its hypernym
+    (tmp_path / "data.noun").write_text(
+        "00000100 03 n 01 thing 0 000 | a thing\n"
+        "00000200 03 n 01 action 0 001 @ 00000100 n 0000 | an act\n"
+    )
+    (tmp_path / "index.noun").write_text(
+        "action n 1 1 @ 1 0 00000200\nthing n 1 0 1 0 00000100\n"
+    )
+    (tmp_path / "data.verb").write_text(
+        "00000300 41 v 01 act 0 001 @ 00000200 n 0000 01 + 02 00 | do something\n"
+    )
+    (tmp_path / "index.verb").write_text("act v 1 1 @ 1 0 00000300\n")
+    lexdb = load_lexdb(tmp_path)
+    ic = ICTable.from_dict({(100, "n"): 1.0, (200, "n"): 2.0})
+    for w1, w2 in (("act", "action"), ("action", "act"), ("act", "thing")):
+        assert oracle_resnik(lexdb, ic, w1, w2) is None
+        assert resnik(lexdb, ic, w1, w2) is None
+    assert oracle_resnik(lexdb, ic, "act", "act") == resnik(lexdb, ic, "act", "act") == 2.0
+    assert resnik(lexdb, ic, "action", "thing") == 1.0
 
 
 def _key(matches):

@@ -9,7 +9,7 @@ import pytest
 
 from paraplag.resources import cosine
 from paraplag.synsim import build_order_vectors, syntactic_similarity
-from paraplag.textprep import preprocess_passage
+from paraplag.textprep import Token, preprocess_passage
 
 SOURCE = "Mary is the winner of the tournament, and John is the runner up"
 SUSPECT = "the winner of the tournament is John, and the runner up is Mary"
@@ -21,49 +21,55 @@ def _tokens(text: str):
     return sentences[0].all_tokens
 
 
+def _toks(words):
+    """Tokens whose forms are all the given, already normalized, words."""
+    return [Token(i, w, w, w) for i, w in enumerate(words)]
+
+
 class TestBuildOrderVectors:
     def test_identical(self):
-        pair = build_order_vectors(["a", "b", "c"], ["a", "b", "c"])
-        assert pair.base == (1, 2, 3)
-        assert pair.other == (1, 2, 3)
+        base, other = build_order_vectors(_toks(["a", "b", "c"]), _toks(["a", "b", "c"]))
+        assert base == (1, 2, 3)
+        assert other == (1, 2, 3)
 
     def test_rotation(self):
-        pair = build_order_vectors(["c", "a", "b"], ["a", "b", "c"])
-        assert pair.other == (2, 3, 1)
+        _, other = build_order_vectors(_toks(["c", "a", "b"]), _toks(["a", "b", "c"]))
+        assert other == (2, 3, 1)
 
     def test_disjoint(self):
-        pair = build_order_vectors(["x", "y"], ["a", "b"])
-        assert pair.other == (0, 0)
+        _, other = build_order_vectors(_toks(["x", "y"]), _toks(["a", "b"]))
+        assert other == (0, 0)
 
     def test_duplicates_pair_left_to_right(self):
-        pair = build_order_vectors(
-            ["the", "dog", "the", "cat"], ["the", "cat", "the", "dog"]
+        _, other = build_order_vectors(
+            _toks(["the", "dog", "the", "cat"]), _toks(["the", "cat", "the", "dog"])
         )
-        assert pair.other == (1, 4, 3, 2)
+        assert other == (1, 4, 3, 2)
 
     def test_leftover_duplicate_unmatched(self):
-        pair = build_order_vectors(["a", "b"], ["a", "a", "b"])
-        assert pair.other == (1, 0, 2)
+        _, other = build_order_vectors(_toks(["a", "b"]), _toks(["a", "a", "b"]))
+        assert other == (1, 0, 2)
 
     def test_empty(self):
-        pair = build_order_vectors([], [])
-        assert pair.base == ()
-        assert pair.other == ()
+        base, other = build_order_vectors([], [])
+        assert base == ()
+        assert other == ()
 
     def test_token_objects_and_strings_agree(self):
+        # only the normalized form counts, not the surface, stem or index
         tokens = _tokens("The tall ship sailed north")
         as_strings = [t.normalized for t in tokens]
         assert build_order_vectors(tokens, tokens) == build_order_vectors(
-            as_strings, as_strings
+            _toks(as_strings), _toks(as_strings)
         )
 
     def test_suspect_positions_used_at_most_once(self):
         rng = random.Random(21)
         for _ in range(200):
-            sp = [rng.choice("abc") for _ in range(rng.randint(0, 10))]
-            sr = [rng.choice("abc") for _ in range(rng.randint(0, 10))]
-            pair = build_order_vectors(sp, sr)
-            used = [p for p in pair.other if p != 0]
+            sp = _toks([rng.choice("abc") for _ in range(rng.randint(0, 10))])
+            sr = _toks([rng.choice("abc") for _ in range(rng.randint(0, 10))])
+            _, other = build_order_vectors(sp, sr)
+            used = [p for p in other if p != 0]
             assert len(used) == len(set(used))
             assert all(1 <= p <= len(sp) for p in used)
 
@@ -74,19 +80,20 @@ class TestSyntacticSimilarity:
         assert syntactic_similarity(tokens, tokens) == 1.0
 
     def test_disjoint_is_zero(self):
-        assert syntactic_similarity(["x", "y"], ["a", "b"]) == 0.0
+        assert syntactic_similarity(_toks(["x", "y"]), _toks(["a", "b"])) == 0.0
 
     def test_empty_is_zero(self):
         assert syntactic_similarity([], []) == 0.0
-        assert syntactic_similarity([], ["a"]) == 0.0
+        assert syntactic_similarity([], _toks(["a"])) == 0.0
 
     def test_tournament_sentences(self):
         sp = _tokens(SUSPECT)
         sr = _tokens(SOURCE)
-        pair = build_order_vectors(sp, sr)
-        assert pair.base == tuple(range(1, 14))
-        assert pair.other == (13, 6, 1, 2, 3, 4, 5, 8, 7, 12, 9, 10, 11)
+        base, other = build_order_vectors(sp, sr)
+        assert base == tuple(range(1, 14))
+        assert other == (13, 6, 1, 2, 3, 4, 5, 8, 7, 12, 9, 10, 11)
         assert syntactic_similarity(sp, sr) == pytest.approx(719 / 819, abs=1e-9)
+        assert syntactic_similarity(sp, sr) == cosine(base, other)
 
     def test_reordering_detected_where_bag_of_words_is_blind(self):
         sp = _tokens(SUSPECT)
@@ -109,12 +116,12 @@ class TestSyntacticSimilarity:
             rng.shuffle(sp)
             if sp == sr:
                 continue
-            score = syntactic_similarity(sp, sr)
+            score = syntactic_similarity(_toks(sp), _toks(sr))
             assert 0.0 < score < 1.0
 
     def test_range(self):
         rng = random.Random(23)
         for _ in range(300):
-            sp = [rng.choice("abcd") for _ in range(rng.randint(0, 9))]
-            sr = [rng.choice("abcd") for _ in range(rng.randint(0, 9))]
+            sp = _toks([rng.choice("abcd") for _ in range(rng.randint(0, 9))])
+            sr = _toks([rng.choice("abcd") for _ in range(rng.randint(0, 9))])
             assert 0.0 <= syntactic_similarity(sp, sr) <= 1.0
