@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .editsim import insdel_similarity
-from .errors import ParaplagError
+from .errors import ParaplagError, is_integer
 from .resources import KnowledgeStores
 from .semsim import PairTables, SemThresholds, WordMatch, match_sentence
 from .synsim import syntactic_similarity
@@ -387,6 +387,8 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in ("knn", "nb"):
             raise ValueError(f"kind must be 'knn' or 'nb', got {self.kind!r}")
+        if not is_integer(self.knn_k):
+            raise ValueError(f"knn_k must be an integer, got {self.knn_k!r}")
         if self.knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
 

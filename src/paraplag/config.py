@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .classify import ClassifierSpec, FeatureParams
-from .errors import ParaplagError
+from .errors import ParaplagError, is_integer
 from .gst import GstParams
 from .resources import KnowledgeStores, load_embeddings, load_ic, load_lexdb
 from .semsim import SemThresholds
@@ -79,10 +79,13 @@ class EngineConfig:
             raise ConfigError(
                 f"classifier must be one of {CLASSIFIER_KINDS}, got {self.classifier!r}"
             )
-        if not isinstance(self.folds, int) or self.folds < 2:
+        # every field annotated `int` must hold one; the message names the key
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not is_integer(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if self.folds < 2:
             raise ConfigError(f"folds must be an integer >= 2, got {self.folds!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0.0 <= self.fallback_threshold <= 1.0:
             raise ConfigError(
                 f"fallback_threshold must be within [0, 1], got {self.fallback_threshold}"

@@ -1,4 +1,4 @@
-"""Shared exception base for the package.
+"""Shared exception base for the package, and its integer argument check.
 
 Every error raised deliberately by this package derives from ParaplagError,
 so callers (the CLI in particular) can distinguish expected failure modes
@@ -6,6 +6,7 @@ from genuine bugs.
 """
 
 import copyreg
+import numbers
 
 
 class ParaplagError(Exception):
@@ -20,3 +21,8 @@ class ParaplagError(Exception):
 
 class MissingFile(ParaplagError):
     """A file or directory the caller pointed at does not exist."""
+
+
+def is_integer(value) -> bool:
+    """True for an integer, numpy's included; False for a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

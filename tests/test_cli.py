@@ -133,6 +133,17 @@ class TestExitCodes:
         assert main(["score", a, a, "--config", cfg]) == 2
         assert "embedmin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("knn_k", 2.5), ("gst_min_match", 5.5)])
+    def test_non_integer_config_value_exits_2(self, tmp_path, capsys, key, value):
+        corpus = write_corpus(tmp_path, n=8)
+        cfg = write_config(tmp_path, **{key: value})
+        rc = main(
+            ["evaluate", corpus, "--corpus", "jsonl", "--config", cfg,
+             "--out", str(tmp_path / "out"), "--baseline"]
+        )
+        assert rc == 2
+        assert f"{key} must be an integer, got {value}" in capsys.readouterr().err
+
     def test_missing_resource_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lexdb_dir=str(tmp_path / "nowhere"))
         a = write_text(tmp_path, "a.txt", "River stone cloud.\n")

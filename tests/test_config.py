@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from paraplag.classify import ClassifierSpec
@@ -19,6 +20,7 @@ from paraplag.config import (
     prep_config,
     validate_resources,
 )
+from paraplag.gst import GstParams
 from paraplag.textprep import preprocess_passage
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -77,6 +79,18 @@ class TestEngineConfig:
         with pytest.raises(ConfigError):
             EngineConfig(knn_k=0)
 
+    @pytest.mark.parametrize("key", ["gst_min_match", "gst_min_tile", "gst_max_chars", "knn_k"])
+    @pytest.mark.parametrize("value", [5.5, 6.0, True, "6"])
+    def test_integer_fields_reject_non_integers(self, key, value):
+        # 5.5 used to act as 6 for gst_min_match and crash evaluate for knn_k
+        with pytest.raises(ConfigError, match=key):
+            EngineConfig.from_dict({key: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = EngineConfig(gst_min_match=np.int64(4), knn_k=np.int32(3))
+        assert gst_params(cfg).min_match == 4
+        assert classifier_spec(cfg).knn_k == 3
+
     def test_replace_revalidates(self):
         cfg = EngineConfig()
         assert dataclasses.replace(cfg, seed=9).seed == 9
@@ -122,6 +136,19 @@ class TestDerivedParams:
     def test_classifier_spec_mapping(self):
         assert classifier_spec(EngineConfig(classifier="nb")) == ClassifierSpec(kind="nb")
         assert classifier_spec(EngineConfig(knn_k=7)).knn_k == 7
+
+
+class TestParamTypes:
+    @pytest.mark.parametrize("name", ["min_match", "min_tile", "max_chars"])
+    @pytest.mark.parametrize("value", [5.5, 10.0, True, None])
+    def test_gst_params_reject_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GstParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, None])
+    def test_classifier_spec_rejects_non_integer_k(self, value):
+        with pytest.raises(ValueError, match="knn_k"):
+            ClassifierSpec(kind="knn", knn_k=value)
 
 
 class TestResources:

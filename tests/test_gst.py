@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from paraplag import gst
 from paraplag.gst import (
     EmptySuspect,
     GstParams,
@@ -20,6 +26,73 @@ from paraplag.gst import (
 )
 
 LOOSE = GstParams(min_match=3, min_tile=3)
+
+
+def oracle_true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    edges = np.flatnonzero(
+        np.diff(np.concatenate(([False], mask, [False])).astype(np.int8))
+    )
+    return [(int(s), int(e - s)) for s, e in zip(edges[::2], edges[1::2])]
+
+
+def oracle_tiling_matches(suspect: str, source: str, min_match: int) -> list[Tile]:
+    """The unseeded matcher: scans every one of the m+n-1 diagonals."""
+    m, n = len(suspect), len(source)
+    if min(m, n) < min_match:
+        return []
+    sus = np.frombuffer(suspect.encode("utf-32-le"), dtype="<u4")
+    src = np.frombuffer(source.encode("utf-32-le"), dtype="<u4")
+
+    heap: list[tuple[int, int, int]] = []
+    for diag in range(-(m - 1), n):
+        sus_lo = max(0, -diag)
+        src_lo = sus_lo + diag
+        span = min(m - sus_lo, n - src_lo)
+        if span < min_match:
+            continue
+        eq = sus[sus_lo : sus_lo + span] == src[src_lo : src_lo + span]
+        for start, length in oracle_true_runs(eq):
+            if length >= min_match:
+                heapq.heappush(heap, (-length, sus_lo + start, src_lo + start))
+
+    marked_sus = np.zeros(m, dtype=bool)
+    marked_src = np.zeros(n, dtype=bool)
+    matches: list[Tile] = []
+    while heap:
+        neg_length, a, b = heapq.heappop(heap)
+        length = -neg_length
+        blocked = marked_sus[a : a + length] | marked_src[b : b + length]
+        if not blocked.any():
+            matches.append(Tile(a, b, length))
+            marked_sus[a : a + length] = True
+            marked_src[b : b + length] = True
+            continue
+        for start, sub_length in oracle_true_runs(~blocked):
+            if sub_length >= min_match:
+                heapq.heappush(heap, (-sub_length, a + start, b + start))
+    return matches
+
+
+# ASCII, Latin-1, BMP and astral (4-byte UTF-8, 2-unit UTF-16) codepoints
+SYMBOLS = st.sampled_from(
+    list("ab c.xyz") + ["\u00e9", "\u00df", "\u0416", "\u4e2d", "\u05d0"]
+    + ["\U0001f600", "\U0001d538", "\U00020000", "\U0010fffd"]
+) | st.characters(exclude_categories=("Cs",))
+
+
+@st.composite
+def tiling_cases(draw):
+    """Suspect and source assembled from shared, repeated blocks, up to 300 chars."""
+    alphabet = draw(st.lists(SYMBOLS, min_size=1, max_size=20, unique=True))
+    blocks = draw(
+        st.lists(st.text(st.sampled_from(alphabet), max_size=30), min_size=1, max_size=5)
+    )
+    pieces = st.tuples(st.integers(0, len(blocks) - 1), st.integers(1, 5))
+
+    def text() -> str:
+        return "".join(blocks[i] * r for i, r in draw(st.lists(pieces, max_size=10)))[:300]
+
+    return text(), text(), draw(st.integers(1, 8))
 
 
 def oracle_rounds(sus: str, src: str, min_match: int) -> list[tuple[int, int, int]]:
@@ -222,9 +295,56 @@ class TestProperties:
             )
             assert after >= before
 
+    @given(tiling_cases())
+    def test_seeded_matches_equal_the_full_scan(self, case):
+        sus, src, min_match = case
+        params = GstParams(min_match=min_match, min_tile=min_match)
+        assert tiling_matches(sus, src, params) == oracle_tiling_matches(sus, src, min_match)
+
+    @given(
+        st.text(st.sampled_from("ab c\u00e9\U0001f600\t\n"), max_size=120),
+        st.integers(1, 8),
+        st.integers(0, 12),
+    )
+    def test_identical_text_is_fully_contained(self, text, min_match, extra):
+        params = GstParams(min_match=min_match, min_tile=min_match + extra)
+        if len(canonicalize(text)) >= params.min_tile:
+            assert gst_containment(text, text, params) == 1.0
+
     def test_deterministic(self):
         rng = random.Random(45)
         for _ in range(50):
             sus = self._random_text(rng, 40)
             src = self._random_text(rng, 40)
             assert tiling_matches(sus, src, LOOSE) == tiling_matches(sus, src, LOOSE)
+
+
+class TestSeeding:
+    def test_repetitive_text_stays_in_linear_memory(self):
+        # every suspect position seeds ~4000 source positions: 16M seeds in all
+        text = "a" * 4000
+        tracemalloc.start()
+        try:
+            matches = tiling_matches(text, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matches == [Tile(0, 0, 4000)]
+        assert peak < 16 * 2**20
+
+    def test_no_shared_gram_scans_no_diagonal(self, monkeypatch):
+        calls = []
+        true_runs = gst._true_runs
+        monkeypatch.setattr(gst, "_true_runs", lambda *a: calls.append(a) or true_runs(*a))
+        assert tiling_matches("abcdqqqq", "zzzzabcd" * 3) == []
+        assert calls == []
+
+    def test_only_diagonals_with_a_shared_gram_are_scanned(self, monkeypatch):
+        calls = []
+        true_runs = gst._true_runs
+        monkeypatch.setattr(gst, "_true_runs", lambda *a: calls.append(a) or true_runs(*a))
+        # "hello" sits on one diagonal, "world" on another; the two marks
+        # find nothing blocked, so the scan makes the only calls
+        matches = tiling_matches("hello there world", "world, and hello")
+        assert matches == [Tile(0, 11, 5), Tile(12, 0, 5)]
+        assert len(calls) == 2
