@@ -14,17 +14,17 @@ import json
 import math
 import random
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .editsim import insdel_similarity
+from .editsim import max_insdel_similarity
 from .errors import ParaplagError, is_integer
 from .resources import KnowledgeStores
 from .semsim import PairTables, SemThresholds, WordMatch, match_sentence
 from .synsim import syntactic_similarity
-from .textprep import PrepConfig, preprocess_passage
+from .textprep import PrepConfig, ProcessedSentence, preprocess_passage
 
 LabelledVector = tuple["SimilarityVector", bool]
 
@@ -133,15 +133,67 @@ def score_passages(
     the survivors' mean is the passage score (0.0 when nothing survives).
     The first source sentence with the best semantic score is the one kept
     with its word matches.  Word expansions, embedding cosines and Resnik
-    values come from one `PairTables` for the whole pair.
+    values come from one `PairTables` over the source; `score_batch` shares
+    that table, and the preprocessed source, among the pairs of one source.
     """
-    p = params if params is not None else FeatureParams()
     sp_sentences = preprocess_passage(suspect, prep)
     sr_sentences = preprocess_passage(source, prep)
+    return _score(sp_sentences, sr_sentences, _source_tables(sr_sentences, stores), params)
+
+
+def score_batch(
+    pairs: Sequence[tuple[str, str]],
+    stores: KnowledgeStores | None = None,
+    params: FeatureParams | None = None,
+    prep: PrepConfig | None = None,
+) -> Iterator[PassageScore]:
+    """`score_passages` of each (suspect, source) pair, in order, one at a time.
+
+    Each distinct source text is preprocessed, and gets its `PairTables`,
+    once per call; every pair of that source reuses them, so a suspect word's
+    expansion, cosine row and Resnik row are computed once per source, not
+    once per pair.  A source's entry is dropped after its last pair, so a
+    batch of distinct sources holds one at a time.
+    """
+    pairs_left = Counter(source for _, source in pairs)
+    memo: dict[str, tuple[list[ProcessedSentence], PairTables]] = {}
+
+    def source_side(source: str) -> tuple[list[ProcessedSentence], PairTables]:
+        entry = memo.get(source)
+        if entry is None:
+            sentences = preprocess_passage(source, prep)
+            entry = memo[source] = (sentences, _source_tables(sentences, stores))
+        pairs_left[source] -= 1
+        if not pairs_left[source]:
+            del memo[source]
+        return entry
+
+    for suspect, source in pairs:
+        sp_sentences = preprocess_passage(suspect, prep)
+        yield _score(sp_sentences, *source_side(source), params)
+
+
+def _source_tables(
+    sr_sentences: list[ProcessedSentence], stores: KnowledgeStores | None
+) -> PairTables:
+    return PairTables((t for sr in sr_sentences for t in sr.content_tokens), stores)
+
+
+def _score(
+    sp_sentences: list[ProcessedSentence],
+    sr_sentences: list[ProcessedSentence],
+    tables: PairTables,
+    params: FeatureParams | None,
+) -> PassageScore:
+    """The scoring pass of `score_passages` on preprocessed passages.
+
+    `tables` covers the source's content words and carries the stores.
+    """
+    p = params if params is not None else FeatureParams()
     if not sp_sentences or not sr_sentences:
         raise EmptyPassage("both passages need at least one sentence")
 
-    tables = PairTables((t for sr in sr_sentences for t in sr.content_tokens), stores)
+    sr_stems = [[t.stem for t in sr.content_tokens] for sr in sr_sentences]
     semantic_maxima = []
     insdel_maxima = []
     best_semantic = []
@@ -150,17 +202,13 @@ def score_passages(
             continue
         best, best_matches = None, None
         for sr in sr_sentences:
-            matches = match_sentence(sp, sr, stores, p.sem, tables)
+            matches = match_sentence(sp, sr, thresholds=p.sem, tables=tables)
             if best_matches is None or len(matches) > len(best_matches):
                 best, best_matches = sr, matches
         semantic_maxima.append(len(best_matches) / len(sp.content_tokens))
         best_semantic.append(SentenceMatch(sp.sentence_id, best.sentence_id, tuple(best_matches)))
-        sp_stems = [t.stem for t in sp.content_tokens]
         insdel_maxima.append(
-            max(
-                insdel_similarity(sp_stems, [t.stem for t in sr.content_tokens])
-                for sr in sr_sentences
-            )
+            max_insdel_similarity([t.stem for t in sp.content_tokens], sr_stems)
         )
 
     syntactic_maxima = []

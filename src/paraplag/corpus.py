@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import MissingFile, ParaplagError
@@ -45,6 +45,10 @@ class MetadataParse(ParaplagError):
 
 class UnknownCategory(ParaplagError):
     """Truth table names a rewrite category outside the known set."""
+
+
+class MalformedPair(ParaplagError):
+    """A JSON-lines record is not a well-formed pair."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,9 @@ class LabelledPair:
             origin=payload["origin"],
             raw_category=payload["raw_category"],
         )
+
+
+_PAIR_FIELDS = tuple(f.name for f in fields(LabelledPair))
 
 
 def _read_text(path: Path) -> str:
@@ -231,13 +238,48 @@ def save_pairs_jsonl(pairs: list[LabelledPair], path) -> None:
             fh.write("\n")
 
 
+def _pair_from_json(line: bytes) -> LabelledPair:
+    """The pair one JSON-lines record holds; ValueError says what is wrong."""
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"invalid UTF-8 at byte {exc.start + 1}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg} at character {exc.pos + 1}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    missing = [key for key in _PAIR_FIELDS if key not in record]
+    if missing:
+        raise ValueError(f"missing key {', '.join(missing)}")
+    for key in _PAIR_FIELDS:
+        value = record[key]
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {type(value).__name__}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # JSON escapes can spell one half of a surrogate pair, which no
+            # text encoding accepts, so every later stage would fail on it.
+            raise ValueError(f"{key} holds a lone surrogate at index {exc.start}") from None
+    return LabelledPair.from_dict(record)
+
+
 def load_pairs_jsonl(path) -> list[LabelledPair]:
+    """Pairs of a JSON-lines file, one object per non-blank line.
+
+    A line that does not hold a valid pair raises `MalformedPair` naming the
+    file and the 1-based line number.
+    """
     jsonl_path = Path(path)
     if not jsonl_path.is_file():
         raise MissingFile(f"pairs file not found: {jsonl_path}")
     pairs = []
-    with open(jsonl_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                pairs.append(LabelledPair.from_dict(json.loads(line)))
+    with open(jsonl_path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                pairs.append(_pair_from_json(line))
+            except ValueError as exc:
+                raise MalformedPair(f"{jsonl_path}:{line_no}: {exc}") from None
     return pairs

@@ -2,12 +2,14 @@
 
 Distance counts unit-cost insertions, deletions, and replacements over
 token lists (callers pass content-word stems).  Similarity normalizes by
-the longer list so the value always lands in [0, 1].
+the longer list so the value always lands in [0, 1].  The best similarity
+against several candidates skips a candidate whose length alone rules it
+out, since the distance is at least the difference in length.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 
 def word_edit_distance(sp_tokens: Sequence[str], sr_tokens: Sequence[str]) -> int:
@@ -42,3 +44,26 @@ def insdel_similarity(sp_tokens: Sequence[str], sr_tokens: Sequence[str]) -> flo
     if longer == 0:
         return 1.0
     return 1.0 - word_edit_distance(sp_tokens, sr_tokens) / longer
+
+
+def max_insdel_similarity(
+    sp_tokens: Sequence[str], candidates: Iterable[Sequence[str]]
+) -> float:
+    """Largest `insdel_similarity` of sp_tokens against any candidate.
+
+    A candidate is skipped when `1 - |m - n| / max(m, n)`, an upper bound on
+    its similarity, cannot beat the best so far; the bound is computed with
+    the same float operations as the similarity, so the result is exactly
+    the unpruned maximum.  sp_tokens must be non-empty, and so must
+    candidates.
+    """
+    m = len(sp_tokens)
+    best = None
+    for sr_tokens in candidates:
+        n = len(sr_tokens)
+        if best is not None and 1.0 - abs(m - n) / max(m, n) <= best:
+            continue
+        value = insdel_similarity(sp_tokens, sr_tokens)
+        if best is None or value > best:
+            best = value
+    return best

@@ -3,17 +3,22 @@
 Scores labelled text pairs (vectors, and the word matches that traces
 show), computes tiling-containment baseline scores, builds evaluation
 reports, and round-trips per-pair feature tables as CSV.  Every fan-out
-goes through `parallel_map`: one job runs inline, and each pool worker
-runs the set-up (loading stores, say) once.  Output order always follows
-input order, so results never depend on how work was scheduled.
+goes through `parallel_map`, which hands its task a batch of pairs: one job
+runs all pairs inline as one batch; a pool's workers each run the set-up
+(loading stores, say) once and take batches of about eight pairs, and pairs
+that share a key stay in one batch.  Scoring keys pairs by source text, so
+each source's preprocessing and word tables are built once per run, under
+any number of jobs.  Output order always follows input order, so results
+never depend on how work was scheduled.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Callable, Sequence
+from operator import attrgetter
 
 from .classify import (
     Confusion,
@@ -22,7 +27,7 @@ from .classify import (
     PassageScore,
     SimilarityVector,
     build_report,
-    score_passages,
+    score_batch,
 )
 from .config import EngineConfig, build_stores, feature_params, gst_params, prep_config
 from .corpus import LabelledPair
@@ -33,6 +38,10 @@ from .semsim import trace_matches
 
 # ---------------------------------------------------------------------------
 # Fan-out
+
+# Pairs a pool task carries at least, unless the input runs out: enough that
+# one round trip to a worker is not paid per pair.
+PAIRS_PER_TASK = 8
 
 # This pool worker's set-up result, "state", or the "error" it raised, which
 # every task re-raises: a raising initializer would break the whole pool.
@@ -46,47 +55,85 @@ def _init_worker(setup, config: EngineConfig) -> None:
         _WORKER["error"] = exc
 
 
-def _run_task(task, state, pair: LabelledPair):
+def _run_task(task, state, batch: Sequence[LabelledPair]) -> list:
+    results: list = []
     try:
-        return task(state, pair)
+        for result in task(state, batch):
+            results.append(result)
     except ParaplagError as exc:
-        exc.args = (f"pair {pair.pair_id}: {exc}",)
+        exc.args = (f"pair {batch[len(results)].pair_id}: {exc}",)
         raise
+    return results
 
 
-def _worker_task(task, pair: LabelledPair):
+def _worker_task(task, batch: Sequence[LabelledPair]) -> list:
     if "error" in _WORKER:
         raise _WORKER["error"]
-    return _run_task(task, _WORKER["state"], pair)
+    return _run_task(task, _WORKER["state"], batch)
+
+
+def _batches(
+    pairs: Sequence[LabelledPair], key: Callable[[LabelledPair], Hashable] | None
+) -> list[list[int]]:
+    """Input positions of the pool's batches.
+
+    Pairs with equal keys (every pair is its own key without `key`) form a
+    group, in order of first appearance; consecutive groups fill a batch
+    until it holds at least PAIRS_PER_TASK pairs.
+    """
+    groups: dict[Hashable, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault(i if key is None else key(pair), []).append(i)
+    batches: list[list[int]] = []
+    batch: list[int] = []
+    for group in groups.values():
+        batch.extend(group)
+        if len(batch) >= PAIRS_PER_TASK:
+            batches.append(batch)
+            batch = []
+    if batch:
+        batches.append(batch)
+    return batches
 
 
 def parallel_map(
-    task: Callable,
+    task: Callable[[object, Sequence[LabelledPair]], Iterable],
     setup: Callable[[EngineConfig], object],
     config: EngineConfig,
     pairs: Sequence[LabelledPair],
     jobs: int,
+    key: Callable[[LabelledPair], Hashable] | None = None,
 ) -> list:
-    """`task(setup(config), pair)` for each pair, in input order.
+    """One result per pair, in input order, from `task(setup(config), batch)`.
 
-    jobs == 1 runs inline; otherwise `jobs` worker processes each run
-    `setup` once, so task and setup must pickle.  A set-up error keeps its
+    A task takes a batch of pairs and yields one result per pair, in order.
+    jobs == 1 runs all pairs inline as one batch.  Otherwise `jobs` worker
+    processes each run `setup` once and take batches of about
+    PAIRS_PER_TASK pairs, never splitting the pairs of one `key(pair)`;
+    task, setup, pairs and results must pickle.  A set-up error keeps its
     class; an error raised on a pair names the pair, and in a pool cancels
-    the pairs not yet started.
+    the batches not yet started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1:
-        state = setup(config)
-        return [_run_task(task, state, pair) for pair in pairs]
+        return _run_task(task, setup(config), pairs)
+    batches = _batches(pairs, key)
+    results: list = [None] * len(pairs)
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(setup, config)
     ) as pool:
         try:
-            return list(pool.map(partial(_worker_task, task), pairs, chunksize=8))
+            outputs = pool.map(
+                partial(_worker_task, task), [[pairs[i] for i in batch] for batch in batches]
+            )
+            for batch, output in zip(batches, outputs):
+                for i, result in zip(batch, output):
+                    results[i] = result
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +146,8 @@ def scoring_state(config: EngineConfig, stores: KnowledgeStores | None = None):
     return stores, feature_params(config), prep_config(config)
 
 
-def _score_task(state, pair: LabelledPair) -> PassageScore:
-    return score_passages(pair.suspect_text, pair.source_text, *state)
+def _score_task(state, pairs: Sequence[LabelledPair]):
+    return score_batch([(pair.suspect_text, pair.source_text) for pair in pairs], *state)
 
 
 def score_pairs(
@@ -111,10 +158,15 @@ def score_pairs(
 ) -> list[PassageScore]:
     """Vector and best semantic matches for each pair, in input order.
 
-    Prebuilt stores serve only the inline run; pool workers load their own.
+    All pairs of one source text are scored in one batch, so the source is
+    preprocessed, and its word tables built, once; under a pool, batches
+    of distinct sources are packed as for any other task.  Prebuilt stores
+    serve only the inline run; pool workers load their own.
     """
     setup = partial(scoring_state, stores=stores) if jobs == 1 else scoring_state
-    return parallel_map(_score_task, setup, config, pairs, jobs)
+    return parallel_map(
+        _score_task, setup, config, pairs, jobs, key=attrgetter("source_text")
+    )
 
 
 def extract_features(
@@ -144,8 +196,8 @@ def trace_records(pair_id: str, score: PassageScore) -> list[dict]:
 # Baseline
 
 
-def _containment_task(gp: GstParams, pair: LabelledPair) -> float:
-    return gst_containment(pair.suspect_text, pair.source_text, gp)
+def _containment_task(gp: GstParams, pairs: Sequence[LabelledPair]) -> Iterable[float]:
+    return (gst_containment(pair.suspect_text, pair.source_text, gp) for pair in pairs)
 
 
 def baseline_containments(

@@ -18,8 +18,11 @@ score is the fraction of query words that found a match: containment in
 the suspect direction, not a symmetric similarity.
 
 The per-word work behind the channels (synonym expansion, embedding
-cosines, Resnik values) is done once per pair in `PairTables`, not once per
-sentence pair; matching a sentence then reduces to lookups.
+cosines, Resnik values) is done in `PairTables`, one per source passage:
+scoring shares a source's table among every suspect passage compared with
+it, so each suspect word is expanded, and gets its rows, once per source,
+not once per sentence pair or per pair.  Matching a sentence then reduces
+to lookups.
 """
 
 from __future__ import annotations
@@ -81,10 +84,11 @@ class WordMatch:
 
 
 class PairTables:
-    """Per-pair word lookups for the cascade, each computed once.
+    """Word lookups for the cascade against one source passage, each computed once.
 
-    Built over the source content words a pair's matches may draw on, keyed
-    by normalized form.  Per suspect word, keyed by (normalized, stem), the
+    Built over the source content words matches may draw on, keyed by
+    normalized form; every suspect passage scored against that source can
+    share the table.  Per suspect word, keyed by (normalized, stem), the
     tables hold its synonyms and their stems and its best embedding cosine
     against every source word, from one float64 matmul.  Per lexdb form,
     they hold its Resnik value against every source word, from the

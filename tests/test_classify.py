@@ -5,8 +5,13 @@ from __future__ import annotations
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paraplag.classify import (
     ClassifierSpec,
@@ -17,6 +22,7 @@ from paraplag.classify import (
     FeatureParams,
     InsufficientData,
     KnnModel,
+    NbModel,
     SimilarityVector,
     SingleClassInput,
     auc_roc,
@@ -29,9 +35,24 @@ from paraplag.classify import (
     nb_fit,
     nb_predict,
     passage_features,
+    predict_classifier,
     report_to_json,
     save_model,
     stratified_folds,
+)
+from paraplag.resources import EmbeddingStore, ICTable, KnowledgeStores, load_lexdb
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# fixture stores under which every semantic channel can fire
+STORES = KnowledgeStores(
+    lexdb=load_lexdb(FIXTURES / "lexdb"),
+    ic=ICTable.from_dict({(15388, "n"): 3.5, (1740, "n"): 0.5, (2120997, "n"): 4.0}),
+    embeddings=EmbeddingStore(
+        {"dog": np.array([1.0, 0.2], np.float32), "quartz": np.array([0.9, 0.3], np.float32),
+         "run": np.array([0.0, 1.0], np.float32)},
+        2,
+    ),
 )
 
 TABLE_CROWD_MODEL = Confusion(tp=3815, fp=934, fn=252, tn=2858)
@@ -122,6 +143,20 @@ class TestPassageFeatures:
             assert first == again
             for value in (first.semantic, first.syntactic, first.insdel):
                 assert 0.0 <= value <= 1.0
+
+    @given(st.data())
+    def test_every_component_in_unit_interval(self, data):
+        words = st.sampled_from(
+            "the a of dog dogs canine cat feline car automobile machine vehicle animal "
+            "entity run ran quartz 42 Dog CAR don't".split()
+        )
+        sentence = st.lists(words, min_size=1, max_size=8).map(
+            lambda ws: " ".join(ws).capitalize() + "."
+        )
+        passage = st.lists(sentence, min_size=1, max_size=4).map(" ".join)
+        vector = passage_features(data.draw(passage), data.draw(passage), STORES)
+        for value in vector.to_dict().values():
+            assert 0.0 <= value <= 1.0
 
 
 class TestMetrics:
@@ -430,3 +465,41 @@ class TestCrossValidate:
             ClassifierSpec("svm")
         with pytest.raises(ValueError):
             ClassifierSpec("knn", knn_k=0)
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+LABELLED = st.tuples(st.builds(SimilarityVector, UNIT, UNIT, UNIT), st.booleans())
+
+
+def _bits(array: np.ndarray) -> tuple:
+    return array.dtype, array.shape, array.tobytes()
+
+
+def _round_trip(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        return load_model(path)
+
+
+class TestModelPersistence:
+    @given(st.lists(LABELLED, min_size=1, max_size=12), st.data())
+    def test_knn_round_trip_is_exact(self, train, data):
+        model = knn_fit(train, data.draw(st.integers(1, len(train))))
+        loaded = _round_trip(model)
+        assert isinstance(loaded, KnnModel) and loaded.k == model.k
+        assert _bits(loaded.points) == _bits(model.points)
+        assert _bits(loaded.labels) == _bits(model.labels)
+        for probe, _ in train + data.draw(st.lists(LABELLED, max_size=4)):
+            assert predict_classifier(loaded, probe) == predict_classifier(model, probe)
+
+    @given(st.lists(LABELLED, min_size=1, max_size=12), st.data())
+    def test_nb_round_trip_is_exact(self, train, data):
+        train = train + [(vec(0.5), True), (vec(0.25), False)]
+        model = nb_fit(train)
+        loaded = _round_trip(model)
+        assert isinstance(loaded, NbModel)
+        for name in ("means", "variances", "priors"):
+            assert _bits(getattr(loaded, name)) == _bits(getattr(model, name))
+        for probe, _ in train + data.draw(st.lists(LABELLED, max_size=4)):
+            assert predict_classifier(loaded, probe) == predict_classifier(model, probe)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import paraplag
 from paraplag import engine, semsim
 from paraplag.cli import main
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair, save_pairs_jsonl
@@ -233,6 +234,35 @@ class TestExitCodes:
         assert rc == 2
         assert "error: pair p000: text of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"pair_id": "s2", ',
+            "[]",
+            json.dumps({"pair_id": "s2", "suspect_text": "abc.", "source_text": "abc.",
+                        "label": "paraphrased", "origin": "synthetic"}),
+            *(
+                json.dumps({"pair_id": "s2", "suspect_text": "abc defgh ijklm.",
+                            "source_text": "abc defgh ijklm.", "label": "paraphrased",
+                            "origin": "synthetic", "raw_category": "light", key: "abc\ud800 x."})
+                for key in ("pair_id", "suspect_text", "source_text")
+            ),
+        ],
+        ids=["invalid-json", "not-an-object", "missing-key",
+             "surrogate-pair_id", "surrogate-suspect_text", "surrogate-source_text"],
+    )
+    def test_malformed_jsonl_line_exits_2(self, tmp_path, capsys, line):
+        corpus = write_corpus(tmp_path, n=1)
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        cfg = write_config(tmp_path)
+        rc = main(
+            ["baseline", corpus, "--corpus", "jsonl", "--config", cfg,
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert f"error: {corpus}:2: " in capsys.readouterr().err
+
     def test_cs_without_truth_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(
@@ -443,9 +473,12 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
         a = write_text(tmp_path, "a.txt", "Rivers carve stone.\n")
+        # the child imports the package this test imported, installed or not
+        package_root = os.path.dirname(os.path.dirname(paraplag.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "paraplag.cli", "score", str(a), str(a), "--config", cfg],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["label"] == "paraphrased"

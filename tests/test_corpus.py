@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import shutil
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from paraplag.corpus import (
     LabelledPair,
+    MalformedPair,
     MetadataParse,
     MissingFile,
     UnknownCategory,
@@ -20,6 +22,29 @@ from paraplag.corpus import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+RECORD = {
+    "pair_id": "s1",
+    "suspect_text": "abc defgh ijklm.",
+    "source_text": "abc defgh ijklm.",
+    "label": "paraphrased",
+    "origin": "synthetic",
+    "raw_category": "light",
+}
+
+# (second line of a pairs file, what its error says after "<path>:2: ")
+MALFORMED_LINES = [
+    ('{"pair_id": "s2", ', "invalid JSON"),
+    ('["s2", "abc", "abc"]', "expected a JSON object, got list"),
+    (json.dumps({k: v for k, v in RECORD.items() if k != "raw_category"}), "missing key raw_category"),
+    (json.dumps(dict(RECORD, origin=7)), "origin must be a string, got int"),
+    (json.dumps(dict(RECORD, label="maybe")), "label must be paraphrased/not_paraphrased"),
+    (json.dumps(dict(RECORD, pair_id="s\ud800")), "pair_id holds a lone surrogate at index 1"),
+    (json.dumps(dict(RECORD, suspect_text="abc\ud800 defgh ijklm.")),
+     "suspect_text holds a lone surrogate at index 3"),
+    (json.dumps(dict(RECORD, source_text="\udfff abc.")),
+     "source_text holds a lone surrogate at index 0"),
+]
 
 
 def copy_crowd(dest: Path) -> Path:
@@ -187,3 +212,23 @@ class TestJsonl:
         with open(path, "a") as fh:
             fh.write("\n\n")
         assert load_pairs_jsonl(path) == pairs
+
+    @pytest.mark.parametrize("line, message", MALFORMED_LINES)
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(RECORD) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedPair) as info:
+            load_pairs_jsonl(path)
+        assert str(info.value).startswith(f"{path}:2: {message}")
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_bytes(json.dumps(RECORD).encode() + b'\n{"pair_id": "s\xff"}\n')
+        with pytest.raises(MalformedPair, match=r":2: invalid UTF-8 at byte 15$"):
+            load_pairs_jsonl(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(RECORD) + "\n\n\n[]\n", encoding="utf-8")
+        with pytest.raises(MalformedPair, match=r":4: expected a JSON object"):
+            load_pairs_jsonl(path)

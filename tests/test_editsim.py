@@ -7,8 +7,11 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from paraplag.editsim import insdel_similarity, word_edit_distance
+from paraplag import classify, editsim
+from paraplag.editsim import insdel_similarity, max_insdel_similarity, word_edit_distance
 
 
 @lru_cache(maxsize=None)
@@ -107,3 +110,29 @@ class TestSimilarity:
             s = insdel_similarity(a, b)
             assert 0.0 <= s <= 1.0
             assert s == insdel_similarity(b, a)
+
+
+TOKEN_LISTS = st.lists(st.sampled_from("abcd"), max_size=12)
+
+
+class TestMaxSimilarity:
+    @given(TOKEN_LISTS.filter(bool), st.lists(TOKEN_LISTS, min_size=1, max_size=6))
+    def test_pruned_maximum_is_the_unpruned_one(self, sp, candidates):
+        expected = max(insdel_similarity(sp, sr) for sr in candidates)
+        assert max_insdel_similarity(sp, candidates) == expected
+
+    def test_length_bound_skips_short_sentences(self, monkeypatch):
+        calls = []
+        distance = editsim.word_edit_distance
+
+        def counted(a, b):
+            calls.append((len(a), len(b)))
+            return distance(a, b)
+
+        monkeypatch.setattr(editsim, "word_edit_distance", counted)
+        long = "Quartz violins echo through copper harbors beneath silent meadows tonight."
+        source = long + " Rivers carve. Stones fall. Clouds drift."
+        score = classify.score_passages(long, source)
+        assert score.vector.insdel == 1.0
+        # the identical long sentence comes first; no short one can beat 1.0
+        assert calls == [(9, 9)]

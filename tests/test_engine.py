@@ -2,13 +2,20 @@
 
 import pickle
 import random
+import tempfile
 import time
+import weakref
+from collections import Counter
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from paraplag.classify import SimilarityVector
+from paraplag import classify, engine
+from paraplag.classify import SimilarityVector, score_batch
 from paraplag.config import EngineConfig, MissingResource
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair
 from paraplag.engine import (
@@ -59,12 +66,39 @@ def _directory(path, config):
     return path
 
 
-def _fail_first_then_record(directory, pair):
+def _fail_first_then_record(directory, batch):
     # the first pair fails at once; every later pair leaves a file behind
-    if pair.pair_id == "p000":
-        raise ParaplagError("first pair fails")
-    time.sleep(0.005)
-    (Path(directory) / pair.pair_id).touch()
+    for pair in batch:
+        if pair.pair_id == "p000":
+            raise ParaplagError("first pair fails")
+        time.sleep(0.005)
+        (Path(directory) / pair.pair_id).touch()
+        yield None
+
+
+def interleaved_pairs(sources=3, per_source=5, singles=4):
+    # pairs of one source are spread over the input; a few sources appear once
+    rng = random.Random(11)
+    texts = [
+        ". ".join(" ".join(rng.sample(WORDS, 4)).capitalize() for _ in range(3)) + "."
+        for _ in range(sources + singles)
+    ]
+    order = [k for k in range(sources) for _ in range(per_source)]
+    order += range(sources, sources + singles)
+    rng.shuffle(order)
+    pairs = []
+    for i, k in enumerate(order):
+        first_sentence = texts[k].split(". ")[0]
+        suspect = " ".join(rng.sample(WORDS + OTHER, 5)).capitalize() + ". " + first_sentence + "."
+        pairs.append(make_pair(i, suspect, texts[k], PARAPHRASED if i % 2 else NOT_PARAPHRASED))
+    return pairs
+
+
+def _fail_on_p005(state, batch):
+    for pair in batch:
+        if pair.pair_id == "p005":
+            raise ParaplagError("this pair fails")
+        yield pair.pair_id
 
 
 class TestParallelMap:
@@ -75,6 +109,29 @@ class TestParallelMap:
             parallel_map(_fail_first_then_record, setup, EngineConfig(), pairs, jobs=2)
         ran = len(list(tmp_path.iterdir()))
         assert ran < len(pairs) // 4
+
+    def test_batches_keep_keys_together_and_pack_small_groups(self):
+        pairs = interleaved_pairs()
+        batches = engine._batches(pairs, attrgetter("source_text"))
+        assert sorted(i for batch in batches for i in batch) == list(range(len(pairs)))
+        homes = {}
+        for n, batch in enumerate(batches):
+            for i in batch:
+                assert homes.setdefault(pairs[i].source_text, n) == n
+        assert all(len(batch) >= engine.PAIRS_PER_TASK for batch in batches[:-1])
+
+    def test_distinct_keys_batch_like_fixed_chunks(self):
+        pairs = synthetic_pairs(20)
+        chunks = [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
+        assert engine._batches(pairs, None) == chunks
+        assert engine._batches(pairs, attrgetter("pair_id")) == chunks
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_inside_a_batch_names_its_pair(self, jobs):
+        pairs = interleaved_pairs()
+        with pytest.raises(ParaplagError, match="^pair p005: this pair fails$"):
+            parallel_map(_fail_on_p005, partial(_directory, None), EngineConfig(), pairs, jobs,
+                         key=attrgetter("source_text"))
 
 
 class TestExtractFeatures:
@@ -93,6 +150,57 @@ class TestExtractFeatures:
         pairs = synthetic_pairs(12, seed=3)
         config = EngineConfig()
         assert extract_features(pairs, config, jobs=2) == extract_features(pairs, config)
+
+    def test_pool_matches_serial_on_interleaved_sources(self):
+        pairs = interleaved_pairs()
+        serial = score_pairs(pairs, EngineConfig())
+        assert score_pairs(pairs, EngineConfig(), jobs=2) == serial
+        # in input order: each score is the pair's own
+        assert serial == [classify.score_passages(p.suspect_text, p.source_text) for p in pairs]
+
+    def test_tables_built_once_per_distinct_source(self, monkeypatch):
+        built = Counter()
+
+        class Counted(classify.PairTables):
+            def __init__(self, sources, stores=None):
+                sources = list(sources)
+                built[tuple(t.normalized for t in sources)] += 1
+                super().__init__(sources, stores)
+
+        monkeypatch.setattr(classify, "PairTables", Counted)
+        pairs = interleaved_pairs()
+        score_pairs(pairs, EngineConfig())
+        assert sum(built.values()) == len({p.source_text for p in pairs})
+        assert set(built.values()) == {1}
+
+    def test_tables_freed_after_the_last_pair_of_their_source(self, monkeypatch):
+        refs = []
+        live_at_build = []
+
+        class Tracked(classify.PairTables):
+            def __init__(self, sources, stores=None):
+                live_at_build.append(sum(ref() is not None for ref in refs))
+                super().__init__(sources, stores)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(classify, "PairTables", Tracked)
+        a, b = "Rivers carve stone. Clouds drift.", "Harbors hold copper."
+        pairs = [("Rivers carve.", a), ("Stone drifts.", a), ("Copper harbors.", b),
+                 ("Harbor lanterns.", b)]
+        scores = score_batch(pairs)
+        next(scores)
+        assert refs[0]() is not None
+        next(scores)
+        assert refs[0]() is None  # a's last pair is done; b's are still to come
+        next(scores)
+        assert refs[1]() is not None
+        next(scores)
+        assert refs[1]() is None
+        # distinct sources one after another: never more than one table at once
+        refs.clear()
+        live_at_build.clear()
+        list(score_batch([(p.suspect_text, p.source_text) for p in synthetic_pairs(6)]))
+        assert len(refs) == 6 and live_at_build == [0] * 6
 
     def test_prebuilt_stores_accepted(self):
         pairs = synthetic_pairs(4)
@@ -191,6 +299,18 @@ class TestFeatureCsv:
         assert ids == [p.pair_id for p in pairs]
         assert [vec for vec, _ in dataset] == vectors
         assert [lab for _, lab in dataset] == [p.is_paraphrased for p in pairs]
+
+    @given(st.lists(st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3), max_size=10))
+    def test_round_trip_is_bit_exact_for_any_unit_vector(self, rows):
+        pairs = synthetic_pairs(len(rows))
+        vectors = [SimilarityVector(*row) for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "features.csv"
+            write_feature_csv(path, pairs, vectors)
+            ids, dataset = read_feature_csv(path)
+        assert ids == [p.pair_id for p in pairs]
+        got = [(v.semantic, v.syntactic, v.insdel) for v, _ in dataset]
+        assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in rows]
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 from paraplag import semsim
 from paraplag._porter import porter_stem
 from paraplag.classify import score_passages
+from paraplag.config import EngineConfig
+from paraplag.corpus import LabelledPair
+from paraplag.engine import score_pairs
 from paraplag.resources import (
     EmbeddingStore,
     ICTable,
@@ -294,6 +297,42 @@ def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
     assert "synonym" in {m.channel for best in score.best_semantic for m in best.matches}
     suspect_words = {
         (t.normalized, t.stem) for s in preprocess_passage(suspect) for t in s.content_tokens
+    }
+    assert 0 < sum(calls.values()) <= len(suspect_words)
+    assert max(calls.values()) == 1
+
+
+def test_each_suspect_word_is_expanded_once_per_source(monkeypatch):
+    calls = Counter()
+    expand = semsim.synonyms
+
+    def counted(store, word):
+        calls[word] += 1
+        return expand(store, word)
+
+    monkeypatch.setattr(semsim, "synonyms", counted)
+    stores = KnowledgeStores(
+        lexdb=LEXDB, ic=ICTable.from_dict({(15388, "n"): 3.5}),
+        embeddings=EmbeddingStore({"machine": np.ones(DIM, np.float32)}, DIM),
+    )
+    source = "An automobile passed. The canine barked loudly. A feline hid. Machines run."
+    suspects = [
+        "The car chased a cat. A dog and the car slept.",
+        "A dog chased the car.",
+        "The car slept. The cat hid.",
+    ]
+    pairs = [
+        LabelledPair(f"p{i}", suspect, source, "paraphrased", "synthetic", "")
+        for i, suspect in enumerate(suspects)
+    ]
+    scores = score_pairs(pairs, EngineConfig(), stores=stores)
+    assert all(
+        "synonym" in {m.channel for best in score.best_semantic for m in best.matches}
+        for score in scores
+    )
+    suspect_words = {
+        (t.normalized, t.stem)
+        for suspect in suspects for s in preprocess_passage(suspect) for t in s.content_tokens
     }
     assert 0 < sum(calls.values()) <= len(suspect_words)
     assert max(calls.values()) == 1
