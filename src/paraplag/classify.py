@@ -1,11 +1,12 @@
 """Feature fusion and evaluation: from passage scores to labelled decisions.
 
-A suspect/source passage pair becomes one three-component vector (the
-semantic, word-order, and insert/delete dimensions).  Two small
-classifiers consume those vectors, k-nearest-neighbours and Gaussian
-Naive Bayes, and a stratified cross-validation driver produces the
-confusion matrix, precision/recall/F1, pooled AUC, and per-fold metrics
-as one JSON-ready report.
+`score_batch`, the one scoring pass, turns each suspect/source passage
+pair into one three-component vector (the semantic, word-order, and
+insert/delete dimensions) and keeps the word matches that traces show.
+Two small classifiers consume those vectors, k-nearest-neighbours and
+Gaussian Naive Bayes, and a stratified cross-validation driver produces
+the confusion matrix, precision/recall/F1, pooled AUC, and per-fold
+metrics as one JSON-ready report.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class SimilarityVector:
             "insdel": self.insdel,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SimilarityVector":
-        return cls(payload["semantic"], payload["syntactic"], payload["insdel"])
-
 
 # ---------------------------------------------------------------------------
 # Passage-level feature extraction
@@ -119,41 +116,26 @@ class PassageScore:
     best_semantic: tuple[SentenceMatch, ...]
 
 
-def score_passages(
-    suspect: str,
-    source: str,
-    stores: KnowledgeStores | None = None,
-    params: FeatureParams | None = None,
-    prep: PrepConfig | None = None,
-) -> PassageScore:
-    """Best-match sentence scores per dimension, filtered and averaged.
-
-    Every suspect sentence keeps only its best score against the source
-    passage; scores under the dimension's discard threshold drop out, and
-    the survivors' mean is the passage score (0.0 when nothing survives).
-    The first source sentence with the best semantic score is the one kept
-    with its word matches.  Word expansions, embedding cosines and Resnik
-    values come from one `PairTables` over the source; `score_batch` shares
-    that table, and the preprocessed source, among the pairs of one source.
-    """
-    sp_sentences = preprocess_passage(suspect, prep)
-    sr_sentences = preprocess_passage(source, prep)
-    return _score(sp_sentences, sr_sentences, _source_tables(sr_sentences, stores), params)
-
-
 def score_batch(
     pairs: Sequence[tuple[str, str]],
     stores: KnowledgeStores | None = None,
     params: FeatureParams | None = None,
     prep: PrepConfig | None = None,
 ) -> Iterator[PassageScore]:
-    """`score_passages` of each (suspect, source) pair, in order, one at a time.
+    """The `PassageScore` of each (suspect, source) pair, in order, one at a time.
 
-    Each distinct source text is preprocessed, and gets its `PairTables`,
-    once per call; every pair of that source reuses them, so a suspect word's
-    expansion, cosine row and Resnik row are computed once per source, not
-    once per pair.  A source's entry is dropped after its last pair, so a
-    batch of distinct sources holds one at a time.
+    Every suspect sentence keeps only its best score against the source
+    passage; scores under the dimension's discard threshold drop out, and
+    the survivors' mean is the passage score (0.0 when nothing survives).
+    The first source sentence with the best semantic score is the one kept
+    with its word matches.
+
+    Each distinct source text is preprocessed, and gets one `PairTables`
+    (word expansions, embedding cosines, Resnik values), once per call;
+    every pair of that source reuses them, so a suspect word's expansion,
+    cosine row and Resnik row are computed once per source, not once per
+    pair.  A source's entry is dropped after its last pair, so a batch of
+    distinct sources holds one at a time.
     """
     pairs_left = Counter(source for _, source in pairs)
     memo: dict[str, tuple[list[ProcessedSentence], PairTables]] = {}
@@ -162,7 +144,8 @@ def score_batch(
         entry = memo.get(source)
         if entry is None:
             sentences = preprocess_passage(source, prep)
-            entry = memo[source] = (sentences, _source_tables(sentences, stores))
+            tables = PairTables((t for sr in sentences for t in sr.content_tokens), stores)
+            entry = memo[source] = (sentences, tables)
         pairs_left[source] -= 1
         if not pairs_left[source]:
             del memo[source]
@@ -173,19 +156,13 @@ def score_batch(
         yield _score(sp_sentences, *source_side(source), params)
 
 
-def _source_tables(
-    sr_sentences: list[ProcessedSentence], stores: KnowledgeStores | None
-) -> PairTables:
-    return PairTables((t for sr in sr_sentences for t in sr.content_tokens), stores)
-
-
 def _score(
     sp_sentences: list[ProcessedSentence],
     sr_sentences: list[ProcessedSentence],
     tables: PairTables,
     params: FeatureParams | None,
 ) -> PassageScore:
-    """The scoring pass of `score_passages` on preprocessed passages.
+    """The scoring pass of `score_batch` on preprocessed passages.
 
     `tables` covers the source's content words and carries the stores.
     """
@@ -237,8 +214,8 @@ def passage_features(
     params: FeatureParams | None = None,
     prep: PrepConfig | None = None,
 ) -> SimilarityVector:
-    """The vector of `score_passages`."""
-    return score_passages(suspect, source, stores, params, prep).vector
+    """The vector of one pair's `score_batch` score."""
+    return next(score_batch([(suspect, source)], stores, params, prep)).vector
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +254,6 @@ class Confusion:
 
     def to_dict(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Confusion":
-        return cls(payload["tp"], payload["fp"], payload["fn"], payload["tn"])
 
 
 def metrics(c: Confusion) -> tuple[float, float, float]:

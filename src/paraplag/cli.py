@@ -31,7 +31,7 @@ from .classify import (
     predict_classifier,
     report_to_json,
     save_model,
-    score_passages,
+    score_batch,
 )
 from .config import (
     ConfigError,
@@ -155,7 +155,7 @@ def cmd_score(args) -> int:
     state = scoring_state(config)
     suspect = _read_text_file(args.suspect)
     source = _read_text_file(args.source)
-    scored = score_passages(suspect, source, *state)
+    scored = next(score_batch([(suspect, source)], *state))
     vec = scored.vector
     if args.model is not None:
         model = load_model(args.model)

@@ -51,19 +51,21 @@ class EngineConfig:
     embedding_format: str = "text"
     stopword_file: str | None = None
 
-    embed_min: float = 0.6
-    resnik_min: float = 3.0
-    discard_semantic: float = 0.3
-    discard_syntactic: float = 0.3
-    discard_insdel: float = 0.3
+    # Defaults of the keys that feed a parameter type are that type's own.
+    embed_min: float = SemThresholds.embed_min
+    resnik_min: float = SemThresholds.resnik_min
+    discard_semantic: float = FeatureParams.discard_semantic
+    discard_syntactic: float = FeatureParams.discard_syntactic
+    discard_insdel: float = FeatureParams.discard_insdel
 
-    gst_min_match: int = 5
-    gst_min_tile: int = 10
+    gst_min_match: int = GstParams.min_match
+    gst_min_tile: int = GstParams.min_tile
+    # tiling-baseline rule: containment >= this
     gst_threshold: float = 0.15
-    gst_max_chars: int = 50_000
+    gst_max_chars: int = GstParams.max_chars
 
     classifier: str = "knn"
-    knn_k: int = 5
+    knn_k: int = ClassifierSpec.knn_k
     folds: int = 10
     seed: int = 0
     # score rule used when no fitted model is given: mean feature >= this
@@ -86,10 +88,10 @@ class EngineConfig:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.folds < 2:
             raise ConfigError(f"folds must be an integer >= 2, got {self.folds!r}")
-        if not 0.0 <= self.fallback_threshold <= 1.0:
-            raise ConfigError(
-                f"fallback_threshold must be within [0, 1], got {self.fallback_threshold}"
-            )
+        for name in ("gst_threshold", "fallback_threshold"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+                raise ConfigError(f"{name} must be within [0, 1], got {value!r}")
         # Delegate range checks to the parameter types themselves so the
         # config cannot drift from what the scoring code accepts.
         try:
@@ -111,9 +113,6 @@ class EngineConfig:
             return cls(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 def load_config(path) -> EngineConfig:
@@ -141,7 +140,6 @@ def gst_params(config: EngineConfig) -> GstParams:
     return GstParams(
         min_match=config.gst_min_match,
         min_tile=config.gst_min_tile,
-        threshold=config.gst_threshold,
         max_chars=config.gst_max_chars,
     )
 
@@ -182,5 +180,5 @@ def build_stores(config: EngineConfig) -> KnowledgeStores:
 def prep_config(config: EngineConfig) -> PrepConfig:
     """Preprocessing settings; a custom stopword list replaces the default."""
     if config.stopword_file is None:
-        return PrepConfig.default()
+        return PrepConfig()
     return PrepConfig(stopwords=load_stopwords(config.stopword_file))

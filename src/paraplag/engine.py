@@ -34,7 +34,6 @@ from .corpus import LabelledPair
 from .errors import ParaplagError
 from .gst import GstParams, gst_containment
 from .resources import KnowledgeStores
-from .semsim import trace_matches
 
 # ---------------------------------------------------------------------------
 # Fan-out
@@ -186,7 +185,7 @@ def trace_records(pair_id: str, score: PassageScore) -> list[dict]:
             "pair_id": pair_id,
             "suspect_sentence": best.suspect_sentence,
             "source_sentence": best.source_sentence,
-            "matches": trace_matches(best.matches),
+            "matches": [m.to_dict() for m in best.matches],
         }
         for best in score.best_semantic
     ]
@@ -262,7 +261,11 @@ def write_feature_csv(
 
 
 def read_feature_csv(path) -> tuple[list[str], list[LabelledVector]]:
-    """Inverse of write_feature_csv: ids plus (vector, label) rows."""
+    """Inverse of write_feature_csv: ids plus (vector, label) rows.
+
+    A row that write_feature_csv could not have written raises a
+    ParaplagError naming the file and the line.
+    """
     ids: list[str] = []
     dataset: list[LabelledVector] = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -275,20 +278,20 @@ def read_feature_csv(path) -> tuple[list[str], list[LabelledVector]]:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(FEATURE_FIELDS):
-                raise ParaplagError(f"feature table {path} has a malformed row: {row}")
-            pair_id, label, semantic, syntactic, insdel = row
-            ids.append(pair_id)
-            dataset.append(
-                (
-                    SimilarityVector(
-                        semantic=float(semantic),
-                        syntactic=float(syntactic),
-                        insdel=float(insdel),
-                    ),
-                    bool(int(label)),
+                raise ParaplagError(
+                    f"{where}: expected {len(FEATURE_FIELDS)} fields, got {len(row)}"
                 )
-            )
+            pair_id, label, *values = row
+            if label not in ("0", "1"):
+                raise ParaplagError(f"{where}: label must be 0 or 1, got {label!r}")
+            try:
+                vector = SimilarityVector(*map(float, values))
+            except ValueError as exc:
+                raise ParaplagError(f"{where}: {exc}") from None
+            ids.append(pair_id)
+            dataset.append((vector, label == "1"))
     return ids, dataset
 
 

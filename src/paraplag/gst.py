@@ -26,7 +26,6 @@ the worst case stays quadratic, hence the ``max_chars`` cap.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,6 @@ class InputTooLarge(ParaplagError):
 class GstParams:
     min_match: int = 5
     min_tile: int = 10
-    threshold: float = 0.15
     max_chars: int = 50_000
 
     def __post_init__(self):
@@ -65,8 +63,6 @@ class GstParams:
             raise ValueError(
                 f"min_tile ({self.min_tile}) must be >= min_match ({self.min_match})"
             )
-        if not (math.isfinite(self.threshold) and 0.0 <= self.threshold <= 1.0):
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
         if self.max_chars < 1:
             raise ValueError(f"max_chars must be >= 1, got {self.max_chars}")
 
@@ -76,13 +72,6 @@ class Tile:
     suspect_offset: int
     source_offset: int
     length: int
-
-    def to_dict(self) -> dict:
-        return {
-            "suspect_offset": self.suspect_offset,
-            "source_offset": self.source_offset,
-            "length": self.length,
-        }
 
 
 def canonicalize(text: str) -> str:

@@ -32,7 +32,6 @@ from .embeddings import (
     TruncatedVector,
     cosine,
     load_embeddings,
-    save_embeddings,
 )
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "load_lexdb",
     "load_ic",
     "load_embeddings",
-    "save_embeddings",
     "synonyms",
     "subsumer_ics",
     "max_shared_ic",
@@ -67,7 +65,3 @@ class KnowledgeStores:
     lexdb: Optional[LexicalStore] = None
     ic: Optional[ICTable] = None
     embeddings: Optional[EmbeddingStore] = None
-
-    @classmethod
-    def empty(cls) -> "KnowledgeStores":
-        return cls()

@@ -14,7 +14,7 @@ pre-trained vocabularies mix cased and uncased entries.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "TruncatedVector",
     "DimMismatch",
     "load_embeddings",
-    "save_embeddings",
     "cosine",
 ]
 
@@ -63,9 +62,6 @@ class EmbeddingStore:
 
     def __contains__(self, word: str) -> bool:
         return word in self._vectors
-
-    def words(self) -> Iterable[str]:
-        return self._vectors.keys()
 
     def lookup(self, word: str) -> Optional[np.ndarray]:
         return self._vectors.get(word)
@@ -121,6 +117,13 @@ def _load_binary(path: str) -> EmbeddingStore:
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         count, dim = _parse_header(header, path)
         vec_bytes = 4 * dim
+        # checked before any read: a corrupt header must not size a huge buffer
+        size = os.path.getsize(path)
+        if count * (vec_bytes + 1) > size:
+            raise HeaderMismatch(
+                f"{path}: header declares more data than the file holds "
+                f"({count} vectors of {dim} floats in {size} bytes)"
+            )
         vectors: dict[str, np.ndarray] = {}
         for _ in range(count):
             word_bytes = bytearray()
@@ -157,28 +160,6 @@ def load_embeddings(path, format: str = "text") -> EmbeddingStore:
     if format == "binary":
         return _load_binary(path)
     raise ValueError(f"unknown embedding format {format!r}")
-
-
-def save_embeddings(store: EmbeddingStore, path, format: str = "text") -> None:
-    """Write a store back out; round-trips preserve float32 values exactly."""
-    path = os.fspath(path)
-    if format == "text":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{len(store)} {store.dim}\n")
-            for word in store.words():
-                vec = store.lookup(word)
-                comps = " ".join(repr(float(x)) for x in vec)
-                fh.write(f"{word} {comps}\n")
-    elif format == "binary":
-        with open(path, "wb") as fh:
-            fh.write(f"{len(store)} {store.dim}\n".encode("ascii"))
-            for word in store.words():
-                vec = store.lookup(word)
-                fh.write(word.encode("utf-8") + b" ")
-                fh.write(np.asarray(vec, dtype="<f4").tobytes())
-                fh.write(b"\n")
-    else:
-        raise ValueError(f"unknown embedding format {format!r}")
 
 
 def cosine(v1: Sequence[float], v2: Sequence[float]) -> float:

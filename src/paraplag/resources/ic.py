@@ -11,8 +11,8 @@ has several).  The loader converts counts to information content,
 ``-log(count / pos_total)``, which makes roots score about zero and rare,
 specific synsets score high.  Synsets with a zero count carry no IC value.
 
-Tables can also be built directly from an id-to-IC mapping, which is how
-test fixtures pin exact values.
+``ICTable(values)`` builds a table directly from an id-to-IC mapping;
+every value must be finite and non-negative.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ class ICTable:
                 raise ValueError(f"IC value for {sid!r} must be finite and >= 0, got {value!r}")
             clean[sid] = v
         self._values = clean
-
-    @classmethod
-    def from_dict(cls, values: Mapping[SynsetId, float]) -> "ICTable":
-        return cls(values)
 
     def get(self, sid: SynsetId) -> Optional[float]:
         return self._values.get(sid)

@@ -207,7 +207,8 @@ def load_lexdb(path) -> LexicalStore:
 
     At minimum ``index.noun`` and ``data.noun`` must be present; the verb,
     adjective and adverb files are loaded when they exist.  Every hypernym
-    pointer and index sense reference must resolve to a parsed synset.
+    pointer and index sense reference must resolve to a parsed synset, and
+    no synset may be its own transitive hypernym.
     """
     path = os.fspath(path)
     if not os.path.isdir(path):
@@ -250,8 +251,38 @@ def load_lexdb(path) -> LexicalStore:
                 raise MalformedLine(
                     file, line_no, f"index entry {lemma!r} references missing synset {sid!r}"
                 )
+    on_cycle = _synset_on_cycle(synsets)
+    if on_cycle is not None:
+        raise MalformedLine(*origin[on_cycle], f"hypernym cycle through synset {on_cycle!r}")
 
     return LexicalStore(synsets, senses)
+
+
+def _synset_on_cycle(synsets: dict[SynsetId, Synset]) -> Optional[SynsetId]:
+    """A synset on a hypernym cycle (a self-loop counts), or None if there is none.
+
+    Depth-first over the resolved pointers, without recursion: a pointer
+    back to a synset still on the path closes a cycle through it.
+    """
+    on_path: dict[SynsetId, bool] = {}  # True while on the path, False once done
+    for root in synsets:
+        if root in on_path:
+            continue
+        on_path[root] = True
+        stack = [(root, iter(synsets[root].hypernyms))]
+        while stack:
+            sid, targets = stack[-1]
+            for target in targets:
+                if on_path.get(target):
+                    return target
+                if target not in on_path:
+                    on_path[target] = True
+                    stack.append((target, iter(synsets[target].hypernyms)))
+                    break
+            else:
+                on_path[sid] = False
+                stack.pop()
+    return None
 
 
 def synonyms(store: LexicalStore, word: str) -> set[str]:

@@ -19,10 +19,10 @@ the suspect direction, not a symmetric similarity.
 
 The per-word work behind the channels (synonym expansion, embedding
 cosines, Resnik values) is done in `PairTables`, one per source passage:
-scoring shares a source's table among every suspect passage compared with
-it, so each suspect word is expanded, and gets its rows, once per source,
-not once per sentence pair or per pair.  Matching a sentence then reduces
-to lookups.
+`classify.score_batch` shares a source's table among every suspect
+passage compared with it, so each suspect word is expanded, and gets its
+rows, once per source, not once per sentence pair or per pair.  Matching
+a sentence then reduces to lookups.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class PairTables:
     """
 
     def __init__(self, sources: Iterable[Token], stores: KnowledgeStores | None = None):
-        self.stores = stores if stores is not None else KnowledgeStores.empty()
+        self.stores = stores if stores is not None else KnowledgeStores()
         self._sources: dict[str, Token] = {}
         for tok in sources:
             self._sources.setdefault(tok.normalized, tok)
@@ -295,8 +295,3 @@ def semantic_similarity(
         raise EmptySentence(f"no content words in sentence: {sp.text!r}")
     matches = match_sentence(sp, sr, stores, thresholds)
     return len(matches) / len(sp.content_tokens)
-
-
-def trace_matches(matches: Iterable[WordMatch]) -> list[dict]:
-    """JSON-ready view of a match list, in match order."""
-    return [m.to_dict() for m in matches]

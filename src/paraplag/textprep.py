@@ -18,6 +18,7 @@ stems; stems serve for equality matching.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ __all__ = [
     "tokenize",
     "normalize",
     "preprocess_passage",
-    "sentence_to_dict",
 ]
 
 # Alphanumeric runs; underscore excluded from \w so it acts as a separator.
@@ -78,28 +78,21 @@ class ProcessedSentence:
     content_tokens: tuple[Token, ...]
 
 
+@functools.cache
+def _default_stopwords() -> frozenset[str]:
+    ref = importlib_resources.files("paraplag") / "data" / _STOPWORD_RESOURCE
+    return _parse_stopwords(ref.read_text(encoding="utf-8").splitlines())
+
+
 @dataclass(frozen=True)
 class PrepConfig:
-    """Preprocessing knobs: stopwords is the active stopword set (already loaded)."""
+    """Preprocessing knobs: stopwords is the active stopword set (already loaded).
 
-    stopwords: frozenset[str] = field(default_factory=frozenset)
+    The default is the built-in English list; ``stopwords=frozenset()``
+    keeps every token.
+    """
 
-    @classmethod
-    def default(cls) -> "PrepConfig":
-        return cls(stopwords=_default_stopwords())
-
-
-_DEFAULT_STOPWORDS: frozenset[str] | None = None
-
-
-def _default_stopwords() -> frozenset[str]:
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        ref = importlib_resources.files("paraplag") / "data" / _STOPWORD_RESOURCE
-        _DEFAULT_STOPWORDS = _parse_stopwords(
-            ref.read_text(encoding="utf-8").splitlines()
-        )
-    return _DEFAULT_STOPWORDS
+    stopwords: frozenset[str] = field(default_factory=_default_stopwords)
 
 
 def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:
@@ -199,7 +192,7 @@ def preprocess_passage(text: str, config: PrepConfig | None = None) -> list[Proc
     comparable across the two views.
     """
     if config is None:
-        config = PrepConfig.default()
+        config = PrepConfig()
     out = []
     for sid, sentence in enumerate(split_sentences(text)):
         all_tokens = _make_tokens(sentence)
@@ -214,15 +207,3 @@ def preprocess_passage(text: str, config: PrepConfig | None = None) -> list[Proc
         )
     return out
 
-
-def sentence_to_dict(sentence: ProcessedSentence) -> dict:
-    """JSON-ready representation, used by debug traces and determinism checks."""
-    return {
-        "sentence_id": sentence.sentence_id,
-        "text": sentence.text,
-        "all_tokens": [
-            {"index": t.index, "surface": t.surface, "normalized": t.normalized, "stem": t.stem}
-            for t in sentence.all_tokens
-        ],
-        "content_indices": [t.index for t in sentence.content_tokens],
-    }

@@ -292,7 +292,7 @@ def random_sentence(rng: random.Random) -> str:
 
 def test_criterion_4_reflexivity():
     rng = random.Random(69)
-    stores = KnowledgeStores.empty()
+    stores = KnowledgeStores()
     ok = True
     for _ in range(100):
         [sentence] = preprocess_passage(random_sentence(rng))

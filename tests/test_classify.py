@@ -47,7 +47,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # fixture stores under which every semantic channel can fire
 STORES = KnowledgeStores(
     lexdb=load_lexdb(FIXTURES / "lexdb"),
-    ic=ICTable.from_dict({(15388, "n"): 3.5, (1740, "n"): 0.5, (2120997, "n"): 4.0}),
+    ic=ICTable({(15388, "n"): 3.5, (1740, "n"): 0.5, (2120997, "n"): 4.0}),
     embeddings=EmbeddingStore(
         {"dog": np.array([1.0, 0.2], np.float32), "quartz": np.array([0.9, 0.3], np.float32),
          "run": np.array([0.0, 1.0], np.float32)},
@@ -83,7 +83,7 @@ class TestSimilarityVector:
 
     def test_dict_round_trip(self):
         v = SimilarityVector(0.25, 0.5, 0.75)
-        assert SimilarityVector.from_dict(json.loads(json.dumps(v.to_dict()))) == v
+        assert SimilarityVector(**json.loads(json.dumps(v.to_dict()))) == v
 
 
 class TestPassageFeatures:

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -145,6 +146,14 @@ class TestExitCodes:
         assert rc == 2
         assert f"{key} must be an integer, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["gst_threshold", "fallback_threshold"])
+    @pytest.mark.parametrize("value", [1.5, float("nan")])
+    def test_threshold_out_of_range_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
+        assert main(["score", a, a, "--config", cfg]) == 2
+        assert f"{key} must be within [0, 1], got {value!r}" in capsys.readouterr().err
+
     def test_missing_resource_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lexdb_dir=str(tmp_path / "nowhere"))
         a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
@@ -192,6 +201,43 @@ class TestExitCodes:
         a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
         assert main(["score", a, a, "--config", cfg]) == 2
         assert f"{ic}:2: non-finite count" in capsys.readouterr().err
+
+    def test_hypernym_cycle_in_lexdb_exits_2(self, tmp_path, capsys):
+        lexdb = tmp_path / "lexdb"
+        shutil.copytree(os.path.join(FIXTURES, "lexdb"), lexdb)
+        data = lexdb / "data.noun"
+        n = len(data.read_text().splitlines())
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write("00000001 05 n 01 hen 0 001 @ 00000002 n 0000 | one side\n")
+            fh.write("00000002 05 n 01 egg 0 001 @ 00000001 n 0000 | the other\n")
+        cfg = write_config(tmp_path, lexdb_dir=str(lexdb))
+        a = write_text(tmp_path, "a.txt", "The hen laid an egg.\n")
+        b = write_text(tmp_path, "b.txt", "An egg came from the hen.\n")
+        assert main(["score", a, b, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "hypernym cycle" in err
+        assert f"{data}:{n + 1}:" in err or f"{data}:{n + 2}:" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("p1,1,0.5,x,0.2", "could not convert string to float: 'x'"),
+            ("p1,1,0.5,1.5,0.2", "syntactic must be in [0, 1], got 1.5"),
+            ("p1,1,nan,0.5,0.2", "semantic must be in [0, 1], got nan"),
+            ("p1,7,0.5,0.5,0.2", "label must be 0 or 1, got '7'"),
+            ("p1,1,0.5,0.5", "expected 5 fields, got 4"),
+        ],
+        ids=["non-numeric", "out-of-range", "nan", "bad-label", "short-row"],
+    )
+    def test_malformed_feature_table_row_exits_2(self, tmp_path, capsys, row, message):
+        table = write_text(
+            tmp_path, "features.csv",
+            "pair_id,label,semantic,syntactic,insdel\np0,0,0.1,0.2,0.3\n" + row + "\n",
+        )
+        cfg = write_config(tmp_path, folds=2)
+        rc = main(["crossval", table, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {table}:3: {message}" in capsys.readouterr().err
 
     def test_whitespace_line_in_embeddings_skipped(self, tmp_path, capsys):
         vectors = write_text(tmp_path, "gap.vec", "2 3\nriver 1 0 0\n   \nstone 0 1 0\n")

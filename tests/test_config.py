@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from paraplag.classify import ClassifierSpec
+from paraplag.classify import ClassifierSpec, FeatureParams
 from paraplag.config import (
     ConfigError,
     EngineConfig,
@@ -40,6 +40,23 @@ class TestEngineConfig:
         assert cfg.embed_min == 0.6
         assert cfg.gst_min_tile == 10
 
+    def test_defaults(self):
+        cfg = EngineConfig()
+        assert dataclasses.asdict(cfg) == {
+            "lexdb_dir": None, "ic_file": None, "embedding_file": None,
+            "embedding_format": "text", "stopword_file": None,
+            "embed_min": 0.6, "resnik_min": 3.0,
+            "discard_semantic": 0.3, "discard_syntactic": 0.3, "discard_insdel": 0.3,
+            "gst_min_match": 5, "gst_min_tile": 10, "gst_threshold": 0.15,
+            "gst_max_chars": 50_000,
+            "classifier": "knn", "knn_k": 5, "folds": 10, "seed": 0,
+            "fallback_threshold": 0.5,
+        }
+        # the keys that feed a parameter type default to that type's defaults
+        assert feature_params(cfg) == FeatureParams()
+        assert gst_params(cfg) == GstParams()
+        assert classifier_spec(cfg) == ClassifierSpec(kind="knn")
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="embedmin"):
             EngineConfig.from_dict({"embedmin": 0.5})
@@ -67,6 +84,11 @@ class TestEngineConfig:
     def test_fallback_threshold_range(self):
         with pytest.raises(ConfigError):
             EngineConfig(fallback_threshold=1.5)
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan"), float("inf")])
+    def test_gst_threshold_range(self, value):
+        with pytest.raises(ConfigError, match="gst_threshold must be within"):
+            EngineConfig(gst_threshold=value)
 
     def test_threshold_ranges_checked_at_construction(self):
         # out-of-range values surface as ConfigError, not later ValueError
@@ -99,7 +121,7 @@ class TestEngineConfig:
 
     def test_round_trip(self):
         cfg = EngineConfig(embed_min=0.7, classifier="nb", seed=4)
-        assert EngineConfig.from_dict(cfg.to_dict()) == cfg
+        assert EngineConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 class TestLoadConfig:
@@ -129,9 +151,9 @@ class TestDerivedParams:
         assert p.discard_semantic == 0.3
 
     def test_gst_params_mapping(self):
-        cfg = EngineConfig(gst_min_match=3, gst_min_tile=6, gst_threshold=0.2)
+        cfg = EngineConfig(gst_min_match=3, gst_min_tile=6, gst_max_chars=90)
         g = gst_params(cfg)
-        assert (g.min_match, g.min_tile, g.threshold) == (3, 6, 0.2)
+        assert (g.min_match, g.min_tile, g.max_chars) == (3, 6, 90)
 
     def test_classifier_spec_mapping(self):
         assert classifier_spec(EngineConfig(classifier="nb")) == ClassifierSpec(kind="nb")

@@ -132,7 +132,7 @@ class TestMaxSimilarity:
         monkeypatch.setattr(editsim, "word_edit_distance", counted)
         long = "Quartz violins echo through copper harbors beneath silent meadows tonight."
         source = long + " Rivers carve. Stones fall. Clouds drift."
-        score = classify.score_passages(long, source)
+        score = next(classify.score_batch([(long, source)]))
         assert score.vector.insdel == 1.0
         # the identical long sentence comes first; no short one can beat 1.0
         assert calls == [(9, 9)]

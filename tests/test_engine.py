@@ -156,7 +156,9 @@ class TestExtractFeatures:
         serial = score_pairs(pairs, EngineConfig())
         assert score_pairs(pairs, EngineConfig(), jobs=2) == serial
         # in input order: each score is the pair's own
-        assert serial == [classify.score_passages(p.suspect_text, p.source_text) for p in pairs]
+        assert serial == [
+            next(score_batch([(p.suspect_text, p.source_text)])) for p in pairs
+        ]
 
     def test_tables_built_once_per_distinct_source(self, monkeypatch):
         built = Counter()
@@ -204,7 +206,7 @@ class TestExtractFeatures:
 
     def test_prebuilt_stores_accepted(self):
         pairs = synthetic_pairs(4)
-        vectors = extract_features(pairs, EngineConfig(), stores=KnowledgeStores.empty())
+        vectors = extract_features(pairs, EngineConfig(), stores=KnowledgeStores())
         assert len(vectors) == 4
 
     def test_jobs_below_one_rejected(self):
@@ -323,6 +325,29 @@ class TestFeatureCsv:
         path.write_text("pair_id,label,semantic,syntactic,insdel\np0,1,0.5\n", encoding="utf-8")
         with pytest.raises(ParaplagError):
             read_feature_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("p1,1,0.5,x,0.2", "could not convert string to float: 'x'"),
+            ("p1,1,0.5,0.5,-0.1", "insdel must be in [0, 1], got -0.1"),
+            ("p1,1,0.5,0.5,1e999", "insdel must be in [0, 1], got inf"),
+            ("p1,0,NaN,0.5,0.2", "semantic must be in [0, 1], got nan"),
+            ("p1,7,0.5,0.5,0.2", "label must be 0 or 1, got '7'"),
+            ("p1,,0.5,0.5,0.2", "label must be 0 or 1, got ''"),
+            ("p1,1,0.5,0.5,0.2,0.9", "expected 5 fields, got 6"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        # the blank line still counts: errors give the line in the file
+        path.write_text(
+            "pair_id,label,semantic,syntactic,insdel\np0,1,0.5,0.5,0.5\n\n" + row + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParaplagError) as exc:
+            read_feature_csv(path)
+        assert str(exc.value) == f"{path}:4: {message}"
 
 
 class TestTraces:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 import random
@@ -148,15 +149,11 @@ class TestCanonicalize:
 class TestParams:
     def test_defaults(self):
         p = GstParams()
-        assert (p.min_match, p.min_tile, p.threshold) == (5, 10, 0.15)
+        assert (p.min_match, p.min_tile, p.max_chars) == (5, 10, 50_000)
 
     def test_min_tile_cannot_undercut_min_match(self):
         with pytest.raises(ValueError):
             GstParams(min_match=5, min_tile=4)
-
-    def test_threshold_range(self):
-        with pytest.raises(ValueError):
-            GstParams(threshold=1.5)
 
     def test_min_match_positive(self):
         with pytest.raises(ValueError):
@@ -200,7 +197,7 @@ class TestTiles:
 
     def test_json_dump(self):
         tiles = gst_tiles("abcdefghij", "abcdefghij")
-        payload = json.loads(json.dumps([t.to_dict() for t in tiles]))
+        payload = json.loads(json.dumps([dataclasses.asdict(t) for t in tiles]))
         assert payload == [{"suspect_offset": 0, "source_offset": 0, "length": 10}]
 
 

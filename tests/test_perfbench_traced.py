@@ -57,10 +57,10 @@ def test_traced_pass_vectors_equal_passage_features():
     )
     stores = KnowledgeStores(
         lexdb=load_lexdb(FIXTURES / "lexdb"),
-        ic=ICTable.from_dict({(15388, "n"): 3.5, (1740, "n"): 0.0, (1835496, "v"): 3.1}),
+        ic=ICTable({(15388, "n"): 3.5, (1740, "n"): 0.0, (1835496, "v"): 3.1}),
         embeddings=emb,
     )
-    params, prep = FeatureParams(), PrepConfig.default()
+    params, prep = FeatureParams(), PrepConfig()
     leaves = {name: getattr(semsim, name) for name in traced.SEMSIM_LEAVES}
 
     tr, counts, vectors = traced.traced_pass(PAIRS, stores, params, prep)

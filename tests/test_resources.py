@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paraplag.resources import (
     DimMismatch,
@@ -27,7 +29,6 @@ from paraplag.resources import (
     load_ic,
     load_lexdb,
     resnik,
-    save_embeddings,
     subsumer_ics,
     synonyms,
 )
@@ -42,6 +43,12 @@ CAT = (2121620, "n")
 TRACTOR_CAT = (2970849, "n")
 VEHICLE = (4524313, "n")
 MOVE = (1835496, "v")
+FIXTURE_SYNSETS = [
+    ENTITY, ANIMAL, CANINE, DOG, (2120997, "n"), CAT, (2958343, "n"), TRACTOR_CAT, VEHICLE,
+    MOVE, (1904930, "v"), (1926311, "v"), (1000, "a"),
+]
+FIXTURE_WORDS = ["dog", "cat", "car", "feline", "canine", "vehicle", "entity", "walk", "run",
+                 "move", "content", "zzgronk"]
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +100,30 @@ class TestLexdbLoading:
             load_lexdb(tmp_path)
         assert "00777777" in str(exc.value) or "777777" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "appended, on_cycle",
+        [
+            (["00000001 05 n 01 hen 0 001 @ 00000002 n 0000 | one side of a loop",
+              "00000002 05 n 01 egg 0 001 @ 00000001 n 0000 | the other side"], {1, 2}),
+            (["00000001 05 n 01 ouroboros 0 001 @ 00000001 n 0000 | itself"], {1}),
+            # leaf -> mid <-> top -> entity: only mid and top are on the cycle
+            (["00000003 05 n 01 leaf 0 001 @ 00000002 n 0000 | under the loop",
+              "00000002 05 n 01 mid 0 001 @ 00000001 n 0000 | on the loop",
+              "00000001 05 n 01 top 0 002 @ 00000002 n 0000 @ 00001740 n 0000 | on it too"],
+             {2, 3}),
+        ],
+        ids=["two-synsets", "self-loop", "above-a-chain"],
+    )
+    def test_hypernym_cycle_rejected(self, tmp_path, appended, on_cycle):
+        self._copy_fixture(tmp_path)
+        data = tmp_path / "data.noun"
+        n = len(data.read_text().splitlines())
+        data.write_text(data.read_text() + "".join(line + "\n" for line in appended))
+        with pytest.raises(MalformedLine, match="hypernym cycle") as exc:
+            load_lexdb(tmp_path)
+        assert exc.value.file == str(data)
+        assert exc.value.line_no - n in on_cycle
+
     def test_unknown_synset_access(self, store):
         with pytest.raises(UnknownSynset):
             store.synset((123456789, "n"))
@@ -123,31 +154,31 @@ class TestSynonyms:
 
 class TestResnik:
     def test_subsumer_ic_value(self, store):
-        table = ICTable.from_dict({ANIMAL: 2.0, ENTITY: 0.0})
+        table = ICTable({ANIMAL: 2.0, ENTITY: 0.0})
         assert resnik(store, table, "cat", "dog") == pytest.approx(2.0)
 
     def test_maximum_over_sense_pairs(self, store):
         # cat as tractor shares the vehicle subsumer with car
-        table = ICTable.from_dict({VEHICLE: 1.5, ANIMAL: 2.0, ENTITY: 0.0})
+        table = ICTable({VEHICLE: 1.5, ANIMAL: 2.0, ENTITY: 0.0})
         assert resnik(store, table, "cat", "car") == pytest.approx(1.5)
 
     def test_unknown_word_none(self, store):
-        table = ICTable.from_dict({ANIMAL: 2.0})
+        table = ICTable({ANIMAL: 2.0})
         assert resnik(store, table, "cat", "zzgronk") is None
 
     def test_no_ic_on_subsumers_none(self, store):
-        assert resnik(store, ICTable.from_dict({}), "cat", "dog") is None
+        assert resnik(store, ICTable({}), "cat", "dog") is None
 
     def test_only_nouns_and_verbs_participate(self, store):
-        table = ICTable.from_dict({(1000, "a"): 9.9})
+        table = ICTable({(1000, "a"): 9.9})
         assert resnik(store, table, "happy", "glad") is None
 
     def test_verb_taxonomy(self, store):
-        table = ICTable.from_dict({MOVE: 1.2})
+        table = ICTable({MOVE: 1.2})
         assert resnik(store, table, "run", "walk") == pytest.approx(1.2)
 
     def test_subsumer_ics_keyed_by_sense_pos(self, store):
-        table = ICTable.from_dict({VEHICLE: 1.5, ANIMAL: 2.0, CAT: 4.0, MOVE: 1.2})
+        table = ICTable({VEHICLE: 1.5, ANIMAL: 2.0, CAT: 4.0, MOVE: 1.2})
         assert subsumer_ics(store, table, "cat") == {
             ("n", CAT): 4.0, ("n", ANIMAL): 2.0, ("n", VEHICLE): 1.5,
         }
@@ -155,16 +186,27 @@ class TestResnik:
         assert subsumer_ics(store, table, "happy") == {}
         assert subsumer_ics(store, table, "zzgronk") == {}
 
+    @given(
+        values=st.dictionaries(
+            st.sampled_from(FIXTURE_SYNSETS), st.floats(0.0, 20.0), max_size=len(FIXTURE_SYNSETS)
+        ),
+        w1=st.sampled_from(FIXTURE_WORDS),
+        w2=st.sampled_from(FIXTURE_WORDS),
+    )
+    def test_symmetric(self, store, values, w1, w2):
+        table = ICTable(values)
+        assert resnik(store, table, w1, w2) == resnik(store, table, w2, w1)
+
     def test_memo_is_kept_per_ic_table(self, store):
-        low = ICTable.from_dict({ANIMAL: 2.0})
-        high = ICTable.from_dict({ANIMAL: 3.0})
+        low = ICTable({ANIMAL: 2.0})
+        high = ICTable({ANIMAL: 3.0})
         assert resnik(store, low, "cat", "dog") == pytest.approx(2.0)
         assert resnik(store, high, "cat", "dog") == pytest.approx(3.0)
         assert resnik(store, low, "cat", "dog") == pytest.approx(2.0)
 
     def test_memo_does_not_keep_stores_alive(self):
         lexdb = load_lexdb(FIXTURES / "lexdb")
-        table = ICTable.from_dict({ANIMAL: 2.0})
+        table = ICTable({ANIMAL: 2.0})
         assert resnik(lexdb, table, "cat", "dog") == pytest.approx(2.0)
         assert resnik(lexdb, table, "cat", "car") is None
         refs = [weakref.ref(lexdb), weakref.ref(table)]
@@ -176,9 +218,9 @@ class TestResnik:
 class TestICTable:
     def test_values_validated(self):
         with pytest.raises(ValueError):
-            ICTable.from_dict({ENTITY: -1.0})
+            ICTable({ENTITY: -1.0})
         with pytest.raises(ValueError):
-            ICTable.from_dict({ENTITY: float("inf")})
+            ICTable({ENTITY: float("inf")})
 
     def test_load_converts_counts_to_ic(self, tmp_path):
         path = tmp_path / "ic.dat"
@@ -274,7 +316,7 @@ class TestEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\napple 1 0 0\n   \n\t\nbanana 0 1 0\n")
         store = load_embeddings(path, "text")
-        assert sorted(store.words()) == ["apple", "banana"]
+        assert len(store) == 2 and "apple" in store and "banana" in store
 
     def test_whitespace_only_line_is_not_a_word(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -287,10 +329,14 @@ class TestEmbeddings:
         text_path.write_text("2 3\napple 1.5 -0.25 0.125\nbanana 0.1 0.2 0.3\n")
         store = load_embeddings(text_path, "text")
         bin_path = tmp_path / "vecs.bin"
-        save_embeddings(store, bin_path, "binary")
+        bin_path.write_bytes(
+            b"2 3\n"
+            + b"apple " + store.lookup("apple").astype("<f4").tobytes() + b"\n"
+            + b"banana " + store.lookup("banana").astype("<f4").tobytes() + b"\n"
+        )
         loaded = load_embeddings(bin_path, "binary")
-        assert loaded.dim == store.dim
-        for word in store.words():
+        assert loaded.dim == store.dim and len(loaded) == len(store)
+        for word in ("apple", "banana"):
             np.testing.assert_array_equal(loaded.lookup(word), store.lookup(word))
 
     def test_binary_truncated_vector(self, tmp_path):
@@ -300,6 +346,14 @@ class TestEmbeddings:
         with pytest.raises(TruncatedVector) as exc:
             load_embeddings(path, "binary")
         assert exc.value.word == "banana"
+
+    @pytest.mark.parametrize("header", [b"1 1000000000000", b"100000000000000 3"])
+    def test_binary_header_beyond_file_size_rejected(self, tmp_path, header):
+        # checked before any read, so a corrupt header cannot size a huge buffer
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(header + b"\napple " + b"\x00" * 12)
+        with pytest.raises(HeaderMismatch, match="more data than the file holds"):
+            load_embeddings(path, "binary")
 
     def test_case_folded_lookup_is_explicit(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -342,6 +396,17 @@ class TestCosine:
 
     def test_zero_vector_convention(self):
         assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n), min_size=2, max_size=2
+            )
+        )
+    )
+    def test_symmetric(self, vectors):
+        u, v = vectors
+        assert cosine(u, v) == cosine(v, u)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):

@@ -19,7 +19,6 @@ from paraplag.semsim import (
     match_sentence,
     match_word,
     semantic_similarity,
-    trace_matches,
 )
 from paraplag.textprep import preprocess_passage
 
@@ -185,7 +184,7 @@ class TestMatchWord:
         assert source[found.source_index] == "gamma"
 
     def test_resnik_channel(self, lexdb):
-        table = ICTable.from_dict({ANIMAL: 3.5, ENTITY: 0.0})
+        table = ICTable({ANIMAL: 3.5, ENTITY: 0.0})
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog barked.")
@@ -195,7 +194,7 @@ class TestMatchWord:
         assert found.score == pytest.approx(3.5)
 
     def test_resnik_threshold_respected(self, lexdb):
-        table = ICTable.from_dict({ANIMAL: 3.5, ENTITY: 0.0})
+        table = ICTable({ANIMAL: 3.5, ENTITY: 0.0})
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog barked.")
@@ -208,7 +207,7 @@ class TestMatchWord:
         assert found is None
 
     def test_resnik_picks_maximum(self, lexdb):
-        table = ICTable.from_dict({ANIMAL: 3.5, VEHICLE: 5.0, ENTITY: 0.0})
+        table = ICTable({ANIMAL: 3.5, VEHICLE: 5.0, ENTITY: 0.0})
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog chased the car.")
@@ -249,7 +248,7 @@ class TestMatchSentence:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("A car and a cat.")
         sr = sentence("The automobile hit a cat.")
-        trace = trace_matches(match_sentence(sp, sr, stores))
+        trace = [m.to_dict() for m in match_sentence(sp, sr, stores)]
         round_tripped = json.loads(json.dumps(trace))
         assert [entry["channel"] for entry in round_tripped] == ["synonym", "exact"]
 
@@ -308,7 +307,7 @@ class TestProperties:
     ]
 
     def _random_setup(self, rng: random.Random, lexdb):
-        ic = ICTable.from_dict(
+        ic = ICTable(
             {sid: rng.uniform(0.0, 6.0) for sid in self.SYNSETS if rng.random() < 0.7}
         )
         vecs = {}

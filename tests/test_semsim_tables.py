@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from paraplag import semsim
 from paraplag._porter import porter_stem
-from paraplag.classify import score_passages
+from paraplag.classify import score_batch
 from paraplag.config import EngineConfig
 from paraplag.corpus import LabelledPair
 from paraplag.engine import score_pairs
@@ -198,7 +198,7 @@ def sentence_text(draw):
 def ic_tables(draw):
     """IC tables over some of the fixture synsets, with exact ties."""
     values = st.one_of(st.none(), st.sampled_from([0.0, 1.5, 3.0, 4.5]), st.floats(0.0, 6.0))
-    return ICTable.from_dict({sid: v for sid in SYNSETS if (v := draw(values)) is not None})
+    return ICTable({sid: v for sid in SYNSETS if (v := draw(values)) is not None})
 
 
 @st.composite
@@ -250,7 +250,7 @@ def test_cross_pos_hypernym_shares_no_subsumer(tmp_path):
     )
     (tmp_path / "index.verb").write_text("act v 1 1 @ 1 0 00000300\n")
     lexdb = load_lexdb(tmp_path)
-    ic = ICTable.from_dict({(100, "n"): 1.0, (200, "n"): 2.0})
+    ic = ICTable({(100, "n"): 1.0, (200, "n"): 2.0})
     for w1, w2 in (("act", "action"), ("action", "act"), ("act", "thing")):
         assert oracle_resnik(lexdb, ic, w1, w2) is None
         assert resnik(lexdb, ic, w1, w2) is None
@@ -288,12 +288,12 @@ def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
 
     monkeypatch.setattr(semsim, "synonyms", counted)
     stores = KnowledgeStores(
-        lexdb=LEXDB, ic=ICTable.from_dict({(15388, "n"): 3.5}),
+        lexdb=LEXDB, ic=ICTable({(15388, "n"): 3.5}),
         embeddings=EmbeddingStore({"machine": np.ones(DIM, np.float32)}, DIM),
     )
     suspect = "The car chased a cat. A dog and the car slept."
     source = "An automobile passed. The canine barked loudly. A feline hid. Machines run."
-    score = score_passages(suspect, source, stores)
+    score = next(score_batch([(suspect, source)], stores))
     assert "synonym" in {m.channel for best in score.best_semantic for m in best.matches}
     suspect_words = {
         (t.normalized, t.stem) for s in preprocess_passage(suspect) for t in s.content_tokens
@@ -312,7 +312,7 @@ def test_each_suspect_word_is_expanded_once_per_source(monkeypatch):
 
     monkeypatch.setattr(semsim, "synonyms", counted)
     stores = KnowledgeStores(
-        lexdb=LEXDB, ic=ICTable.from_dict({(15388, "n"): 3.5}),
+        lexdb=LEXDB, ic=ICTable({(15388, "n"): 3.5}),
         embeddings=EmbeddingStore({"machine": np.ones(DIM, np.float32)}, DIM),
     )
     source = "An automobile passed. The canine barked loudly. A feline hid. Machines run."

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 
 from paraplag._porter import porter_stem
@@ -11,7 +10,6 @@ from paraplag.textprep import (
     load_stopwords,
     normalize,
     preprocess_passage,
-    sentence_to_dict,
     split_sentences,
     tokenize,
 )
@@ -188,7 +186,7 @@ def test_normalize_idempotent():
 
 
 def test_preprocess_content_and_stems():
-    config = PrepConfig.default()
+    config = PrepConfig()
     [sentence] = preprocess_passage("The cats RAN quickly.", config)
     assert [t.surface for t in sentence.all_tokens] == ["The", "cats", "RAN", "quickly"]
     assert [t.stem for t in sentence.content_tokens] == ["cat", "ran", "quickli"]
@@ -199,15 +197,18 @@ def test_preprocess_content_and_stems():
 
 
 def test_preprocess_all_stopwords_gives_empty_content():
-    [sentence] = preprocess_passage("the of and", PrepConfig.default())
+    [sentence] = preprocess_passage("the of and", PrepConfig())
     assert len(sentence.all_tokens) == 3
     assert sentence.content_tokens == ()
+    # an empty list is asked for explicitly, and keeps every token
+    [kept] = preprocess_passage("the of and", PrepConfig(stopwords=frozenset()))
+    assert kept.content_tokens == kept.all_tokens
 
 
 def test_preprocess_token_indices_strictly_increasing():
     sentences = preprocess_passage(
         "The quick brown fox. It jumped over the lazy dog, twice!",
-        PrepConfig.default(),
+        PrepConfig(),
     )
     assert len(sentences) == 2
     for s in sentences:
@@ -219,9 +220,9 @@ def test_preprocess_token_indices_strictly_increasing():
 
 def test_preprocess_deterministic_serialization():
     text = "Dr. Smith's café opened. Quite naïve, really. 42 people came."
-    a = [sentence_to_dict(s) for s in preprocess_passage(text)]
-    b = [sentence_to_dict(s) for s in preprocess_passage(text)]
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    a = preprocess_passage(text)
+    b = preprocess_passage(text)
+    assert a == b
 
 
 def test_stopword_file_loading(tmp_path):
@@ -232,7 +233,7 @@ def test_stopword_file_loading(tmp_path):
 
 
 def test_default_stopwords_content():
-    stops = PrepConfig.default().stopwords
+    stops = PrepConfig().stopwords
     assert {"the", "of", "and", "is", "a"} <= stops
     assert "ran" not in stops
     assert "cat" not in stops
