@@ -5,37 +5,61 @@ token lists (callers pass content-word stems).  Similarity normalizes by
 the longer list so the value always lands in [0, 1].  The best similarity
 against several candidates skips a candidate whose length alone rules it
 out, since the distance is at least the difference in length.
+
+The distance is bit-parallel: Myers' bit-vector algorithm (Myers 1999, in
+Hyyrö's 2001 formulation) keeps one column of the m x n dynamic program as
+vertical +1/-1 delta bitmasks over the m pattern tokens and advances it
+one text token at a time.  Python ints have no width limit, so one path
+serves every length at O(n * ceil(m / w)) word operations, w being the
+machine word.  The pattern's per-token position masks are built once per
+suspect sentence and reused against each candidate.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+Masks = dict[str, int]
+
+
+def _pattern_masks(tokens: Sequence[str]) -> Masks:
+    """Token -> bitmask with bit i set where tokens[i] is that token."""
+    masks: Masks = {}
+    bit = 1
+    for token in tokens:
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _masked_distance(masks: Masks, m: int, sr_tokens: Sequence[str]) -> int:
+    """Edit distance between the m-token pattern behind masks and sr_tokens."""
+    if m == 0:
+        return len(sr_tokens)
+    full = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    get = masks.get
+    for token in sr_tokens:
+        eq = get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # the carry-in of 1 is row 0's +1 per column: global distance
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
+
 
 def word_edit_distance(sp_tokens: Sequence[str], sr_tokens: Sequence[str]) -> int:
     """Minimal number of insert/delete/replace steps turning sp into sr."""
-    m, n = len(sp_tokens), len(sr_tokens)
-    if m == 0:
-        return n
-    if n == 0:
-        return m
-    # Rolling single row keeps memory at O(min side); iterate over the longer.
-    if m < n:
-        sp_tokens, sr_tokens = sr_tokens, sp_tokens
-        m, n = n, m
-    row = list(range(n + 1))
-    for i in range(1, m + 1):
-        prev_diag = row[0]
-        row[0] = i
-        a = sp_tokens[i - 1]
-        for j in range(1, n + 1):
-            prev_row = row[j]
-            if a == sr_tokens[j - 1]:
-                row[j] = prev_diag
-            else:
-                row[j] = 1 + min(prev_diag, prev_row, row[j - 1])
-            prev_diag = prev_row
-    return row[n]
+    return _masked_distance(_pattern_masks(sp_tokens), len(sp_tokens), sr_tokens)
 
 
 def insdel_similarity(sp_tokens: Sequence[str], sr_tokens: Sequence[str]) -> float:
@@ -58,12 +82,14 @@ def max_insdel_similarity(
     candidates.
     """
     m = len(sp_tokens)
+    masks = _pattern_masks(sp_tokens)
     best = None
     for sr_tokens in candidates:
         n = len(sr_tokens)
-        if best is not None and 1.0 - abs(m - n) / max(m, n) <= best:
+        longer = max(m, n)
+        if best is not None and 1.0 - abs(m - n) / longer <= best:
             continue
-        value = insdel_similarity(sp_tokens, sr_tokens)
+        value = 1.0 - _masked_distance(masks, m, sr_tokens) / longer
         if best is None or value > best:
             best = value
     return best

@@ -15,6 +15,7 @@ never depend on how work was scheduled.
 from __future__ import annotations
 
 import csv
+import io
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -268,30 +269,38 @@ def read_feature_csv(path) -> tuple[list[str], list[LabelledVector]]:
     """
     ids: list[str] = []
     dataset: list[LabelledVector] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(FEATURE_FIELDS):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # count line breaks as the reader below does: \r\n, \r or \n
+        head = raw[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParaplagError(f"{path}:{line_no}: invalid UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != list(FEATURE_FIELDS):
+        raise ParaplagError(
+            f"feature table {path} has header {header}, expected {list(FEATURE_FIELDS)}"
+        )
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(row) != len(FEATURE_FIELDS):
             raise ParaplagError(
-                f"feature table {path} has header {header}, expected {list(FEATURE_FIELDS)}"
+                f"{where}: expected {len(FEATURE_FIELDS)} fields, got {len(row)}"
             )
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(FEATURE_FIELDS):
-                raise ParaplagError(
-                    f"{where}: expected {len(FEATURE_FIELDS)} fields, got {len(row)}"
-                )
-            pair_id, label, *values = row
-            if label not in ("0", "1"):
-                raise ParaplagError(f"{where}: label must be 0 or 1, got {label!r}")
-            try:
-                vector = SimilarityVector(*map(float, values))
-            except ValueError as exc:
-                raise ParaplagError(f"{where}: {exc}") from None
-            ids.append(pair_id)
-            dataset.append((vector, label == "1"))
+        pair_id, label, *values = row
+        if label not in ("0", "1"):
+            raise ParaplagError(f"{where}: label must be 0 or 1, got {label!r}")
+        try:
+            vector = SimilarityVector(*map(float, values))
+        except ValueError as exc:
+            raise ParaplagError(f"{where}: {exc}") from None
+        ids.append(pair_id)
+        dataset.append((vector, label == "1"))
     return ids, dataset
 
 

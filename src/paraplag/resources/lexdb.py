@@ -117,15 +117,29 @@ class LexicalStore:
         return self.synset(sid).hypernyms
 
     def ancestors(self, sid: SynsetId) -> frozenset[SynsetId]:
-        """The synset itself plus every transitive hypernym."""
+        """The synset itself plus every transitive hypernym.
+
+        An explicit stack walks the pointers, so depth is not limited by
+        recursion.  Only the synsets asked for are memoized, and a walk
+        stops at any of them it meets: memoizing every synset passed on a
+        chain of depth d would hold d * d / 2 entries.
+        """
         memo = self._ancestor_memo
         cached = memo.get(sid)
         if cached is not None:
             return cached
-        node = self.synset(sid)
         acc = {sid}
-        for h in node.hypernyms:
-            acc.update(self.ancestors(h))
+        stack = [self.synset(sid)]
+        while stack:
+            for h in stack.pop().hypernyms:
+                if h in acc:
+                    continue
+                known = memo.get(h)
+                if known is not None:
+                    acc |= known
+                else:
+                    acc.add(h)
+                    stack.append(self._synsets[h])
         result = frozenset(acc)
         memo[sid] = result
         return result

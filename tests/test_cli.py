@@ -239,6 +239,16 @@ class TestExitCodes:
         assert rc == 2
         assert f"error: {table}:3: {message}" in capsys.readouterr().err
 
+    def test_non_utf8_feature_table_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "features.csv"
+        table.write_bytes(
+            b"pair_id,label,semantic,syntactic,insdel\r\np0,0,0.1,0.2,0.3\xff\r\n"
+        )
+        cfg = write_config(tmp_path, folds=2)
+        rc = main(["crossval", str(table), "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {table}:2: invalid UTF-8" in capsys.readouterr().err
+
     def test_whitespace_line_in_embeddings_skipped(self, tmp_path, capsys):
         vectors = write_text(tmp_path, "gap.vec", "2 3\nriver 1 0 0\n   \nstone 0 1 0\n")
         cfg = write_config(tmp_path, embedding_file=vectors)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from functools import lru_cache
 
 import pytest
@@ -25,6 +26,36 @@ def _oracle(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     ins = _oracle(a, b[1:]) + 1
     dele = _oracle(a[1:], b) + 1
     return min(sub, ins, dele)
+
+
+def _dp_oracle(a: Sequence[str], b: Sequence[str]) -> int:
+    """The textbook O(mn) dynamic program, one rolling row."""
+    row = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        prev_diag, row[0] = row[0], i
+        for j, y in enumerate(b, 1):
+            prev_row = row[j]
+            row[j] = prev_diag if x == y else 1 + min(prev_diag, prev_row, row[j - 1])
+            prev_diag = prev_row
+    return row[-1]
+
+
+def _dp_similarity(a: Sequence[str], b: Sequence[str]) -> float:
+    return 1.0 - _dp_oracle(a, b) / max(len(a), len(b))
+
+
+def _token_lists(alphabet_size: int, min_size: int = 0, max_size: int = 200):
+    return st.lists(
+        st.integers(0, alphabet_size - 1).map(lambda i: f"w{i}"),
+        min_size=min_size, max_size=max_size,
+    )
+
+
+# An alphabet of 1-20 tokens, then lists over it: small alphabets repeat
+# tokens heavily, and up to 200 tokens run the masks well past 64 and 128 bits.
+TOKEN_PAIRS = st.integers(1, 20).flatmap(
+    lambda k: st.tuples(_token_lists(k), _token_lists(k))
+)
 
 
 class TestDistance:
@@ -83,6 +114,41 @@ class TestDistance:
                 checked += 1
         assert checked > 5000
 
+    def test_dp_oracle_agrees_with_recursive_oracle(self):
+        rng = random.Random(15)
+        for _ in range(500):
+            a = tuple(rng.choice("xyz") for _ in range(rng.randint(0, 7)))
+            b = tuple(rng.choice("xyz") for _ in range(rng.randint(0, 7)))
+            assert _dp_oracle(a, b) == _oracle(a, b)
+
+    @given(TOKEN_PAIRS)
+    def test_agrees_with_dp_oracle(self, pair):
+        a, b = pair
+        assert word_edit_distance(a, b) == _dp_oracle(a, b)
+
+    @given(st.integers(130, 200).flatmap(lambda n: _token_lists(20, n, n)), st.data())
+    def test_masks_past_128_bits(self, a, data):
+        # the last pattern bit lies beyond two 64-bit words
+        b = data.draw(_token_lists(20, 0, 200))
+        assert word_edit_distance(a, b) == _dp_oracle(a, b)
+        assert word_edit_distance(b, a) == _dp_oracle(b, a)
+
+    @given(st.integers(1, 20).flatmap(_token_lists))
+    def test_one_or_both_sides_empty(self, a):
+        assert word_edit_distance(a, []) == len(a) == _dp_oracle(a, [])
+        assert word_edit_distance([], a) == len(a) == _dp_oracle([], a)
+        assert word_edit_distance([], []) == 0
+
+    @given(st.integers(1, 20).flatmap(_token_lists))
+    def test_equal_strings_that_are_distinct_objects(self, a):
+        # each copied token equals its original but is another object
+        b = [t[:1] + t[1:] for t in a]
+        assert all(x == y and x is not y for x, y in zip(a, b))
+        assert word_edit_distance(a, b) == 0
+        if a:
+            assert insdel_similarity(a, b) == 1.0
+            assert max_insdel_similarity(a, [b]) == 1.0
+
 
 class TestSimilarity:
     def test_identical(self):
@@ -121,15 +187,26 @@ class TestMaxSimilarity:
         expected = max(insdel_similarity(sp, sr) for sr in candidates)
         assert max_insdel_similarity(sp, candidates) == expected
 
+    @given(st.integers(1, 20), st.data())
+    def test_maximum_equals_dp_oracle_maximum(self, k, data):
+        sp = data.draw(_token_lists(k, 1, 60))
+        m = len(sp)
+        shorter = data.draw(_token_lists(k, 0, m - 1))
+        longer = data.draw(_token_lists(k, m + 1, 2 * m + 1))
+        others = data.draw(st.lists(_token_lists(k, 0, 2 * m + 1), max_size=4))
+        candidates = data.draw(st.permutations([shorter, longer, *others]))
+        expected = max(_dp_similarity(sp, sr) for sr in candidates)
+        assert max_insdel_similarity(sp, candidates) == expected
+
     def test_length_bound_skips_short_sentences(self, monkeypatch):
         calls = []
-        distance = editsim.word_edit_distance
+        distance = editsim._masked_distance
 
-        def counted(a, b):
-            calls.append((len(a), len(b)))
-            return distance(a, b)
+        def counted(masks, m, sr_tokens):
+            calls.append((m, len(sr_tokens)))
+            return distance(masks, m, sr_tokens)
 
-        monkeypatch.setattr(editsim, "word_edit_distance", counted)
+        monkeypatch.setattr(editsim, "_masked_distance", counted)
         long = "Quartz violins echo through copper harbors beneath silent meadows tonight."
         source = long + " Rivers carve. Stones fall. Clouds drift."
         score = next(classify.score_batch([(long, source)]))

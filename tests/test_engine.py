@@ -349,6 +349,16 @@ class TestFeatureCsv:
             read_feature_csv(path)
         assert str(exc.value) == f"{path}:4: {message}"
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, newline):
+        path = tmp_path / "bad.csv"
+        lines = [b"pair_id,label,semantic,syntactic,insdel", b"p0,1,0.5,0.5,0.5", b"",
+                 b"p1,1,0.5,0.5,0.2\xff"]
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(ParaplagError) as exc:
+            read_feature_csv(path)
+        assert str(exc.value) == f"{path}:4: invalid UTF-8"
+
 
 class TestTraces:
     def test_exact_matches_traced(self):

@@ -124,6 +124,29 @@ class TestLexdbLoading:
         assert exc.value.file == str(data)
         assert exc.value.line_no - n in on_cycle
 
+    def test_ancestors_of_a_deep_chain(self, tmp_path):
+        # synset i's hypernym is i + 1, and the top one's is ENTITY: far
+        # deeper than the interpreter's recursion limit
+        depth = 3000
+        self._copy_fixture(tmp_path)
+        data = tmp_path / "data.noun"
+        chain = [
+            f"{90000000 + i:08d} 05 n 01 link{i} 0 001 @ {90000001 + i:08d} n 0000 | chain\n"
+            for i in range(depth - 1)
+        ]
+        chain.append(f"{90000000 + depth - 1:08d} 05 n 01 top 0 001 @ 00001740 n 0000 | top\n")
+        data.write_text(data.read_text() + "".join(chain))
+        store = load_lexdb(tmp_path)
+
+        def oracle(i):
+            return {(90000000 + j, "n") for j in range(i, depth)} | {ENTITY}
+
+        # the middle one first, so the walk from the bottom meets its memo
+        middle = depth // 2
+        assert store.ancestors((90000000 + middle, "n")) == oracle(middle)
+        assert store.ancestors((90000000, "n")) == oracle(0)
+        assert store.ancestors((90000000 + depth - 1, "n")) == oracle(depth - 1)
+
     def test_unknown_synset_access(self, store):
         with pytest.raises(UnknownSynset):
             store.synset((123456789, "n"))
