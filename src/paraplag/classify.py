@@ -16,7 +16,8 @@ import math
 import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,6 +51,10 @@ class SingleClassInput(ParaplagError):
     """Ranking metric needs both classes present."""
 
 
+class MalformedModel(ParaplagError):
+    """A model file holds no model that `save_model` could have written."""
+
+
 @dataclass(frozen=True)
 class SimilarityVector:
     semantic: float
@@ -57,19 +62,12 @@ class SimilarityVector:
     insdel: float
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
+        for name, value in vars(self).items():
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.semantic, self.syntactic, self.insdel], dtype=np.float64)
-
-    def to_dict(self) -> dict:
-        return {
-            "semantic": self.semantic,
-            "syntactic": self.syntactic,
-            "insdel": self.insdel,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +228,7 @@ class Confusion:
     tn: int
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
+        for name, value in vars(self).items():
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative int, got {value!r}")
 
@@ -251,9 +249,6 @@ class Confusion:
         """Count (predicted, actual) outcomes."""
         n = Counter((bool(predicted), bool(actual)) for predicted, actual in outcomes)
         return cls(n[True, True], n[True, False], n[False, True], n[False, False])
-
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
 
 
 def metrics(c: Confusion) -> tuple[float, float, float]:
@@ -299,34 +294,49 @@ def auc_roc(scores: Sequence[float], labels: Sequence[bool]) -> float:
 # Classifiers
 
 
+def _array(name: str, value, shape: tuple, kinds: str) -> np.ndarray:
+    """`value` as an array of `shape` (None: any length) and a dtype kind in `kinds`."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        array = np.asarray(None)
+    if (
+        array.dtype.kind not in kinds
+        or array.ndim != len(shape)
+        or any(want not in (None, got) for want, got in zip(shape, array.shape))
+    ):
+        what = "booleans" if kinds == "b" else "numbers"
+        dims = str(tuple("n" if d is None else d for d in shape)).replace("'", "")
+        raise ValueError(f"{name} must be a {dims} array of {what}")
+    return array
+
+
+def _finite(name: str, value, shape: tuple) -> np.ndarray:
+    array = _array(name, value, shape, "iuf").astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
 @dataclass
 class KnnModel:
     points: np.ndarray  # (n, 3) float64
     labels: np.ndarray  # (n,) bool
     k: int
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "knn",
-            "k": self.k,
-            "points": [[float(v) for v in row] for row in self.points],
-            "labels": [bool(l) for l in self.labels],
-        }
+    kind: ClassVar[str] = "knn"
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KnnModel":
-        return cls(
-            points=np.asarray(payload["points"], dtype=np.float64),
-            labels=np.asarray(payload["labels"], dtype=bool),
-            k=int(payload["k"]),
-        )
+    def __post_init__(self):
+        self.points = _finite("points", self.points, (None, 3))
+        n = len(self.points)
+        self.labels = _array("labels", self.labels, (n,), "b")
+        if not (is_integer(self.k) and 1 <= self.k <= n):
+            raise ValueError(f"k must be an integer in [1, {n}], got {self.k!r}")
 
 
 def knn_fit(train: Sequence[LabelledVector], k: int = 5) -> KnnModel:
     if not train:
         raise EmptyTrainingSet("no training vectors")
-    if not 1 <= k <= len(train):
-        raise ValueError(f"k must be in [1, {len(train)}], got {k}")
     points = np.stack([x.as_array() for x, _ in train])
     labels = np.array([bool(lab) for _, lab in train], dtype=bool)
     return KnnModel(points=points, labels=labels, k=k)
@@ -348,22 +358,16 @@ class NbModel:
     priors: np.ndarray  # (2,)
 
     VAR_FLOOR = 1e-9
+    kind: ClassVar[str] = "nb"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "nb",
-            "means": [[float(v) for v in row] for row in self.means],
-            "variances": [[float(v) for v in row] for row in self.variances],
-            "priors": [float(p) for p in self.priors],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NbModel":
-        return cls(
-            means=np.asarray(payload["means"], dtype=np.float64),
-            variances=np.asarray(payload["variances"], dtype=np.float64),
-            priors=np.asarray(payload["priors"], dtype=np.float64),
-        )
+    def __post_init__(self):
+        self.means = _finite("means", self.means, (2, 3))
+        self.variances = _finite("variances", self.variances, (2, 3))
+        self.priors = _finite("priors", self.priors, (2,))
+        if not (self.variances > 0.0).all():
+            raise ValueError("variances must be > 0")
+        if not ((self.priors > 0.0) & (self.priors <= 1.0)).all():
+            raise ValueError("priors must be in (0, 1]")
 
 
 def nb_fit(train: Sequence[LabelledVector]) -> NbModel:
@@ -398,6 +402,8 @@ def nb_predict(model: NbModel, x: SimilarityVector) -> tuple[bool, float]:
 
 
 Model = KnnModel | NbModel
+# The one table of classifier kinds: each model class by the `kind` it saves as.
+MODELS: dict[str, type[Model]] = {cls.kind: cls for cls in (KnnModel, NbModel)}
 
 
 @dataclass(frozen=True)
@@ -406,8 +412,8 @@ class ClassifierSpec:
     knn_k: int = 5
 
     def __post_init__(self):
-        if self.kind not in ("knn", "nb"):
-            raise ValueError(f"kind must be 'knn' or 'nb', got {self.kind!r}")
+        if self.kind not in MODELS:
+            raise ValueError(f"kind must be one of {', '.join(MODELS)}, got {self.kind!r}")
         if not is_integer(self.knn_k):
             raise ValueError(f"knn_k must be an integer, got {self.knn_k!r}")
         if self.knn_k < 1:
@@ -415,7 +421,7 @@ class ClassifierSpec:
 
 
 def fit_classifier(spec: ClassifierSpec, train: Sequence[LabelledVector]) -> Model:
-    if spec.kind == "knn":
+    if spec.kind == KnnModel.kind:
         return knn_fit(train, spec.knn_k)
     return nb_fit(train)
 
@@ -428,18 +434,30 @@ def predict_classifier(model: Model, x: SimilarityVector) -> tuple[bool, float]:
 
 def save_model(model: Model, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, sort_keys=True, indent=2)
+        payload = {"kind": model.kind, **vars(model)}
+        json.dump(payload, fh, sort_keys=True, indent=2, default=np.ndarray.tolist)
         fh.write("\n")
 
 
 def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") == "knn":
-        return KnnModel.from_dict(payload)
-    if payload.get("kind") == "nb":
-        return NbModel.from_dict(payload)
-    raise ValueError(f"unknown model kind {payload.get('kind')!r}")
+    """The model `save_model` wrote; `MalformedModel` names the file if it holds none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+        kind = payload.pop("kind", None)
+        cls = MODELS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ValueError(f"kind must be one of {', '.join(MODELS)}, got {kind!r}")
+        keys = sorted(f.name for f in fields(cls))
+        if sorted(payload) != keys:
+            raise ValueError(
+                f"a {kind} model has keys {', '.join(keys)}, got {', '.join(sorted(payload))}"
+            )
+        return cls(**payload)
+    except ValueError as exc:  # also bad UTF-8 and bad JSON
+        raise MalformedModel(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +472,6 @@ class FoldMetrics:
     recall: float
     f1: float
 
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "confusion": self.confusion.to_dict(),
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -474,17 +483,6 @@ class EvalReport:
     misclassification_rate: float
     folds: tuple[FoldMetrics, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "confusion": self.confusion.to_dict(),
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "misclassification_rate": self.misclassification_rate,
-            "folds": [fm.to_dict() for fm in self.folds],
-        }
-
 
 def build_report(confusion: Confusion, scores, labels, folds=()) -> EvalReport:
     """Report for a confusion matrix, with AUC over the matching scores."""
@@ -495,7 +493,7 @@ def build_report(confusion: Confusion, scores, labels, folds=()) -> EvalReport:
 
 
 def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    return json.dumps(asdict(report), sort_keys=True, indent=2)
 
 
 def stratified_folds(labels: Sequence[bool], k: int, seed: int) -> list[list[int]]:

@@ -160,13 +160,13 @@ def cmd_score(args) -> int:
     if args.model is not None:
         model = load_model(args.model)
         label, score = predict_classifier(model, vec)
-        rule = type(model).__name__.replace("Model", "").lower()
+        rule = model.kind
     else:
         score = (vec.semantic + vec.syntactic + vec.insdel) / 3.0
         label = score >= config.fallback_threshold
         rule = "threshold"
     result = {
-        "features": vec.to_dict(),
+        "features": dataclasses.asdict(vec),
         "label": PARAPHRASED if label else NOT_PARAPHRASED,
         "score": score,
         "rule": rule,

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from .classify import ClassifierSpec, FeatureParams
+from .classify import MODELS, ClassifierSpec, FeatureParams
 from .errors import ParaplagError, is_integer
 from .gst import GstParams
 from .resources import KnowledgeStores, load_embeddings, load_ic, load_lexdb
@@ -33,7 +33,7 @@ class MissingResource(ParaplagError):
 
 
 EMBEDDING_FORMATS = ("text", "binary")
-CLASSIFIER_KINDS = ("knn", "nb")
+CLASSIFIER_KINDS = tuple(MODELS)
 
 
 @dataclass(frozen=True)

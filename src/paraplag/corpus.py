@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import MissingFile, ParaplagError
@@ -47,6 +47,10 @@ class UnknownCategory(ParaplagError):
     """Truth table names a rewrite category outside the known set."""
 
 
+class MalformedTruthRow(ParaplagError):
+    """A truth-table row lacks a field or names no single task."""
+
+
 class MalformedPair(ParaplagError):
     """A JSON-lines record is not a well-formed pair."""
 
@@ -69,27 +73,6 @@ class LabelledPair:
     @property
     def is_paraphrased(self) -> bool:
         return self.label == PARAPHRASED
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "suspect_text": self.suspect_text,
-            "source_text": self.source_text,
-            "label": self.label,
-            "origin": self.origin,
-            "raw_category": self.raw_category,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LabelledPair":
-        return cls(
-            pair_id=payload["pair_id"],
-            suspect_text=payload["suspect_text"],
-            source_text=payload["source_text"],
-            label=payload["label"],
-            origin=payload["origin"],
-            raw_category=payload["raw_category"],
-        )
 
 
 _PAIR_FIELDS = tuple(f.name for f in fields(LabelledPair))
@@ -161,26 +144,29 @@ def load_crowd(directory) -> list[LabelledPair]:
 # Short-answer corpus
 
 
-def _category_label(category: str) -> str:
+def _category_label(category: str, where: str) -> str:
     lowered = category.strip().lower()
     for prefix, label in _CATEGORY_LABELS.items():
         if lowered.startswith(prefix):
             return label
-    raise UnknownCategory(f"unrecognized rewrite category {category!r}")
+    raise UnknownCategory(f"{where}: unrecognized rewrite category {category!r}")
 
 
-def _task_letter(task: str) -> str:
+def _task_letter(task: str, where: str) -> str:
     lowered = task.strip().lower()
     if lowered.startswith("task"):
         lowered = lowered[len("task") :]
     if len(lowered) != 1 or not lowered.isalpha():
-        raise ValueError(f"task field must name a single task letter, got {task!r}")
+        raise MalformedTruthRow(
+            f"{where}: task field must name a single task letter, got {task!r}"
+        )
     return lowered
 
 
-def _truth_rows(truth_path: Path) -> list[tuple[str, str, str]]:
+def _truth_rows(truth_path: Path) -> list[tuple[str, str, str, int]]:
+    """(file, task, category, line number) of each row of a truth table."""
     rows = []
-    for line in _read_text(truth_path).splitlines():
+    for line_no, line in enumerate(_read_text(truth_path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -188,8 +174,10 @@ def _truth_rows(truth_path: Path) -> list[tuple[str, str, str]]:
         if fields[0].lower() == "file":  # header row
             continue
         if len(fields) < 3:
-            raise ValueError(f"truth row needs file, task, category: {line!r}")
-        rows.append((fields[0], fields[1], fields[2]))
+            raise MalformedTruthRow(
+                f"{truth_path}:{line_no}: truth row needs file, task, category: {line!r}"
+            )
+        rows.append((fields[0], fields[1], fields[2], line_no))
     return rows
 
 
@@ -204,11 +192,12 @@ def load_clough_stevenson(directory, truth_file) -> list[LabelledPair]:
 
     originals: dict[str, str] = {}
     pairs = []
-    for answer_name, task, category in sorted(_truth_rows(truth_path)):
+    for answer_name, task, category, line_no in sorted(_truth_rows(truth_path)):
+        where = f"{truth_path}:{line_no}"
         answer_path = root / answer_name
         if not answer_path.is_file():
             raise MissingFile(f"answer file missing: {answer_path}")
-        letter = _task_letter(task)
+        letter = _task_letter(task, where)
         if letter not in originals:
             original_path = root / f"orig_task{letter}.txt"
             if not original_path.is_file():
@@ -219,7 +208,7 @@ def load_clough_stevenson(directory, truth_file) -> list[LabelledPair]:
                 pair_id=Path(answer_name).stem,
                 suspect_text=_read_text(answer_path),
                 source_text=originals[letter],
-                label=_category_label(category),
+                label=_category_label(category, where),
                 origin="clough_stevenson",
                 raw_category=category.strip().lower(),
             )
@@ -234,7 +223,7 @@ def load_clough_stevenson(directory, truth_file) -> list[LabelledPair]:
 def save_pairs_jsonl(pairs: list[LabelledPair], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for pair in pairs:
-            fh.write(json.dumps(pair.to_dict(), sort_keys=True))
+            fh.write(json.dumps(asdict(pair), sort_keys=True))
             fh.write("\n")
 
 
@@ -261,7 +250,7 @@ def _pair_from_json(line: bytes) -> LabelledPair:
             # JSON escapes can spell one half of a surrogate pair, which no
             # text encoding accepts, so every later stage would fail on it.
             raise ValueError(f"{key} holds a lone surrogate at index {exc.start}") from None
-    return LabelledPair.from_dict(record)
+    return LabelledPair(**{key: record[key] for key in _PAIR_FIELDS})
 
 
 def load_pairs_jsonl(path) -> list[LabelledPair]:

@@ -18,6 +18,7 @@ import csv
 import io
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from functools import partial
 from operator import attrgetter
 
@@ -32,7 +33,7 @@ from .classify import (
 )
 from .config import EngineConfig, build_stores, feature_params, gst_params, prep_config
 from .corpus import LabelledPair
-from .errors import ParaplagError
+from .errors import ParaplagError, decode_utf8
 from .gst import GstParams, gst_containment
 from .resources import KnowledgeStores
 
@@ -181,15 +182,7 @@ def extract_features(
 
 def trace_records(pair_id: str, score: PassageScore) -> list[dict]:
     """Word-match traces: the best semantic source sentence per suspect sentence."""
-    return [
-        {
-            "pair_id": pair_id,
-            "suspect_sentence": best.suspect_sentence,
-            "source_sentence": best.source_sentence,
-            "matches": [m.to_dict() for m in best.matches],
-        }
-        for best in score.best_semantic
-    ]
+    return [{"pair_id": pair_id, **asdict(best)} for best in score.best_semantic]
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +263,7 @@ def read_feature_csv(path) -> tuple[list[str], list[LabelledVector]]:
     ids: list[str] = []
     dataset: list[LabelledVector] = []
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # count line breaks as the reader below does: \r\n, \r or \n
-        head = raw[: exc.start]
-        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParaplagError(f"{path}:{line_no}: invalid UTF-8") from None
+        text = decode_utf8(fh.read(), path)
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header != list(FEATURE_FIELDS):

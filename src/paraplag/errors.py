@@ -1,4 +1,4 @@
-"""Shared exception base for the package, and its integer argument check.
+"""Shared exception base for the package, its integer check and its UTF-8 decoding.
 
 Every error raised deliberately by this package derives from ParaplagError,
 so callers (the CLI in particular) can distinguish expected failure modes
@@ -21,6 +21,20 @@ class ParaplagError(Exception):
 
 class MissingFile(ParaplagError):
     """A file or directory the caller pointed at does not exist."""
+
+
+def decode_utf8(raw: bytes, path) -> str:
+    """`raw` as text; a bad byte raises ParaplagError naming `path` and its line.
+
+    Lines are counted as universal-newline readers count them: a line ends
+    at CR LF, CR or LF.
+    """
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParaplagError(f"{path}:{line_no}: invalid UTF-8") from None
 
 
 def is_integer(value) -> bool:

@@ -74,14 +74,6 @@ class WordMatch:
     channel: str
     score: float
 
-    def to_dict(self) -> dict:
-        return {
-            "query_index": self.query_index,
-            "source_index": self.source_index,
-            "channel": self.channel,
-            "score": self.score,
-        }
-
 
 class PairTables:
     """Word lookups for the cascade against one source passage, each computed once.

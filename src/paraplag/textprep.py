@@ -19,6 +19,7 @@ stems; stems serve for equality matching.
 from __future__ import annotations
 
 import functools
+import io
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from importlib import resources as importlib_resources
 from typing import Iterable
 
 from ._porter import porter_stem
+from .errors import decode_utf8
 
 __all__ = [
     "Token",
@@ -105,9 +107,13 @@ def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """Load a stopword list: one lowercase word per line, '#' comments."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_stopwords(fh)
+    """Load a stopword list: one lowercase word per line, '#' comments.
+
+    A byte that is not UTF-8 raises ParaplagError naming the file and the line.
+    """
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), path)
+    return _parse_stopwords(io.StringIO(text, newline=None))
 
 
 def normalize(surface: str) -> str:

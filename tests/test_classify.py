@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -22,6 +23,7 @@ from paraplag.classify import (
     FeatureParams,
     InsufficientData,
     KnnModel,
+    MalformedModel,
     NbModel,
     SimilarityVector,
     SingleClassInput,
@@ -83,7 +85,7 @@ class TestSimilarityVector:
 
     def test_dict_round_trip(self):
         v = SimilarityVector(0.25, 0.5, 0.75)
-        assert SimilarityVector(**json.loads(json.dumps(v.to_dict()))) == v
+        assert SimilarityVector(**json.loads(json.dumps(dataclasses.asdict(v)))) == v
 
 
 class TestPassageFeatures:
@@ -155,7 +157,7 @@ class TestPassageFeatures:
         )
         passage = st.lists(sentence, min_size=1, max_size=4).map(" ".join)
         vector = passage_features(data.draw(passage), data.draw(passage), STORES)
-        for value in vector.to_dict().values():
+        for value in dataclasses.asdict(vector).values():
             assert 0.0 <= value <= 1.0
 
 
@@ -503,3 +505,75 @@ class TestModelPersistence:
             assert _bits(getattr(loaded, name)) == _bits(getattr(model, name))
         for probe, _ in train + data.draw(st.lists(LABELLED, max_size=4)):
             assert predict_classifier(loaded, probe) == predict_classifier(model, probe)
+
+
+KNN = {"kind": "knn", "k": 1, "points": [[0.5, 0.5, 0.5], [0.25, 0, 1]], "labels": [True, False]}
+NB = {
+    "kind": "nb",
+    "means": [[0.2, 0.3, 0.4], [0.6, 0.7, 0.8]],
+    "variances": [[0.01, 0.02, 0.03], [0.04, 0.05, 0.06]],
+    "priors": [0.25, 0.75],
+}
+
+# (model file text, what its error says after "<path>: ")
+MALFORMED_MODELS = [
+    ('{"kind": "knn",', "Expecting property name"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    (json.dumps({k: v for k, v in KNN.items() if k != "kind"}), "kind must be one of knn, nb, got None"),
+    (json.dumps(dict(KNN, kind="svm")), "kind must be one of knn, nb, got 'svm'"),
+    (json.dumps(dict(KNN, kind=["knn"])), "kind must be one of knn, nb, got ['knn']"),
+    ('{"kind": "knn"}', "a knn model has keys k, labels, points, got "),
+    (json.dumps({k: v for k, v in NB.items() if k != "priors"}),
+     "a nb model has keys means, priors, variances, got means, variances"),
+    (json.dumps(dict(KNN, note=1)), "a knn model has keys k, labels, points, got k, labels, note, points"),
+    (json.dumps(dict(KNN, points=[[0.5, 0.5], [0.25, 0]])), "points must be a (n, 3) array of numbers"),
+    (json.dumps(dict(KNN, points=[[0.5, 0.5, 0.5], [0.25, 0]])), "points must be a (n, 3) array of numbers"),
+    (json.dumps(dict(KNN, points=[["0.5", 0.5, 0.5], [0.25, 0, 1]])), "points must be a (n, 3) array"),
+    (json.dumps(dict(KNN, points=[[0.5, None, 0.5], [0.25, 0, 1]])), "points must be a (n, 3) array"),
+    (json.dumps(dict(KNN, points=[[0.5, float("nan"), 0.5], [0.25, 0, 1]])), "points must be finite"),
+    (json.dumps(dict(KNN, labels=[True])), "labels must be a (2,) array of booleans"),
+    (json.dumps(dict(KNN, labels=[1, 0])), "labels must be a (2,) array of booleans"),
+    (json.dumps(dict(KNN, k=0)), "k must be an integer in [1, 2], got 0"),
+    (json.dumps(dict(KNN, k=3)), "k must be an integer in [1, 2], got 3"),
+    (json.dumps(dict(KNN, k=1.0)), "k must be an integer in [1, 2], got 1.0"),
+    (json.dumps(dict(KNN, k=True)), "k must be an integer in [1, 2], got True"),
+    (json.dumps(dict(NB, means=[[0.2, 0.3, 0.4]])), "means must be a (2, 3) array of numbers"),
+    (json.dumps(dict(NB, variances=[[0.01, 0.02, 0.03]] * 3)), "variances must be a (2, 3) array"),
+    (json.dumps(dict(NB, priors=[0.25, 0.25, 0.5])), "priors must be a (2,) array of numbers"),
+    (json.dumps(dict(NB, means=[[0.2, 0.3, float("inf")], [0.6, 0.7, 0.8]])), "means must be finite"),
+    (json.dumps(dict(NB, variances=[[0.01, 0.0, 0.03], [0.04, 0.05, 0.06]])), "variances must be > 0"),
+    (json.dumps(dict(NB, variances=[[0.01, 0.02, 0.03], [-0.04, 0.05, 0.06]])),
+     "variances must be > 0"),
+    (json.dumps(dict(NB, priors=[0.0, 1.0])), "priors must be in (0, 1]"),
+    (json.dumps(dict(NB, priors=[0.5, 1.5])), "priors must be in (0, 1]"),
+]
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("payload", [KNN, NB])
+    def test_well_formed_file_loads(self, tmp_path, payload):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        model = load_model(path)
+        assert model.kind == payload["kind"]
+        assert predict_classifier(model, vec(0.5))[0] in (True, False)
+
+    @pytest.mark.parametrize("text, message", MALFORMED_MODELS)
+    def test_malformed_file_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedModel) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"kind": "kn\xff"}')
+        with pytest.raises(MalformedModel, match="model.json: 'utf-8' codec"):
+            load_model(path)
+
+    def test_fitted_models_pass_the_same_checks(self):
+        with pytest.raises(ValueError, match="k must be an integer in"):
+            knn_fit([(vec(0.5), True)], k=2)
+        model = nb_fit([(vec(0.5), True), (vec(0.5), True), (vec(0.25), False)])
+        assert (model.variances > 0).all() and model.priors.tolist() == [1 / 3, 2 / 3]

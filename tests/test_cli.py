@@ -249,6 +249,37 @@ class TestExitCodes:
         assert rc == 2
         assert f"error: {table}:2: invalid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "knn"}',
+        json.dumps({"kind": "nb", "means": [[0.1, 0.2, 0.3]], "variances": [[0.1, 0.1, 0.1]],
+                    "priors": [1.0]}),
+        '{"kind": "knn", "k": ',
+    ])
+    def test_malformed_model_file_exits_2(self, tmp_path, capsys, text):
+        model = write_text(tmp_path, "model.json", text)
+        cfg = write_config(tmp_path)
+        a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
+        assert main(["score", a, a, "--config", cfg, "--model", model]) == 2
+        assert f"error: {model}: " in capsys.readouterr().err
+
+    def test_bad_truth_row_exits_2(self, tmp_path, capsys):
+        root = tmp_path / "cs"
+        shutil.copytree(os.path.join(FIXTURES, "cs"), root)
+        truth = write_text(tmp_path, "truth.csv", "File,Task,Category\ng0pA_taska.txt,a,weird\n")
+        cfg = write_config(tmp_path)
+        rc = main(["evaluate", str(root), "--corpus", "cs", "--truth", truth, "--config", cfg,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {truth}:2: unrecognized rewrite category 'weird'" in capsys.readouterr().err
+
+    def test_non_utf8_stopword_file_exits_2(self, tmp_path, capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"the\nna\xefve\n")
+        cfg = write_config(tmp_path, stopword_file=str(stop))
+        a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
+        assert main(["score", a, a, "--config", cfg]) == 2
+        assert f"error: {stop}:2: invalid UTF-8" in capsys.readouterr().err
+
     def test_whitespace_line_in_embeddings_skipped(self, tmp_path, capsys):
         vectors = write_text(tmp_path, "gap.vec", "2 3\nriver 1 0 0\n   \nstone 0 1 0\n")
         cfg = write_config(tmp_path, embedding_file=vectors)

@@ -11,6 +11,7 @@ import pytest
 from paraplag.corpus import (
     LabelledPair,
     MalformedPair,
+    MalformedTruthRow,
     MetadataParse,
     MissingFile,
     UnknownCategory,
@@ -171,6 +172,23 @@ class TestLoadCloughStevenson:
         with pytest.raises(MissingFile):
             load_clough_stevenson(FIXTURES / "cs", tmp_path / "absent.csv")
 
+    # (bad row, error class, what its error says after "<truth file>:3: ");
+    # the bad row is line 3 but sorts first, ahead of the good row on line 2.
+    @pytest.mark.parametrize("row, error, message", [
+        ("g0pA_taska.txt,a", MalformedTruthRow, "truth row needs file, task, category"),
+        ("g0pA_taska.txt,taskzz,light", MalformedTruthRow,
+         "task field must name a single task letter, got 'taskzz'"),
+        ("g0pA_taska.txt,a,weird", UnknownCategory, "unrecognized rewrite category 'weird'"),
+    ])
+    def test_bad_row_names_truth_file_and_line(self, tmp_path, row, error, message):
+        root = tmp_path / "cs"
+        shutil.copytree(FIXTURES / "cs", root)
+        truth = root / "truth.csv"
+        truth.write_text(f"File,Task,Category\ng0pB_taska.txt,a,heavy\n{row}\n")
+        with pytest.raises(error) as info:
+            load_clough_stevenson(root, truth)
+        assert str(info.value).startswith(f"{truth}:3: {message}")
+
     def test_tab_delimited_truth(self, tmp_path):
         root = tmp_path / "cs"
         shutil.copytree(FIXTURES / "cs", root)
@@ -204,6 +222,11 @@ class TestJsonl:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             load_pairs_jsonl(tmp_path / "absent.jsonl")
+
+    def test_extra_keys_ignored(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(dict(RECORD, note="kept out")) + "\n", encoding="utf-8")
+        assert load_pairs_jsonl(path) == [LabelledPair(**RECORD)]
 
     def test_blank_lines_ignored(self, tmp_path):
         pairs = load_crowd(FIXTURES / "crowd")

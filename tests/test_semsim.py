@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -248,7 +249,7 @@ class TestMatchSentence:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("A car and a cat.")
         sr = sentence("The automobile hit a cat.")
-        trace = [m.to_dict() for m in match_sentence(sp, sr, stores)]
+        trace = [dataclasses.asdict(m) for m in match_sentence(sp, sr, stores)]
         round_tripped = json.loads(json.dumps(trace))
         assert [entry["channel"] for entry in round_tripped] == ["synonym", "exact"]
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from paraplag._porter import porter_stem
+from paraplag.errors import ParaplagError
 from paraplag.textprep import (
     PrepConfig,
     load_stopwords,
@@ -230,6 +233,15 @@ def test_stopword_file_loading(tmp_path):
     path.write_text("# comment line\nthe\nof\n\nAnd  \n", encoding="utf-8")
     words = load_stopwords(path)
     assert words == frozenset({"the", "of", "and"})
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_stopword_file_not_utf8_names_file_and_line(tmp_path, newline):
+    path = tmp_path / "stop.txt"
+    path.write_bytes(newline.join(["the", "of", "caf\xe9", "and"]).encode("latin-1"))
+    with pytest.raises(ParaplagError) as info:
+        load_stopwords(path)
+    assert str(info.value) == f"{path}:3: invalid UTF-8"
 
 
 def test_default_stopwords_content():
