@@ -26,7 +26,7 @@ from .errors import ParaplagError, is_integer
 from .resources import KnowledgeStores
 from .semsim import PairTables, SemThresholds, WordMatch, match_sentence
 from .synsim import syntactic_similarity
-from .textprep import PrepConfig, ProcessedSentence, preprocess_passage
+from .textprep import STOPWORDS, ProcessedSentence, preprocess_passage
 
 LabelledVector = tuple["SimilarityVector", bool]
 
@@ -44,7 +44,7 @@ class DegenerateClass(ParaplagError):
 
 
 class InsufficientData(ParaplagError):
-    """Too few examples of a class to fill every fold."""
+    """Too few examples of a class to fill every fold, or to train on for knn_k."""
 
 
 class SingleClassInput(ParaplagError):
@@ -116,9 +116,9 @@ class PassageScore:
 
 def score_batch(
     pairs: Sequence[tuple[str, str]],
-    stores: KnowledgeStores | None = None,
-    params: FeatureParams | None = None,
-    prep: PrepConfig | None = None,
+    stores: KnowledgeStores = KnowledgeStores(),
+    params: FeatureParams = FeatureParams(),
+    stopwords: frozenset[str] = STOPWORDS,
 ) -> Iterator[PassageScore]:
     """The `PassageScore` of each (suspect, source) pair, in order, one at a time.
 
@@ -141,7 +141,7 @@ def score_batch(
     def source_side(source: str) -> tuple[list[ProcessedSentence], PairTables]:
         entry = memo.get(source)
         if entry is None:
-            sentences = preprocess_passage(source, prep)
+            sentences = preprocess_passage(source, stopwords)
             tables = PairTables((t for sr in sentences for t in sr.content_tokens), stores)
             entry = memo[source] = (sentences, tables)
         pairs_left[source] -= 1
@@ -150,7 +150,7 @@ def score_batch(
         return entry
 
     for suspect, source in pairs:
-        sp_sentences = preprocess_passage(suspect, prep)
+        sp_sentences = preprocess_passage(suspect, stopwords)
         yield _score(sp_sentences, *source_side(source), params)
 
 
@@ -158,13 +158,12 @@ def _score(
     sp_sentences: list[ProcessedSentence],
     sr_sentences: list[ProcessedSentence],
     tables: PairTables,
-    params: FeatureParams | None,
+    params: FeatureParams,
 ) -> PassageScore:
     """The scoring pass of `score_batch` on preprocessed passages.
 
     `tables` covers the source's content words and carries the stores.
     """
-    p = params if params is not None else FeatureParams()
     if not sp_sentences or not sr_sentences:
         raise EmptyPassage("both passages need at least one sentence")
 
@@ -177,7 +176,7 @@ def _score(
             continue
         best, best_matches = None, None
         for sr in sr_sentences:
-            matches = match_sentence(sp, sr, thresholds=p.sem, tables=tables)
+            matches = match_sentence(sp, sr, thresholds=params.sem, tables=tables)
             if best_matches is None or len(matches) > len(best_matches):
                 best, best_matches = sr, matches
         semantic_maxima.append(len(best_matches) / len(sp.content_tokens))
@@ -198,9 +197,9 @@ def _score(
         )
 
     vector = SimilarityVector(
-        semantic=_aggregate(semantic_maxima, p.discard_semantic),
-        syntactic=_aggregate(syntactic_maxima, p.discard_syntactic),
-        insdel=_aggregate(insdel_maxima, p.discard_insdel),
+        semantic=_aggregate(semantic_maxima, params.discard_semantic),
+        syntactic=_aggregate(syntactic_maxima, params.discard_syntactic),
+        insdel=_aggregate(insdel_maxima, params.discard_insdel),
     )
     return PassageScore(vector, tuple(best_semantic))
 
@@ -208,12 +207,12 @@ def _score(
 def passage_features(
     suspect: str,
     source: str,
-    stores: KnowledgeStores | None = None,
-    params: FeatureParams | None = None,
-    prep: PrepConfig | None = None,
+    stores: KnowledgeStores = KnowledgeStores(),
+    params: FeatureParams = FeatureParams(),
+    stopwords: frozenset[str] = STOPWORDS,
 ) -> SimilarityVector:
     """The vector of one pair's `score_batch` score."""
-    return next(score_batch([(suspect, source)], stores, params, prep)).vector
+    return next(score_batch([(suspect, source)], stores, params, stopwords)).vector
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +331,7 @@ class KnnModel:
         self.labels = _array("labels", self.labels, (n,), "b")
         if not (is_integer(self.k) and 1 <= self.k <= n):
             raise ValueError(f"k must be an integer in [1, {n}], got {self.k!r}")
+        self.k = int(self.k)  # a numpy integer would not serialize
 
 
 def knn_fit(train: Sequence[LabelledVector], k: int = 5) -> KnnModel:
@@ -524,6 +524,15 @@ def cross_validate(
                 f"class {cls} has fewer than {k} examples; cannot stratify"
             )
     folds = stratified_folds(labels, k, seed)
+    if spec.kind == KnnModel.kind:
+        # the largest test fold leaves the smallest training set
+        fold = max(range(k), key=lambda i: len(folds[i]))
+        train_size = len(dataset) - len(folds[fold])
+        if spec.knn_k > train_size:
+            raise InsufficientData(
+                f"knn_k must be <= {train_size}, the training size of fold {fold}, "
+                f"got {spec.knn_k}"
+            )
     pooled_scores: list[float] = []
     pooled_labels: list[bool] = []
     fold_metrics: list[FoldMetrics] = []

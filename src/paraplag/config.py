@@ -21,7 +21,7 @@ from .errors import ParaplagError, is_integer
 from .gst import GstParams
 from .resources import KnowledgeStores, load_embeddings, load_ic, load_lexdb
 from .semsim import SemThresholds
-from .textprep import PrepConfig, load_stopwords
+from .textprep import STOPWORDS, load_stopwords
 
 
 class ConfigError(ParaplagError):
@@ -34,6 +34,13 @@ class MissingResource(ParaplagError):
 
 EMBEDDING_FORMATS = ("text", "binary")
 CLASSIFIER_KINDS = tuple(MODELS)
+
+# What a field of each checked annotation must hold, and how a message says it.
+_FIELD_TYPES = {
+    "int": (is_integer, "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
 
 
 @dataclass(frozen=True)
@@ -81,11 +88,13 @@ class EngineConfig:
             raise ConfigError(
                 f"classifier must be one of {CLASSIFIER_KINDS}, got {self.classifier!r}"
             )
-        # every field annotated `int` must hold one; the message names the key
+        # every int, float and path field holds its type; the message names the key
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not is_integer(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type in _FIELD_TYPES:
+                holds, what = _FIELD_TYPES[f.type]
+                value = getattr(self, f.name)
+                if not holds(value):
+                    raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.folds < 2:
             raise ConfigError(f"folds must be an integer >= 2, got {self.folds!r}")
         for name in ("gst_threshold", "fallback_threshold"):
@@ -177,8 +186,8 @@ def build_stores(config: EngineConfig) -> KnowledgeStores:
     return KnowledgeStores(lexdb=lexdb, ic=ic, embeddings=emb)
 
 
-def prep_config(config: EngineConfig) -> PrepConfig:
-    """Preprocessing settings; a custom stopword list replaces the default."""
+def prep_config(config: EngineConfig) -> frozenset[str]:
+    """The stopword set; a custom stopword list replaces the built-in one."""
     if config.stopword_file is None:
-        return PrepConfig()
-    return PrepConfig(stopwords=load_stopwords(config.stopword_file))
+        return STOPWORDS
+    return load_stopwords(config.stopword_file)

@@ -141,7 +141,7 @@ def parallel_map(
 # Features and traces
 
 def scoring_state(config: EngineConfig, stores: KnowledgeStores | None = None):
-    """(stores, feature params, preprocessing settings) for scoring under config."""
+    """(stores, feature params, stopword set) for scoring under config."""
     if stores is None:
         stores = build_stores(config)
     return stores, feature_params(config), prep_config(config)

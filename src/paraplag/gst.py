@@ -136,26 +136,25 @@ def _seeded_diagonals(suspect: str, source: str, k: int) -> np.ndarray:
     return np.flatnonzero(seeded) - (m - 1)
 
 
-def tiling_matches(suspect: str, source: str, params: GstParams | None = None) -> list[Tile]:
+def tiling_matches(suspect: str, source: str, params: GstParams = GstParams()) -> list[Tile]:
     """Raw per-round matches, in marking order, before merge and discard."""
-    p = params if params is not None else GstParams()
-    if len(suspect) > p.max_chars or len(source) > p.max_chars:
+    if len(suspect) > params.max_chars or len(source) > params.max_chars:
         raise InputTooLarge(
-            f"text of {max(len(suspect), len(source))} chars exceeds cap {p.max_chars}"
+            f"text of {max(len(suspect), len(source))} chars exceeds cap {params.max_chars}"
         )
     m, n = len(suspect), len(source)
-    if min(m, n) < p.min_match:
+    if min(m, n) < params.min_match:
         return []
     sus = _codepoints(suspect)
     src = _codepoints(source)
 
     heap: list[tuple[int, int, int]] = []
-    for diag in _seeded_diagonals(suspect, source, p.min_match).tolist():
+    for diag in _seeded_diagonals(suspect, source, params.min_match).tolist():
         sus_lo = max(0, -diag)
         src_lo = sus_lo + diag
         span = min(m - sus_lo, n - src_lo)
         eq = sus[sus_lo : sus_lo + span] == src[src_lo : src_lo + span]
-        for start, length in _true_runs(eq, p.min_match):
+        for start, length in _true_runs(eq, params.min_match):
             heapq.heappush(heap, (-length, sus_lo + start, src_lo + start))
 
     marked_sus = np.zeros(m, dtype=bool)
@@ -170,7 +169,7 @@ def tiling_matches(suspect: str, source: str, params: GstParams | None = None) -
             marked_sus[a : a + length] = True
             marked_src[b : b + length] = True
             continue
-        for start, sub_length in _true_runs(~blocked, p.min_match):
+        for start, sub_length in _true_runs(~blocked, params.min_match):
             heapq.heappush(heap, (-sub_length, a + start, b + start))
     return matches
 
@@ -194,19 +193,17 @@ def merge_tiles(tiles: list[Tile]) -> list[Tile]:
     return merged
 
 
-def gst_tiles(suspect: str, source: str, params: GstParams | None = None) -> list[Tile]:
+def gst_tiles(suspect: str, source: str, params: GstParams = GstParams()) -> list[Tile]:
     """Final tiles on pre-canonicalized text: matched, merged, length-filtered."""
-    p = params if params is not None else GstParams()
-    merged = merge_tiles(tiling_matches(suspect, source, p))
-    return [t for t in merged if t.length >= p.min_tile]
+    merged = merge_tiles(tiling_matches(suspect, source, params))
+    return [t for t in merged if t.length >= params.min_tile]
 
 
-def gst_containment(suspect: str, source: str, params: GstParams | None = None) -> float:
+def gst_containment(suspect: str, source: str, params: GstParams = GstParams()) -> float:
     """Fraction of the canonical suspect text covered by surviving tiles."""
-    p = params if params is not None else GstParams()
     canon_sus = canonicalize(suspect)
     canon_src = canonicalize(source)
     if not canon_sus:
         raise EmptySuspect("suspect text is empty once canonicalized")
-    tiles = gst_tiles(canon_sus, canon_src, p)
+    tiles = gst_tiles(canon_sus, canon_src, params)
     return sum(t.length for t in tiles) / len(canon_sus)

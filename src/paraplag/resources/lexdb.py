@@ -145,7 +145,7 @@ class LexicalStore:
         return result
 
 
-def _parse_data_line(line: str, pos: str, file: str, line_no: int) -> Synset:
+def _parse_data_line(line: str, file: str, line_no: int) -> Synset:
     fields = line.split()
     if len(fields) < 4:
         raise MalformedLine(file, line_no, "too few fields")
@@ -243,10 +243,9 @@ def load_lexdb(path) -> LexicalStore:
         if not (os.path.isfile(data_file) and os.path.isfile(index_file)):
             continue
         for line_no, line in _iter_content_lines(data_file):
-            synset = _parse_data_line(line, pos, data_file, line_no)
-            if synset is not None:
-                synsets[synset.id] = synset
-                origin[synset.id] = (data_file, line_no)
+            synset = _parse_data_line(line, data_file, line_no)
+            synsets[synset.id] = synset
+            origin[synset.id] = (data_file, line_no)
         for line_no, line in _iter_content_lines(index_file):
             lemma, ids = _parse_index_line(line, pos, index_file, line_no)
             senses[(lemma, pos)] = ids

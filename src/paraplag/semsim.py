@@ -88,8 +88,8 @@ class PairTables:
     are filled on first use, so a channel that never runs costs nothing.
     """
 
-    def __init__(self, sources: Iterable[Token], stores: KnowledgeStores | None = None):
-        self.stores = stores if stores is not None else KnowledgeStores()
+    def __init__(self, sources: Iterable[Token], stores: KnowledgeStores):
+        self.stores = stores
         self._sources: dict[str, Token] = {}
         for tok in sources:
             self._sources.setdefault(tok.normalized, tok)
@@ -198,24 +198,17 @@ class PairTables:
 def match_word(
     query: Token,
     source_remaining: Sequence[Token],
-    stores: KnowledgeStores | None = None,
-    thresholds: SemThresholds | None = None,
-    tables: PairTables | None = None,
+    tables: PairTables,
+    thresholds: SemThresholds = SemThresholds(),
 ) -> WordMatch | None:
     """First match for one query word, or None when no channel fires.
 
     `tables` must cover every source word in `source_remaining` and be
-    built on the stores to use; without it, one is built over
-    `source_remaining` and `stores`.
+    built on the stores to use.
     """
-    th = thresholds if thresholds is not None else SemThresholds()
-
     for tok in source_remaining:
         if tok.stem == query.stem or tok.normalized == query.normalized:
             return WordMatch(query.index, tok.index, "exact", 1.0)
-
-    if tables is None:
-        tables = PairTables(source_remaining, stores)
 
     syns, stemmed = tables.expansion(query)
     if syns:
@@ -231,7 +224,7 @@ def match_word(
             score = cosines.get(tok.normalized)
             if score is None:
                 continue
-            if score >= th.embed_min and (best_tok is None or score > best_score):
+            if score >= thresholds.embed_min and (best_tok is None or score > best_score):
                 best_tok, best_score = tok, score
         if best_tok is not None:
             return WordMatch(query.index, best_tok.index, "embedding", best_score)
@@ -242,7 +235,7 @@ def match_word(
         best_ic = 0.0
         for tok in source_remaining:
             value = values.get(tok.normalized)
-            if value is None or value < th.resnik_min:
+            if value is None or value < thresholds.resnik_min:
                 continue
             if best_tok is None or value > best_ic:
                 best_tok, best_ic = tok, value
@@ -255,8 +248,8 @@ def match_word(
 def match_sentence(
     sp: ProcessedSentence,
     sr: ProcessedSentence,
-    stores: KnowledgeStores | None = None,
-    thresholds: SemThresholds | None = None,
+    stores: KnowledgeStores = KnowledgeStores(),
+    thresholds: SemThresholds = SemThresholds(),
     tables: PairTables | None = None,
 ) -> list[WordMatch]:
     """Matches for every suspect content word, consuming source words.
@@ -269,7 +262,7 @@ def match_sentence(
         tables = PairTables(remaining, stores)
     matches: list[WordMatch] = []
     for query in sp.content_tokens:
-        found = match_word(query, remaining, stores, thresholds, tables)
+        found = match_word(query, remaining, tables, thresholds)
         if found is not None:
             matches.append(found)
             remaining = [t for t in remaining if t.index != found.source_index]
@@ -279,8 +272,8 @@ def match_sentence(
 def semantic_similarity(
     sp: ProcessedSentence,
     sr: ProcessedSentence,
-    stores: KnowledgeStores | None = None,
-    thresholds: SemThresholds | None = None,
+    stores: KnowledgeStores = KnowledgeStores(),
+    thresholds: SemThresholds = SemThresholds(),
 ) -> float:
     """Fraction of suspect content words matched somewhere in the source."""
     if not sp.content_tokens:

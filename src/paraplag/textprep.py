@@ -18,11 +18,10 @@ stems; stems serve for equality matching.
 
 from __future__ import annotations
 
-import functools
 import io
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from typing import Iterable
 
@@ -32,7 +31,7 @@ from .errors import decode_utf8
 __all__ = [
     "Token",
     "ProcessedSentence",
-    "PrepConfig",
+    "STOPWORDS",
     "load_stopwords",
     "split_sentences",
     "tokenize",
@@ -54,9 +53,6 @@ _ABBREVIATIONS = frozenset(
         "corp", "dept", "est", "vol", "pp", "ed", "eds", "approx",
     }
 )
-
-_STOPWORD_RESOURCE = "stopwords_english.txt"
-
 
 @dataclass(frozen=True)
 class Token:
@@ -80,23 +76,6 @@ class ProcessedSentence:
     content_tokens: tuple[Token, ...]
 
 
-@functools.cache
-def _default_stopwords() -> frozenset[str]:
-    ref = importlib_resources.files("paraplag") / "data" / _STOPWORD_RESOURCE
-    return _parse_stopwords(ref.read_text(encoding="utf-8").splitlines())
-
-
-@dataclass(frozen=True)
-class PrepConfig:
-    """Preprocessing knobs: stopwords is the active stopword set (already loaded).
-
-    The default is the built-in English list; ``stopwords=frozenset()``
-    keeps every token.
-    """
-
-    stopwords: frozenset[str] = field(default_factory=_default_stopwords)
-
-
 def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:
     words = set()
     for line in lines:
@@ -114,6 +93,14 @@ def load_stopwords(path) -> frozenset[str]:
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read(), path)
     return _parse_stopwords(io.StringIO(text, newline=None))
+
+
+# The built-in English list; `frozenset()` as a stopword set keeps every token.
+STOPWORDS = _parse_stopwords(
+    (importlib_resources.files("paraplag") / "data" / "stopwords_english.txt")
+    .read_text(encoding="utf-8")
+    .splitlines()
+)
 
 
 def normalize(surface: str) -> str:
@@ -190,19 +177,19 @@ def _make_tokens(sentence: str) -> tuple[Token, ...]:
     return tuple(tokens)
 
 
-def preprocess_passage(text: str, config: PrepConfig | None = None) -> list[ProcessedSentence]:
+def preprocess_passage(
+    text: str, stopwords: frozenset[str] = STOPWORDS
+) -> list[ProcessedSentence]:
     """Preprocess passage text into a list of ProcessedSentence.
 
     Sentences are numbered in order of appearance.  content_tokens holds
     the same Token objects as all_tokens minus stopwords, so indices stay
     comparable across the two views.
     """
-    if config is None:
-        config = PrepConfig()
     out = []
     for sid, sentence in enumerate(split_sentences(text)):
         all_tokens = _make_tokens(sentence)
-        content = tuple(t for t in all_tokens if t.normalized not in config.stopwords)
+        content = tuple(t for t in all_tokens if t.normalized not in stopwords)
         out.append(
             ProcessedSentence(
                 sentence_id=sid,

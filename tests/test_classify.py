@@ -29,6 +29,7 @@ from paraplag.classify import (
     SingleClassInput,
     auc_roc,
     cross_validate,
+    fit_classifier,
     knn_fit,
     knn_predict,
     load_model,
@@ -494,6 +495,13 @@ class TestModelPersistence:
         assert _bits(loaded.labels) == _bits(model.labels)
         for probe, _ in train + data.draw(st.lists(LABELLED, max_size=4)):
             assert predict_classifier(loaded, probe) == predict_classifier(model, probe)
+
+    def test_numpy_integer_k_round_trips_as_int(self):
+        train = [(vec(0.5), True), (vec(0.25), False)]
+        model = fit_classifier(ClassifierSpec("knn", knn_k=np.int64(1)), train)
+        loaded = _round_trip(model)
+        assert type(model.k) is int and type(loaded.k) is int and loaded.k == 1
+        assert _bits(loaded.points) == _bits(model.points)
 
     @given(st.lists(LABELLED, min_size=1, max_size=12), st.data())
     def test_nb_round_trip_is_exact(self, train, data):

@@ -146,6 +146,17 @@ class TestExitCodes:
         assert rc == 2
         assert f"{key} must be an integer, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("embed_min", True, "a number"), ("gst_threshold", "x", "a number"),
+         ("discard_semantic", None, "a number"), ("lexdb_dir", 5, "a string or null")],
+    )
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, key, value, kind):
+        cfg = write_config(tmp_path, **{key: value})
+        a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
+        assert main(["score", a, a, "--config", cfg]) == 2
+        assert f"error: {key} must be {kind}, got {value!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["gst_threshold", "fallback_threshold"])
     @pytest.mark.parametrize("value", [1.5, float("nan")])
     def test_threshold_out_of_range_exits_2(self, tmp_path, capsys, key, value):
@@ -472,6 +483,15 @@ class TestEvaluate:
         rc = main(["evaluate", corpus, "--corpus", "jsonl", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "k must be" in capsys.readouterr().err
+
+    def test_knn_k_above_a_training_fold_names_key_and_fold(self, tmp_path, capsys):
+        # 24 pairs in 4 stratified folds leave 18 to train on in each
+        corpus = os.path.join(FIXTURES, "golden", "pairs.jsonl")
+        cfg = write_config(tmp_path, folds=4, knn_k=30)
+        rc = main(["evaluate", corpus, "--corpus", "jsonl", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: knn_k must be <= 18, the training size of fold 0, got 30" in err
 
 
 class TestBaselineCommand:

@@ -108,6 +108,31 @@ class TestEngineConfig:
         with pytest.raises(ConfigError, match=key):
             EngineConfig.from_dict({key: value})
 
+    @pytest.mark.parametrize(
+        "key",
+        ["embed_min", "resnik_min", "discard_semantic", "discard_syntactic", "discard_insdel",
+         "gst_threshold", "fallback_threshold"],
+    )
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+    def test_float_fields_reject_non_numbers(self, key, value):
+        # true used to act as 1.0; a string or null failed with a message naming no key
+        with pytest.raises(ConfigError) as info:
+            EngineConfig.from_dict({key: value})
+        assert str(info.value) == f"{key} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("key", ["lexdb_dir", "ic_file", "embedding_file", "stopword_file"])
+    @pytest.mark.parametrize("value", [5, True, 1.5, ["a"], {"path": "a"}])
+    def test_path_fields_reject_non_strings(self, key, value):
+        # an integer path used to reach os.path.isdir as a file descriptor
+        with pytest.raises(ConfigError) as info:
+            EngineConfig.from_dict({key: value})
+        assert str(info.value) == f"{key} must be a string or null, got {value!r}"
+
+    def test_float_fields_accept_integers(self):
+        cfg = EngineConfig.from_dict({"embed_min": 1, "resnik_min": 3, "gst_threshold": 0})
+        assert feature_params(cfg).sem.embed_min == 1
+        assert cfg.gst_threshold == 0
+
     def test_numpy_integers_accepted(self):
         cfg = EngineConfig(gst_min_match=np.int64(4), knn_k=np.int32(3))
         assert gst_params(cfg).min_match == 4

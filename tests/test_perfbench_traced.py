@@ -17,7 +17,7 @@ from paraplag import resources, semsim
 from paraplag.classify import FeatureParams, passage_features
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair
 from paraplag.resources import EmbeddingStore, ICTable, KnowledgeStores, load_lexdb
-from paraplag.textprep import PrepConfig
+from paraplag.textprep import STOPWORDS
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -60,7 +60,7 @@ def test_traced_pass_vectors_equal_passage_features():
         ic=ICTable({(15388, "n"): 3.5, (1740, "n"): 0.0, (1835496, "v"): 3.1}),
         embeddings=emb,
     )
-    params, prep = FeatureParams(), PrepConfig()
+    params, prep = FeatureParams(), STOPWORDS
     leaves = {name: getattr(semsim, name) for name in traced.SEMSIM_LEAVES}
 
     tr, counts, vectors = traced.traced_pass(PAIRS, stores, params, prep)

@@ -15,6 +15,7 @@ from paraplag.resources import EmbeddingStore, ICTable, KnowledgeStores, load_le
 from paraplag.semsim import (
     CHANNELS,
     EmptySentence,
+    PairTables,
     SemThresholds,
     WordMatch,
     match_sentence,
@@ -34,6 +35,11 @@ def sentence(text: str):
     parsed = preprocess_passage(text)
     assert len(parsed) == 1
     return parsed[0]
+
+
+def tables(sr, stores=KnowledgeStores()) -> PairTables:
+    """The word tables `match_word` reads, over the source sentence's content words."""
+    return PairTables(sr.content_tokens, stores)
 
 
 def content(sent, word: str):
@@ -73,7 +79,7 @@ class TestMatchWord:
     def test_exact_normalized(self):
         sp = sentence("A cat slept.")
         sr = sentence("The cat ran.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens)
+        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr))
         assert found is not None
         assert found.channel == "exact"
         assert found.score == 1.0
@@ -81,14 +87,14 @@ class TestMatchWord:
     def test_exact_by_stem(self):
         sp = sentence("Cats sleep.")
         sr = sentence("The cat slept.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens)
+        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr))
         assert found is not None and found.channel == "exact"
 
     def test_exact_beats_synonym(self, lexdb):
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("One car passed.")
         sr = sentence("An automobile and a car passed.")
-        found = match_word(content(sp, "car"), sr.content_tokens, stores)
+        found = match_word(content(sp, "car"), sr.content_tokens, tables(sr, stores))
         assert found is not None and found.channel == "exact"
         # the consumed token is the literal "car", not the synonym
         matched = [t for t in sr.content_tokens if t.index == found.source_index]
@@ -98,7 +104,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("One car passed.")
         sr = sentence("An automobile passed.")
-        found = match_word(content(sp, "car"), sr.content_tokens, stores)
+        found = match_word(content(sp, "car"), sr.content_tokens, tables(sr, stores))
         assert found is not None
         assert found.channel == "synonym"
         assert found.score == 1.0
@@ -107,7 +113,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("One car passed.")
         sr = sentence("Two automobiles passed.")
-        found = match_word(content(sp, "car"), sr.content_tokens, stores)
+        found = match_word(content(sp, "car"), sr.content_tokens, tables(sr, stores))
         assert found is not None and found.channel == "synonym"
 
     def test_expansion_falls_back_to_query_stem(self, lexdb):
@@ -115,7 +121,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("Two cars passed.")
         sr = sentence("An auto passed.")
-        found = match_word(content(sp, "cars"), sr.content_tokens, stores)
+        found = match_word(content(sp, "cars"), sr.content_tokens, tables(sr, stores))
         assert found is not None and found.channel == "synonym"
 
     def test_embedding_without_synonyms_uses_query_vector(self):
@@ -123,7 +129,7 @@ class TestMatchWord:
         stores = KnowledgeStores(embeddings=emb)
         sp = sentence("A happy crowd.")
         sr = sentence("A glad crowd cheered.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, stores)
+        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores))
         assert found is not None
         assert found.channel == "embedding"
         assert found.score == pytest.approx(0.8, abs=1e-6)
@@ -136,7 +142,7 @@ class TestMatchWord:
         found = match_word(
             sp.content_tokens[0],
             sr.content_tokens,
-            stores,
+            tables(sr, stores),
             SemThresholds(embed_min=0.9),
         )
         assert found is None
@@ -152,7 +158,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb, embeddings=emb)
         sp = sentence("One car passed.")
         sr = sentence("The engine roared.")
-        found = match_word(content(sp, "car"), sr.content_tokens, stores)
+        found = match_word(content(sp, "car"), sr.content_tokens, tables(sr, stores))
         assert found is not None
         assert found.channel == "embedding"
         assert found.score == pytest.approx(0.95, abs=1e-6)
@@ -166,7 +172,7 @@ class TestMatchWord:
         stores = KnowledgeStores(embeddings=emb)
         sp = sentence("A happy crowd.")
         sr = sentence("Some alpha and beta here.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, stores)
+        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores))
         assert found is not None
         source = {t.index: t.normalized for t in sr.content_tokens}
         assert source[found.source_index] == "beta"
@@ -179,7 +185,7 @@ class TestMatchWord:
         stores = KnowledgeStores(embeddings=emb)
         sp = sentence("A happy crowd.")
         sr = sentence("Some gamma and delta here.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, stores)
+        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores))
         assert found is not None
         source = {t.index: t.normalized for t in sr.content_tokens}
         assert source[found.source_index] == "gamma"
@@ -189,7 +195,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog barked.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, stores)
+        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores))
         assert found is not None
         assert found.channel == "resnik"
         assert found.score == pytest.approx(3.5)
@@ -202,7 +208,7 @@ class TestMatchWord:
         found = match_word(
             sp.content_tokens[0],
             sr.content_tokens,
-            stores,
+            tables(sr, stores),
             SemThresholds(resnik_min=4.0),
         )
         assert found is None
@@ -212,7 +218,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog chased the car.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, stores)
+        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores))
         assert found is not None
         source = {t.index: t.normalized for t in sr.content_tokens}
         assert source[found.source_index] == "car"
@@ -222,12 +228,12 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("The zzqx hummed.")
         sr = sentence("A dog barked.")
-        assert match_word(sp.content_tokens[0], sr.content_tokens, stores) is None
+        assert match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores)) is None
 
     def test_no_stores_leaves_only_exact(self):
         sp = sentence("One car passed.")
         sr = sentence("An automobile passed.")
-        assert match_word(content(sp, "car"), sr.content_tokens) is None
+        assert match_word(content(sp, "car"), sr.content_tokens, tables(sr)) is None
 
 
 class TestMatchSentence:

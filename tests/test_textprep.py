@@ -9,7 +9,7 @@ import pytest
 from paraplag._porter import porter_stem
 from paraplag.errors import ParaplagError
 from paraplag.textprep import (
-    PrepConfig,
+    STOPWORDS,
     load_stopwords,
     normalize,
     preprocess_passage,
@@ -189,8 +189,7 @@ def test_normalize_idempotent():
 
 
 def test_preprocess_content_and_stems():
-    config = PrepConfig()
-    [sentence] = preprocess_passage("The cats RAN quickly.", config)
+    [sentence] = preprocess_passage("The cats RAN quickly.", STOPWORDS)
     assert [t.surface for t in sentence.all_tokens] == ["The", "cats", "RAN", "quickly"]
     assert [t.stem for t in sentence.content_tokens] == ["cat", "ran", "quickli"]
     # content tokens are the same objects, indices preserved
@@ -200,18 +199,18 @@ def test_preprocess_content_and_stems():
 
 
 def test_preprocess_all_stopwords_gives_empty_content():
-    [sentence] = preprocess_passage("the of and", PrepConfig())
+    [sentence] = preprocess_passage("the of and", STOPWORDS)
     assert len(sentence.all_tokens) == 3
     assert sentence.content_tokens == ()
     # an empty list is asked for explicitly, and keeps every token
-    [kept] = preprocess_passage("the of and", PrepConfig(stopwords=frozenset()))
+    [kept] = preprocess_passage("the of and", frozenset())
     assert kept.content_tokens == kept.all_tokens
 
 
 def test_preprocess_token_indices_strictly_increasing():
     sentences = preprocess_passage(
         "The quick brown fox. It jumped over the lazy dog, twice!",
-        PrepConfig(),
+        STOPWORDS,
     )
     assert len(sentences) == 2
     for s in sentences:
@@ -245,7 +244,7 @@ def test_stopword_file_not_utf8_names_file_and_line(tmp_path, newline):
 
 
 def test_default_stopwords_content():
-    stops = PrepConfig().stopwords
+    stops = STOPWORDS
     assert {"the", "of", "and", "is", "a"} <= stops
     assert "ran" not in stops
     assert "cat" not in stops
