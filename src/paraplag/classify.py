@@ -25,7 +25,7 @@ from .editsim import max_insdel_similarity
 from .errors import ParaplagError, is_integer
 from .resources import KnowledgeStores
 from .semsim import PairTables, SemThresholds, WordMatch, match_sentence
-from .synsim import syntactic_similarity
+from .synsim import max_syntactic_similarity
 from .textprep import STOPWORDS, ProcessedSentence, preprocess_passage
 
 LabelledVector = tuple["SimilarityVector", bool]
@@ -129,11 +129,16 @@ def score_batch(
     with its word matches.
 
     Each distinct source text is preprocessed, and gets one `PairTables`
-    (word expansions, embedding cosines, Resnik values), once per call;
-    every pair of that source reuses them, so a suspect word's expansion,
-    cosine row and Resnik row are computed once per source, not once per
-    pair.  A source's entry is dropped after its last pair, so a batch of
-    distinct sources holds one at a time.
+    (word expansions, embedding cosines, Resnik values, reaches), once per
+    call; every pair of that source reuses them, so a suspect word's
+    expansion, cosine row, Resnik row and reach are computed once per
+    source, not once per pair.  A source's entry is dropped after its last
+    pair, so a batch of distinct sources holds one at a time.  The tables
+    carry `params.sem`, the thresholds every match of the call uses.
+
+    Source sentences that cannot beat the best semantic count so far are
+    skipped without being matched (see `_score`); the bound is exact, so
+    every score equals that of matching every sentence pair.
     """
     pairs_left = Counter(source for _, source in pairs)
     memo: dict[str, tuple[list[ProcessedSentence], PairTables]] = {}
@@ -142,7 +147,7 @@ def score_batch(
         entry = memo.get(source)
         if entry is None:
             sentences = preprocess_passage(source, stopwords)
-            tables = PairTables((t for sr in sentences for t in sr.content_tokens), stores)
+            tables = PairTables(sentences, stores, params.sem)
             entry = memo[source] = (sentences, tables)
         pairs_left[source] -= 1
         if not pairs_left[source]:
@@ -162,39 +167,58 @@ def _score(
 ) -> PassageScore:
     """The scoring pass of `score_batch` on preprocessed passages.
 
-    `tables` covers the source's content words and carries the stores.
+    `tables` is built over `sr_sentences` with `params.sem` and carries the
+    stores.
+
+    A suspect sentence's semantic best is the first source sentence with
+    the most matches.  Sentence i can match at most min(m, n_i, c_i) of the
+    suspect's m content words, n_i being its own content word count and
+    c_i the number of suspect words whose `PairTables.reach` holds i: each
+    match is a channel firing against one of its words, and each source
+    word is consumed once.  So the first sentence is always matched, and a
+    later one is skipped when that bound is at most the best count so far.
+    A skipped sentence could at best tie, and a tie never displaces the
+    first best, so the kept sentence and its word matches are those of the
+    full search.  The free bound min(m, n_i) is tried first; the reaches
+    are computed only when it fails.
     """
     if not sp_sentences or not sr_sentences:
         raise EmptyPassage("both passages need at least one sentence")
 
+    first, *rest = sr_sentences
     sr_stems = [[t.stem for t in sr.content_tokens] for sr in sr_sentences]
+    sr_tokens = [sr.all_tokens for sr in sr_sentences]
     semantic_maxima = []
     insdel_maxima = []
     best_semantic = []
     for sp in sp_sentences:
         if not sp.content_tokens:
             continue
-        best, best_matches = None, None
-        for sr in sr_sentences:
+        m = len(sp.content_tokens)
+        best, best_matches = first, match_sentence(sp, first, thresholds=params.sem, tables=tables)
+        reaches = None
+        for sr in rest:
+            if min(m, len(sr.content_tokens)) <= len(best_matches):
+                continue
+            if reaches is None:
+                reaches = [tables.reach(query) for query in sp.content_tokens]
+            bit = 1 << sr.sentence_id
+            if sum(1 for reach in reaches if reach & bit) <= len(best_matches):
+                continue
             matches = match_sentence(sp, sr, thresholds=params.sem, tables=tables)
-            if best_matches is None or len(matches) > len(best_matches):
+            if len(matches) > len(best_matches):
                 best, best_matches = sr, matches
-        semantic_maxima.append(len(best_matches) / len(sp.content_tokens))
+        semantic_maxima.append(len(best_matches) / m)
         best_semantic.append(SentenceMatch(sp.sentence_id, best.sentence_id, tuple(best_matches)))
         insdel_maxima.append(
             max_insdel_similarity([t.stem for t in sp.content_tokens], sr_stems)
         )
 
-    syntactic_maxima = []
-    for sp in sp_sentences:
-        if not sp.all_tokens:
-            continue
-        syntactic_maxima.append(
-            max(
-                syntactic_similarity(sp.all_tokens, sr.all_tokens)
-                for sr in sr_sentences
-            )
-        )
+    syntactic_maxima = [
+        max_syntactic_similarity(sp.all_tokens, sr_tokens)
+        for sp in sp_sentences
+        if sp.all_tokens
+    ]
 
     vector = SimilarityVector(
         semantic=_aggregate(semantic_maxima, params.discard_semantic),

@@ -25,6 +25,8 @@ from typing import Optional, Sequence
 
 from .classify import (
     EvalReport,
+    InsufficientData,
+    KnnModel,
     cross_validate,
     fit_classifier,
     load_model,
@@ -207,10 +209,15 @@ def cmd_baseline(args) -> int:
 def cmd_fit(args) -> int:
     config = _effective_config(args)
     pairs = _load_pairs(args, config)
+    spec = classifier_spec(config)
+    if spec.kind == KnnModel.kind and spec.knn_k > len(pairs):
+        raise InsufficientData(
+            f"knn_k must be <= {len(pairs)}, the number of training pairs, got {spec.knn_k}"
+        )
     out_dir = _ensure_out_dir(args)
     vectors = extract_features(pairs, config, jobs=args.jobs)
     dataset = labelled_dataset(pairs, vectors)
-    model = fit_classifier(classifier_spec(config), dataset)
+    model = fit_classifier(spec, dataset)
     model_path = os.path.join(out_dir, "model.json")
     save_model(model, model_path)
     write_feature_csv(os.path.join(out_dir, "features.csv"), pairs, vectors)

@@ -23,6 +23,12 @@ cosines, Resnik values) is done in `PairTables`, one per source passage:
 passage compared with it, so each suspect word is expanded, and gets its
 rows, once per source, not once per sentence pair or per pair.  Matching
 a sentence then reduces to lookups.
+
+The table also knows each suspect word's reach: the source sentences in
+which some channel could fire for it, by the same tests `match_word`
+applies.  A sentence reached by c suspect words can yield at most c
+matches, which lets `classify._score` skip source sentences that cannot
+beat the best one found so far without changing which one wins.
 """
 
 from __future__ import annotations
@@ -78,25 +84,41 @@ class WordMatch:
 class PairTables:
     """Word lookups for the cascade against one source passage, each computed once.
 
-    Built over the source content words matches may draw on, keyed by
+    Built over the content words of the source's sentences, keyed by
     normalized form; every suspect passage scored against that source can
     share the table.  Per suspect word, keyed by (normalized, stem), the
-    tables hold its synonyms and their stems and its best embedding cosine
-    against every source word, from one float64 matmul.  Per lexdb form,
-    they hold its Resnik value against every source word, from the
-    `subsumer_ics` maps of both forms, each source map built once.  Entries
-    are filled on first use, so a channel that never runs costs nothing.
+    tables hold its synonyms and their stems, its best embedding cosine
+    against every source word, from one float64 matmul, and its reach.  Per
+    lexdb form, they hold its Resnik value against every source word, from
+    the `subsumer_ics` maps of both forms, each source map built once.
+    Entries are filled on first use, so a channel that never runs costs
+    nothing.
+
+    A word's reach is a bitmask over the source's sentence ids, built from
+    two inverted indexes (normalized form -> sentences, stem -> sentences)
+    that are made on the first `reach` call.  `thresholds` decide which
+    embedding and Resnik cells count towards it; they are fixed for the
+    run, so a table serves only matches made with the same thresholds.
     """
 
-    def __init__(self, sources: Iterable[Token], stores: KnowledgeStores):
+    def __init__(
+        self,
+        sentences: Iterable[ProcessedSentence],
+        stores: KnowledgeStores,
+        thresholds: SemThresholds,
+    ):
         self.stores = stores
+        self.thresholds = thresholds
+        self._sentences = tuple(sentences)
         self._sources: dict[str, Token] = {}
-        for tok in sources:
-            self._sources.setdefault(tok.normalized, tok)
+        for sr in self._sentences:
+            for tok in sr.content_tokens:
+                self._sources.setdefault(tok.normalized, tok)
         self._forms: dict[tuple[str, str], str] = {}
         self._expansions: dict[tuple[str, str], tuple[set[str], set[str]]] = {}
         self._cosines: dict[tuple[str, str], dict[str, float]] = {}
         self._resnik_rows: dict[str, dict[str, float]] = {}
+        self._reaches: dict[tuple[str, str], int] = {}
 
     def _per_query(self, memo: dict, query: Token, compute):
         key = (query.normalized, query.stem)
@@ -184,6 +206,47 @@ class PairTables:
                         row[word] = value
         return row
 
+    def reach(self, query: Token) -> int:
+        """Bitmask with bit i set when some channel could match the query in sentence i.
+
+        A channel could match when it fires against at least one content
+        word of the sentence: an equal stem or normalized form, a synonym
+        form or stem, a cosine of at least `embed_min`, or, with both the
+        lexdb and the IC table, a Resnik value of at least `resnik_min`.
+        """
+        return self._per_query(self._reaches, query, self._reach)
+
+    @cached_property
+    def _sentence_index(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Normalized form -> sentence mask and stem -> sentence mask."""
+        by_form: dict[str, int] = {}
+        by_stem: dict[str, int] = {}
+        for sr in self._sentences:
+            bit = 1 << sr.sentence_id
+            for tok in sr.content_tokens:
+                by_form[tok.normalized] = by_form.get(tok.normalized, 0) | bit
+                by_stem[tok.stem] = by_stem.get(tok.stem, 0) | bit
+        return by_form, by_stem
+
+    def _reach(self, query: Token) -> int:
+        by_form, by_stem = self._sentence_index
+        mask = by_form.get(query.normalized, 0) | by_stem.get(query.stem, 0)
+        syns, stemmed = self.expansion(query)
+        for form in syns:
+            mask |= by_form.get(form, 0)
+        for stem in stemmed:
+            mask |= by_stem.get(stem, 0)
+        embed_min = self.thresholds.embed_min
+        for form, value in self.cosines(query).items():
+            if value >= embed_min:
+                mask |= by_form[form]
+        if self.stores.lexdb is not None and self.stores.ic is not None:
+            resnik_min = self.thresholds.resnik_min
+            for form, value in self.resnik_values(query).items():
+                if value >= resnik_min:
+                    mask |= by_form[form]
+        return mask
+
     @cached_property
     def _source_ics(self) -> list[tuple[str, dict]]:
         """Source words whose lexdb form has a non-empty `subsumer_ics` map, with it."""
@@ -259,7 +322,7 @@ def match_sentence(
     """
     remaining = list(sr.content_tokens)
     if tables is None:
-        tables = PairTables(remaining, stores)
+        tables = PairTables([sr], stores, thresholds)
     matches: list[WordMatch] = []
     for query in sp.content_tokens:
         found = match_word(query, remaining, tables, thresholds)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from paraplag import classify
 from paraplag.classify import (
     ClassifierSpec,
     Confusion,
@@ -43,7 +44,13 @@ from paraplag.classify import (
     save_model,
     stratified_folds,
 )
+from paraplag.editsim import max_insdel_similarity
 from paraplag.resources import EmbeddingStore, ICTable, KnowledgeStores, load_lexdb
+from paraplag.semsim import PairTables, SemThresholds, match_sentence
+from paraplag.synsim import syntactic_similarity
+from paraplag.textprep import preprocess_passage
+
+from test_semsim_tables import VOCAB, stores_and_thresholds
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -160,6 +167,119 @@ class TestPassageFeatures:
         vector = passage_features(data.draw(passage), data.draw(passage), STORES)
         for value in dataclasses.asdict(vector).values():
             assert 0.0 <= value <= 1.0
+
+
+def _oracle_score(sp_sentences, sr_sentences, tables, params):
+    """`classify._score` matching every sentence pair: the search the bound prunes."""
+    if not sp_sentences or not sr_sentences:
+        raise EmptyPassage("both passages need at least one sentence")
+    sr_stems = [[t.stem for t in sr.content_tokens] for sr in sr_sentences]
+    semantic_maxima, insdel_maxima, best_semantic = [], [], []
+    for sp in sp_sentences:
+        if not sp.content_tokens:
+            continue
+        best, best_matches = None, None
+        for sr in sr_sentences:
+            matches = match_sentence(sp, sr, thresholds=params.sem, tables=tables)
+            if best_matches is None or len(matches) > len(best_matches):
+                best, best_matches = sr, matches
+        semantic_maxima.append(len(best_matches) / len(sp.content_tokens))
+        best_semantic.append(
+            classify.SentenceMatch(sp.sentence_id, best.sentence_id, tuple(best_matches))
+        )
+        insdel_maxima.append(
+            max_insdel_similarity([t.stem for t in sp.content_tokens], sr_stems)
+        )
+    syntactic_maxima = [
+        max(syntactic_similarity(sp.all_tokens, sr.all_tokens) for sr in sr_sentences)
+        for sp in sp_sentences
+        if sp.all_tokens
+    ]
+    vector = SimilarityVector(
+        semantic=classify._aggregate(semantic_maxima, params.discard_semantic),
+        syntactic=classify._aggregate(syntactic_maxima, params.discard_syntactic),
+        insdel=classify._aggregate(insdel_maxima, params.discard_insdel),
+    )
+    return classify.PassageScore(vector, tuple(best_semantic))
+
+
+def oracle_score(suspect, source, stores=KnowledgeStores(), params=FeatureParams()):
+    """The unpruned score of one text pair, on its own tables."""
+    sr_sentences = preprocess_passage(source)
+    tables = PairTables(sr_sentences, stores, params.sem)
+    return _oracle_score(preprocess_passage(suspect), sr_sentences, tables, params)
+
+
+@st.composite
+def passage(draw, max_sentences):
+    sentence = st.lists(st.sampled_from(VOCAB + ["the", "a", "of"]), min_size=1, max_size=8)
+    return " ".join(
+        " ".join(words).capitalize() + "."
+        for words in draw(st.lists(sentence, min_size=1, max_size=max_sentences))
+    )
+
+
+@st.composite
+def bound_cases(draw):
+    stores, th = draw(stores_and_thresholds())
+    return stores, FeatureParams(sem=th), draw(passage(3)), draw(passage(6))
+
+
+class TestSentenceBound:
+    """The reach bound skips source sentences without changing any score."""
+
+    SUSPECT = "The car chased a cat. A dog ran home."
+    SOURCE = (
+        "Quartz glass shone. An automobile passed the cat. "
+        "The canine ran. A dog chased the car home."
+    )
+
+    @given(bound_cases())
+    def test_reach_bounds_every_match_count_and_scores_equal_the_oracle(self, case):
+        stores, params, suspect, source = case
+        sr_sentences = preprocess_passage(source)
+        tables = PairTables(sr_sentences, stores, params.sem)
+        for sp in preprocess_passage(suspect):
+            reaches = [tables.reach(query) for query in sp.content_tokens]
+            for sr in sr_sentences:
+                reached = sum(1 for reach in reaches if reach >> sr.sentence_id & 1)
+                matches = match_sentence(sp, sr, stores, params.sem, tables)
+                assert reached >= len(matches)
+        got = next(classify.score_batch([(suspect, source)], stores, params))
+        assert got == oracle_score(suspect, source, stores, params)
+
+    def test_fewer_sentence_pairs_matched_with_equal_scores(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return match_sentence(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "match_sentence", counted)
+        got = next(classify.score_batch([(self.SUSPECT, self.SOURCE)], STORES))
+        assert len(preprocess_passage(self.SOURCE)) == 4
+        assert 0 < len(calls) < 2 * 4
+        assert got == oracle_score(self.SUSPECT, self.SOURCE, STORES)
+
+    def test_one_sentence_source_never_builds_the_reach_index(self, monkeypatch):
+        def unreachable(self, query):
+            raise AssertionError("reach computed for a one-sentence source")
+
+        monkeypatch.setattr(PairTables, "reach", unreachable)
+        source = "A dog chased the car home."
+        got = next(classify.score_batch([(self.SUSPECT, source)], STORES))
+        assert got == oracle_score(self.SUSPECT, source, STORES)
+
+    def test_reach_index_is_built_lazily(self):
+        [sp] = preprocess_passage("Dogs ran.")
+        dogs = sp.content_tokens[0]
+        bare = PairTables(preprocess_passage(self.SOURCE), KnowledgeStores(), SemThresholds())
+        assert "_sentence_index" not in vars(bare)
+        assert bare.reach(dogs) == 0b1000  # the stem "dog"
+        assert "_sentence_index" in vars(bare)
+        # and through the stores: "cat" by Resnik, "canine" as a synonym
+        full = PairTables(preprocess_passage(self.SOURCE), STORES, SemThresholds())
+        assert full.reach(dogs) == 0b1110
 
 
 class TestMetrics:

@@ -559,6 +559,20 @@ class TestFitAndCrossval:
         assert (eval_out / "report.json").read_bytes() == (cv_out / "report.json").read_bytes()
         capsys.readouterr()
 
+    def test_fit_knn_k_above_the_pair_count_exits_2_before_scoring(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pairs scored before knn_k was checked")
+
+        monkeypatch.setattr("paraplag.cli.extract_features", unreachable)
+        corpus = os.path.join(FIXTURES, "golden", "pairs.jsonl")
+        cfg = write_config(tmp_path, folds=4, knn_k=30)
+        rc = main(["fit", corpus, "--corpus", "jsonl", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: knn_k must be <= 24, the number of training pairs, got 30" in err
+
     def test_crossval_missing_table_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(["crossval", str(tmp_path / "none.csv"), "--config", cfg, "--out", str(tmp_path / "o")])

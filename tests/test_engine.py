@@ -164,10 +164,10 @@ class TestExtractFeatures:
         built = Counter()
 
         class Counted(classify.PairTables):
-            def __init__(self, sources, stores=None):
-                sources = list(sources)
-                built[tuple(t.normalized for t in sources)] += 1
-                super().__init__(sources, stores)
+            def __init__(self, sentences, stores, thresholds):
+                sentences = list(sentences)
+                built[tuple(t.normalized for sr in sentences for t in sr.content_tokens)] += 1
+                super().__init__(sentences, stores, thresholds)
 
         monkeypatch.setattr(classify, "PairTables", Counted)
         pairs = interleaved_pairs()
@@ -180,9 +180,9 @@ class TestExtractFeatures:
         live_at_build = []
 
         class Tracked(classify.PairTables):
-            def __init__(self, sources, stores=None):
+            def __init__(self, sentences, stores, thresholds):
                 live_at_build.append(sum(ref() is not None for ref in refs))
-                super().__init__(sources, stores)
+                super().__init__(sentences, stores, thresholds)
                 refs.append(weakref.ref(self))
 
         monkeypatch.setattr(classify, "PairTables", Tracked)

@@ -39,7 +39,7 @@ def sentence(text: str):
 
 def tables(sr, stores=KnowledgeStores()) -> PairTables:
     """The word tables `match_word` reads, over the source sentence's content words."""
-    return PairTables(sr.content_tokens, stores)
+    return PairTables([sr], stores, SemThresholds())
 
 
 def content(sent, word: str):

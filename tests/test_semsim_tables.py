@@ -202,7 +202,7 @@ def ic_tables(draw):
 
 
 @st.composite
-def cases(draw):
+def stores_and_thresholds(draw):
     present = st.sampled_from([True, True, True, False])
     stores = KnowledgeStores(
         lexdb=LEXDB if draw(present) else None,
@@ -213,6 +213,12 @@ def cases(draw):
         embed_min=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))),
         resnik_min=draw(st.one_of(st.sampled_from([0.0, 1.5, 3.0]), st.floats(0.0, 6.0))),
     )
+    return stores, th
+
+
+@st.composite
+def cases(draw):
+    stores, th = draw(stores_and_thresholds())
     [sp] = preprocess_passage(sentence_text(draw))
     sources = [
         preprocess_passage(sentence_text(draw))[0]
@@ -265,7 +271,7 @@ def _key(matches):
 @given(cases())
 def test_tables_agree_with_the_scalar_cascade(case):
     stores, th, sp, sources = case
-    shared = PairTables((t for sr in sources for t in sr.content_tokens), stores)
+    shared = PairTables(sources, stores, th)
     for sr in sources:
         expected = oracle_match_sentence(sp, sr, stores, th)
         for got in (match_sentence(sp, sr, stores, th, shared), match_sentence(sp, sr, stores, th)):

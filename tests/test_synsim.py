@@ -1,15 +1,41 @@
-"""Word-order similarity via position vectors."""
+"""Word-order similarity via position vectors.
+
+The oracle builds the two order vectors explicitly and takes their numpy
+`cosine`, one sentence pair at a time.
+"""
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paraplag.resources import cosine
-from paraplag.synsim import build_order_vectors, syntactic_similarity
+from paraplag.synsim import max_syntactic_similarity, syntactic_similarity
 from paraplag.textprep import Token, preprocess_passage
+
+
+def build_order_vectors(sp_tokens, sr_tokens):
+    """(base, other) position vectors for the source sequence against the suspect."""
+    positions = {}
+    for pos, token in enumerate(sp_tokens, start=1):
+        positions.setdefault(token.normalized, deque()).append(pos)
+    base = tuple(range(1, len(sr_tokens) + 1))
+    other = []
+    for token in sr_tokens:
+        queue = positions.get(token.normalized)
+        other.append(queue.popleft() if queue else 0)
+    return base, tuple(other)
+
+
+def oracle_syntactic_similarity(sp_tokens, sr_tokens):
+    base, other = build_order_vectors(sp_tokens, sr_tokens)
+    if not base or not any(other):
+        return 0.0
+    return cosine(base, other)
 
 SOURCE = "Mary is the winner of the tournament, and John is the runner up"
 SUSPECT = "the winner of the tournament is John, and the runner up is Mary"
@@ -125,3 +151,38 @@ class TestSyntacticSimilarity:
             sp = _toks([rng.choice("abcd") for _ in range(rng.randint(0, 9))])
             sr = _toks([rng.choice("abcd") for _ in range(rng.randint(0, 9))])
             assert 0.0 <= syntactic_similarity(sp, sr) <= 1.0
+
+
+WORDS = st.lists(st.sampled_from("abcde"), max_size=12)
+
+
+class TestMaxSyntacticSimilarity:
+    @given(WORDS, st.lists(WORDS, min_size=1, max_size=5))
+    def test_equals_the_oracle_maximum_bit_for_bit(self, sp, candidates):
+        expected = max(oracle_syntactic_similarity(_toks(sp), _toks(sr)) for sr in candidates)
+        assert max_syntactic_similarity(_toks(sp), [_toks(sr) for sr in candidates]) == expected
+        for sr in candidates:
+            assert syntactic_similarity(_toks(sp), _toks(sr)) == oracle_syntactic_similarity(
+                _toks(sp), _toks(sr)
+            )
+
+    def test_long_sentences_equal_the_oracle(self):
+        rng = random.Random(24)
+        for _ in range(20):
+            sp = _toks([rng.choice("abcdefgh") for _ in range(rng.randint(100, 400))])
+            sr = _toks([rng.choice("abcdefgh") for _ in range(rng.randint(100, 400))])
+            assert syntactic_similarity(sp, sr) == oracle_syntactic_similarity(sp, sr)
+
+    def test_no_candidates_is_zero(self):
+        assert max_syntactic_similarity(_toks(["a"]), []) == 0.0
+
+    def test_stops_after_a_one(self):
+        seen = []
+
+        def candidates():
+            for words in (["b", "a"], ["a", "b"], ["a", "b", "c"]):
+                seen.append(words)
+                yield _toks(words)
+
+        assert max_syntactic_similarity(_toks(["a", "b"]), candidates()) == 1.0
+        assert seen == [["b", "a"], ["a", "b"]]
