@@ -128,11 +128,10 @@ def score_batch(
     The first source sentence with the best semantic score is the one kept
     with its word matches.
 
-    Each distinct source text is preprocessed, and gets one `PairTables`
-    (word expansions, embedding cosines, Resnik values, reaches), once per
-    call; every pair of that source reuses them, so a suspect word's
-    expansion, cosine row, Resnik row and reach are computed once per
-    source, not once per pair.  A source's entry is dropped after its last
+    Each distinct source text is preprocessed, and gets one `PairTables`,
+    once per call; every pair of that source reuses them, so a suspect
+    word's channel verdict and reach are computed once per source, not
+    once per pair.  A source's entry is dropped after its last
     pair, so a batch of distinct sources holds one at a time.  The tables
     carry `params.sem`, the thresholds every match of the call uses.
 

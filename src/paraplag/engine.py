@@ -108,10 +108,11 @@ def parallel_map(
     """One result per pair, in input order, from `task(setup(config), batch)`.
 
     A task takes a batch of pairs and yields one result per pair, in order.
-    jobs == 1 runs all pairs inline as one batch.  Otherwise `jobs` worker
-    processes each run `setup` once and take batches of about
-    PAIRS_PER_TASK pairs, never splitting the pairs of one `key(pair)`;
-    task, setup, pairs and results must pickle.  A set-up error keeps its
+    jobs == 1 runs all pairs inline as one batch.  Otherwise up to `jobs`
+    worker processes, never more than there are batches, each run `setup`
+    once and take batches of about PAIRS_PER_TASK pairs, never splitting
+    the pairs of one `key(pair)`; task, setup, pairs and results must
+    pickle.  A set-up error keeps its
     class; an error raised on a pair names the pair, and in a pool cancels
     the batches not yet started.
     """
@@ -120,9 +121,11 @@ def parallel_map(
     if jobs == 1:
         return _run_task(task, setup(config), pairs)
     batches = _batches(pairs, key)
+    if not batches:
+        return []
     results: list = [None] * len(pairs)
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(setup, config)
+        max_workers=min(jobs, len(batches)), initializer=_init_worker, initargs=(setup, config)
     ) as pool:
         try:
             outputs = pool.map(

@@ -63,9 +63,6 @@ class EmbeddingStore:
     def __contains__(self, word: str) -> bool:
         return word in self._vectors
 
-    def lookup(self, word: str) -> Optional[np.ndarray]:
-        return self._vectors.get(word)
-
     def lookup_folded(self, word: str) -> Optional[np.ndarray]:
         """Exact lookup, then the first stored case-insensitive match."""
         vec = self._vectors.get(word)

@@ -113,9 +113,6 @@ class LexicalStore:
             out.extend(self._senses.get((word, pos), ()))
         return out
 
-    def hypernyms(self, sid: SynsetId) -> tuple[SynsetId, ...]:
-        return self.synset(sid).hypernyms
-
     def ancestors(self, sid: SynsetId) -> frozenset[SynsetId]:
         """The synset itself plus every transitive hypernym.
 

@@ -17,18 +17,13 @@ so one source word never accounts for two query words.  The sentence
 score is the fraction of query words that found a match: containment in
 the suspect direction, not a symmetric similarity.
 
-The per-word work behind the channels (synonym expansion, embedding
-cosines, Resnik values) is done in `PairTables`, one per source passage:
+Which channel fires between a suspect word and each source word is
+decided once, in `PairTables.verdict`, one table per source passage:
 `classify.score_batch` shares a source's table among every suspect
-passage compared with it, so each suspect word is expanded, and gets its
-rows, once per source, not once per sentence pair or per pair.  Matching
-a sentence then reduces to lookups.
-
-The table also knows each suspect word's reach: the source sentences in
-which some channel could fire for it, by the same tests `match_word`
-applies.  A sentence reached by c suspect words can yield at most c
-matches, which lets `classify._score` skip source sentences that cannot
-beat the best one found so far without changing which one wins.
+passage compared with it.  Both readers of that decision go through the
+verdict: `match_word` picks the best remaining source word by it, and
+`PairTables.reach` turns its keys into the source sentences the word can
+match in, which lets `classify._score` skip sentences that cannot win.
 """
 
 from __future__ import annotations
@@ -42,9 +37,9 @@ import numpy as np
 
 from ._porter import porter_stem
 from .errors import ParaplagError
-# The cells of `PairTables.cosines` and `PairTables.resnik_values` follow
-# `cosine`'s and `resnik`'s definitions; both stay importable from here with
-# the other store queries.
+# The embedding and Resnik values in `PairTables.verdict` follow `cosine`'s
+# and `resnik`'s definitions; both stay importable from here with the other
+# store queries.
 from .resources import KnowledgeStores, cosine, resnik, synonyms  # noqa: F401
 from .resources import max_shared_ic, subsumer_ics
 from .textprep import ProcessedSentence, Token
@@ -82,23 +77,29 @@ class WordMatch:
 
 
 class PairTables:
-    """Word lookups for the cascade against one source passage, each computed once.
+    """Channel verdicts for the cascade against one source passage, each computed once.
 
     Built over the content words of the source's sentences, keyed by
     normalized form; every suspect passage scored against that source can
-    share the table.  Per suspect word, keyed by (normalized, stem), the
-    tables hold its synonyms and their stems, its best embedding cosine
-    against every source word, from one float64 matmul, and its reach.  Per
-    lexdb form, they hold its Resnik value against every source word, from
-    the `subsumer_ics` maps of both forms, each source map built once.
-    Entries are filled on first use, so a channel that never runs costs
-    nothing.
+    share the table.  A suspect word's verdict, keyed by (normalized, stem)
+    and filled on first use, maps every source form that some channel fires
+    for to (channel rank, -score), the earliest channel winning:
 
-    A word's reach is a bitmask over the source's sentence ids, built from
-    two inverted indexes (normalized form -> sentences, stem -> sentences)
-    that are made on the first `reach` call.  `thresholds` decide which
-    embedding and Resnik cells count towards it; they are fixed for the
-    run, so a table serves only matches made with the same thresholds.
+      exact      the query's normalized form, and the forms sharing its stem
+      synonym    the forms of its synonyms and the forms sharing their stems
+      embedding  best cosines of at least `embed_min`, from one float64
+                 matmul of its vectors against every source vector
+      resnik     values of at least `resnik_min`, from the `subsumer_ics`
+                 maps of both lexdb forms, each source map built once; only
+                 with both the lexdb and the IC table
+
+    So the smallest entry is the cascade's choice, and the keys are every
+    source word it could choose.  `thresholds` are fixed for the run, so a
+    table serves only matches made with them.
+
+    A word's reach is a bitmask over the source's sentence ids: the union of
+    the sentences holding its verdict's forms, from a form -> sentence mask
+    index made on the first `reach` call.
     """
 
     def __init__(
@@ -111,50 +112,51 @@ class PairTables:
         self.thresholds = thresholds
         self._sentences = tuple(sentences)
         self._sources: dict[str, Token] = {}
+        self._forms_by_stem: dict[str, list[str]] = {}
         for sr in self._sentences:
             for tok in sr.content_tokens:
-                self._sources.setdefault(tok.normalized, tok)
-        self._forms: dict[tuple[str, str], str] = {}
-        self._expansions: dict[tuple[str, str], tuple[set[str], set[str]]] = {}
-        self._cosines: dict[tuple[str, str], dict[str, float]] = {}
-        self._resnik_rows: dict[str, dict[str, float]] = {}
+                if tok.normalized not in self._sources:
+                    self._sources[tok.normalized] = tok
+                    self._forms_by_stem.setdefault(tok.stem, []).append(tok.normalized)
+        self._verdicts: dict[tuple[str, str], dict[str, tuple[int, float]]] = {}
         self._reaches: dict[tuple[str, str], int] = {}
 
-    def _per_query(self, memo: dict, query: Token, compute):
+    def verdict(self, query: Token) -> dict[str, tuple[int, float]]:
+        """Source form -> (index in CHANNELS, -score) of the first channel firing for it."""
         key = (query.normalized, query.stem)
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = compute(query)
-        return entry
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._judge(query)
+        return verdict
 
-    def form(self, token: Token) -> str:
-        """The token's lexdb headword: its normalized form if known, else its stem."""
-        key = (token.normalized, token.stem)
-        form = self._forms.get(key)
-        if form is None:
-            known = self.stores.lexdb.synsets_of(token.normalized)
-            form = self._forms[key] = token.normalized if known else token.stem
-        return form
-
-    def expansion(self, query: Token) -> tuple[set[str], set[str]]:
-        """The query's synonyms and their stems; empty without a lexdb."""
-        return self._per_query(self._expansions, query, self._expand)
-
-    def _expand(self, query: Token) -> tuple[set[str], set[str]]:
-        if self.stores.lexdb is None:
-            return set(), set()
-        syns = synonyms(self.stores.lexdb, self.form(query))
-        return syns, {porter_stem(s) for s in syns}
-
-    def cosines(self, query: Token) -> dict[str, float]:
-        """Best cosine per source word over the query's vectors.
-
-        The query's vectors are its synonyms' or, without synonyms, its own.
-        Each cell is `cosine` of one query and one source vector; source
-        words without a vector are absent, and so is everything when the
-        query has no vector or no embeddings are loaded.
-        """
-        return self._per_query(self._cosines, query, self._best_cosines)
+    def _judge(self, query: Token) -> dict[str, tuple[int, float]]:
+        lexdb, ic = self.stores.lexdb, self.stores.ic
+        sources, by_stem = self._sources, self._forms_by_stem
+        verdict: dict[str, tuple[int, float]] = {}
+        if query.normalized in sources:
+            verdict[query.normalized] = (0, -1.0)
+        for form in by_stem.get(query.stem, ()):
+            verdict.setdefault(form, (0, -1.0))
+        syns = synonyms(lexdb, _headword(lexdb, query)) if lexdb is not None else set()
+        for form in syns:
+            if form in sources:
+                verdict.setdefault(form, (1, -1.0))
+        for stem in {porter_stem(s) for s in syns}:
+            for form in by_stem.get(stem, ()):
+                verdict.setdefault(form, (1, -1.0))
+        embed_min = self.thresholds.embed_min
+        for form, value in self._best_cosines(query, syns).items():
+            if value >= embed_min:
+                verdict.setdefault(form, (2, -value))
+        if lexdb is not None and ic is not None:
+            query_ics = subsumer_ics(lexdb, ic, _headword(lexdb, query))
+            resnik_min = self.thresholds.resnik_min
+            if query_ics:
+                for form, ics in self._source_ics:
+                    value = max_shared_ic(query_ics, ics)
+                    if value is not None and value >= resnik_min:
+                        verdict.setdefault(form, (3, -value))
+        return verdict
 
     @cached_property
     def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -169,11 +171,16 @@ class PairTables:
         matrix = np.array(vecs, dtype=np.float64).reshape(len(vecs), emb.dim)
         return tuple(words), matrix, np.einsum("ij,ij->i", matrix, matrix)
 
-    def _best_cosines(self, query: Token) -> dict[str, float]:
+    def _best_cosines(self, query: Token, syns: set[str]) -> dict[str, float]:
+        """Best `cosine` per source word over the query's vectors.
+
+        The query's vectors are its synonyms' or, without synonyms, its own.
+        Source words without a vector are absent, and so is everything when
+        the query has no vector or no embeddings are loaded.
+        """
         emb = self.stores.embeddings
         if emb is None:
             return {}
-        syns, _ = self.expansion(query)
         query_words = sorted(syns) if syns else [query.normalized]
         vecs = [vec for w in query_words if (vec := emb.lookup_folded(w)) is not None]
         words, sources, source_sq = self._source_vectors
@@ -188,124 +195,66 @@ class PairTables:
         value[np.logical_or.outer(query_sq == 0.0, source_sq == 0.0)] = 0.0
         return dict(zip(words, value.max(axis=0).tolist()))
 
-    def resnik_values(self, query: Token) -> dict[str, float]:
-        """`resnik` of the query's and each source word's lexdb forms.
-
-        Needs both the lexdb and the IC table.  Source words scoring None
-        are left out, so a query with no noun or verb sense gets no entries.
-        """
-        qform = self.form(query)
-        row = self._resnik_rows.get(qform)
-        if row is None:
-            row = self._resnik_rows[qform] = {}
-            query_ics = subsumer_ics(self.stores.lexdb, self.stores.ic, qform)
-            if query_ics:
-                for word, ics in self._source_ics:
-                    value = max_shared_ic(query_ics, ics)
-                    if value is not None:
-                        row[word] = value
-        return row
-
-    def reach(self, query: Token) -> int:
-        """Bitmask with bit i set when some channel could match the query in sentence i.
-
-        A channel could match when it fires against at least one content
-        word of the sentence: an equal stem or normalized form, a synonym
-        form or stem, a cosine of at least `embed_min`, or, with both the
-        lexdb and the IC table, a Resnik value of at least `resnik_min`.
-        """
-        return self._per_query(self._reaches, query, self._reach)
-
-    @cached_property
-    def _sentence_index(self) -> tuple[dict[str, int], dict[str, int]]:
-        """Normalized form -> sentence mask and stem -> sentence mask."""
-        by_form: dict[str, int] = {}
-        by_stem: dict[str, int] = {}
-        for sr in self._sentences:
-            bit = 1 << sr.sentence_id
-            for tok in sr.content_tokens:
-                by_form[tok.normalized] = by_form.get(tok.normalized, 0) | bit
-                by_stem[tok.stem] = by_stem.get(tok.stem, 0) | bit
-        return by_form, by_stem
-
-    def _reach(self, query: Token) -> int:
-        by_form, by_stem = self._sentence_index
-        mask = by_form.get(query.normalized, 0) | by_stem.get(query.stem, 0)
-        syns, stemmed = self.expansion(query)
-        for form in syns:
-            mask |= by_form.get(form, 0)
-        for stem in stemmed:
-            mask |= by_stem.get(stem, 0)
-        embed_min = self.thresholds.embed_min
-        for form, value in self.cosines(query).items():
-            if value >= embed_min:
-                mask |= by_form[form]
-        if self.stores.lexdb is not None and self.stores.ic is not None:
-            resnik_min = self.thresholds.resnik_min
-            for form, value in self.resnik_values(query).items():
-                if value >= resnik_min:
-                    mask |= by_form[form]
-        return mask
-
     @cached_property
     def _source_ics(self) -> list[tuple[str, dict]]:
         """Source words whose lexdb form has a non-empty `subsumer_ics` map, with it."""
+        lexdb, ic = self.stores.lexdb, self.stores.ic
         out = []
         for word, tok in self._sources.items():
-            ics = subsumer_ics(self.stores.lexdb, self.stores.ic, self.form(tok))
+            ics = subsumer_ics(lexdb, ic, _headword(lexdb, tok))
             if ics:
                 out.append((word, ics))
         return out
+
+    def reach(self, query: Token) -> int:
+        """Bitmask with bit i set when some channel fires for the query in sentence i."""
+        key = (query.normalized, query.stem)
+        mask = self._reaches.get(key)
+        if mask is None:
+            masks = self._sentence_index
+            mask = 0
+            for form in self.verdict(query):
+                mask |= masks[form]
+            self._reaches[key] = mask
+        return mask
+
+    @cached_property
+    def _sentence_index(self) -> dict[str, int]:
+        """Normalized form -> mask of the sentences holding it."""
+        masks: dict[str, int] = {}
+        for sr in self._sentences:
+            bit = 1 << sr.sentence_id
+            for tok in sr.content_tokens:
+                masks[tok.normalized] = masks.get(tok.normalized, 0) | bit
+        return masks
+
+
+def _headword(lexdb, token: Token) -> str:
+    """The token's lexdb headword: its normalized form if known, else its stem."""
+    return token.normalized if lexdb.synsets_of(token.normalized) else token.stem
 
 
 def match_word(
     query: Token,
     source_remaining: Sequence[Token],
     tables: PairTables,
-    thresholds: SemThresholds = SemThresholds(),
 ) -> WordMatch | None:
-    """First match for one query word, or None when no channel fires.
+    """The cascade's match for one query word, or None when no channel fires.
 
-    `tables` must cover every source word in `source_remaining` and be
-    built on the stores to use.
+    The source word with the smallest verdict wins: the earliest channel,
+    then the highest score, then the first in `source_remaining`.  `tables`
+    must cover every source word in `source_remaining`.
     """
+    verdict = tables.verdict(query)
+    best_tok: Token | None = None
+    best = (len(CHANNELS), 0.0)
     for tok in source_remaining:
-        if tok.stem == query.stem or tok.normalized == query.normalized:
-            return WordMatch(query.index, tok.index, "exact", 1.0)
-
-    syns, stemmed = tables.expansion(query)
-    if syns:
-        for tok in source_remaining:
-            if tok.normalized in syns or tok.stem in stemmed:
-                return WordMatch(query.index, tok.index, "synonym", 1.0)
-
-    cosines = tables.cosines(query)
-    if cosines:
-        best_tok: Token | None = None
-        best_score = 0.0
-        for tok in source_remaining:
-            score = cosines.get(tok.normalized)
-            if score is None:
-                continue
-            if score >= thresholds.embed_min and (best_tok is None or score > best_score):
-                best_tok, best_score = tok, score
-        if best_tok is not None:
-            return WordMatch(query.index, best_tok.index, "embedding", best_score)
-
-    if tables.stores.lexdb is not None and tables.stores.ic is not None:
-        values = tables.resnik_values(query)
-        best_tok = None
-        best_ic = 0.0
-        for tok in source_remaining:
-            value = values.get(tok.normalized)
-            if value is None or value < thresholds.resnik_min:
-                continue
-            if best_tok is None or value > best_ic:
-                best_tok, best_ic = tok, value
-        if best_tok is not None:
-            return WordMatch(query.index, best_tok.index, "resnik", best_ic)
-
-    return None
+        judged = verdict.get(tok.normalized)
+        if judged is not None and judged < best:
+            best_tok, best = tok, judged
+    if best_tok is None:
+        return None
+    return WordMatch(query.index, best_tok.index, CHANNELS[best[0]], -best[1])
 
 
 def match_sentence(
@@ -317,15 +266,16 @@ def match_sentence(
 ) -> list[WordMatch]:
     """Matches for every suspect content word, consuming source words.
 
-    `tables` is as for `match_word`; without it, one is built over the
-    source sentence.
+    `tables` is as for `match_word`, and its thresholds are the ones used;
+    without it, one is built over the source sentence with `stores` and
+    `thresholds`.
     """
     remaining = list(sr.content_tokens)
     if tables is None:
         tables = PairTables([sr], stores, thresholds)
     matches: list[WordMatch] = []
     for query in sp.content_tokens:
-        found = match_word(query, remaining, tables, thresholds)
+        found = match_word(query, remaining, tables)
         if found is not None:
             matches.append(found)
             remaining = [t for t in remaining if t.index != found.source_index]

@@ -6,6 +6,7 @@ import tempfile
 import time
 import weakref
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -94,6 +95,11 @@ def interleaved_pairs(sources=3, per_source=5, singles=4):
     return pairs
 
 
+def _pair_ids(state, batch):
+    for pair in batch:
+        yield pair.pair_id
+
+
 def _fail_on_p005(state, batch):
     for pair in batch:
         if pair.pair_id == "p005":
@@ -125,6 +131,23 @@ class TestParallelMap:
         chunks = [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
         assert engine._batches(pairs, None) == chunks
         assert engine._batches(pairs, attrgetter("pair_id")) == chunks
+
+    def test_pool_starts_no_more_workers_than_batches(self, monkeypatch):
+        started = []
+
+        def recorded(max_workers, **kwargs):
+            started.append(max_workers)
+            return ProcessPoolExecutor(max_workers, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", recorded)
+        pairs = [make_pair(i, "A river.", "The stone.") for i in range(3)]
+        setup = partial(_directory, None)
+        got = parallel_map(_pair_ids, setup, EngineConfig(), pairs, jobs=4,
+                           key=attrgetter("source_text"))
+        assert got == ["p000", "p001", "p002"]
+        assert started == [1]
+        assert parallel_map(_pair_ids, setup, EngineConfig(), [], jobs=4) == []
+        assert started == [1]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_inside_a_batch_names_its_pair(self, jobs):

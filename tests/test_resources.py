@@ -70,8 +70,8 @@ class TestLexdbLoading:
         assert store.senses("cat", "n") == (CAT, TRACTOR_CAT)
 
     def test_hypernym_pointers(self, store):
-        assert store.hypernyms(DOG) == (CANINE,)
-        assert store.hypernyms(ENTITY) == ()
+        assert store.synset(DOG).hypernyms == (CANINE,)
+        assert store.synset(ENTITY).hypernyms == ()
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -319,8 +319,9 @@ class TestEmbeddings:
         store = load_embeddings(path, "text")
         assert store.dim == 3
         assert len(store) == 2
-        np.testing.assert_array_equal(store.lookup("apple"), [1, 0, 0])
-        assert store.lookup("cherry") is None
+        assert "apple" in store
+        np.testing.assert_array_equal(store.lookup_folded("apple"), [1, 0, 0])
+        assert "cherry" not in store and store.lookup_folded("cherry") is None
 
     def test_component_count_enforced(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -354,13 +355,14 @@ class TestEmbeddings:
         bin_path = tmp_path / "vecs.bin"
         bin_path.write_bytes(
             b"2 3\n"
-            + b"apple " + store.lookup("apple").astype("<f4").tobytes() + b"\n"
-            + b"banana " + store.lookup("banana").astype("<f4").tobytes() + b"\n"
+            + b"apple " + store.lookup_folded("apple").astype("<f4").tobytes() + b"\n"
+            + b"banana " + store.lookup_folded("banana").astype("<f4").tobytes() + b"\n"
         )
         loaded = load_embeddings(bin_path, "binary")
         assert loaded.dim == store.dim and len(loaded) == len(store)
         for word in ("apple", "banana"):
-            np.testing.assert_array_equal(loaded.lookup(word), store.lookup(word))
+            assert word in loaded
+            np.testing.assert_array_equal(loaded.lookup_folded(word), store.lookup_folded(word))
 
     def test_binary_truncated_vector(self, tmp_path):
         path = tmp_path / "vecs.bin"
@@ -382,7 +384,7 @@ class TestEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text("2 2\nParis 1 0\nlondon 0 1\n")
         store = load_embeddings(path, "text")
-        assert store.lookup("paris") is None
+        assert "paris" not in store
         np.testing.assert_array_equal(store.lookup_folded("paris"), [1, 0])
         np.testing.assert_array_equal(store.lookup_folded("london"), [0, 1])
 

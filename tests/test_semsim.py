@@ -37,9 +37,9 @@ def sentence(text: str):
     return parsed[0]
 
 
-def tables(sr, stores=KnowledgeStores()) -> PairTables:
+def tables(sr, stores=KnowledgeStores(), thresholds=SemThresholds()) -> PairTables:
     """The word tables `match_word` reads, over the source sentence's content words."""
-    return PairTables([sr], stores, SemThresholds())
+    return PairTables([sr], stores, thresholds)
 
 
 def content(sent, word: str):
@@ -140,10 +140,7 @@ class TestMatchWord:
         sp = sentence("A happy crowd.")
         sr = sentence("A glad crowd cheered.")
         found = match_word(
-            sp.content_tokens[0],
-            sr.content_tokens,
-            tables(sr, stores),
-            SemThresholds(embed_min=0.9),
+            sp.content_tokens[0], sr.content_tokens, tables(sr, stores, SemThresholds(embed_min=0.9))
         )
         assert found is None
 
@@ -206,10 +203,7 @@ class TestMatchWord:
         sp = sentence("A cat slept.")
         sr = sentence("The dog barked.")
         found = match_word(
-            sp.content_tokens[0],
-            sr.content_tokens,
-            tables(sr, stores),
-            SemThresholds(resnik_min=4.0),
+            sp.content_tokens[0], sr.content_tokens, tables(sr, stores, SemThresholds(resnik_min=4.0))
         )
         assert found is None
 

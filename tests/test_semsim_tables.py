@@ -7,6 +7,7 @@ then by id; the maximum over sense pairs wins.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from paraplag.resources import (
     resnik,
     synonyms,
 )
-from paraplag.semsim import PairTables, SemThresholds, WordMatch, match_sentence
+from paraplag.semsim import PairTables, SemThresholds, WordMatch, match_sentence, match_word
 from paraplag.textprep import preprocess_passage
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -282,6 +283,19 @@ def test_tables_agree_with_the_scalar_cascade(case):
                 else:
                     # the matmul sums in another order than the scalar dot
                     assert abs(g.score - e.score) <= 1e-12
+
+
+@given(cases())
+def test_reach_holds_exactly_the_sentences_a_word_matches_in(case):
+    stores, th, sp, sources = case
+    sources = [dataclasses.replace(sr, sentence_id=i) for i, sr in enumerate(sources)]
+    tables = PairTables(sources, stores, th)
+    for query in sp.content_tokens:
+        reach = tables.reach(query)
+        for sr in sources:
+            matched = match_word(query, sr.content_tokens, tables) is not None
+            assert bool(reach >> sr.sentence_id & 1) == matched
+            assert matched == (oracle_match_word(query, sr.content_tokens, stores, th) is not None)
 
 
 def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
