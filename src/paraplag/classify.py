@@ -194,7 +194,7 @@ def _score(
         if not sp.content_tokens:
             continue
         m = len(sp.content_tokens)
-        best, best_matches = first, match_sentence(sp, first, thresholds=params.sem, tables=tables)
+        best, best_matches = first, match_sentence(sp, first, tables=tables)
         reaches = None
         for sr in rest:
             if min(m, len(sr.content_tokens)) <= len(best_matches):
@@ -204,7 +204,7 @@ def _score(
             bit = 1 << sr.sentence_id
             if sum(1 for reach in reaches if reach & bit) <= len(best_matches):
                 continue
-            matches = match_sentence(sp, sr, thresholds=params.sem, tables=tables)
+            matches = match_sentence(sp, sr, tables=tables)
             if len(matches) > len(best_matches):
                 best, best_matches = sr, matches
         semantic_maxima.append(len(best_matches) / m)

@@ -19,7 +19,6 @@ from .lexdb import (
     SynsetId,
     UnknownSynset,
     load_lexdb,
-    max_shared_ic,
     resnik,
     subsumer_ics,
     synonyms,
@@ -52,7 +51,6 @@ __all__ = [
     "load_embeddings",
     "synonyms",
     "subsumer_ics",
-    "max_shared_ic",
     "resnik",
     "cosine",
 ]

@@ -103,6 +103,8 @@ def _load_text(path: str) -> EmbeddingStore:
                 vec = np.array([float(x) for x in fields[1:]], dtype=np.float32)
             except ValueError as exc:
                 raise TruncatedVector(word, str(exc)) from None
+            if word in vectors:
+                raise HeaderMismatch(f"{path}: word {word!r} is repeated")
             vectors[word] = vec
     if len(vectors) != count:
         raise HeaderMismatch(f"{path}: header declares {count} words, file holds {len(vectors)}")
@@ -138,12 +140,12 @@ def _load_binary(path: str) -> EmbeddingStore:
             payload = fh.read(vec_bytes)
             if len(payload) != vec_bytes:
                 raise TruncatedVector(word, f"{len(payload)} of {vec_bytes} bytes")
+            if word in vectors:
+                raise HeaderMismatch(f"{path}: word {word!r} is repeated")
             vectors[word] = np.frombuffer(payload, dtype="<f4").copy()
         trailer = fh.read(8).strip(b"\n")
         if trailer:
             raise HeaderMismatch(f"{path}: trailing data after {count} declared words")
-    if len(vectors) != count:
-        raise HeaderMismatch(f"{path}: duplicate words shrink vocabulary below header count")
     return EmbeddingStore(vectors, dim)
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "load_lexdb",
     "synonyms",
     "subsumer_ics",
-    "max_shared_ic",
     "resnik",
 ]
 
@@ -327,15 +326,6 @@ def subsumer_ics(store: LexicalStore, ic, word: str) -> dict[tuple[str, SynsetId
     return out
 
 
-def max_shared_ic(ics1: dict, ics2: dict) -> Optional[float]:
-    """The largest IC under a key both `subsumer_ics` maps hold, or None."""
-    best: Optional[float] = None
-    for key, value in ics1.items():
-        if key in ics2 and (best is None or value > best):
-            best = value
-    return best
-
-
 def resnik(store: LexicalStore, ic, w1: str, w2: str) -> Optional[float]:
     """Information content of the most informative shared subsumer.
 
@@ -344,4 +334,5 @@ def resnik(store: LexicalStore, ic, w1: str, w2: str) -> Optional[float]:
     Returns None when either word is unknown in those parts of speech or
     no shared subsumer carries an IC value.
     """
-    return max_shared_ic(subsumer_ics(store, ic, w1), subsumer_ics(store, ic, w2))
+    ics2 = subsumer_ics(store, ic, w2)
+    return max((v for key, v in subsumer_ics(store, ic, w1).items() if key in ics2), default=None)

@@ -40,8 +40,7 @@ from .errors import ParaplagError
 # The embedding and Resnik values in `PairTables.verdict` follow `cosine`'s
 # and `resnik`'s definitions; both stay importable from here with the other
 # store queries.
-from .resources import KnowledgeStores, cosine, resnik, synonyms  # noqa: F401
-from .resources import max_shared_ic, subsumer_ics
+from .resources import KnowledgeStores, cosine, resnik, subsumer_ics, synonyms  # noqa: F401
 from .textprep import ProcessedSentence, Token
 
 
@@ -89,9 +88,9 @@ class PairTables:
       synonym    the forms of its synonyms and the forms sharing their stems
       embedding  best cosines of at least `embed_min`, from one float64
                  matmul of its vectors against every source vector
-      resnik     values of at least `resnik_min`, from the `subsumer_ics`
-                 maps of both lexdb forms, each source map built once; only
-                 with both the lexdb and the IC table
+      resnik     the IC of the most informative shared subsumer, when at
+                 least `resnik_min`, from the query's `subsumer_ics` keys in
+                 a key -> forms index; only with both the lexdb and IC table
 
     So the smallest entry is the cascade's choice, and the keys are every
     source word it could choose.  `thresholds` are fixed for the run, so a
@@ -137,7 +136,8 @@ class PairTables:
             verdict[query.normalized] = (0, -1.0)
         for form in by_stem.get(query.stem, ()):
             verdict.setdefault(form, (0, -1.0))
-        syns = synonyms(lexdb, _headword(lexdb, query)) if lexdb is not None else set()
+        headword = _headword(lexdb, query) if lexdb is not None else None
+        syns = synonyms(lexdb, headword) if lexdb is not None else set()
         for form in syns:
             if form in sources:
                 verdict.setdefault(form, (1, -1.0))
@@ -149,13 +149,13 @@ class PairTables:
             if value >= embed_min:
                 verdict.setdefault(form, (2, -value))
         if lexdb is not None and ic is not None:
-            query_ics = subsumer_ics(lexdb, ic, _headword(lexdb, query))
-            resnik_min = self.thresholds.resnik_min
-            if query_ics:
-                for form, ics in self._source_ics:
-                    value = max_shared_ic(query_ics, ics)
-                    if value is not None and value >= resnik_min:
-                        verdict.setdefault(form, (3, -value))
+            # highest IC first: a form's first entry is its best shared subsumer
+            query_ics = subsumer_ics(lexdb, ic, headword)
+            for key, value in sorted(query_ics.items(), key=lambda kv: kv[1], reverse=True):
+                if value < self.thresholds.resnik_min:
+                    break
+                for form in self._forms_by_subsumer.get(key, ()):
+                    verdict.setdefault(form, (3, -value))
         return verdict
 
     @cached_property
@@ -196,15 +196,14 @@ class PairTables:
         return dict(zip(words, value.max(axis=0).tolist()))
 
     @cached_property
-    def _source_ics(self) -> list[tuple[str, dict]]:
-        """Source words whose lexdb form has a non-empty `subsumer_ics` map, with it."""
+    def _forms_by_subsumer(self) -> dict[tuple, list[str]]:
+        """`subsumer_ics` key -> the source forms whose lexdb form holds it."""
         lexdb, ic = self.stores.lexdb, self.stores.ic
-        out = []
+        forms: dict[tuple, list[str]] = {}
         for word, tok in self._sources.items():
-            ics = subsumer_ics(lexdb, ic, _headword(lexdb, tok))
-            if ics:
-                out.append((word, ics))
-        return out
+            for key in subsumer_ics(lexdb, ic, _headword(lexdb, tok)):
+                forms.setdefault(key, []).append(word)
+        return forms
 
     def reach(self, query: Token) -> int:
         """Bitmask with bit i set when some channel fires for the query in sentence i."""
@@ -266,9 +265,9 @@ def match_sentence(
 ) -> list[WordMatch]:
     """Matches for every suspect content word, consuming source words.
 
-    `tables` is as for `match_word`, and its thresholds are the ones used;
-    without it, one is built over the source sentence with `stores` and
-    `thresholds`.
+    `tables` is as for `match_word`, and its thresholds are the ones used.
+    `stores` and `thresholds` only build a table over the source sentence
+    when none is passed; with `tables`, they are ignored.
     """
     remaining = list(sr.content_tokens)
     if tables is None:

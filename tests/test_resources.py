@@ -348,6 +348,14 @@ class TestEmbeddings:
         with pytest.raises(HeaderMismatch, match="declares 3 words, file holds 2"):
             load_embeddings(path, "text")
 
+    def test_repeated_word_rejected(self, tmp_path):
+        # two distinct words would match the header if the repeat were merged
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 2\na 1 0\nb 0 1\na 0.5 0.5\n")
+        with pytest.raises(HeaderMismatch, match="word 'a' is repeated") as exc:
+            load_embeddings(path, "text")
+        assert str(path) in str(exc.value)
+
     def test_binary_round_trip(self, tmp_path):
         text_path = tmp_path / "vecs.txt"
         text_path.write_text("2 3\napple 1.5 -0.25 0.125\nbanana 0.1 0.2 0.3\n")
@@ -371,6 +379,14 @@ class TestEmbeddings:
         with pytest.raises(TruncatedVector) as exc:
             load_embeddings(path, "binary")
         assert exc.value.word == "banana"
+
+    def test_binary_repeated_word_rejected(self, tmp_path):
+        path = tmp_path / "vecs.bin"
+        vec = np.arange(2, dtype="<f4").tobytes()
+        path.write_bytes(b"3 2\na " + vec + b"\nb " + vec + b"\na " + vec + b"\n")
+        with pytest.raises(HeaderMismatch, match="word 'a' is repeated") as exc:
+            load_embeddings(path, "binary")
+        assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("header", [b"1 1000000000000", b"100000000000000 3"])
     def test_binary_header_beyond_file_size_rejected(self, tmp_path, header):

@@ -197,15 +197,23 @@ class TestMatchWord:
         assert found.channel == "resnik"
         assert found.score == pytest.approx(3.5)
 
-    def test_resnik_threshold_respected(self, lexdb):
+    @pytest.mark.parametrize("resnik_min, matches", [(3.5, True), (4.0, False)])
+    def test_resnik_threshold_respected(self, lexdb, resnik_min, matches):
+        # the shared subsumer's IC is 3.5: a threshold equal to it matches
         table = ICTable({ANIMAL: 3.5, ENTITY: 0.0})
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog barked.")
         found = match_word(
-            sp.content_tokens[0], sr.content_tokens, tables(sr, stores, SemThresholds(resnik_min=4.0))
+            sp.content_tokens[0],
+            sr.content_tokens,
+            tables(sr, stores, SemThresholds(resnik_min=resnik_min)),
         )
-        assert found is None
+        if matches:
+            assert found is not None and found.channel == "resnik"
+            assert found.score == 3.5
+        else:
+            assert found is None
 
     def test_resnik_picks_maximum(self, lexdb):
         table = ICTable({ANIMAL: 3.5, VEHICLE: 5.0, ENTITY: 0.0})

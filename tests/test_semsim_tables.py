@@ -298,15 +298,34 @@ def test_reach_holds_exactly_the_sentences_a_word_matches_in(case):
             assert matched == (oracle_match_word(query, sr.content_tokens, stores, th) is not None)
 
 
-def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Counter of the word each call of `semsim.<name>` asks about."""
     calls = Counter()
-    expand = semsim.synonyms
+    original = getattr(semsim, name)
 
-    def counted(store, word):
-        calls[word] += 1
-        return expand(store, word)
+    def counted(*args):
+        calls[args[-1]] += 1
+        return original(*args)
 
-    monkeypatch.setattr(semsim, "synonyms", counted)
+    monkeypatch.setattr(semsim, name, counted)
+    return calls
+
+
+def _subsumer_ics_calls_expected(source, suspects):
+    """One `subsumer_ics` call per distinct source form and per distinct suspect word."""
+    forms = {t.normalized: t for s in preprocess_passage(source) for t in s.content_tokens}
+    words = {
+        (t.normalized, t.stem): t
+        for suspect in suspects for s in preprocess_passage(suspect) for t in s.content_tokens
+    }
+    return Counter(_oracle_db_form(LEXDB, t) for t in forms.values()) + Counter(
+        _oracle_db_form(LEXDB, t) for t in words.values()
+    )
+
+
+def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
+    calls = _count_calls(monkeypatch, "synonyms")
+    ics_calls = _count_calls(monkeypatch, "subsumer_ics")
     stores = KnowledgeStores(
         lexdb=LEXDB, ic=ICTable({(15388, "n"): 3.5}),
         embeddings=EmbeddingStore({"machine": np.ones(DIM, np.float32)}, DIM),
@@ -320,17 +339,12 @@ def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
     }
     assert 0 < sum(calls.values()) <= len(suspect_words)
     assert max(calls.values()) == 1
+    assert ics_calls == _subsumer_ics_calls_expected(source, [suspect])
 
 
 def test_each_suspect_word_is_expanded_once_per_source(monkeypatch):
-    calls = Counter()
-    expand = semsim.synonyms
-
-    def counted(store, word):
-        calls[word] += 1
-        return expand(store, word)
-
-    monkeypatch.setattr(semsim, "synonyms", counted)
+    calls = _count_calls(monkeypatch, "synonyms")
+    ics_calls = _count_calls(monkeypatch, "subsumer_ics")
     stores = KnowledgeStores(
         lexdb=LEXDB, ic=ICTable({(15388, "n"): 3.5}),
         embeddings=EmbeddingStore({"machine": np.ones(DIM, np.float32)}, DIM),
@@ -356,3 +370,4 @@ def test_each_suspect_word_is_expanded_once_per_source(monkeypatch):
     }
     assert 0 < sum(calls.values()) <= len(suspect_words)
     assert max(calls.values()) == 1
+    assert ics_calls == _subsumer_ics_calls_expected(source, suspects)
