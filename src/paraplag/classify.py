@@ -17,6 +17,8 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields
+from itertools import groupby
+from operator import itemgetter
 from typing import ClassVar
 
 import numpy as np
@@ -128,34 +130,26 @@ def score_batch(
     The first source sentence with the best semantic score is the one kept
     with its word matches.
 
-    Each distinct source text is preprocessed, and gets one `PairTables`,
-    once per call; every pair of that source reuses them, so a suspect
-    word's channel verdict and reach are computed once per source, not
-    once per pair.  A source's entry is dropped after its last
-    pair, so a batch of distinct sources holds one at a time.  The tables
-    carry `params.sem`, the thresholds every match of the call uses.
+    Consecutive pairs of one source share its preprocessing and its
+    `PairTables`, so a suspect word's channel verdict and reach are computed
+    once per source, not once per pair; callers put a source's pairs next
+    to each other.  Both are dropped after the source's last pair, before
+    its score is yielded, so the call holds one source at a time.  The
+    tables carry `params.sem`, the thresholds every match of the call uses.
 
     Source sentences that cannot beat the best semantic count so far are
     skipped without being matched (see `_score`); the bound is exact, so
     every score equals that of matching every sentence pair.
     """
-    pairs_left = Counter(source for _, source in pairs)
-    memo: dict[str, tuple[list[ProcessedSentence], PairTables]] = {}
-
-    def source_side(source: str) -> tuple[list[ProcessedSentence], PairTables]:
-        entry = memo.get(source)
-        if entry is None:
-            sentences = preprocess_passage(source, stopwords)
-            tables = PairTables(sentences, stores, params.sem)
-            entry = memo[source] = (sentences, tables)
-        pairs_left[source] -= 1
-        if not pairs_left[source]:
-            del memo[source]
-        return entry
-
-    for suspect, source in pairs:
-        sp_sentences = preprocess_passage(suspect, stopwords)
-        yield _score(sp_sentences, *source_side(source), params)
+    for source, run in groupby(pairs, key=itemgetter(1)):
+        suspects = [suspect for suspect, _ in run]
+        sentences = preprocess_passage(source, stopwords)
+        tables = PairTables(sentences, stores, params.sem)
+        for n, suspect in enumerate(suspects, 1):
+            score = _score(preprocess_passage(suspect, stopwords), sentences, tables, params)
+            if n == len(suspects):
+                del sentences, tables
+            yield score
 
 
 def _score(

@@ -256,19 +256,27 @@ def _pair_from_json(line: bytes) -> LabelledPair:
 def load_pairs_jsonl(path) -> list[LabelledPair]:
     """Pairs of a JSON-lines file, one object per non-blank line.
 
-    A line that does not hold a valid pair raises `MalformedPair` naming the
-    file and the 1-based line number.
+    A line that does not hold a valid pair, or repeats an earlier line's
+    pair_id (outputs and errors name a pair only by its id), raises
+    `MalformedPair` naming the file and the 1-based line number.
     """
     jsonl_path = Path(path)
     if not jsonl_path.is_file():
         raise MissingFile(f"pairs file not found: {jsonl_path}")
     pairs = []
+    lines_by_id: dict[str, int] = {}
     with open(jsonl_path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                pairs.append(_pair_from_json(line))
+                pair = _pair_from_json(line)
             except ValueError as exc:
                 raise MalformedPair(f"{jsonl_path}:{line_no}: {exc}") from None
+            first = lines_by_id.setdefault(pair.pair_id, line_no)
+            if first != line_no:
+                raise MalformedPair(
+                    f"{jsonl_path}:{line_no}: pair_id {pair.pair_id!r} repeats line {first}"
+                )
+            pairs.append(pair)
     return pairs

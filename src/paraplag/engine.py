@@ -3,13 +3,13 @@
 Scores labelled text pairs (vectors, and the word matches that traces
 show), computes tiling-containment baseline scores, builds evaluation
 reports, and round-trips per-pair feature tables as CSV.  Every fan-out
-goes through `parallel_map`, which hands its task a batch of pairs: one job
-runs all pairs inline as one batch; a pool's workers each run the set-up
-(loading stores, say) once and take batches of about eight pairs, and pairs
-that share a key stay in one batch.  Scoring keys pairs by source text, so
-each source's preprocessing and word tables are built once per run, under
-any number of jobs.  Output order always follows input order, so results
-never depend on how work was scheduled.
+goes through `parallel_map`, which cuts the pairs into the same batches of
+about eight pairs at any number of jobs, pairs that share a key side by
+side in one batch.  One job runs the batches in this process after one
+set-up (loading stores, say); a pool's workers each run the set-up before
+their first batch.  Scoring keys pairs by source text, so each source's
+preprocessing and word tables are built once per run.  Output order always
+follows input order, so results never depend on how work was scheduled.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import csv
 import io
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict
 from functools import partial
 from operator import attrgetter
@@ -31,7 +32,8 @@ from .classify import (
     build_report,
     score_batch,
 )
-from .config import EngineConfig, build_stores, feature_params, gst_params, prep_config
+from .config import (EngineConfig, build_stores, feature_params, gst_params, prep_config,
+                     validate_resources)
 from .corpus import LabelledPair
 from .errors import ParaplagError, decode_utf8
 from .gst import GstParams, gst_containment
@@ -40,20 +42,12 @@ from .resources import KnowledgeStores
 # ---------------------------------------------------------------------------
 # Fan-out
 
-# Pairs a pool task carries at least, unless the input runs out: enough that
-# one round trip to a worker is not paid per pair.
+# Pairs a batch carries at least, unless the input runs out: enough that one
+# round trip to a pool worker is not paid per pair.
 PAIRS_PER_TASK = 8
 
-# This pool worker's set-up result, "state", or the "error" it raised, which
-# every task re-raises: a raising initializer would break the whole pool.
+# This pool worker's set-up result, built before its first batch.
 _WORKER: dict = {}
-
-
-def _init_worker(setup, config: EngineConfig) -> None:
-    try:
-        _WORKER["state"] = setup(config)
-    except Exception as exc:
-        _WORKER["error"] = exc
 
 
 def _run_task(task, state, batch: Sequence[LabelledPair]) -> list:
@@ -67,16 +61,16 @@ def _run_task(task, state, batch: Sequence[LabelledPair]) -> list:
     return results
 
 
-def _worker_task(task, batch: Sequence[LabelledPair]) -> list:
-    if "error" in _WORKER:
-        raise _WORKER["error"]
+def _worker_task(task, setup, config: EngineConfig, batch: Sequence[LabelledPair]) -> list:
+    if "state" not in _WORKER:
+        _WORKER["state"] = setup(config)
     return _run_task(task, _WORKER["state"], batch)
 
 
 def _batches(
     pairs: Sequence[LabelledPair], key: Callable[[LabelledPair], Hashable] | None
 ) -> list[list[int]]:
-    """Input positions of the pool's batches.
+    """Input positions of the batches a task is handed.
 
     Pairs with equal keys (every pair is its own key without `key`) form a
     group, in order of first appearance; consecutive groups fill a batch
@@ -108,35 +102,33 @@ def parallel_map(
     """One result per pair, in input order, from `task(setup(config), batch)`.
 
     A task takes a batch of pairs and yields one result per pair, in order.
-    jobs == 1 runs all pairs inline as one batch.  Otherwise up to `jobs`
+    Batches hold about PAIRS_PER_TASK pairs and never split the pairs of
+    one `key(pair)`, which sit next to each other in their batch; with no
+    pairs there is no batch, and `setup` never runs.  jobs == 1 runs the
+    batches in this process, after one `setup`.  Otherwise up to `jobs`
     worker processes, never more than there are batches, each run `setup`
-    once and take batches of about PAIRS_PER_TASK pairs, never splitting
-    the pairs of one `key(pair)`; task, setup, pairs and results must
-    pickle.  A set-up error keeps its
-    class; an error raised on a pair names the pair, and in a pool cancels
-    the batches not yet started.
+    before their first batch; task, setup, config, pairs and results must
+    pickle.  A set-up error keeps its class; an error raised on a pair
+    names the pair, and in a pool cancels the batches not yet started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return _run_task(task, setup(config), pairs)
     batches = _batches(pairs, key)
     if not batches:
         return []
-    results: list = [None] * len(pairs)
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(batches)), initializer=_init_worker, initargs=(setup, config)
-    ) as pool:
-        try:
-            outputs = pool.map(
-                partial(_worker_task, task), [[pairs[i] for i in batch] for batch in batches]
-            )
-            for batch, output in zip(batches, outputs):
-                for i, result in zip(batch, output):
-                    results[i] = result
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    inputs = [[pairs[i] for i in batch] for batch in batches]
+    with ExitStack() as stack:
+        if jobs == 1:
+            outputs = map(partial(_run_task, task, setup(config)), inputs)
+        else:
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(batches)))
+            # on the way out, failing or not: drop the batches not yet started
+            stack.callback(pool.shutdown, cancel_futures=True)
+            outputs = pool.map(partial(_worker_task, task, setup, config), inputs)
+        results: list = [None] * len(pairs)
+        for batch, output in zip(batches, outputs):
+            for i, result in zip(batch, output):
+                results[i] = result
     return results
 
 
@@ -162,11 +154,15 @@ def score_pairs(
 ) -> list[PassageScore]:
     """Vector and best semantic matches for each pair, in input order.
 
-    All pairs of one source text are scored in one batch, so the source is
-    preprocessed, and its word tables built, once; under a pool, batches
-    of distinct sources are packed as for any other task.  Prebuilt stores
-    serve only the inline run; pool workers load their own.
+    Pairs of one source text are scored one after another in one batch, so
+    the source is preprocessed, and its word tables built, once per run at
+    any `jobs`.  Without prebuilt stores the resource paths are checked
+    here first, so a missing one fails the run the same way at any `jobs`,
+    even with no pairs.  Prebuilt stores serve only the inline run; pool
+    workers load their own.
     """
+    if stores is None:
+        validate_resources(config)
     setup = partial(scoring_state, stores=stores) if jobs == 1 else scoring_state
     return parallel_map(
         _score_task, setup, config, pairs, jobs, key=attrgetter("source_text")

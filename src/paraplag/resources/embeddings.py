@@ -143,9 +143,10 @@ def _load_binary(path: str) -> EmbeddingStore:
             if word in vectors:
                 raise HeaderMismatch(f"{path}: word {word!r} is repeated")
             vectors[word] = np.frombuffer(payload, dtype="<f4").copy()
-        trailer = fh.read(8).strip(b"\n")
-        if trailer:
-            raise HeaderMismatch(f"{path}: trailing data after {count} declared words")
+        # only newlines may follow the last vector, however many there are
+        while trailer := fh.read(1 << 16):
+            if trailer.strip(b"\n"):
+                raise HeaderMismatch(f"{path}: trailing data after {count} declared words")
     return EmbeddingStore(vectors, dim)
 
 

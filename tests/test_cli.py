@@ -206,6 +206,18 @@ class TestExitCodes:
         assert rc == 2
         assert "truncated vector for 'foo'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_empty_corpus_missing_resource_exits_3(self, tmp_path, capsys, jobs):
+        # no pair is scored, yet the missing path decides the exit code at any --jobs
+        corpus = write_text(tmp_path, "pairs.jsonl", "")
+        cfg = write_config(tmp_path, folds=2, embedding_file=str(tmp_path / "absent.vec"))
+        rc = main(
+            ["evaluate", corpus, "--corpus", "jsonl", "--config", cfg,
+             "--out", str(tmp_path / "out"), "--jobs", jobs]
+        )
+        assert rc == 3
+        assert "embedding_file" in capsys.readouterr().err
+
     def test_non_finite_ic_count_exits_2(self, tmp_path, capsys):
         ic = write_text(tmp_path, "ic.dat", "wnver::30\n1740n inf ROOT\n15388n 10\n")
         cfg = write_config(tmp_path, lexdb_dir=os.path.join(FIXTURES, "lexdb"), ic_file=ic)
@@ -345,9 +357,13 @@ class TestExitCodes:
                             "origin": "synthetic", "raw_category": "light", key: "abc\ud800 x."})
                 for key in ("pair_id", "suspect_text", "source_text")
             ),
+            json.dumps({"pair_id": "p000", "suspect_text": "abc defgh ijklm.",
+                        "source_text": "abc defgh ijklm.", "label": "paraphrased",
+                        "origin": "synthetic", "raw_category": "light"}),
         ],
         ids=["invalid-json", "not-an-object", "missing-key",
-             "surrogate-pair_id", "surrogate-suspect_text", "surrogate-source_text"],
+             "surrogate-pair_id", "surrogate-suspect_text", "surrogate-source_text",
+             "repeated-pair_id"],
     )
     def test_malformed_jsonl_line_exits_2(self, tmp_path, capsys, line):
         corpus = write_corpus(tmp_path, n=1)

@@ -45,6 +45,8 @@ MALFORMED_LINES = [
      "suspect_text holds a lone surrogate at index 3"),
     (json.dumps(dict(RECORD, source_text="\udfff abc.")),
      "source_text holds a lone surrogate at index 0"),
+    # outputs and errors name a pair only by its id
+    (json.dumps(dict(RECORD, label="not_paraphrased")), "pair_id 's1' repeats line 1"),
 ]
 
 

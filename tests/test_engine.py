@@ -149,6 +149,12 @@ class TestParallelMap:
         assert parallel_map(_pair_ids, setup, EngineConfig(), [], jobs=4) == []
         assert started == [1]
 
+    def test_no_pairs_run_no_setup(self):
+        def setup(config):
+            raise AssertionError("setup ran with no pairs")
+
+        assert parallel_map(_pair_ids, setup, EngineConfig(), [], jobs=1) == []
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_inside_a_batch_names_its_pair(self, jobs):
         pairs = interleaved_pairs()
@@ -227,6 +233,22 @@ class TestExtractFeatures:
         list(score_batch([(p.suspect_text, p.source_text) for p in synthetic_pairs(6)]))
         assert len(refs) == 6 and live_at_build == [0] * 6
 
+    def test_inline_run_holds_one_table_at_a_time(self, monkeypatch):
+        refs = []
+        live_at_build = []
+
+        class Tracked(classify.PairTables):
+            def __init__(self, sentences, stores, thresholds):
+                live_at_build.append(sum(ref() is not None for ref in refs))
+                super().__init__(sentences, stores, thresholds)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(classify, "PairTables", Tracked)
+        pairs = interleaved_pairs()
+        score_pairs(pairs, EngineConfig())
+        assert len(refs) == len({p.source_text for p in pairs})
+        assert live_at_build == [0] * len(refs)
+
     def test_prebuilt_stores_accepted(self):
         pairs = synthetic_pairs(4)
         vectors = extract_features(pairs, EngineConfig(), stores=KnowledgeStores())
@@ -239,6 +261,14 @@ class TestExtractFeatures:
     def test_pool_setup_error_keeps_its_class(self, tmp_path):
         config = EngineConfig(embedding_file=str(tmp_path / "absent.vec"))
         with pytest.raises(MissingResource, match="embedding_file"):
+            extract_features(synthetic_pairs(4), config, jobs=2)
+
+    def test_worker_setup_error_keeps_its_class(self, tmp_path):
+        # the path exists, so only loading it in a worker can fail
+        vectors = tmp_path / "bad.vec"
+        vectors.write_text("2 3\nfoo 0.1 0.2\n", encoding="utf-8")
+        config = EngineConfig(embedding_file=str(vectors))
+        with pytest.raises(TruncatedVector, match="truncated vector for 'foo'"):
             extract_features(synthetic_pairs(4), config, jobs=2)
 
     @pytest.mark.parametrize(

@@ -396,6 +396,23 @@ class TestEmbeddings:
         with pytest.raises(HeaderMismatch, match="more data than the file holds"):
             load_embeddings(path, "binary")
 
+    @pytest.mark.parametrize(
+        "trailer",
+        [b"x", b"\n" * 9 + b"x", b"\n" * 70000 + b"\x00"],
+        ids=["byte", "byte-after-9-newlines", "byte-after-70000-newlines"],
+    )
+    def test_binary_data_after_the_last_vector_rejected(self, tmp_path, trailer):
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(b"1 2\napple " + np.arange(2, dtype="<f4").tobytes() + trailer)
+        with pytest.raises(HeaderMismatch, match="trailing data after 1 declared words") as exc:
+            load_embeddings(path, "binary")
+        assert str(path) in str(exc.value)
+
+    def test_binary_trailing_newlines_load(self, tmp_path):
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(b"1 2\napple " + np.arange(2, dtype="<f4").tobytes() + b"\n" * 70000)
+        assert "apple" in load_embeddings(path, "binary")
+
     def test_case_folded_lookup_is_explicit(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 2\nParis 1 0\nlondon 0 1\n")
