@@ -41,6 +41,7 @@ from .config import (
     MissingResource,
     classifier_spec,
     load_config,
+    validate_resources,
 )
 from .corpus import (
     NOT_PARAPHRASED,
@@ -76,9 +77,11 @@ def _read_text_file(path) -> str:
 
 
 def _effective_config(args) -> EngineConfig:
+    """The config file with any --seed override; its resource paths must exist."""
     config = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    validate_resources(config)
     return config
 
 

@@ -142,8 +142,21 @@ def scoring_state(config: EngineConfig, stores: KnowledgeStores | None = None):
     return stores, feature_params(config), prep_config(config)
 
 
-def _score_task(state, pairs: Sequence[LabelledPair]):
+def _score_task(state, pairs: Sequence[LabelledPair]) -> Iterable[PassageScore]:
     return score_batch([(pair.suspect_text, pair.source_text) for pair in pairs], *state)
+
+
+def _vector_task(state, pairs: Sequence[LabelledPair]) -> Iterable[SimilarityVector]:
+    # a pool worker sends back the vectors alone, not the word matches
+    return (score.vector for score in _score_task(state, pairs))
+
+
+def _scored(task, pairs, config, jobs, stores) -> list:
+    """`task`'s result for each pair, scored as `score_pairs` describes."""
+    if stores is None:
+        validate_resources(config)
+    setup = partial(scoring_state, stores=stores) if jobs == 1 else scoring_state
+    return parallel_map(task, setup, config, pairs, jobs, key=attrgetter("source_text"))
 
 
 def score_pairs(
@@ -161,12 +174,7 @@ def score_pairs(
     even with no pairs.  Prebuilt stores serve only the inline run; pool
     workers load their own.
     """
-    if stores is None:
-        validate_resources(config)
-    setup = partial(scoring_state, stores=stores) if jobs == 1 else scoring_state
-    return parallel_map(
-        _score_task, setup, config, pairs, jobs, key=attrgetter("source_text")
-    )
+    return _scored(_score_task, pairs, config, jobs, stores)
 
 
 def extract_features(
@@ -175,8 +183,8 @@ def extract_features(
     jobs: int = 1,
     stores: KnowledgeStores | None = None,
 ) -> list[SimilarityVector]:
-    """Similarity vectors for each pair, in input order."""
-    return [score.vector for score in score_pairs(pairs, config, jobs, stores)]
+    """Similarity vectors for each pair, in input order, scored as in `score_pairs`."""
+    return _scored(_vector_task, pairs, config, jobs, stores)
 
 
 def trace_records(pair_id: str, score: PassageScore) -> list[dict]:

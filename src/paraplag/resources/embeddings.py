@@ -6,6 +6,10 @@ each entry as the ASCII word, a single space, then ``dimensions``
 little-endian IEEE-754 float32 values (an optional trailing newline per
 entry, as some writers emit, is tolerated).
 
+Both loaders write each vector straight into its row of one float32
+matrix: the text loader as it parses each line, the binary loader from
+blocks of `_READ_BLOCK` bytes.
+
 Lookups are case-sensitive; ``lookup_folded`` adds an explicit
 case-insensitive fallback (first stored casing wins) because large
 pre-trained vocabularies mix cased and uncased entries.
@@ -14,7 +18,8 @@ pre-trained vocabularies mix cased and uncased entries.
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from collections.abc import Iterable, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,6 +34,9 @@ __all__ = [
     "load_embeddings",
     "cosine",
 ]
+
+# Bytes the binary loader reads at a time.
+_READ_BLOCK = 1 << 20
 
 
 class HeaderMismatch(ParaplagError):
@@ -48,30 +56,47 @@ class DimMismatch(ParaplagError):
 
 
 class EmbeddingStore:
-    """Immutable word-to-vector map with an explicit case-folded fallback."""
+    """Read-only word vectors with an explicit case-folded fallback.
 
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
-        self.dim = dim
-        self._vectors = vectors
-        self._folded: dict[str, str] = {}
-        for word in vectors:
-            self._folded.setdefault(word.lower(), word)
+    The vectors are the rows of one float32 ``(count, dim)`` matrix, in file
+    order; a word -> row dict and a folded alias dict (lower-cased word ->
+    row of its first stored casing) find them.  The matrix is made read-only
+    here, so every vector handed out is a read-only view of it.
+    """
+
+    def __init__(self, matrix: np.ndarray, rows: dict[str, int]):
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.dim = matrix.shape[1]
+        self._rows = rows
+        self._folded: dict[str, int] = {}
+        for word, row in rows.items():
+            self._folded.setdefault(word.lower(), row)
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._rows)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._vectors
+        return word in self._rows
+
+    def _row(self, word: str) -> Optional[int]:
+        row = self._rows.get(word)
+        return self._folded.get(word.lower()) if row is None else row
 
     def lookup_folded(self, word: str) -> Optional[np.ndarray]:
         """Exact lookup, then the first stored case-insensitive match."""
-        vec = self._vectors.get(word)
-        if vec is not None:
-            return vec
-        alias = self._folded.get(word.lower())
-        if alias is not None:
-            return self._vectors[alias]
-        return None
+        row = self._row(word)
+        return None if row is None else self.matrix[row]
+
+    def gather(self, words: Iterable[str]) -> tuple[list[str], np.ndarray]:
+        """The words `lookup_folded` finds, in order, and their vectors as float64 rows."""
+        found, rows = [], []
+        for word in words:
+            row = self._row(word)
+            if row is not None:
+                found.append(word)
+                rows.append(row)
+        return found, self.matrix.take(rows, axis=0).astype(np.float64)
 
 
 def _parse_header(first_line: str, path: str) -> tuple[int, int]:
@@ -91,7 +116,12 @@ def _load_text(path: str) -> EmbeddingStore:
     with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         count, dim = _parse_header(header, path)
-        vectors: dict[str, np.ndarray] = {}
+        # An entry takes at least 2 * dim + 1 bytes (word and components, each
+        # one byte or more, and a separator between each two), so a header
+        # declaring more than that cannot size the matrix past the file.
+        size = os.fstat(fh.fileno()).st_size
+        matrix = np.empty((min(count, size // (2 * dim + 1)), dim), dtype=np.float32)
+        rows: dict[str, int] = {}
         for raw in fh:
             fields = raw.split()
             if not fields:
@@ -100,15 +130,18 @@ def _load_text(path: str) -> EmbeddingStore:
             if len(fields) - 1 != dim:
                 raise TruncatedVector(word, f"expected {dim} components, found {len(fields) - 1}")
             try:
-                vec = np.array([float(x) for x in fields[1:]], dtype=np.float32)
+                # parsed as float64, then rounded once to float32
+                values = [float(x) for x in fields[1:]]
             except ValueError as exc:
                 raise TruncatedVector(word, str(exc)) from None
-            if word in vectors:
+            if word in rows:
                 raise HeaderMismatch(f"{path}: word {word!r} is repeated")
-            vectors[word] = vec
-    if len(vectors) != count:
-        raise HeaderMismatch(f"{path}: header declares {count} words, file holds {len(vectors)}")
-    return EmbeddingStore(vectors, dim)
+            row = rows[word] = len(rows)
+            if row < len(matrix):  # entries past the declared count are checked, not kept
+                matrix[row] = values
+    if len(rows) != count:
+        raise HeaderMismatch(f"{path}: header declares {count} words, file holds {len(rows)}")
+    return EmbeddingStore(matrix, rows)
 
 
 def _load_binary(path: str) -> EmbeddingStore:
@@ -123,31 +156,44 @@ def _load_binary(path: str) -> EmbeddingStore:
                 f"{path}: header declares more data than the file holds "
                 f"({count} vectors of {dim} floats in {size} bytes)"
             )
-        vectors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            word_bytes = bytearray()
-            while True:
-                ch = fh.read(1)
-                if not ch:
-                    raise HeaderMismatch(
-                        f"{path}: file ends after {len(vectors)} of {count} declared words"
-                    )
-                if ch == b" ":
-                    break
-                if ch != b"\n":  # tolerate newline before the next word
-                    word_bytes.extend(ch)
-            word = word_bytes.decode("utf-8", errors="replace")
-            payload = fh.read(vec_bytes)
-            if len(payload) != vec_bytes:
-                raise TruncatedVector(word, f"{len(payload)} of {vec_bytes} bytes")
-            if word in vectors:
-                raise HeaderMismatch(f"{path}: word {word!r} is repeated")
-            vectors[word] = np.frombuffer(payload, dtype="<f4").copy()
+        matrix = np.empty((count, dim), dtype="<f4")
+        rows: dict[str, int] = {}
+        # buf[pos:] is read and not yet consumed; an entry may straddle reads
+        buf, pos = fh.read(_READ_BLOCK), 0
+        with memoryview(matrix.view(np.uint8).reshape(-1)) as flat:
+            for row in range(count):
+                space = buf.find(b" ", pos)
+                while space < 0:
+                    more = fh.read(_READ_BLOCK)
+                    if not more:
+                        raise HeaderMismatch(
+                            f"{path}: file ends after {row} of {count} declared words"
+                        )
+                    scanned = len(buf) - pos
+                    buf, pos = buf[pos:] + more, 0
+                    space = buf.find(b" ", scanned)
+                # newlines are dropped wherever they fall, as before the next word
+                word = buf[pos:space].replace(b"\n", b"").decode("utf-8", errors="replace")
+                pos = space + 1
+                while len(buf) - pos < vec_bytes:
+                    more = fh.read(_READ_BLOCK)
+                    if not more:
+                        raise TruncatedVector(word, f"{len(buf) - pos} of {vec_bytes} bytes")
+                    buf, pos = buf[pos:] + more, 0
+                if word in rows:
+                    raise HeaderMismatch(f"{path}: word {word!r} is repeated")
+                rows[word] = row
+                flat[row * vec_bytes:(row + 1) * vec_bytes] = buf[pos:pos + vec_bytes]
+                pos += vec_bytes
         # only newlines may follow the last vector, however many there are
-        while trailer := fh.read(1 << 16):
+        trailer = buf[pos:]
+        while True:
             if trailer.strip(b"\n"):
                 raise HeaderMismatch(f"{path}: trailing data after {count} declared words")
-    return EmbeddingStore(vectors, dim)
+            trailer = fh.read(_READ_BLOCK)
+            if not trailer:
+                break
+    return EmbeddingStore(matrix, rows)
 
 
 def load_embeddings(path, format: str = "text") -> EmbeddingStore:

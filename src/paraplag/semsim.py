@@ -161,14 +161,7 @@ class PairTables:
     @cached_property
     def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """Source words with a vector, their float64 vectors and squared norms."""
-        emb = self.stores.embeddings
-        words, vecs = [], []
-        for word in self._sources:
-            vec = emb.lookup_folded(word)
-            if vec is not None:
-                words.append(word)
-                vecs.append(vec)
-        matrix = np.array(vecs, dtype=np.float64).reshape(len(vecs), emb.dim)
+        words, matrix = self.stores.embeddings.gather(self._sources)
         return tuple(words), matrix, np.einsum("ij,ij->i", matrix, matrix)
 
     def _best_cosines(self, query: Token, syns: set[str]) -> dict[str, float]:
@@ -182,11 +175,10 @@ class PairTables:
         if emb is None:
             return {}
         query_words = sorted(syns) if syns else [query.normalized]
-        vecs = [vec for w in query_words if (vec := emb.lookup_folded(w)) is not None]
+        _, queries = emb.gather(query_words)
         words, sources, source_sq = self._source_vectors
-        if not vecs or not words:
+        if not len(queries) or not words:
             return {}
-        queries = np.array(vecs, dtype=np.float64)
         query_sq = np.einsum("ij,ij->i", queries, queries)
         with np.errstate(divide="ignore", invalid="ignore"):
             value = (queries @ sources.T) / np.sqrt(np.outer(query_sq, source_sq))

@@ -45,11 +45,12 @@ from paraplag.classify import (
     stratified_folds,
 )
 from paraplag.editsim import max_insdel_similarity
-from paraplag.resources import EmbeddingStore, ICTable, KnowledgeStores, load_lexdb
+from paraplag.resources import ICTable, KnowledgeStores, load_lexdb
 from paraplag.semsim import PairTables, SemThresholds, match_sentence
 from paraplag.synsim import syntactic_similarity
 from paraplag.textprep import preprocess_passage
 
+from embedding_oracle import embedding_store
 from test_semsim_tables import VOCAB, stores_and_thresholds
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,7 +59,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 STORES = KnowledgeStores(
     lexdb=load_lexdb(FIXTURES / "lexdb"),
     ic=ICTable({(15388, "n"): 3.5, (1740, "n"): 0.5, (2120997, "n"): 4.0}),
-    embeddings=EmbeddingStore(
+    embeddings=embedding_store(
         {"dog": np.array([1.0, 0.2], np.float32), "quartz": np.array([0.9, 0.3], np.float32),
          "run": np.array([0.0, 1.0], np.float32)},
         2,

@@ -195,6 +195,27 @@ class TestExitCodes:
         assert rc == 3
         assert "embedding_file" in capsys.readouterr().err
 
+    def test_baseline_missing_resource_exits_3(self, tmp_path, capsys):
+        # the baseline reads no store, yet a configured path that is absent is an error
+        corpus = write_corpus(tmp_path, n=8)
+        cfg = write_config(tmp_path, folds=2, embedding_file=str(tmp_path / "absent.vec"))
+        rc = main(
+            ["baseline", corpus, "--corpus", "jsonl", "--config", cfg,
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 3
+        assert "embedding_file" in capsys.readouterr().err
+
+    def test_crossval_missing_resource_exits_3(self, tmp_path, capsys):
+        table = write_text(
+            tmp_path, "features.csv",
+            "pair_id,label,semantic,syntactic,insdel\n"
+            + "".join(f"p{i},{i % 2},{i % 2},0.5,0.5\n" for i in range(8)),
+        )
+        cfg = write_config(tmp_path, folds=2, embedding_file=str(tmp_path / "absent.vec"))
+        assert main(["crossval", table, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "embedding_file" in capsys.readouterr().err
+
     def test_pool_corrupt_embeddings_exit_2(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, n=8)
         vectors = write_text(tmp_path, "bad.vec", "2 3\nfoo 0.1 0.2\n")

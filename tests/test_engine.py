@@ -189,6 +189,15 @@ class TestExtractFeatures:
             next(score_batch([(p.suspect_text, p.source_text)])) for p in pairs
         ]
 
+    def test_pool_sends_back_vectors_only(self):
+        pairs = interleaved_pairs()
+        config = EngineConfig()
+        sent = parallel_map(engine._vector_task, engine.scoring_state, config, pairs, jobs=2,
+                            key=attrgetter("source_text"))
+        assert all(type(vec) is SimilarityVector for vec in sent)
+        assert sent == [score.vector for score in score_pairs(pairs, config)]
+        assert extract_features(pairs, config, jobs=2) == sent
+
     def test_tables_built_once_per_distinct_source(self, monkeypatch):
         built = Counter()
 

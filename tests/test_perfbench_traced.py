@@ -16,8 +16,10 @@ import numpy as np
 from paraplag import resources, semsim
 from paraplag.classify import FeatureParams, passage_features
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair
-from paraplag.resources import EmbeddingStore, ICTable, KnowledgeStores, load_lexdb
+from paraplag.resources import ICTable, KnowledgeStores, load_lexdb
 from paraplag.textprep import STOPWORDS
+
+from embedding_oracle import embedding_store
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -47,7 +49,7 @@ PAIRS = [
 
 def test_traced_pass_vectors_equal_passage_features():
     traced = _load_traced()
-    emb = EmbeddingStore(
+    emb = embedding_store(
         {
             "violin": np.array([1.0, 0.2, 0.0], np.float32),
             "cello": np.array([0.9, 0.3, 0.0], np.float32),

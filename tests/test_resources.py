@@ -421,6 +421,24 @@ class TestEmbeddings:
         np.testing.assert_array_equal(store.lookup_folded("paris"), [1, 0])
         np.testing.assert_array_equal(store.lookup_folded("london"), [0, 1])
 
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_looked_up_vectors_are_read_only(self, tmp_path, fmt):
+        path = tmp_path / "vecs"
+        if fmt == "text":
+            path.write_text("2 2\nParis 1 0\nlondon 0 1\n")
+        else:
+            rows = np.eye(2, dtype="<f4")
+            path.write_bytes(b"2 2\nParis " + rows[0].tobytes() + b"london " + rows[1].tobytes())
+        store = load_embeddings(path, fmt)
+        for word in ("Paris", "paris", "london"):
+            vec = store.lookup_folded(word)
+            with pytest.raises(ValueError):
+                vec *= 2
+            with pytest.raises(ValueError):
+                vec[0] = 5.0
+        np.testing.assert_array_equal(store.lookup_folded("paris"), [1, 0])
+        np.testing.assert_array_equal(store.lookup_folded("london"), [0, 1])
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("0 3\n")

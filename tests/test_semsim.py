@@ -24,6 +24,8 @@ from paraplag.semsim import (
 )
 from paraplag.textprep import preprocess_passage
 
+from embedding_oracle import embedding_store
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 ENTITY = (1740, "n")
@@ -48,7 +50,7 @@ def content(sent, word: str):
 
 def embeddings(**vectors: tuple) -> EmbeddingStore:
     dim = len(next(iter(vectors.values())))
-    return EmbeddingStore(
+    return embedding_store(
         {w: np.asarray(v, dtype=np.float32) for w, v in vectors.items()}, dim
     )
 
@@ -325,7 +327,7 @@ class TestProperties:
                 raw = [rng.gauss(0.0, 1.0) for _ in range(4)]
                 norm = math.sqrt(sum(x * x for x in raw)) or 1.0
                 vecs[word] = np.asarray([x / norm for x in raw], dtype=np.float32)
-        emb = EmbeddingStore(vecs, 4) if vecs else None
+        emb = embedding_store(vecs, 4) if vecs else None
         stores = KnowledgeStores(lexdb=lexdb, ic=ic, embeddings=emb)
         sp = sentence(" ".join(rng.choices(self.VOCAB, k=rng.randint(1, 8))) + ".")
         sr = sentence(" ".join(rng.choices(self.VOCAB, k=rng.randint(1, 8))) + ".")

@@ -22,7 +22,6 @@ from paraplag.config import EngineConfig
 from paraplag.corpus import LabelledPair
 from paraplag.engine import score_pairs
 from paraplag.resources import (
-    EmbeddingStore,
     ICTable,
     KnowledgeStores,
     cosine,
@@ -32,6 +31,8 @@ from paraplag.resources import (
 )
 from paraplag.semsim import PairTables, SemThresholds, WordMatch, match_sentence, match_word
 from paraplag.textprep import preprocess_passage
+
+from embedding_oracle import embedding_store
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LEXDB = load_lexdb(FIXTURES / "lexdb")
@@ -188,7 +189,7 @@ def vectors(draw):
             out[word] = vec.astype(np.float32)
         elif casing == "both":
             out[word] = rng.standard_normal(DIM).astype(np.float32)
-    return EmbeddingStore(out, DIM)
+    return embedding_store(out, DIM)
 
 
 def sentence_text(draw):
@@ -328,7 +329,7 @@ def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
     ics_calls = _count_calls(monkeypatch, "subsumer_ics")
     stores = KnowledgeStores(
         lexdb=LEXDB, ic=ICTable({(15388, "n"): 3.5}),
-        embeddings=EmbeddingStore({"machine": np.ones(DIM, np.float32)}, DIM),
+        embeddings=embedding_store({"machine": np.ones(DIM, np.float32)}, DIM),
     )
     suspect = "The car chased a cat. A dog and the car slept."
     source = "An automobile passed. The canine barked loudly. A feline hid. Machines run."
@@ -347,7 +348,7 @@ def test_each_suspect_word_is_expanded_once_per_source(monkeypatch):
     ics_calls = _count_calls(monkeypatch, "subsumer_ics")
     stores = KnowledgeStores(
         lexdb=LEXDB, ic=ICTable({(15388, "n"): 3.5}),
-        embeddings=EmbeddingStore({"machine": np.ones(DIM, np.float32)}, DIM),
+        embeddings=embedding_store({"machine": np.ones(DIM, np.float32)}, DIM),
     )
     source = "An automobile passed. The canine barked loudly. A feline hid. Machines run."
     suspects = [
