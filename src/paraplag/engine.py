@@ -7,9 +7,10 @@ goes through `parallel_map`, which cuts the pairs into the same batches of
 about eight pairs at any number of jobs, pairs that share a key side by
 side in one batch.  One job runs the batches in this process after one
 set-up (loading stores, say); a pool's workers each run the set-up before
-their first batch.  Scoring keys pairs by source text, so each source's
-preprocessing and word tables are built once per run.  Output order always
-follows input order, so results never depend on how work was scheduled.
+their first batch.  Scoring and tiling key pairs by source text, so each
+source's preprocessing, word tables and tiling index are built once per
+run.  Output order always follows input order, so results never depend on
+how work was scheduled.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .config import (EngineConfig, build_stores, feature_params, gst_params, pre
                      validate_resources)
 from .corpus import LabelledPair
 from .errors import ParaplagError, decode_utf8
-from .gst import GstParams, gst_containment
+from .gst import GstParams, source_grams
 from .resources import KnowledgeStores
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,11 @@ def trace_records(pair_id: str, score: PassageScore) -> list[dict]:
 
 
 def _containment_task(gp: GstParams, pairs: Sequence[LabelledPair]) -> Iterable[float]:
-    return (gst_containment(pair.suspect_text, pair.source_text, gp) for pair in pairs)
+    indexes = {}
+    for pair in pairs:
+        if pair.source_text not in indexes:
+            indexes[pair.source_text] = source_grams(pair.source_text, gp)
+        yield indexes[pair.source_text].containment(pair.suspect_text)
 
 
 def baseline_containments(
@@ -205,8 +210,14 @@ def baseline_containments(
     config: EngineConfig,
     jobs: int = 1,
 ) -> list[float]:
-    """Tiling containment score for each pair, in input order."""
-    return parallel_map(_containment_task, gst_params, config, pairs, jobs)
+    """Tiling containment score for each pair, in input order.
+
+    Pairs of one source text are tiled one after another in one batch, so
+    the source is canonicalized and indexed once per run at any `jobs`.
+    """
+    return parallel_map(
+        _containment_task, gst_params, config, pairs, jobs, key=attrgetter("source_text")
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,25 @@ Adjacent tiles are merged, short tiles dropped, and the surviving
 coverage of the suspect text becomes the containment score.
 
 Matching is seeded by shared grams, as in Wise's Running-Karp-Rabin
-Greedy-String-Tiling: every ``min_match``-gram of either text gets an
-exact integer id, and a diagonal (suspect offset minus source offset) is
-scanned only if the two texts share a gram on it.  Every run of
-``min_match`` or more characters starts with such a gram, so no match is
-lost, and on prose only a few percent of the m+n-1 diagonals are scanned.
-The equality runs of the scanned diagonals go into a max-heap and are
-re-checked lazily: a popped run that lost characters to newer marks is
-split into its surviving pieces and pushed back.  Marks only ever shrink
-runs, so the first fully-intact pop is the true round winner.
+Greedy-String-Tiling.  A `SourceGrams` index is built once per source:
+its code points, its sorted alphabet, and the exact integer key of each
+of its g-grams (g alphabet ranks read as a base-(|alphabet|+1) number,
+g = ``min_match`` unless such keys would overflow an int64), sorted.  A
+suspect gram is keyed the same way, a character the source lacks taking
+the rank |alphabet| so that it seeds nothing.  A maximal equal run of
+``min_match`` or more characters is exactly a maximal chain of seeds
+(shared-gram position pairs) on one diagonal, so runs are read off the
+seeds that start and end a chain, each test local to its seed, with no
+diagonal scanned.  The runs go into a max-heap and are re-checked lazily
+against two bitmasks of marked characters: a popped run that lost
+characters to newer marks is split into its surviving pieces and pushed
+back.  Marks only ever shrink runs, so the first fully-intact pop is the
+true round winner.
 
-Memory is linear in text length: seeds (shared-gram position pairs) are
-enumerated in blocks of at most ``_SEED_BLOCK``.  Time is not: repetitive
-text shares grams on almost every diagonal and has up to m*n seeds, so
-the worst case stays quadratic, hence the ``max_chars`` cap.
+Memory is linear in text length and chain count: seeds are enumerated in
+blocks of at most ``_SEED_BLOCK``, and only chain ends are kept.  Time is
+not: repetitive text has up to m*n seeds, so the worst case stays
+quadratic, hence the ``max_chars`` cap.
 """
 
 from __future__ import annotations
@@ -36,6 +41,13 @@ from .errors import ParaplagError, is_integer
 # Most seeds (shared-gram position pairs) enumerated at once: repetitive
 # text has up to m*n of them, and blocks keep the memory linear.
 _SEED_BLOCK = 1 << 16
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+# Past either end of a text: unlike each other and every code point, so a
+# seed at a text's edge starts or ends its chain.
+_SUSPECT_EDGE = 0x110000
+_SOURCE_EDGE = 0x110001
 
 
 class EmptySuspect(ParaplagError):
@@ -79,99 +91,172 @@ def canonicalize(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def _codepoints(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+def _check_length(text: str, params: GstParams) -> None:
+    if len(text) > params.max_chars:
+        raise InputTooLarge(f"text of {len(text)} chars exceeds cap {params.max_chars}")
 
 
-def _true_runs(mask: np.ndarray, min_length: int) -> list[tuple[int, int]]:
-    """(start, length) of each maximal True stretch at least min_length long."""
-    padded = np.zeros(len(mask) + 2, dtype=bool)
-    padded[1:-1] = mask
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, ends = edges[::2], edges[1::2]
-    long = ends - starts >= min_length
-    return list(zip(starts[long].tolist(), (ends - starts)[long].tolist()))
+def _codepoints(text: str, edge: int) -> np.ndarray:
+    """The text's code points as int64, with `edge` before and after them."""
+    codes = np.empty(len(text) + 2, dtype=np.int64)
+    codes[0] = codes[-1] = edge
+    codes[1:-1] = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    return codes
 
 
-def _seeded_diagonals(suspect: str, source: str, k: int) -> np.ndarray:
-    """Ascending ``j - i`` of every diagonal where suspect[i:i+k] == source[j:j+k]."""
-    m, n = len(suspect), len(source)
-    ids: dict[str, int] = {}
-    sus_ids = np.fromiter(
-        (ids.setdefault(suspect[i : i + k], len(ids)) for i in range(m - k + 1)),
-        dtype=np.int64,
-        count=m - k + 1,
-    )
-    src_ids = np.fromiter(
-        (ids.get(source[j : j + k], -1) for j in range(n - k + 1)),
-        dtype=np.int64,
-        count=n - k + 1,
-    )
-    order = np.argsort(src_ids, kind="stable")
-    sorted_ids = src_ids[order]
-    lo = np.searchsorted(sorted_ids, sus_ids, side="left")
-    counts = np.searchsorted(sorted_ids, sus_ids, side="right") - lo
-    rows = np.flatnonzero(counts)  # suspect positions that seed something
-    lo, counts = lo[rows], counts[rows]
-    ends = np.cumsum(counts)
+def _gram_keys(ranks: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Key of each `width`-gram of ranks: its ranks read as a base-`base` number."""
+    count = max(len(ranks) - width + 1, 0)
+    keys = ranks[:count].copy()
+    for t in range(1, width):
+        keys *= base
+        keys += ranks[t : t + count]
+    return keys
 
-    seeded = np.zeros(m + n - 1, dtype=bool)
-    first = 0
-    while first < len(rows):
-        # Seeds of rows[first:last]: at most _SEED_BLOCK of them, unless one
-        # suspect gram alone has more source positions than that.
-        before = ends[first] - counts[first]
-        last = int(np.searchsorted(ends, before + _SEED_BLOCK, side="right"))
-        last = max(first + 1, last)
-        block = counts[first:last]
-        # a seed's index into `order` is its row's `lo` plus its rank in the
-        # row, and its rank is its index in the block minus the row's start
-        at = np.arange(ends[last - 1] - before)
-        at += np.repeat(lo[first:last] - (ends[first:last] - block - before), block)
-        # j - i + (m - 1): the seed's diagonal as an index into `seeded`
-        slot = order[at]
-        slot -= np.repeat(rows[first:last] - (m - 1), block)
-        seeded[slot] = True
-        first = last
-    return np.flatnonzero(seeded) - (m - 1)
+
+def _set_bit_runs(bits: int, min_length: int):
+    """(start, length) of each maximal run of set bits at least min_length long."""
+    start = 0
+    while bits:
+        skip = (bits & -bits).bit_length() - 1
+        bits >>= skip
+        start += skip
+        length = (bits ^ (bits + 1)).bit_length() - 1
+        if length >= min_length:
+            yield start, length
+        bits >>= length
+        start += length
+
+
+class SourceGrams:
+    """One source text's side of tiling, built once for any number of suspects.
+
+    The text is matched as given; `source_grams` canonicalizes it first.
+    A text longer than ``params.max_chars`` is rejected before any gram
+    is keyed.
+    """
+
+    def __init__(self, text: str, params: GstParams = GstParams()):
+        _check_length(text, params)
+        self.params = params
+        self.length = len(text)
+        self.codes = _codepoints(text, _SOURCE_EDGE)
+        # sorted distinct code points; np.unique (which imports numpy.ma) and
+        # the default quicksort each raise a run's peak RSS by a few hundred KiB
+        ordered = np.sort(self.codes[1:-1], kind="stable")
+        distinct = np.ones(len(ordered), dtype=bool)
+        distinct[1:] = ordered[1:] != ordered[:-1]
+        self.alphabet = ordered[distinct]
+        self.base = len(self.alphabet) + 1
+        self.width = 1
+        while self.width < params.min_match and self.base ** (self.width + 1) <= _INT64_MAX:
+            self.width += 1
+        ranks = np.searchsorted(self.alphabet, self.codes[1:-1])
+        keys = _gram_keys(ranks, self.base, self.width)
+        self.positions = np.argsort(keys, kind="stable")
+        self.keys = keys[self.positions]
+
+    def _suspect_keys(self, sus: np.ndarray) -> np.ndarray:
+        ranks = np.searchsorted(self.alphabet, sus)
+        known = self.alphabet[np.minimum(ranks, len(self.alphabet) - 1)] == sus
+        return _gram_keys(np.where(known, ranks, len(self.alphabet)), self.base, self.width)
+
+    def _chain_ends(self, sus: np.ndarray) -> list[np.ndarray]:
+        """(i, j) of the seeds that start a chain, and of those that end one.
+
+        Seed (i, j) has suspect[i:i+g] == source[j:j+g].  It starts a chain
+        unless the characters before both positions are equal, and ends
+        one unless the characters after both grams are equal.
+        """
+        g = self.width
+        sus_keys = self._suspect_keys(sus[1:-1])
+        lo = np.searchsorted(self.keys, sus_keys, side="left")
+        counts = np.searchsorted(self.keys, sus_keys, side="right") - lo
+        rows = np.flatnonzero(counts)  # suspect positions that seed something
+        lo, counts = lo[rows], counts[rows]
+        ends = np.cumsum(counts)
+
+        empty = np.empty(0, dtype=np.int64)
+        found = [(empty,) * 4]
+        first = 0
+        while first < len(rows):
+            # Seeds of rows[first:last]: at most _SEED_BLOCK of them, unless one
+            # suspect gram alone has more source positions than that.
+            before = ends[first] - counts[first]
+            last = int(np.searchsorted(ends, before + _SEED_BLOCK, side="right"))
+            last = max(first + 1, last)
+            block = counts[first:last]
+            # a seed's index into `positions` is its row's `lo` plus its rank
+            # in the row, and its rank is its index in the block minus the
+            # row's start
+            at = np.arange(ends[last - 1] - before)
+            at += np.repeat(lo[first:last] - (ends[first:last] - block - before), block)
+            j = self.positions[at]
+            i = np.repeat(rows[first:last], block)
+            # codes are shifted by the leading edge: codes[i] is text[i - 1]
+            starts = sus[i] != self.codes[j]
+            stops = sus[i + g + 1] != self.codes[j + g + 1]
+            found.append((i[starts], j[starts], i[stops], j[stops]))
+            first = last
+        return [np.concatenate(column) for column in zip(*found)]
+
+    def runs(self, suspect: str) -> list[tuple[int, int, int]]:
+        """(-length, suspect offset, source offset) of each maximal equal run.
+
+        Only runs of at least ``min_match`` characters are listed, ordered
+        by diagonal (source offset minus suspect offset), then offset.
+        """
+        if min(len(suspect), self.length) < self.params.min_match:
+            return []
+        sus = _codepoints(suspect, _SUSPECT_EDGE)
+        start_i, start_j, stop_i, stop_j = self._chain_ends(sus)
+        # chains on one diagonal are disjoint, so sorted by (diagonal, i)
+        # the k-th start and the k-th end bound the same chain
+        by_start = np.lexsort((start_i, start_j - start_i))
+        by_stop = np.lexsort((stop_i, stop_j - stop_i))
+        a, b = start_i[by_start], start_j[by_start]
+        length = stop_i[by_stop] + self.width - a
+        long = length >= self.params.min_match
+        return list(zip((-length[long]).tolist(), a[long].tolist(), b[long].tolist()))
+
+    def matches(self, suspect: str) -> list[Tile]:
+        """Raw per-round matches against `suspect`, in marking order."""
+        _check_length(suspect, self.params)
+        heap = self.runs(suspect)
+        heapq.heapify(heap)
+        marked_sus = marked_src = 0  # bit k set: character k is marked
+        matches: list[Tile] = []
+        while heap:
+            neg_length, a, b = heapq.heappop(heap)
+            length = -neg_length
+            span = (1 << length) - 1
+            free = ~((marked_sus >> a) | (marked_src >> b)) & span
+            if free == span:
+                matches.append(Tile(a, b, length))
+                marked_sus |= span << a
+                marked_src |= span << b
+                continue
+            for start, sub_length in _set_bit_runs(free, self.params.min_match):
+                heapq.heappush(heap, (-sub_length, a + start, b + start))
+        return matches
+
+    def containment(self, suspect: str) -> float:
+        """Fraction of the canonical `suspect` covered by surviving tiles."""
+        canon_sus = canonicalize(suspect)
+        if not canon_sus:
+            raise EmptySuspect("suspect text is empty once canonicalized")
+        tiles = _surviving(self.matches(canon_sus), self.params)
+        return sum(t.length for t in tiles) / len(canon_sus)
+
+
+def source_grams(source: str, params: GstParams = GstParams()) -> SourceGrams:
+    """The tiling index of the canonical form of `source`."""
+    return SourceGrams(canonicalize(source), params)
 
 
 def tiling_matches(suspect: str, source: str, params: GstParams = GstParams()) -> list[Tile]:
     """Raw per-round matches, in marking order, before merge and discard."""
-    if len(suspect) > params.max_chars or len(source) > params.max_chars:
-        raise InputTooLarge(
-            f"text of {max(len(suspect), len(source))} chars exceeds cap {params.max_chars}"
-        )
-    m, n = len(suspect), len(source)
-    if min(m, n) < params.min_match:
-        return []
-    sus = _codepoints(suspect)
-    src = _codepoints(source)
-
-    heap: list[tuple[int, int, int]] = []
-    for diag in _seeded_diagonals(suspect, source, params.min_match).tolist():
-        sus_lo = max(0, -diag)
-        src_lo = sus_lo + diag
-        span = min(m - sus_lo, n - src_lo)
-        eq = sus[sus_lo : sus_lo + span] == src[src_lo : src_lo + span]
-        for start, length in _true_runs(eq, params.min_match):
-            heapq.heappush(heap, (-length, sus_lo + start, src_lo + start))
-
-    marked_sus = np.zeros(m, dtype=bool)
-    marked_src = np.zeros(n, dtype=bool)
-    matches: list[Tile] = []
-    while heap:
-        neg_length, a, b = heapq.heappop(heap)
-        length = -neg_length
-        blocked = marked_sus[a : a + length] | marked_src[b : b + length]
-        if not blocked.any():
-            matches.append(Tile(a, b, length))
-            marked_sus[a : a + length] = True
-            marked_src[b : b + length] = True
-            continue
-        for start, sub_length in _true_runs(~blocked, params.min_match):
-            heapq.heappush(heap, (-sub_length, a + start, b + start))
-    return matches
+    return SourceGrams(source, params).matches(suspect)
 
 
 def merge_tiles(tiles: list[Tile]) -> list[Tile]:
@@ -193,17 +278,15 @@ def merge_tiles(tiles: list[Tile]) -> list[Tile]:
     return merged
 
 
+def _surviving(matches: list[Tile], params: GstParams) -> list[Tile]:
+    return [t for t in merge_tiles(matches) if t.length >= params.min_tile]
+
+
 def gst_tiles(suspect: str, source: str, params: GstParams = GstParams()) -> list[Tile]:
     """Final tiles on pre-canonicalized text: matched, merged, length-filtered."""
-    merged = merge_tiles(tiling_matches(suspect, source, params))
-    return [t for t in merged if t.length >= params.min_tile]
+    return _surviving(tiling_matches(suspect, source, params), params)
 
 
 def gst_containment(suspect: str, source: str, params: GstParams = GstParams()) -> float:
     """Fraction of the canonical suspect text covered by surviving tiles."""
-    canon_sus = canonicalize(suspect)
-    canon_src = canonicalize(source)
-    if not canon_sus:
-        raise EmptySuspect("suspect text is empty once canonicalized")
-    tiles = gst_tiles(canon_sus, canon_src, params)
-    return sum(t.length for t in tiles) / len(canon_sus)
+    return source_grams(source, params).containment(suspect)

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from paraplag import classify, engine
+from paraplag import classify, engine, gst
 from paraplag.classify import SimilarityVector, score_batch
-from paraplag.config import EngineConfig, MissingResource
+from paraplag.config import EngineConfig, MissingResource, gst_params
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair
 from paraplag.engine import (
     baseline_containments,
@@ -300,8 +300,10 @@ class TestBaseline:
         pairs = [make_pair(0, "Quartz violin sulfur ledger orbit.", "River stone cloud meadow forest.")]
         assert baseline_containments(pairs, EngineConfig()) == [0.0]
 
-    def test_parallel_matches_serial(self):
-        pairs = synthetic_pairs(12, seed=5)
+    @pytest.mark.parametrize(
+        "pairs", [synthetic_pairs(12, seed=5), interleaved_pairs()], ids=["alternating", "interleaved"]
+    )
+    def test_parallel_matches_serial(self, pairs):
         config = EngineConfig(gst_min_match=3, gst_min_tile=3)
         assert baseline_containments(pairs, config, jobs=2) == baseline_containments(pairs, config)
 
@@ -312,6 +314,51 @@ class TestBaseline:
         config = EngineConfig(gst_max_chars=200)
         with pytest.raises(InputTooLarge, match=r"^pair p003: text of \d+ chars exceeds cap 200"):
             baseline_containments(pairs, config, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("oversized", ["suspect", "source"])
+    def test_pair_error_names_the_pair_when_its_source_recurs(self, jobs, oversized):
+        # p003 is tiled right after p001, whose source it shares; when the
+        # source itself is too long, p003 is its first pair and p004 its second
+        long_text = "Rivers carve stone " * 20 + "."
+        pairs = synthetic_pairs(3)
+        if oversized == "suspect":
+            pairs += [make_pair(3, long_text, pairs[1].source_text)]
+        else:
+            pairs += [make_pair(3, "Rivers carve stone.", long_text)]
+            pairs += [make_pair(4, "Stone carves rivers.", long_text)]
+        config = EngineConfig(gst_max_chars=200)
+        with pytest.raises(InputTooLarge, match=r"^pair p003: text of \d+ chars exceeds cap 200"):
+            baseline_containments(pairs, config, jobs=jobs)
+
+    def test_each_source_is_indexed_once(self, monkeypatch):
+        built = []
+        init = gst.SourceGrams.__init__
+
+        def counting_init(self, text, params):
+            built.append(text)
+            init(self, text, params)
+
+        monkeypatch.setattr(gst.SourceGrams, "__init__", counting_init)
+        pairs = interleaved_pairs()
+        baseline_containments(pairs, EngineConfig())
+        assert Counter(built) == Counter({gst.canonicalize(t): 1 for t in {p.source_text for p in pairs}})
+
+    def test_interleaved_sources_keep_input_order(self):
+        # sources A, B, A, B: tiled as A, A, B, B, reported as given
+        a, b = "River stone cloud meadow forest.", "Harbor lantern copper quartz violin."
+        pairs = [make_pair(i, suspect, source) for i, (suspect, source) in enumerate([
+            ("River stone cloud meadow.", a),
+            ("Harbor lantern copper.", b),
+            ("Sulfur ledger orbit basalt.", a),
+            (b, b),
+        ])]
+        config = EngineConfig(gst_min_match=3, gst_min_tile=3)
+        params = gst_params(config)
+        want = [gst.gst_containment(p.suspect_text, p.source_text, params) for p in pairs]
+        assert len(set(want)) == 4  # so any reordering shows
+        assert baseline_containments(pairs, config) == want
+        assert baseline_containments(pairs, config, jobs=2) == want
 
 
 class TestThresholdReport:

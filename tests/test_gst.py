@@ -96,6 +96,33 @@ def tiling_cases(draw):
     return text(), text(), draw(st.integers(1, 8))
 
 
+@st.composite
+def wide_tiling_cases(draw):
+    """Texts over 200 to 4000 code points, most of them astral, up to 600 chars.
+
+    With min_match up to 30 the source alphabet is wide enough that gram
+    keys would overflow at width min_match, so they are keyed narrower.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # any code point but a surrogate
+    points = rng.sample(range(0x110000 - 0x800), draw(st.integers(200, 4000)))
+    alphabet = [chr(c + 0x800 if c >= 0xD800 else c) for c in points]
+    blocks = [
+        "".join(rng.choices(alphabet, k=rng.randint(1, 80))) for _ in range(rng.randint(1, 5))
+    ]
+
+    def text() -> str:
+        pieces = [
+            rng.choice(blocks) * rng.randint(1, 3)
+            if rng.random() < 0.7
+            else "".join(rng.choices(alphabet, k=rng.randint(1, 20)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        return "".join(pieces)[:600]
+
+    return text(), text(), draw(st.integers(1, 30))
+
+
 def oracle_rounds(sus: str, src: str, min_match: int) -> list[tuple[int, int, int]]:
     """Re-mark the longest unmarked common substring until none remains."""
     free_a = [True] * len(sus)
@@ -298,6 +325,12 @@ class TestProperties:
         params = GstParams(min_match=min_match, min_tile=min_match)
         assert tiling_matches(sus, src, params) == oracle_tiling_matches(sus, src, min_match)
 
+    @given(wide_tiling_cases())
+    def test_wide_alphabet_matches_equal_the_full_scan(self, case):
+        sus, src, min_match = case
+        params = GstParams(min_match=min_match, min_tile=min_match)
+        assert tiling_matches(sus, src, params) == oracle_tiling_matches(sus, src, min_match)
+
     @given(
         st.text(st.sampled_from("ab c\u00e9\U0001f600\t\n"), max_size=120),
         st.integers(1, 8),
@@ -329,19 +362,38 @@ class TestSeeding:
         assert matches == [Tile(0, 0, 4000)]
         assert peak < 16 * 2**20
 
-    def test_no_shared_gram_scans_no_diagonal(self, monkeypatch):
-        calls = []
-        true_runs = gst._true_runs
-        monkeypatch.setattr(gst, "_true_runs", lambda *a: calls.append(a) or true_runs(*a))
-        assert tiling_matches("abcdqqqq", "zzzzabcd" * 3) == []
-        assert calls == []
+    def test_no_shared_gram_gives_no_runs(self):
+        assert gst.SourceGrams("zzzzabcd" * 3).runs("abcdqqqq") == []
 
-    def test_only_diagonals_with_a_shared_gram_are_scanned(self, monkeypatch):
+    def test_each_shared_run_is_listed_once(self):
+        # "hello" sits on one diagonal, "world" on another: one run each,
+        # as (-length, suspect offset, source offset)
+        grams = gst.SourceGrams("world, and hello")
+        assert grams.runs("hello there world") == [(-5, 12, 0), (-5, 0, 11)]
+
+    def test_wide_alphabet_keys_narrower_grams(self):
+        # 5001 ** 5 fits an int64, 5001 ** 6 does not: 5-grams seed runs of 30
+        rng = random.Random(46)
+        alphabet = [chr(c) for c in range(0x4E00, 0x4E00 + 5000)]
+        shared = "".join(rng.choices(alphabet, k=40))
+        source = "".join(alphabet) + shared
+        suspect = "".join(rng.choices(alphabet, k=50)) + shared[:35] + alphabet[0] * 30
+        params = GstParams(min_match=30, min_tile=30)
+        assert gst.SourceGrams(source, params).width == 5
+        matches = tiling_matches(suspect, source, params)
+        assert Tile(50, 5000, 35) in matches
+        assert matches == oracle_tiling_matches(suspect, source, 30)
+
+    def test_oversized_source_is_rejected_before_it_is_keyed(self, monkeypatch):
         calls = []
-        true_runs = gst._true_runs
-        monkeypatch.setattr(gst, "_true_runs", lambda *a: calls.append(a) or true_runs(*a))
-        # "hello" sits on one diagonal, "world" on another; the two marks
-        # find nothing blocked, so the scan makes the only calls
-        matches = tiling_matches("hello there world", "world, and hello")
-        assert matches == [Tile(0, 11, 5), Tile(12, 0, 5)]
-        assert len(calls) == 2
+        gram_keys = gst._gram_keys
+        monkeypatch.setattr(gst, "_gram_keys", lambda *a: calls.append(a) or gram_keys(*a))
+        params = GstParams(max_chars=100)
+        with pytest.raises(InputTooLarge, match="^text of 101 chars exceeds cap 100$"):
+            gst.source_grams("a" * 101, params)
+        assert calls == []
+        with pytest.raises(InputTooLarge):
+            gst_containment("abc", "a" * 101, params)
+        assert calls == []
+        gst.source_grams("a" * 100, params)
+        assert len(calls) == 1
