@@ -1,6 +1,6 @@
 """Feature fusion and evaluation: from passage scores to labelled decisions.
 
-`score_batch`, the one scoring pass, turns each suspect/source passage
+`score_source`, the one scoring pass, turns each suspect/source passage
 pair into one three-component vector (the semantic, word-order, and
 insert/delete dimensions) and keeps the word matches that traces show.
 Two small classifiers consume those vectors, k-nearest-neighbours and
@@ -17,8 +17,6 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields
-from itertools import groupby
-from operator import itemgetter
 from typing import ClassVar
 
 import numpy as np
@@ -116,13 +114,14 @@ class PassageScore:
     best_semantic: tuple[SentenceMatch, ...]
 
 
-def score_batch(
-    pairs: Sequence[tuple[str, str]],
+def score_source(
+    source: str,
+    suspects: Iterable[str],
     stores: KnowledgeStores = KnowledgeStores(),
     params: FeatureParams = FeatureParams(),
     stopwords: frozenset[str] = STOPWORDS,
 ) -> Iterator[PassageScore]:
-    """The `PassageScore` of each (suspect, source) pair, in order, one at a time.
+    """The `PassageScore` of each suspect against `source`, in order, one at a time.
 
     Every suspect sentence keeps only its best score against the source
     passage; scores under the dimension's discard threshold drop out, and
@@ -130,26 +129,19 @@ def score_batch(
     The first source sentence with the best semantic score is the one kept
     with its word matches.
 
-    Consecutive pairs of one source share its preprocessing and its
-    `PairTables`, so a suspect word's channel verdict and reach are computed
-    once per source, not once per pair; callers put a source's pairs next
-    to each other.  Both are dropped after the source's last pair, before
-    its score is yielded, so the call holds one source at a time.  The
+    The source is preprocessed, and its `PairTables` built, once per call,
+    so a suspect word's channel verdict and reach are computed once per
+    source, not once per suspect; both go when the generator is done.  The
     tables carry `params.sem`, the thresholds every match of the call uses.
 
     Source sentences that cannot beat the best semantic count so far are
     skipped without being matched (see `_score`); the bound is exact, so
     every score equals that of matching every sentence pair.
     """
-    for source, run in groupby(pairs, key=itemgetter(1)):
-        suspects = [suspect for suspect, _ in run]
-        sentences = preprocess_passage(source, stopwords)
-        tables = PairTables(sentences, stores, params.sem)
-        for n, suspect in enumerate(suspects, 1):
-            score = _score(preprocess_passage(suspect, stopwords), sentences, tables, params)
-            if n == len(suspects):
-                del sentences, tables
-            yield score
+    sentences = preprocess_passage(source, stopwords)
+    tables = PairTables(sentences, stores, params.sem)
+    for suspect in suspects:
+        yield _score(preprocess_passage(suspect, stopwords), sentences, tables, params)
 
 
 def _score(
@@ -158,7 +150,7 @@ def _score(
     tables: PairTables,
     params: FeatureParams,
 ) -> PassageScore:
-    """The scoring pass of `score_batch` on preprocessed passages.
+    """The scoring pass of `score_source` on preprocessed passages.
 
     `tables` is built over `sr_sentences` with `params.sem` and carries the
     stores.
@@ -228,8 +220,8 @@ def passage_features(
     params: FeatureParams = FeatureParams(),
     stopwords: frozenset[str] = STOPWORDS,
 ) -> SimilarityVector:
-    """The vector of one pair's `score_batch` score."""
-    return next(score_batch([(suspect, source)], stores, params, stopwords)).vector
+    """The vector of one pair's `score_source` score."""
+    return next(score_source(source, [suspect], stores, params, stopwords)).vector
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .classify import (
     predict_classifier,
     report_to_json,
     save_model,
-    score_batch,
+    score_source,
 )
 from .config import (
     ConfigError,
@@ -160,7 +160,7 @@ def cmd_score(args) -> int:
     state = scoring_state(config)
     suspect = _read_text_file(args.suspect)
     source = _read_text_file(args.source)
-    scored = next(score_batch([(suspect, source)], *state))
+    scored = next(score_source(source, [suspect], *state))
     vec = scored.vector
     if args.model is not None:
         model = load_model(args.model)
@@ -305,10 +305,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MissingResource as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParaplagError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParaplagError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

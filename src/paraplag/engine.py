@@ -3,26 +3,25 @@
 Scores labelled text pairs (vectors, and the word matches that traces
 show), computes tiling-containment baseline scores, builds evaluation
 reports, and round-trips per-pair feature tables as CSV.  Every fan-out
-goes through `parallel_map`, which cuts the pairs into the same batches of
-about eight pairs at any number of jobs, pairs that share a key side by
-side in one batch.  One job runs the batches in this process after one
-set-up (loading stores, say); a pool's workers each run the set-up before
-their first batch.  Scoring and tiling key pairs by source text, so each
-source's preprocessing, word tables and tiling index are built once per
-run.  Output order always follows input order, so results never depend on
-how work was scheduled.
+goes through `parallel_map`, which groups the pairs by source text and
+hands a task one source and its pairs at a time, in the same batches of
+about eight pairs at any number of jobs.  One job runs the batches in
+this process after one set-up (loading stores, say); a pool's workers
+each run the set-up before their first batch.  So each source's
+preprocessing, word tables and tiling index are built once per run, and
+one at a time.  Output order always follows input order, so results
+never depend on how work was scheduled.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict
 from functools import partial
-from operator import attrgetter
 
 from .classify import (
     Confusion,
@@ -31,7 +30,7 @@ from .classify import (
     PassageScore,
     SimilarityVector,
     build_report,
-    score_batch,
+    score_source,
 )
 from .config import (EngineConfig, build_stores, feature_params, gst_params, prep_config,
                      validate_resources)
@@ -51,40 +50,40 @@ PAIRS_PER_TASK = 8
 _WORKER: dict = {}
 
 
-def _run_task(task, state, batch: Sequence[LabelledPair]) -> list:
+def _run_task(task, state, batch: list[list[LabelledPair]]) -> list:
     results: list = []
-    try:
-        for result in task(state, batch):
-            results.append(result)
-    except ParaplagError as exc:
-        exc.args = (f"pair {batch[len(results)].pair_id}: {exc}",)
-        raise
+    for pairs in batch:
+        done = len(results)
+        try:
+            for result in task(state, pairs[0].source_text, pairs):
+                results.append(result)
+        except ParaplagError as exc:
+            exc.args = (f"pair {pairs[len(results) - done].pair_id}: {exc}",)
+            raise
     return results
 
 
-def _worker_task(task, setup, config: EngineConfig, batch: Sequence[LabelledPair]) -> list:
+def _worker_task(task, setup, config: EngineConfig, batch: list[list[LabelledPair]]) -> list:
     if "state" not in _WORKER:
         _WORKER["state"] = setup(config)
     return _run_task(task, _WORKER["state"], batch)
 
 
-def _batches(
-    pairs: Sequence[LabelledPair], key: Callable[[LabelledPair], Hashable] | None
-) -> list[list[int]]:
-    """Input positions of the batches a task is handed.
+def _batches(pairs: Sequence[LabelledPair]) -> list[list[list[int]]]:
+    """Input positions of the batches tasks are handed, one list per source.
 
-    Pairs with equal keys (every pair is its own key without `key`) form a
-    group, in order of first appearance; consecutive groups fill a batch
-    until it holds at least PAIRS_PER_TASK pairs.
+    The pairs of one source text form a group, in input order; groups
+    follow their sources' first appearance, and consecutive groups fill a
+    batch until it holds at least PAIRS_PER_TASK pairs.
     """
-    groups: dict[Hashable, list[int]] = {}
+    groups: dict[str, list[int]] = {}
     for i, pair in enumerate(pairs):
-        groups.setdefault(i if key is None else key(pair), []).append(i)
-    batches: list[list[int]] = []
-    batch: list[int] = []
+        groups.setdefault(pair.source_text, []).append(i)
+    batches: list[list[list[int]]] = []
+    batch: list[list[int]] = []
     for group in groups.values():
-        batch.extend(group)
-        if len(batch) >= PAIRS_PER_TASK:
+        batch.append(group)
+        if sum(map(len, batch)) >= PAIRS_PER_TASK:
             batches.append(batch)
             batch = []
     if batch:
@@ -93,31 +92,31 @@ def _batches(
 
 
 def parallel_map(
-    task: Callable[[object, Sequence[LabelledPair]], Iterable],
+    task: Callable[[object, str, Sequence[LabelledPair]], Iterable],
     setup: Callable[[EngineConfig], object],
     config: EngineConfig,
     pairs: Sequence[LabelledPair],
     jobs: int,
-    key: Callable[[LabelledPair], Hashable] | None = None,
 ) -> list:
-    """One result per pair, in input order, from `task(setup(config), batch)`.
+    """One result per pair, in input order, from `task(setup(config), source, pairs)`.
 
-    A task takes a batch of pairs and yields one result per pair, in order.
-    Batches hold about PAIRS_PER_TASK pairs and never split the pairs of
-    one `key(pair)`, which sit next to each other in their batch; with no
-    pairs there is no batch, and `setup` never runs.  jobs == 1 runs the
-    batches in this process, after one `setup`.  Otherwise up to `jobs`
-    worker processes, never more than there are batches, each run `setup`
-    before their first batch; task, setup, config, pairs and results must
-    pickle.  A set-up error keeps its class; an error raised on a pair
-    names the pair, and in a pool cancels the batches not yet started.
+    A task takes one source text and that source's pairs, in input order,
+    and yields one result per pair, in order; it is called once per
+    distinct source, one source after another.  Batches of sources hold
+    about PAIRS_PER_TASK pairs; with no pairs there is no batch, and
+    `setup` never runs.  jobs == 1 runs the batches in this process, after
+    one `setup`.  Otherwise up to `jobs` worker processes, never more than
+    there are batches, each run `setup` before their first batch; task,
+    setup, config, pairs and results must pickle.  A set-up error keeps its
+    class; an error raised on a pair names the pair, and in a pool cancels
+    the batches not yet started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    batches = _batches(pairs, key)
+    batches = _batches(pairs)
     if not batches:
         return []
-    inputs = [[pairs[i] for i in batch] for batch in batches]
+    inputs = [[[pairs[i] for i in group] for group in batch] for batch in batches]
     with ExitStack() as stack:
         if jobs == 1:
             outputs = map(partial(_run_task, task, setup(config)), inputs)
@@ -128,7 +127,7 @@ def parallel_map(
             outputs = pool.map(partial(_worker_task, task, setup, config), inputs)
         results: list = [None] * len(pairs)
         for batch, output in zip(batches, outputs):
-            for i, result in zip(batch, output):
+            for i, result in zip((i for group in batch for i in group), output):
                 results[i] = result
     return results
 
@@ -143,13 +142,13 @@ def scoring_state(config: EngineConfig, stores: KnowledgeStores | None = None):
     return stores, feature_params(config), prep_config(config)
 
 
-def _score_task(state, pairs: Sequence[LabelledPair]) -> Iterable[PassageScore]:
-    return score_batch([(pair.suspect_text, pair.source_text) for pair in pairs], *state)
+def _score_task(state, source: str, pairs: Sequence[LabelledPair]) -> Iterable[PassageScore]:
+    return score_source(source, [pair.suspect_text for pair in pairs], *state)
 
 
-def _vector_task(state, pairs: Sequence[LabelledPair]) -> Iterable[SimilarityVector]:
+def _vector_task(state, source: str, pairs: Sequence[LabelledPair]) -> Iterable[SimilarityVector]:
     # a pool worker sends back the vectors alone, not the word matches
-    return (score.vector for score in _score_task(state, pairs))
+    return (score.vector for score in _score_task(state, source, pairs))
 
 
 def _scored(task, pairs, config, jobs, stores) -> list:
@@ -157,7 +156,7 @@ def _scored(task, pairs, config, jobs, stores) -> list:
     if stores is None:
         validate_resources(config)
     setup = partial(scoring_state, stores=stores) if jobs == 1 else scoring_state
-    return parallel_map(task, setup, config, pairs, jobs, key=attrgetter("source_text"))
+    return parallel_map(task, setup, config, pairs, jobs)
 
 
 def score_pairs(
@@ -168,12 +167,11 @@ def score_pairs(
 ) -> list[PassageScore]:
     """Vector and best semantic matches for each pair, in input order.
 
-    Pairs of one source text are scored one after another in one batch, so
-    the source is preprocessed, and its word tables built, once per run at
-    any `jobs`.  Without prebuilt stores the resource paths are checked
-    here first, so a missing one fails the run the same way at any `jobs`,
-    even with no pairs.  Prebuilt stores serve only the inline run; pool
-    workers load their own.
+    Each source text is preprocessed, and its word tables built, once per
+    run at any `jobs` (see `parallel_map`).  Without prebuilt stores the
+    resource paths are checked here first, so a missing one fails the run
+    the same way at any `jobs`, even with no pairs.  Prebuilt stores serve
+    only the inline run; pool workers load their own.
     """
     return _scored(_score_task, pairs, config, jobs, stores)
 
@@ -197,12 +195,10 @@ def trace_records(pair_id: str, score: PassageScore) -> list[dict]:
 # Baseline
 
 
-def _containment_task(gp: GstParams, pairs: Sequence[LabelledPair]) -> Iterable[float]:
-    indexes = {}
+def _containment_task(gp: GstParams, source: str, pairs: Sequence[LabelledPair]) -> Iterable[float]:
+    index = source_grams(source, gp)
     for pair in pairs:
-        if pair.source_text not in indexes:
-            indexes[pair.source_text] = source_grams(pair.source_text, gp)
-        yield indexes[pair.source_text].containment(pair.suspect_text)
+        yield index.containment(pair.suspect_text)
 
 
 def baseline_containments(
@@ -212,12 +208,10 @@ def baseline_containments(
 ) -> list[float]:
     """Tiling containment score for each pair, in input order.
 
-    Pairs of one source text are tiled one after another in one batch, so
-    the source is canonicalized and indexed once per run at any `jobs`.
+    Each source text is canonicalized and indexed once per run at any
+    `jobs` (see `parallel_map`).
     """
-    return parallel_map(
-        _containment_task, gst_params, config, pairs, jobs, key=attrgetter("source_text")
-    )
+    return parallel_map(_containment_task, gst_params, config, pairs, jobs)
 
 
 # ---------------------------------------------------------------------------

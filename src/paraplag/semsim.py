@@ -19,7 +19,7 @@ the suspect direction, not a symmetric similarity.
 
 Which channel fires between a suspect word and each source word is
 decided once, in `PairTables.verdict`, one table per source passage:
-`classify.score_batch` shares a source's table among every suspect
+`classify.score_source` shares a source's table among every suspect
 passage compared with it.  Both readers of that decision go through the
 verdict: `match_word` picks the best remaining source word by it, and
 `PairTables.reach` turns its keys into the source sentences the word can

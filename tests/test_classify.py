@@ -246,7 +246,7 @@ class TestSentenceBound:
                 reached = sum(1 for reach in reaches if reach >> sr.sentence_id & 1)
                 matches = match_sentence(sp, sr, stores, params.sem, tables)
                 assert reached >= len(matches)
-        got = next(classify.score_batch([(suspect, source)], stores, params))
+        got = next(classify.score_source(source, [suspect], stores, params))
         assert got == oracle_score(suspect, source, stores, params)
 
     def test_fewer_sentence_pairs_matched_with_equal_scores(self, monkeypatch):
@@ -257,7 +257,7 @@ class TestSentenceBound:
             return match_sentence(*args, **kwargs)
 
         monkeypatch.setattr(classify, "match_sentence", counted)
-        got = next(classify.score_batch([(self.SUSPECT, self.SOURCE)], STORES))
+        got = next(classify.score_source(self.SOURCE, [self.SUSPECT], STORES))
         assert len(preprocess_passage(self.SOURCE)) == 4
         assert 0 < len(calls) < 2 * 4
         assert got == oracle_score(self.SUSPECT, self.SOURCE, STORES)
@@ -268,7 +268,7 @@ class TestSentenceBound:
 
         monkeypatch.setattr(PairTables, "reach", unreachable)
         source = "A dog chased the car home."
-        got = next(classify.score_batch([(self.SUSPECT, source)], STORES))
+        got = next(classify.score_source(source, [self.SUSPECT], STORES))
         assert got == oracle_score(self.SUSPECT, source, STORES)
 
     def test_reach_index_is_built_lazily(self):

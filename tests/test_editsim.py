@@ -209,7 +209,7 @@ class TestMaxSimilarity:
         monkeypatch.setattr(editsim, "_masked_distance", counted)
         long = "Quartz violins echo through copper harbors beneath silent meadows tonight."
         source = long + " Rivers carve. Stones fall. Clouds drift."
-        score = next(classify.score_batch([(long, source)]))
+        score = next(classify.score_source(source, [long]))
         assert score.vector.insdel == 1.0
         # the identical long sentence comes first; no short one can beat 1.0
         assert calls == [(9, 9)]

@@ -8,7 +8,6 @@ import weakref
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from paraplag import classify, engine, gst
-from paraplag.classify import SimilarityVector, score_batch
+from paraplag.classify import SimilarityVector, score_source
 from paraplag.config import EngineConfig, MissingResource, gst_params
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair
 from paraplag.engine import (
@@ -67,9 +66,9 @@ def _directory(path, config):
     return path
 
 
-def _fail_first_then_record(directory, batch):
+def _fail_first_then_record(directory, source, pairs):
     # the first pair fails at once; every later pair leaves a file behind
-    for pair in batch:
+    for pair in pairs:
         if pair.pair_id == "p000":
             raise ParaplagError("first pair fails")
         time.sleep(0.005)
@@ -95,13 +94,21 @@ def interleaved_pairs(sources=3, per_source=5, singles=4):
     return pairs
 
 
-def _pair_ids(state, batch):
-    for pair in batch:
+def _pair_ids(state, source, pairs):
+    for pair in pairs:
         yield pair.pair_id
 
 
-def _fail_on_p005(state, batch):
-    for pair in batch:
+def _record_calls(calls, source, pairs):
+    # each result names its pair and the call that computed it
+    call = (source, [pair.pair_id for pair in pairs])
+    calls.append(call)
+    for pair in pairs:
+        yield pair.pair_id, call
+
+
+def _fail_on_p005(state, source, pairs):
+    for pair in pairs:
         if pair.pair_id == "p005":
             raise ParaplagError("this pair fails")
         yield pair.pair_id
@@ -116,9 +123,9 @@ class TestParallelMap:
         ran = len(list(tmp_path.iterdir()))
         assert ran < len(pairs) // 4
 
-    def test_batches_keep_keys_together_and_pack_small_groups(self):
+    def test_batches_keep_sources_together_and_pack_small_groups(self):
         pairs = interleaved_pairs()
-        batches = engine._batches(pairs, attrgetter("source_text"))
+        batches = [[i for group in batch for i in group] for batch in engine._batches(pairs)]
         assert sorted(i for batch in batches for i in batch) == list(range(len(pairs)))
         homes = {}
         for n, batch in enumerate(batches):
@@ -126,11 +133,39 @@ class TestParallelMap:
                 assert homes.setdefault(pairs[i].source_text, n) == n
         assert all(len(batch) >= engine.PAIRS_PER_TASK for batch in batches[:-1])
 
-    def test_distinct_keys_batch_like_fixed_chunks(self):
-        pairs = synthetic_pairs(20)
-        chunks = [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
-        assert engine._batches(pairs, None) == chunks
-        assert engine._batches(pairs, attrgetter("pair_id")) == chunks
+    def test_distinct_sources_batch_like_fixed_chunks(self):
+        pairs = [make_pair(i, "A river.", f"Source {i}.") for i in range(20)]
+        chunks = [range(0, 8), range(8, 16), range(16, 20)]
+        assert engine._batches(pairs) == [[[i] for i in chunk] for chunk in chunks]
+
+    @given(st.integers(1, 12).flatmap(lambda k: st.lists(st.integers(0, k - 1), max_size=60)))
+    def test_batches_hold_each_source_in_one_group(self, order):
+        # order[i] is the source of pair i
+        pairs = [make_pair(i, "A river.", f"Source {k}.") for i, k in enumerate(order)]
+        batches = engine._batches(pairs)
+        groups = [group for batch in batches for group in batch]
+        assert sorted(i for group in groups for i in group) == list(range(len(pairs)))
+        # one group per source, in order of first appearance, in input order
+        assert [order[group[0]] for group in groups] == list(dict.fromkeys(order))
+        for group in groups:
+            assert group == sorted(group)
+            assert {order[i] for i in group} == {order[group[0]]}
+        sizes = [sum(map(len, batch)) for batch in batches]
+        assert all(size >= engine.PAIRS_PER_TASK for size in sizes[:-1])
+        # a batch closes with the group that fills it
+        assert all(size - len(batch[-1]) < engine.PAIRS_PER_TASK
+                   for size, batch in zip(sizes, batches))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_task_call_gets_one_source_in_input_order(self, jobs):
+        a, b = "River stone cloud.", "Harbor lantern copper."
+        pairs = [make_pair(i, f"Suspect {i}.", source) for i, source in enumerate([a, b, a, b])]
+        calls = []
+        got = parallel_map(_record_calls, partial(_directory, calls), EngineConfig(), pairs, jobs)
+        call_a, call_b = (a, ["p000", "p002"]), (b, ["p001", "p003"])
+        assert got == [("p000", call_a), ("p001", call_b), ("p002", call_a), ("p003", call_b)]
+        if jobs == 1:  # a pool worker records into its own copy
+            assert calls == [call_a, call_b]
 
     def test_pool_starts_no_more_workers_than_batches(self, monkeypatch):
         started = []
@@ -142,8 +177,7 @@ class TestParallelMap:
         monkeypatch.setattr(engine, "ProcessPoolExecutor", recorded)
         pairs = [make_pair(i, "A river.", "The stone.") for i in range(3)]
         setup = partial(_directory, None)
-        got = parallel_map(_pair_ids, setup, EngineConfig(), pairs, jobs=4,
-                           key=attrgetter("source_text"))
+        got = parallel_map(_pair_ids, setup, EngineConfig(), pairs, jobs=4)
         assert got == ["p000", "p001", "p002"]
         assert started == [1]
         assert parallel_map(_pair_ids, setup, EngineConfig(), [], jobs=4) == []
@@ -159,8 +193,7 @@ class TestParallelMap:
     def test_error_inside_a_batch_names_its_pair(self, jobs):
         pairs = interleaved_pairs()
         with pytest.raises(ParaplagError, match="^pair p005: this pair fails$"):
-            parallel_map(_fail_on_p005, partial(_directory, None), EngineConfig(), pairs, jobs,
-                         key=attrgetter("source_text"))
+            parallel_map(_fail_on_p005, partial(_directory, None), EngineConfig(), pairs, jobs)
 
 
 class TestExtractFeatures:
@@ -186,14 +219,13 @@ class TestExtractFeatures:
         assert score_pairs(pairs, EngineConfig(), jobs=2) == serial
         # in input order: each score is the pair's own
         assert serial == [
-            next(score_batch([(p.suspect_text, p.source_text)])) for p in pairs
+            next(score_source(p.source_text, [p.suspect_text])) for p in pairs
         ]
 
     def test_pool_sends_back_vectors_only(self):
         pairs = interleaved_pairs()
         config = EngineConfig()
-        sent = parallel_map(engine._vector_task, engine.scoring_state, config, pairs, jobs=2,
-                            key=attrgetter("source_text"))
+        sent = parallel_map(engine._vector_task, engine.scoring_state, config, pairs, jobs=2)
         assert all(type(vec) is SimilarityVector for vec in sent)
         assert sent == [score.vector for score in score_pairs(pairs, config)]
         assert extract_features(pairs, config, jobs=2) == sent
@@ -224,25 +256,23 @@ class TestExtractFeatures:
                 refs.append(weakref.ref(self))
 
         monkeypatch.setattr(classify, "PairTables", Tracked)
-        a, b = "Rivers carve stone. Clouds drift.", "Harbors hold copper."
-        pairs = [("Rivers carve.", a), ("Stone drifts.", a), ("Copper harbors.", b),
-                 ("Harbor lanterns.", b)]
-        scores = score_batch(pairs)
+        source = "Rivers carve stone. Clouds drift."
+        scores = score_source(source, ["Rivers carve.", "Stone drifts."])
         next(scores)
-        assert refs[0]() is not None
         next(scores)
-        assert refs[0]() is None  # a's last pair is done; b's are still to come
-        next(scores)
-        assert refs[1]() is not None
-        next(scores)
-        assert refs[1]() is None
+        assert len(refs) == 1 and refs[0]() is not None  # one table for every suspect
+        assert next(scores, None) is None
+        assert refs[0]() is None  # the source is done
         # distinct sources one after another: never more than one table at once
         refs.clear()
         live_at_build.clear()
-        list(score_batch([(p.suspect_text, p.source_text) for p in synthetic_pairs(6)]))
+        for p in synthetic_pairs(6):
+            list(score_source(p.source_text, [p.suspect_text]))
         assert len(refs) == 6 and live_at_build == [0] * 6
 
-    def test_inline_run_holds_one_table_at_a_time(self, monkeypatch):
+    # extract_features wraps the scoring generator in a second one
+    @pytest.mark.parametrize("run", [score_pairs, extract_features])
+    def test_inline_run_holds_one_table_at_a_time(self, monkeypatch, run):
         refs = []
         live_at_build = []
 
@@ -254,7 +284,7 @@ class TestExtractFeatures:
 
         monkeypatch.setattr(classify, "PairTables", Tracked)
         pairs = interleaved_pairs()
-        score_pairs(pairs, EngineConfig())
+        run(pairs, EngineConfig())
         assert len(refs) == len({p.source_text for p in pairs})
         assert live_at_build == [0] * len(refs)
 
@@ -343,6 +373,22 @@ class TestBaseline:
         pairs = interleaved_pairs()
         baseline_containments(pairs, EngineConfig())
         assert Counter(built) == Counter({gst.canonicalize(t): 1 for t in {p.source_text for p in pairs}})
+
+    def test_tiling_holds_one_index_at_a_time(self, monkeypatch):
+        refs = []
+        live_at_build = []
+
+        class Tracked(gst.SourceGrams):
+            def __init__(self, text, params):
+                live_at_build.append(sum(ref() is not None for ref in refs))
+                super().__init__(text, params)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(gst, "SourceGrams", Tracked)
+        pairs = interleaved_pairs()
+        baseline_containments(pairs, EngineConfig())
+        assert len(refs) == len({p.source_text for p in pairs})
+        assert live_at_build == [0] * len(refs)
 
     def test_interleaved_sources_keep_input_order(self):
         # sources A, B, A, B: tiled as A, A, B, B, reported as given

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from paraplag import semsim
 from paraplag._porter import porter_stem
-from paraplag.classify import score_batch
+from paraplag.classify import score_source
 from paraplag.config import EngineConfig
 from paraplag.corpus import LabelledPair
 from paraplag.engine import score_pairs
@@ -333,7 +333,7 @@ def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
     )
     suspect = "The car chased a cat. A dog and the car slept."
     source = "An automobile passed. The canine barked loudly. A feline hid. Machines run."
-    score = next(score_batch([(suspect, source)], stores))
+    score = next(score_source(source, [suspect], stores))
     assert "synonym" in {m.channel for best in score.best_semantic for m in best.matches}
     suspect_words = {
         (t.normalized, t.stem) for s in preprocess_passage(suspect) for t in s.content_tokens
