@@ -129,31 +129,31 @@ def score_source(
     The first source sentence with the best semantic score is the one kept
     with its word matches.
 
-    The source is preprocessed, and its `PairTables` built, once per call,
-    so a suspect word's channel verdict and reach are computed once per
-    source, not once per suspect; both go when the generator is done.  The
-    tables carry `params.sem`, the thresholds every match of the call uses.
+    The source is preprocessed into a `PairTables`, once per call, and
+    scoring reads its sentences from there, so a suspect word's channel
+    verdict and reach are computed once per source, not once per suspect;
+    the table goes when the generator is done.  It carries `params.sem`,
+    the thresholds every match of the call uses.
 
     Source sentences that cannot beat the best semantic count so far are
     skipped without being matched (see `_score`); the bound is exact, so
     every score equals that of matching every sentence pair.
     """
-    sentences = preprocess_passage(source, stopwords)
-    tables = PairTables(sentences, stores, params.sem)
+    tables = PairTables(preprocess_passage(source, stopwords), stores, params.sem)
     for suspect in suspects:
-        yield _score(preprocess_passage(suspect, stopwords), sentences, tables, params)
+        yield _score(preprocess_passage(suspect, stopwords), tables, params)
 
 
 def _score(
     sp_sentences: list[ProcessedSentence],
-    sr_sentences: list[ProcessedSentence],
     tables: PairTables,
     params: FeatureParams,
 ) -> PassageScore:
-    """The scoring pass of `score_source` on preprocessed passages.
+    """The scoring pass of `score_source` on a preprocessed suspect passage.
 
-    `tables` is built over `sr_sentences` with `params.sem` and carries the
-    stores.
+    The source sentences are `tables.sentences`; `tables` is built with
+    `params.sem` and carries the stores.  One walk over the suspect
+    sentences computes all three dimensions.
 
     A suspect sentence's semantic best is the first source sentence with
     the most matches.  Sentence i can match at most min(m, n_i, c_i) of the
@@ -167,6 +167,7 @@ def _score(
     full search.  The free bound min(m, n_i) is tried first; the reaches
     are computed only when it fails.
     """
+    sr_sentences = tables.sentences
     if not sp_sentences or not sr_sentences:
         raise EmptyPassage("both passages need at least one sentence")
 
@@ -174,9 +175,12 @@ def _score(
     sr_stems = [[t.stem for t in sr.content_tokens] for sr in sr_sentences]
     sr_tokens = [sr.all_tokens for sr in sr_sentences]
     semantic_maxima = []
+    syntactic_maxima = []
     insdel_maxima = []
     best_semantic = []
     for sp in sp_sentences:
+        if sp.all_tokens:
+            syntactic_maxima.append(max_syntactic_similarity(sp.all_tokens, sr_tokens))
         if not sp.content_tokens:
             continue
         m = len(sp.content_tokens)
@@ -198,12 +202,6 @@ def _score(
         insdel_maxima.append(
             max_insdel_similarity([t.stem for t in sp.content_tokens], sr_stems)
         )
-
-    syntactic_maxima = [
-        max_syntactic_similarity(sp.all_tokens, sr_tokens)
-        for sp in sp_sentences
-        if sp.all_tokens
-    ]
 
     vector = SimilarityVector(
         semantic=_aggregate(semantic_maxima, params.discard_semantic),

@@ -52,7 +52,7 @@ class MalformedTruthRow(ParaplagError):
 
 
 class MalformedPair(ParaplagError):
-    """A JSON-lines record is not a well-formed pair."""
+    """A JSON-lines record or a crowd file set is no well-formed pair, or repeats a pair_id."""
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,15 @@ def load_crowd(directory) -> list[LabelledPair]:
     root = Path(directory)
     if not root.is_dir():
         raise MissingFile(f"corpus directory not found: {root}")
-    numbers = sorted(
-        int(m.group(1))
-        for entry in root.iterdir()
-        if (m := _ORIGINAL_RE.match(entry.name))
-    )
+    originals: dict[int, str] = {}
+    for name in sorted(entry.name for entry in root.iterdir()):
+        if m := _ORIGINAL_RE.match(name):
+            number = int(m.group(1))
+            first = originals.setdefault(number, name)
+            if first != name:
+                raise MalformedPair(f"{root}: {first} and {name} are both pair {number}")
     pairs = []
-    for number in numbers:
+    for number in sorted(originals):
         original = root / f"{number}-original.txt"
         paraphrase = root / f"{number}-paraphrase.txt"
         if not paraphrase.is_file():
@@ -164,8 +166,12 @@ def _task_letter(task: str, where: str) -> str:
 
 
 def _truth_rows(truth_path: Path) -> list[tuple[str, str, str, int]]:
-    """(file, task, category, line number) of each row of a truth table."""
+    """(file, task, category, line number) of each row of a truth table.
+
+    A row whose pair_id (its file's stem) an earlier row used raises `MalformedTruthRow`.
+    """
     rows = []
+    lines_by_id: dict[str, int] = {}
     for line_no, line in enumerate(_read_text(truth_path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -176,6 +182,12 @@ def _truth_rows(truth_path: Path) -> list[tuple[str, str, str, int]]:
         if len(fields) < 3:
             raise MalformedTruthRow(
                 f"{truth_path}:{line_no}: truth row needs file, task, category: {line!r}"
+            )
+        pair_id = Path(fields[0]).stem
+        first = lines_by_id.setdefault(pair_id, line_no)
+        if first != line_no:
+            raise MalformedTruthRow(
+                f"{truth_path}:{line_no}: pair_id {pair_id!r} repeats line {first}"
             )
         rows.append((fields[0], fields[1], fields[2], line_no))
     return rows

@@ -4,8 +4,8 @@ Each content word of the suspect sentence is matched against the source
 sentence's remaining content words through a cascade of channels, tried
 in a fixed order:
 
-  exact      stem or normalized-form equality
-  synonym    source word appears in the query word's synonym set
+  exact      stem equality
+  synonym    stem equality with a word of the query word's synonym set
   embedding  best cosine between the query's synonym vectors (or the
              query's own vector when it has no synonyms) and a source
              word vector, kept when it reaches ``embed_min``
@@ -20,7 +20,9 @@ the suspect direction, not a symmetric similarity.
 Which channel fires between a suspect word and each source word is
 decided once, in `PairTables.verdict`, one table per source passage:
 `classify.score_source` shares a source's table among every suspect
-passage compared with it.  Both readers of that decision go through the
+passage compared with it.  The table indexes its source in one pass when
+it is built, and keys every word by its normalized form, of which the
+stem is a function.  Both readers of that decision go through the
 verdict: `match_word` picks the best remaining source word by it, and
 `PairTables.reach` turns its keys into the source sentences the word can
 match in, which lets `classify._score` skip sentences that cannot win.
@@ -78,14 +80,19 @@ class WordMatch:
 class PairTables:
     """Channel verdicts for the cascade against one source passage, each computed once.
 
-    Built over the content words of the source's sentences, keyed by
-    normalized form; every suspect passage scored against that source can
-    share the table.  A suspect word's verdict, keyed by (normalized, stem)
-    and filled on first use, maps every source form that some channel fires
-    for to (channel rank, -score), the earliest channel winning:
+    One index of the source's sentences, which it keeps as `sentences`,
+    built in one pass over their content words: normalized form -> the mask
+    of the sentences holding it, and stem -> the forms sharing it, each in
+    first-appearance order.  Every suspect passage scored against that
+    source can share the table.  A token's stem is a function of its
+    normalized form, so the normalized form is the one key of a word.
 
-      exact      the query's normalized form, and the forms sharing its stem
-      synonym    the forms of its synonyms and the forms sharing their stems
+    A suspect word's verdict, filled on first use, maps every source form
+    that some channel fires for to (channel rank, -score), the earliest
+    channel winning:
+
+      exact      the forms sharing the query's stem
+      synonym    the forms sharing a synonym's stem
       embedding  best cosines of at least `embed_min`, from one float64
                  matmul of its vectors against every source vector
       resnik     the IC of the most informative shared subsumer, when at
@@ -96,9 +103,8 @@ class PairTables:
     source word it could choose.  `thresholds` are fixed for the run, so a
     table serves only matches made with them.
 
-    A word's reach is a bitmask over the source's sentence ids: the union of
-    the sentences holding its verdict's forms, from a form -> sentence mask
-    index made on the first `reach` call.
+    A word's reach is a bitmask over the source's sentence ids: the union
+    of the masks of its verdict's forms.
     """
 
     def __init__(
@@ -109,38 +115,31 @@ class PairTables:
     ):
         self.stores = stores
         self.thresholds = thresholds
-        self._sentences = tuple(sentences)
-        self._sources: dict[str, Token] = {}
+        self.sentences = tuple(sentences)
+        self._masks: dict[str, int] = {}
         self._forms_by_stem: dict[str, list[str]] = {}
-        for sr in self._sentences:
+        for sr in self.sentences:
+            bit = 1 << sr.sentence_id
             for tok in sr.content_tokens:
-                if tok.normalized not in self._sources:
-                    self._sources[tok.normalized] = tok
+                if tok.normalized not in self._masks:
                     self._forms_by_stem.setdefault(tok.stem, []).append(tok.normalized)
-        self._verdicts: dict[tuple[str, str], dict[str, tuple[int, float]]] = {}
-        self._reaches: dict[tuple[str, str], int] = {}
+                self._masks[tok.normalized] = self._masks.get(tok.normalized, 0) | bit
+        self._verdicts: dict[str, dict[str, tuple[int, float]]] = {}
+        self._reaches: dict[str, int] = {}
 
     def verdict(self, query: Token) -> dict[str, tuple[int, float]]:
         """Source form -> (index in CHANNELS, -score) of the first channel firing for it."""
-        key = (query.normalized, query.stem)
-        verdict = self._verdicts.get(key)
+        verdict = self._verdicts.get(query.normalized)
         if verdict is None:
-            verdict = self._verdicts[key] = self._judge(query)
+            verdict = self._verdicts[query.normalized] = self._judge(query)
         return verdict
 
     def _judge(self, query: Token) -> dict[str, tuple[int, float]]:
         lexdb, ic = self.stores.lexdb, self.stores.ic
-        sources, by_stem = self._sources, self._forms_by_stem
-        verdict: dict[str, tuple[int, float]] = {}
-        if query.normalized in sources:
-            verdict[query.normalized] = (0, -1.0)
-        for form in by_stem.get(query.stem, ()):
-            verdict.setdefault(form, (0, -1.0))
-        headword = _headword(lexdb, query) if lexdb is not None else None
+        by_stem = self._forms_by_stem
+        verdict = dict.fromkeys(by_stem.get(query.stem, ()), (0, -1.0))
+        headword = _headword(lexdb, query.normalized, query.stem) if lexdb is not None else None
         syns = synonyms(lexdb, headword) if lexdb is not None else set()
-        for form in syns:
-            if form in sources:
-                verdict.setdefault(form, (1, -1.0))
         for stem in {porter_stem(s) for s in syns}:
             for form in by_stem.get(stem, ()):
                 verdict.setdefault(form, (1, -1.0))
@@ -161,7 +160,7 @@ class PairTables:
     @cached_property
     def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """Source words with a vector, their float64 vectors and squared norms."""
-        words, matrix = self.stores.embeddings.gather(self._sources)
+        words, matrix = self.stores.embeddings.gather(self._masks)
         return tuple(words), matrix, np.einsum("ij,ij->i", matrix, matrix)
 
     def _best_cosines(self, query: Token, syns: set[str]) -> dict[str, float]:
@@ -192,37 +191,26 @@ class PairTables:
         """`subsumer_ics` key -> the source forms whose lexdb form holds it."""
         lexdb, ic = self.stores.lexdb, self.stores.ic
         forms: dict[tuple, list[str]] = {}
-        for word, tok in self._sources.items():
-            for key in subsumer_ics(lexdb, ic, _headword(lexdb, tok)):
-                forms.setdefault(key, []).append(word)
+        for stem, words in self._forms_by_stem.items():
+            for word in words:
+                for key in subsumer_ics(lexdb, ic, _headword(lexdb, word, stem)):
+                    forms.setdefault(key, []).append(word)
         return forms
 
     def reach(self, query: Token) -> int:
         """Bitmask with bit i set when some channel fires for the query in sentence i."""
-        key = (query.normalized, query.stem)
-        mask = self._reaches.get(key)
+        mask = self._reaches.get(query.normalized)
         if mask is None:
-            masks = self._sentence_index
             mask = 0
             for form in self.verdict(query):
-                mask |= masks[form]
-            self._reaches[key] = mask
+                mask |= self._masks[form]
+            self._reaches[query.normalized] = mask
         return mask
 
-    @cached_property
-    def _sentence_index(self) -> dict[str, int]:
-        """Normalized form -> mask of the sentences holding it."""
-        masks: dict[str, int] = {}
-        for sr in self._sentences:
-            bit = 1 << sr.sentence_id
-            for tok in sr.content_tokens:
-                masks[tok.normalized] = masks.get(tok.normalized, 0) | bit
-        return masks
 
-
-def _headword(lexdb, token: Token) -> str:
-    """The token's lexdb headword: its normalized form if known, else its stem."""
-    return token.normalized if lexdb.synsets_of(token.normalized) else token.stem
+def _headword(lexdb, normalized: str, stem: str) -> str:
+    """A word's lexdb headword: its normalized form if known, else its stem."""
+    return normalized if lexdb.synsets_of(normalized) else stem
 
 
 def match_word(

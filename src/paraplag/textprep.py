@@ -13,7 +13,9 @@ Every token keeps its position in the sentence (before stopword removal),
 its original surface form, a normalized form (diacritics stripped,
 lowercased) and a Porter stem.  Semantic lookups downstream use the
 normalized form, because lexical-database headwords are lemmas rather than
-stems; stems serve for equality matching.
+stems; stems serve for equality matching.  The stem is a function of the
+normalized form, ``porter_stem(normalized) or normalized``, so the normalized
+form alone can key every per-word table.
 """
 
 from __future__ import annotations
@@ -169,10 +171,7 @@ def _make_tokens(sentence: str) -> tuple[Token, ...]:
     tokens = []
     for idx, surface in enumerate(tokenize(sentence)):
         norm = normalize(surface)
-        stem = porter_stem(norm) if norm else ""
-        # A non-empty normalized form must never stem to nothing.
-        if norm and not stem:
-            stem = norm
+        stem = porter_stem(norm) or norm
         tokens.append(Token(index=idx, surface=surface, normalized=norm, stem=stem))
     return tuple(tokens)
 

@@ -262,7 +262,7 @@ class TestSentenceBound:
         assert 0 < len(calls) < 2 * 4
         assert got == oracle_score(self.SUSPECT, self.SOURCE, STORES)
 
-    def test_one_sentence_source_never_builds_the_reach_index(self, monkeypatch):
+    def test_one_sentence_source_never_computes_a_reach(self, monkeypatch):
         def unreachable(self, query):
             raise AssertionError("reach computed for a one-sentence source")
 
@@ -271,13 +271,11 @@ class TestSentenceBound:
         got = next(classify.score_source(source, [self.SUSPECT], STORES))
         assert got == oracle_score(self.SUSPECT, source, STORES)
 
-    def test_reach_index_is_built_lazily(self):
+    def test_reach_reads_the_index_built_with_the_table(self):
         [sp] = preprocess_passage("Dogs ran.")
         dogs = sp.content_tokens[0]
         bare = PairTables(preprocess_passage(self.SOURCE), KnowledgeStores(), SemThresholds())
-        assert "_sentence_index" not in vars(bare)
         assert bare.reach(dogs) == 0b1000  # the stem "dog"
-        assert "_sentence_index" in vars(bare)
         # and through the stores: "cat" by Resnik, "canine" as a synonym
         full = PairTables(preprocess_passage(self.SOURCE), STORES, SemThresholds())
         assert full.reach(dogs) == 0b1110

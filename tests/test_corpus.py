@@ -114,6 +114,13 @@ class TestLoadCrowd:
         with pytest.raises(MetadataParse):
             load_crowd(root)
 
+    def test_one_number_spelled_twice_is_malformed(self, tmp_path):
+        root = copy_crowd(tmp_path)
+        shutil.copy(root / "1-original.txt", root / "01-original.txt")
+        with pytest.raises(MalformedPair) as info:
+            load_crowd(root)
+        assert str(info.value) == f"{root}: 01-original.txt and 1-original.txt are both pair 1"
+
     def test_metadata_without_verdict_line(self, tmp_path):
         root = copy_crowd(tmp_path)
         (root / "1-metadata.txt").write_text("author: worker_3\n")
@@ -181,6 +188,7 @@ class TestLoadCloughStevenson:
         ("g0pA_taska.txt,taskzz,light", MalformedTruthRow,
          "task field must name a single task letter, got 'taskzz'"),
         ("g0pA_taska.txt,a,weird", UnknownCategory, "unrecognized rewrite category 'weird'"),
+        ("g0pB_taska.txt,a,cut", MalformedTruthRow, "pair_id 'g0pB_taska' repeats line 2"),
     ])
     def test_bad_row_names_truth_file_and_line(self, tmp_path, row, error, message):
         root = tmp_path / "cs"

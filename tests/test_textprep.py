@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paraplag._porter import porter_stem
 from paraplag.errors import ParaplagError
@@ -258,3 +260,21 @@ def test_normalized_form_invariant():
         for t in sentence.all_tokens:
             assert t.normalized == normalize(t.surface)
             assert t.stem, t
+
+
+# Letters (Porter suffixes among them), digits, precomposed and combining
+# diacritics, dotted capital I (which lowercases to two characters),
+# punctuation and spaces.
+_PREP_TEXT = st.text(
+    st.sampled_from("aeiouysnltedgbcmAEST09 .,!?'-éÉüñçøßİ\u0301")
+    | st.characters(categories=("L", "Nd", "Mn", "P")),
+    max_size=80,
+)
+
+
+@given(_PREP_TEXT)
+def test_stem_is_a_function_of_the_normalized_form(text):
+    # so one normalized form has one stem, and a non-empty one never stems to ""
+    for sentence in preprocess_passage(text, frozenset()):
+        for t in sentence.all_tokens:
+            assert t.stem == (porter_stem(t.normalized) or t.normalized), t
