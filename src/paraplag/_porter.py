@@ -6,6 +6,12 @@ behaviour: preprocessing output must be reproducible bit for bit across
 installs, which rules out depending on an external stemmer whose rules shift
 between releases.
 
+Porter states every condition on one consonant/vowel pattern,
+[C](VC)^m[V]: the measure m, "contains a vowel", a double consonant ending
+(*d) and a consonant-vowel-consonant ending (*o).  Each is read off the
+word's C/V form, built in one linear pass with no recursion, so words of any
+length stem without error.
+
 Input is expected to be a lowercase word.  Words shorter than three letters
 pass through unchanged, matching the reference C implementation.
 """
@@ -17,49 +23,35 @@ from functools import lru_cache
 _VOWELS = "aeiou"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y counts as a vowel when it follows a consonant ("syzygy").
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _form(word: str) -> str:
+    """The word's consonant/vowel pattern, "c" or "v" per letter.
+
+    A y counts as a vowel when it follows a consonant ("syzygy" is "cvcvcv").
+    """
+    form = []
+    kind = "v"  # a leading y is a consonant
+    for ch in word:
+        kind = "v" if ch in _VOWELS or (ch == "y" and kind == "c") else "c"
+        form.append(kind)
+    return "".join(form)
 
 
 def _measure(stem: str) -> int:
-    """Number of vowel-consonant sequences in [C](VC)^m[V]."""
-    runs: list[bool] = []
-    for i in range(len(stem)):
-        c = _is_consonant(stem, i)
-        if not runs or runs[-1] != c:
-            runs.append(c)
-    return sum(1 for a, b in zip(runs, runs[1:]) if not a and b)
+    """m in [C](VC)^m[V]: the number of vowel-consonant transitions."""
+    return _form(stem).count("vc")
 
 
 def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _form(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _form(word).endswith("c")
 
 
 def _ends_cvc(word: str) -> bool:
     # Final consonant-vowel-consonant, last consonant not w, x or y.
-    if len(word) < 3:
-        return False
-    n = len(word)
-    return (
-        _is_consonant(word, n - 3)
-        and not _is_consonant(word, n - 2)
-        and _is_consonant(word, n - 1)
-        and word[-1] not in "wxy"
-    )
+    return _form(word).endswith("cvc") and word[-1] not in "wxy"
 
 
 def _step1a(word: str) -> str:
@@ -162,13 +154,6 @@ _STEP4 = (
 )
 
 
-# Resolve overlapping suffixes to the longest match by checking longer
-# suffixes first.
-_STEP2_ORDERED = tuple(sorted(_STEP2, key=lambda p: len(p[0]), reverse=True))
-_STEP3_ORDERED = tuple(sorted(_STEP3, key=lambda p: len(p[0]), reverse=True))
-_STEP4_ORDERED = tuple(sorted(_STEP4, key=len, reverse=True))
-
-
 def _replace_suffixes(word: str, table, min_measure: int) -> str:
     for suffix, replacement in table:
         if word.endswith(suffix):
@@ -180,15 +165,15 @@ def _replace_suffixes(word: str, table, min_measure: int) -> str:
 
 
 def _step2(word: str) -> str:
-    return _replace_suffixes(word, _STEP2_ORDERED, 0)
+    return _replace_suffixes(word, _STEP2, 0)
 
 
 def _step3(word: str) -> str:
-    return _replace_suffixes(word, _STEP3_ORDERED, 0)
+    return _replace_suffixes(word, _STEP3, 0)
 
 
 def _step4(word: str) -> str:
-    for suffix in _STEP4_ORDERED:
+    for suffix in _STEP4:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > 1:

@@ -123,17 +123,18 @@ def load_crowd(directory) -> list[LabelledPair]:
             if first != name:
                 raise MalformedPair(f"{root}: {first} and {name} are both pair {number}")
     pairs = []
-    for number in sorted(originals):
-        original = root / f"{number}-original.txt"
-        paraphrase = root / f"{number}-paraphrase.txt"
+    for number, name in sorted(originals.items()):
+        # the pair's files share the number as its original spells it ("01")
+        prefix = name.removesuffix("-original.txt")
+        paraphrase = root / f"{prefix}-paraphrase.txt"
         if not paraphrase.is_file():
             raise MissingFile(f"pair {number}: paraphrase file missing: {paraphrase}")
-        label, raw = _parse_metadata(root / f"{number}-metadata.txt", str(number))
+        label, raw = _parse_metadata(root / f"{prefix}-metadata.txt", str(number))
         pairs.append(
             LabelledPair(
                 pair_id=str(number),
                 suspect_text=_read_text(paraphrase),
-                source_text=_read_text(original),
+                source_text=_read_text(root / name),
                 label=label,
                 origin="crowd",
                 raw_category=raw,

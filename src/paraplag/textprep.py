@@ -9,6 +9,9 @@ Pipeline per passage:
 
     split_sentences -> tokenize -> normalize -> stopword filter -> stem
 
+Sentence boundaries come from one anchored pattern, so splitting is linear
+in the text's length, and the stemmer takes tokens of any length.
+
 Every token keeps its position in the sentence (before stopword removal),
 its original surface form, a normalized form (diacritics stripped,
 lowercased) and a Porter stem.  Semantic lookups downstream use the
@@ -25,7 +28,6 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
-from typing import Iterable
 
 from ._porter import porter_stem
 from .errors import decode_utf8
@@ -44,7 +46,10 @@ __all__ = [
 # Alphanumeric runs; underscore excluded from \w so it acts as a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-_SENTENCE_TERMINATORS = ".?!"
+# A maximal run of terminators and the whitespace after it: a candidate
+# sentence boundary.  The lookbehind pins a match to the start of the run, so a
+# run with no whitespace after it fails once rather than at every position.
+_BOUNDARY_RE = re.compile(r"(?<![.?!])[.?!]+\s+")
 
 # Words after which a period does not end a sentence.  Single letters
 # ("J. Smith", "e.g.") are handled separately by a length check.
@@ -78,9 +83,10 @@ class ProcessedSentence:
     content_tokens: tuple[Token, ...]
 
 
-def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:
+def _parse_stopwords(text: str) -> frozenset[str]:
+    """One lowercase word per line, '#' comments; any newline convention."""
     words = set()
-    for line in lines:
+    for line in io.StringIO(text, newline=None):
         word = line.split("#", 1)[0].strip()
         if word:
             words.add(word.lower())
@@ -93,15 +99,13 @@ def load_stopwords(path) -> frozenset[str]:
     A byte that is not UTF-8 raises ParaplagError naming the file and the line.
     """
     with open(path, "rb") as fh:
-        text = decode_utf8(fh.read(), path)
-    return _parse_stopwords(io.StringIO(text, newline=None))
+        return _parse_stopwords(decode_utf8(fh.read(), path))
 
 
 # The built-in English list; `frozenset()` as a stopword set keeps every token.
 STOPWORDS = _parse_stopwords(
     (importlib_resources.files("paraplag") / "data" / "stopwords_english.txt")
     .read_text(encoding="utf-8")
-    .splitlines()
 )
 
 
@@ -124,38 +128,26 @@ def split_sentences(text: str) -> list[str]:
     """Split passage text into sentences.
 
     A boundary is a run of [.?!] followed by whitespace and an uppercase
-    letter, unless the word before the punctuation is a known abbreviation
-    or a single letter (an initial).  Text without terminal punctuation is a
-    single sentence.  The concatenation of the outputs preserves every
-    non-whitespace character of the input.
+    letter, unless the run starts with a period and the word before it is a
+    known abbreviation or a single letter (an initial).  One anchored pattern
+    finds the candidates, in time linear in the text's length.  Text without
+    terminal punctuation is a single sentence.  The concatenation of the
+    outputs preserves every non-whitespace character of the input.
     """
     sentences: list[str] = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] in _SENTENCE_TERMINATORS:
-            run_end = i + 1
-            while run_end < n and text[run_end] in _SENTENCE_TERMINATORS:
-                run_end += 1
-            j = run_end
-            while j < n and text[j].isspace():
-                j += 1
-            boundary = j > run_end and j < n and text[j].isupper()
-            if boundary and text[i] == ".":
-                word = _word_before(text, i)
-                if len(word) == 1 or word.lower() in _ABBREVIATIONS:
-                    boundary = False
-            if boundary:
-                chunk = text[start:run_end].strip()
-                if chunk:
-                    sentences.append(chunk)
-                start = j
-                i = j
-                continue
-            i = run_end
+    for m in _BOUNDARY_RE.finditer(text):
+        i, j = m.span()
+        if not text[j : j + 1].isupper():
             continue
-        i += 1
+        if text[i] == ".":
+            word = _word_before(text, i)
+            if len(word) == 1 or word.lower() in _ABBREVIATIONS:
+                continue
+        chunk = text[start:j].strip()
+        if chunk:
+            sentences.append(chunk)
+        start = j
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)

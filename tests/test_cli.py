@@ -120,6 +120,16 @@ class TestScore:
         channels = [m["channel"] for m in out["traces"][0]["matches"]]
         assert channels == ["exact"] * 3
 
+    def test_long_y_run_token_scores(self, tmp_path, capsys):
+        # a y's class depends on the letter before it, at any distance
+        cfg = write_config(tmp_path)
+        a = write_text(tmp_path, "a.txt", f"The river {'y' * 1500} carves stone.\n")
+        b = write_text(tmp_path, "b.txt", "The river carves stone.\n")
+        rc = main(["score", a, b, "--config", cfg])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["features"]["semantic"] > 0
+
 
 class TestExitCodes:
     def test_invalid_config_json(self, tmp_path, capsys):

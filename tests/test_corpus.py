@@ -121,6 +121,15 @@ class TestLoadCrowd:
             load_crowd(root)
         assert str(info.value) == f"{root}: 01-original.txt and 1-original.txt are both pair 1"
 
+    def test_zero_padded_number_opens_the_files_it_names(self, tmp_path):
+        root = copy_crowd(tmp_path)
+        for kind in ("original", "paraphrase", "metadata"):
+            (root / f"1-{kind}.txt").rename(root / f"01-{kind}.txt")
+        pairs = load_crowd(root)
+        assert [p.pair_id for p in pairs] == ["1", "2", "10"]
+        # same texts, labels and verdicts as the unpadded fixture
+        assert pairs == load_crowd(FIXTURES / "crowd")
+
     def test_metadata_without_verdict_line(self, tmp_path):
         root = copy_crowd(tmp_path)
         (root / "1-metadata.txt").write_text("author: worker_3\n")

@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
+import time
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paraplag._porter import porter_stem
+from paraplag import _porter
+from paraplag._porter import _STEP2, _STEP3, _STEP4, porter_stem
 from paraplag.errors import ParaplagError
 from paraplag.textprep import (
+    _ABBREVIATIONS,
     STOPWORDS,
+    _word_before,
     load_stopwords,
     normalize,
     preprocess_passage,
@@ -278,3 +285,191 @@ def test_stem_is_a_function_of_the_normalized_form(text):
     for sentence in preprocess_passage(text, frozenset()):
         for t in sentence.all_tokens:
             assert t.stem == (porter_stem(t.normalized) or t.normalized), t
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the character loop the splitter replaced, and the recursive
+# consonant test with longest-first suffix tables the stemmer replaced.
+
+
+def oracle_split_sentences(text: str) -> list[str]:
+    sentences: list[str] = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in ".?!":
+            run_end = i + 1
+            while run_end < n and text[run_end] in ".?!":
+                run_end += 1
+            j = run_end
+            while j < n and text[j].isspace():
+                j += 1
+            boundary = j > run_end and j < n and text[j].isupper()
+            if boundary and text[i] == ".":
+                word = _word_before(text, i)
+                if len(word) == 1 or word.lower() in _ABBREVIATIONS:
+                    boundary = False
+            if boundary:
+                chunk = text[start:run_end].strip()
+                if chunk:
+                    sentences.append(chunk)
+                start = j
+                i = j
+                continue
+            i = run_end
+            continue
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def _oracle_is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in "aeiou":
+        return False
+    if ch == "y":
+        return i == 0 or not _oracle_is_consonant(word, i - 1)
+    return True
+
+
+def _oracle_measure(stem: str) -> int:
+    runs: list[bool] = []
+    for i in range(len(stem)):
+        c = _oracle_is_consonant(stem, i)
+        if not runs or runs[-1] != c:
+            runs.append(c)
+    return sum(1 for a, b in zip(runs, runs[1:]) if not a and b)
+
+
+def _oracle_contains_vowel(stem: str) -> bool:
+    return any(not _oracle_is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _oracle_ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _oracle_is_consonant(word, len(word) - 1)
+    )
+
+
+def _oracle_ends_cvc(word: str) -> bool:
+    if len(word) < 3:
+        return False
+    n = len(word)
+    return (
+        _oracle_is_consonant(word, n - 3)
+        and not _oracle_is_consonant(word, n - 2)
+        and _oracle_is_consonant(word, n - 1)
+        and word[-1] not in "wxy"
+    )
+
+
+def oracle_porter_stem(word: str) -> str:
+    # the step rules are shared; the conditions and table order are the oracle's
+    with mock.patch.multiple(
+        _porter,
+        _measure=_oracle_measure,
+        _contains_vowel=_oracle_contains_vowel,
+        _ends_double_consonant=_oracle_ends_double_consonant,
+        _ends_cvc=_oracle_ends_cvc,
+        _STEP2=tuple(sorted(_STEP2, key=lambda p: len(p[0]), reverse=True)),
+        _STEP3=tuple(sorted(_STEP3, key=lambda p: len(p[0]), reverse=True)),
+        _STEP4=tuple(sorted(_STEP4, key=len, reverse=True)),
+    ):
+        return _porter.porter_stem.__wrapped__(word)
+
+
+def test_oracle_porter_agrees_on_frozen_vectors():
+    for word, expected in PORTER_VECTORS.items():
+        assert oracle_porter_stem(word) == expected, word
+
+
+_WHITESPACE = "".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
+
+
+def test_boundary_whitespace_is_str_isspace():
+    # the pattern's \s and the loop's str.isspace() accept the same characters
+    matched = "".join(re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1)))))
+    assert matched == _WHITESPACE
+
+
+# Chunks of a word, a terminator run and whitespace, so candidate boundaries
+# are frequent.  Words are upper-, lower- and title-case letters, digits and
+# the words the abbreviation rule looks at; whitespace is every character
+# str.isspace() accepts.
+_SPLIT_CHUNK = st.tuples(
+    st.sampled_from(
+        ["", "A", "Z", "É", "a", "z", "é", "ǅ", "ǆ", "7", "0", "Cat", "cat"]
+        + ["Dr", "dr", "e.g", "E.g", "J", "j", "etc", "Etc", "St", "vs"]
+    ),
+    st.text(st.sampled_from(".?!"), max_size=3),
+    st.text(st.sampled_from(_WHITESPACE), max_size=2),
+).map("".join)
+_SPLIT_TEXT = st.lists(_SPLIT_CHUNK, max_size=12).map("".join)
+
+
+@given(_SPLIT_TEXT)
+@example(" \u2003Cat. A")  # leading whitespace before the first boundary
+@example("J? A j! B")  # the abbreviation rule holds only for a period
+def test_split_sentences_matches_oracle(text):
+    assert split_sentences(text) == oracle_split_sentences(text)
+
+
+@pytest.mark.parametrize(
+    "text, sentences",
+    [
+        # a terminator run with no whitespace after it
+        ("a" + "." * 200_000 + "x", 1),
+        # every period follows an initial
+        ("A. " * 100_000, 1),
+    ],
+    ids=["dot-run", "initials"],
+)
+def test_split_sentences_is_linear(text, sentences):
+    started = time.perf_counter()
+    out = split_sentences(text)
+    assert time.perf_counter() - started < 2.0
+    assert len(out) == sentences
+
+
+# Letter strings rich in y (whose class depends on the letter before it), of
+# at most 200 letters, ending in a suffix one of the steps strips.
+_STEM_SUFFIXES = sorted(
+    {s for s, _ in _STEP2} | {s for s, _ in _STEP3} | set(_STEP4)
+    | {"", "s", "ss", "ies", "sses", "ed", "eed", "ing", "y", "e", "l", "ll"}
+)
+_STEM_WORD = st.builds(
+    str.__add__,
+    st.text(st.sampled_from("yyyyaeioubcdlmnrstwxz"), max_size=193),
+    st.sampled_from(_STEM_SUFFIXES),
+)
+
+
+@settings(max_examples=1000)
+@given(_STEM_WORD)
+@example("baying")  # *o excludes a final y that the form calls a consonant
+def test_porter_stem_matches_oracle(word):
+    assert porter_stem(word) == oracle_porter_stem(word)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[s for s, _ in _STEP2], [s for s, _ in _STEP3], list(_STEP4)],
+    ids=["step2", "step3", "step4"],
+)
+def test_suffix_tables_list_longer_tails_first(table):
+    # so the first suffix that matches is the longest one
+    for i, earlier in enumerate(table):
+        for later in table[i + 1:]:
+            assert not later.endswith(earlier), (earlier, later)
+
+
+def test_long_y_run_stems_and_preprocesses():
+    word = "y" * 5000
+    assert porter_stem(word)
+    [sentence] = preprocess_passage(f"The token {word} is long.")
+    assert sentence.all_tokens[2].normalized == word
