@@ -18,8 +18,6 @@ pass through unchanged, matching the reference C implementation.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 _VOWELS = "aeiou"
 
 
@@ -199,9 +197,6 @@ def _step5b(word: str) -> str:
     return word
 
 
-# Text repeats words, and synonym expansion stems the same lemmas again for
-# every pair; the result depends on the word alone.
-@lru_cache(maxsize=1 << 16)
 def porter_stem(word: str) -> str:
     """Stem a lowercase word with the classic Porter algorithm.
 

@@ -24,7 +24,7 @@ import numpy as np
 from .editsim import max_insdel_similarity
 from .errors import ParaplagError, is_integer
 from .resources import KnowledgeStores
-from .semsim import PairTables, SemThresholds, WordMatch, match_sentence
+from .semsim import PairTables, SemThresholds, Vocabulary, WordMatch, match_sentence
 from .synsim import max_syntactic_similarity
 from .textprep import STOPWORDS, ProcessedSentence, preprocess_passage
 
@@ -120,6 +120,7 @@ def score_source(
     stores: KnowledgeStores = KnowledgeStores(),
     params: FeatureParams = FeatureParams(),
     stopwords: frozenset[str] = STOPWORDS,
+    vocab: Vocabulary | None = None,
 ) -> Iterator[PassageScore]:
     """The `PassageScore` of each suspect against `source`, in order, one at a time.
 
@@ -129,19 +130,28 @@ def score_source(
     The first source sentence with the best semantic score is the one kept
     with its word matches.
 
-    The source is preprocessed into a `PairTables`, once per call, and
-    scoring reads its sentences from there, so a suspect word's channel
-    verdict and reach are computed once per source, not once per suspect;
-    the table goes when the generator is done.  It carries `params.sem`,
-    the thresholds every match of the call uses.
+    What depends on a word alone is worked out once per `vocab`, the run's
+    `Vocabulary` over `stores`: a token's normalized form and stem, and
+    the word's synonyms, embedding rows and ranked subsumers, for suspect
+    and source words alike.  Without one, a fresh vocabulary serves this
+    call.  What depends on the source is worked out once per call: the
+    source is preprocessed into a `PairTables`, and scoring reads its
+    sentences from there, so a suspect word's channel verdict and reach are
+    computed once per source, not once per suspect; the table goes when the
+    generator is done.  It carries `params.sem`, the thresholds every
+    match of the call uses.
 
     Source sentences that cannot beat the best semantic count so far are
     skipped without being matched (see `_score`); the bound is exact, so
     every score equals that of matching every sentence pair.
     """
-    tables = PairTables(preprocess_passage(source, stopwords), stores, params.sem)
+    if vocab is None:
+        vocab = Vocabulary(stores)
+    elif vocab.stores is not stores:
+        raise ValueError("vocab must be built over the stores it scores with")
+    tables = PairTables(preprocess_passage(source, stopwords, vocab.forms), vocab, params.sem)
     for suspect in suspects:
-        yield _score(preprocess_passage(suspect, stopwords), tables, params)
+        yield _score(preprocess_passage(suspect, stopwords, vocab.forms), tables, params)
 
 
 def _score(
@@ -152,8 +162,8 @@ def _score(
     """The scoring pass of `score_source` on a preprocessed suspect passage.
 
     The source sentences are `tables.sentences`; `tables` is built with
-    `params.sem` and carries the stores.  One walk over the suspect
-    sentences computes all three dimensions.
+    `params.sem` and carries the run's vocabulary and stores.  One walk over
+    the suspect sentences computes all three dimensions.
 
     A suspect sentence's semantic best is the first source sentence with
     the most matches.  Sentence i can match at most min(m, n_i, c_i) of the

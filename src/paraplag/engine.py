@@ -9,8 +9,12 @@ about eight pairs at any number of jobs.  One job runs the batches in
 this process after one set-up (loading stores, say); a pool's workers
 each run the set-up before their first batch.  So each source's
 preprocessing, word tables and tiling index are built once per run, and
-one at a time.  Output order always follows input order, so results
-never depend on how work was scheduled.
+one at a time.  Scoring's set-up also makes the run's `semsim.Vocabulary`,
+so what depends on a word alone (its normalized form and stem, its
+synonyms, embedding rows and subsumers) is worked out once per run, or
+once per worker in a pool, and dropped with the set-up's result.  Output
+order always follows input order, so results never depend on how work
+was scheduled.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .corpus import LabelledPair
 from .errors import ParaplagError, decode_utf8
 from .gst import GstParams, source_grams
 from .resources import KnowledgeStores
+from .semsim import Vocabulary
 
 # ---------------------------------------------------------------------------
 # Fan-out
@@ -136,10 +141,14 @@ def parallel_map(
 # Features and traces
 
 def scoring_state(config: EngineConfig, stores: KnowledgeStores | None = None):
-    """(stores, feature params, stopword set) for scoring under config."""
+    """(stores, feature params, stopword set, a fresh `Vocabulary`) for scoring under config.
+
+    The arguments `score_source` takes after the texts.  The vocabulary
+    lives as long as the state: one run inline, or one pool worker.
+    """
     if stores is None:
         stores = build_stores(config)
-    return stores, feature_params(config), prep_config(config)
+    return stores, feature_params(config), prep_config(config), Vocabulary(stores)
 
 
 def _score_task(state, source: str, pairs: Sequence[LabelledPair]) -> Iterable[PassageScore]:

@@ -18,7 +18,7 @@ pre-trained vocabularies mix cased and uncased entries.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
@@ -79,24 +79,19 @@ class EmbeddingStore:
     def __contains__(self, word: str) -> bool:
         return word in self._rows
 
-    def _row(self, word: str) -> Optional[int]:
+    def row(self, word: str) -> Optional[int]:
+        """The matrix row `lookup_folded` reads for the word, or None."""
         row = self._rows.get(word)
         return self._folded.get(word.lower()) if row is None else row
 
     def lookup_folded(self, word: str) -> Optional[np.ndarray]:
         """Exact lookup, then the first stored case-insensitive match."""
-        row = self._row(word)
+        row = self.row(word)
         return None if row is None else self.matrix[row]
 
-    def gather(self, words: Iterable[str]) -> tuple[list[str], np.ndarray]:
-        """The words `lookup_folded` finds, in order, and their vectors as float64 rows."""
-        found, rows = [], []
-        for word in words:
-            row = self._row(word)
-            if row is not None:
-                found.append(word)
-                rows.append(row)
-        return found, self.matrix.take(rows, axis=0).astype(np.float64)
+    def vectors(self, rows: Sequence[int]) -> np.ndarray:
+        """The given matrix rows, in order, as float64 rows."""
+        return self.matrix.take(rows, axis=0).astype(np.float64)
 
 
 def _parse_header(first_line: str, path: str) -> tuple[int, int]:

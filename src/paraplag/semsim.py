@@ -17,6 +17,11 @@ so one source word never accounts for two query words.  The sentence
 score is the fraction of query words that found a match: containment in
 the suspect direction, not a symmetric similarity.
 
+Everything the cascade asks the stores about one word (its synonyms'
+stems, its embedding rows, its subsumers ranked by IC) depends on the word
+alone, so a run's `Vocabulary` asks once per word, for suspect and source
+words alike, and keeps the answers with the stores until the run ends.
+
 Which channel fires between a suspect word and each source word is
 decided once, in `PairTables.verdict`, one table per source passage:
 `classify.score_source` shares a source's table among every suspect
@@ -34,16 +39,17 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
-from ._porter import porter_stem
+from ._porter import porter_stem  # noqa: F401
 from .errors import ParaplagError
 # The embedding and Resnik values in `PairTables.verdict` follow `cosine`'s
 # and `resnik`'s definitions; both stay importable from here with the other
-# store queries.
+# store queries, and so does the stemmer behind the run's `Forms`.
 from .resources import KnowledgeStores, cosine, resnik, subsumer_ics, synonyms  # noqa: F401
-from .textprep import ProcessedSentence, Token
+from .textprep import Forms, ProcessedSentence, Token
 
 
 class EmptySentence(ParaplagError):
@@ -77,6 +83,68 @@ class WordMatch:
     score: float
 
 
+@dataclass(frozen=True, slots=True)
+class WordFacts:
+    """What the stores say about one word as a query, whatever it is compared with."""
+
+    # the distinct stems of its lexdb headword's synonyms
+    synonym_stems: tuple[str, ...]
+    # embedding rows of its sorted synonyms or, with none, of the word itself
+    rows: tuple[int, ...]
+    # as `Vocabulary.subsumers`
+    subsumers: tuple[tuple[tuple, float], ...]
+
+
+class Vocabulary:
+    """One scoring run's per-word memos, built over the run's stores.
+
+    `forms` holds each token surface's (normalized, stem), filled by
+    `textprep.preprocess_passage`, and each word's stem.  `word` maps a
+    normalized form to its `WordFacts` as a query, and `subsumers` to the
+    part of them that source words need too.  So each distinct word costs
+    at most one `synonyms` and one `subsumer_ics` call a run, however many
+    passages it appears in, on either side.  The memos are bounded by the
+    run's vocabulary and go with the object.
+    """
+
+    def __init__(self, stores: KnowledgeStores):
+        self.stores = stores
+        self.forms = Forms()
+        self._words: dict[str, WordFacts] = {}
+        self._subsumers: dict[str, tuple[tuple[tuple, float], ...]] = {}
+
+    def word(self, normalized: str, stem: str) -> WordFacts:
+        """The facts of the word with this normalized form and its stem."""
+        facts = self._words.get(normalized)
+        if facts is None:
+            lexdb, emb = self.stores.lexdb, self.stores.embeddings
+            syns = []
+            if lexdb is not None:
+                syns = sorted(synonyms(lexdb, _headword(lexdb, normalized, stem)))
+            rows = () if emb is None else tuple(
+                row for word in syns or [normalized] if (row := emb.row(word)) is not None
+            )
+            facts = self._words[normalized] = WordFacts(
+                tuple(dict.fromkeys(map(self.forms.stem, syns))),
+                rows,
+                self.subsumers(normalized, stem),
+            )
+        return facts
+
+    def subsumers(self, normalized: str, stem: str) -> tuple[tuple[tuple, float], ...]:
+        """The word's `subsumer_ics` items, highest IC first; none without lexdb and IC."""
+        ranked = self._subsumers.get(normalized)
+        if ranked is None:
+            lexdb, ic = self.stores.lexdb, self.stores.ic
+            ics = {}
+            if lexdb is not None and ic is not None:
+                ics = subsumer_ics(lexdb, ic, _headword(lexdb, normalized, stem))
+            ranked = self._subsumers[normalized] = tuple(
+                sorted(ics.items(), key=itemgetter(1), reverse=True)
+            )
+        return ranked
+
+
 class PairTables:
     """Channel verdicts for the cascade against one source passage, each computed once.
 
@@ -87,17 +155,19 @@ class PairTables:
     source can share the table.  A token's stem is a function of its
     normalized form, so the normalized form is the one key of a word.
 
-    A suspect word's verdict, filled on first use, maps every source form
-    that some channel fires for to (channel rank, -score), the earliest
-    channel winning:
+    Per-word facts, for suspect and source words alike, come from the run's
+    `vocab`; the table keeps only what depends on its source.  A suspect
+    word's verdict, filled on first use, maps every source form that some
+    channel fires for to (channel rank, -score), the earliest channel
+    winning:
 
       exact      the forms sharing the query's stem
       synonym    the forms sharing a synonym's stem
       embedding  best cosines of at least `embed_min`, from one float64
                  matmul of its vectors against every source vector
       resnik     the IC of the most informative shared subsumer, when at
-                 least `resnik_min`, from the query's `subsumer_ics` keys in
-                 a key -> forms index; only with both the lexdb and IC table
+                 least `resnik_min`, from the query's ranked subsumers in a
+                 subsumer -> forms index; only with both the lexdb and IC table
 
     So the smallest entry is the cascade's choice, and the keys are every
     source word it could choose.  `thresholds` are fixed for the run, so a
@@ -110,10 +180,10 @@ class PairTables:
     def __init__(
         self,
         sentences: Iterable[ProcessedSentence],
-        stores: KnowledgeStores,
+        vocab: Vocabulary,
         thresholds: SemThresholds,
     ):
-        self.stores = stores
+        self.vocab = vocab
         self.thresholds = thresholds
         self.sentences = tuple(sentences)
         self._masks: dict[str, int] = {}
@@ -135,65 +205,67 @@ class PairTables:
         return verdict
 
     def _judge(self, query: Token) -> dict[str, tuple[int, float]]:
-        lexdb, ic = self.stores.lexdb, self.stores.ic
+        facts = self.vocab.word(query.normalized, query.stem)
         by_stem = self._forms_by_stem
         verdict = dict.fromkeys(by_stem.get(query.stem, ()), (0, -1.0))
-        headword = _headword(lexdb, query.normalized, query.stem) if lexdb is not None else None
-        syns = synonyms(lexdb, headword) if lexdb is not None else set()
-        for stem in {porter_stem(s) for s in syns}:
+        for stem in facts.synonym_stems:
             for form in by_stem.get(stem, ()):
                 verdict.setdefault(form, (1, -1.0))
         embed_min = self.thresholds.embed_min
-        for form, value in self._best_cosines(query, syns).items():
+        for form, value in self._best_cosines(facts.rows).items():
             if value >= embed_min:
                 verdict.setdefault(form, (2, -value))
-        if lexdb is not None and ic is not None:
-            # highest IC first: a form's first entry is its best shared subsumer
-            query_ics = subsumer_ics(lexdb, ic, headword)
-            for key, value in sorted(query_ics.items(), key=lambda kv: kv[1], reverse=True):
-                if value < self.thresholds.resnik_min:
-                    break
-                for form in self._forms_by_subsumer.get(key, ()):
-                    verdict.setdefault(form, (3, -value))
+        # highest IC first: a form's first entry is its best shared subsumer
+        for key, value in facts.subsumers:
+            if value < self.thresholds.resnik_min:
+                break
+            for form in self._forms_by_subsumer.get(key, ()):
+                verdict.setdefault(form, (3, -value))
         return verdict
 
     @cached_property
-    def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """Source words with a vector, their float64 vectors and squared norms."""
-        words, matrix = self.stores.embeddings.gather(self._masks)
-        return tuple(words), matrix, np.einsum("ij,ij->i", matrix, matrix)
+    def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """Source words with a vector, their float64 vectors, squared norms and zero-norm mask."""
+        emb = self.vocab.stores.embeddings
+        rows = {word: row for word in self._masks if (row := emb.row(word)) is not None}
+        matrix = emb.vectors(list(rows.values()))
+        source_sq = np.einsum("ij,ij->i", matrix, matrix)
+        return tuple(rows), matrix, source_sq, source_sq == 0.0
 
-    def _best_cosines(self, query: Token, syns: set[str]) -> dict[str, float]:
-        """Best `cosine` per source word over the query's vectors.
+    def _best_cosines(self, rows: tuple[int, ...]) -> dict[str, float]:
+        """Best `cosine` per source word over the query's embedding rows.
 
-        The query's vectors are its synonyms' or, without synonyms, its own.
         Source words without a vector are absent, and so is everything when
-        the query has no vector or no embeddings are loaded.
+        the query has no rows (no vector, or no embeddings loaded).
         """
-        emb = self.stores.embeddings
-        if emb is None:
+        if not rows:
             return {}
-        query_words = sorted(syns) if syns else [query.normalized]
-        _, queries = emb.gather(query_words)
-        words, sources, source_sq = self._source_vectors
-        if not len(queries) or not words:
+        words, sources, source_sq, source_zero = self._source_vectors
+        if not words:
             return {}
+        queries = self.vocab.stores.embeddings.vectors(rows)
         query_sq = np.einsum("ij,ij->i", queries, queries)
         with np.errstate(divide="ignore", invalid="ignore"):
-            value = (queries @ sources.T) / np.sqrt(np.outer(query_sq, source_sq))
+            value = (queries @ sources.T) / np.sqrt(query_sq[:, None] * source_sq)
         # cosine's clamp, under which NaN becomes -1.0, then its zero-norm rule
         value = np.minimum(np.fmax(value, -1.0), 1.0)
-        value[np.logical_or.outer(query_sq == 0.0, source_sq == 0.0)] = 0.0
+        value[(query_sq == 0.0)[:, None] | source_zero] = 0.0
         return dict(zip(words, value.max(axis=0).tolist()))
 
     @cached_property
     def _forms_by_subsumer(self) -> dict[tuple, list[str]]:
-        """`subsumer_ics` key -> the source forms whose lexdb form holds it."""
-        lexdb, ic = self.stores.lexdb, self.stores.ic
+        """Subsumer key -> the source forms it subsumes, for keys of at least `resnik_min`.
+
+        A key's IC is the same whichever word holds it, so a key under
+        `resnik_min` fires for no query.
+        """
+        resnik_min = self.thresholds.resnik_min
         forms: dict[tuple, list[str]] = {}
         for stem, words in self._forms_by_stem.items():
             for word in words:
-                for key in subsumer_ics(lexdb, ic, _headword(lexdb, word, stem)):
+                for key, value in self.vocab.subsumers(word, stem):
+                    if value < resnik_min:
+                        break
                     forms.setdefault(key, []).append(word)
         return forms
 
@@ -246,12 +318,13 @@ def match_sentence(
     """Matches for every suspect content word, consuming source words.
 
     `tables` is as for `match_word`, and its thresholds are the ones used.
-    `stores` and `thresholds` only build a table over the source sentence
-    when none is passed; with `tables`, they are ignored.
+    `stores` and `thresholds` only build a table over the source sentence,
+    with a fresh `Vocabulary`, when none is passed; with `tables`, they are
+    ignored.
     """
     remaining = list(sr.content_tokens)
     if tables is None:
-        tables = PairTables([sr], stores, thresholds)
+        tables = PairTables([sr], Vocabulary(stores), thresholds)
     matches: list[WordMatch] = []
     for query in sp.content_tokens:
         found = match_word(query, remaining, tables)

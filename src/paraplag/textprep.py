@@ -18,7 +18,9 @@ lowercased) and a Porter stem.  Semantic lookups downstream use the
 normalized form, because lexical-database headwords are lemmas rather than
 stems; stems serve for equality matching.  The stem is a function of the
 normalized form, ``porter_stem(normalized) or normalized``, so the normalized
-form alone can key every per-word table.
+form alone can key every per-word table.  A `Forms` memo, which a scoring
+run keeps for its whole length, normalizes each distinct surface and stems
+each distinct word once.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ._porter import porter_stem
 from .errors import decode_utf8
 
 __all__ = [
+    "Forms",
     "Token",
     "ProcessedSentence",
     "STOPWORDS",
@@ -159,27 +162,56 @@ def tokenize(sentence: str) -> list[str]:
     return _TOKEN_RE.findall(sentence)
 
 
-def _make_tokens(sentence: str) -> tuple[Token, ...]:
+class Forms:
+    """Memo of word forms for as long as its owner keeps it (a run's `semsim.Vocabulary`).
+
+    `tokens` maps a surface to its (normalized, stem); `stem` stems a word
+    once, whether it is a token's normalized form or a lexdb lemma.
+    """
+
+    def __init__(self):
+        self.tokens: dict[str, tuple[str, str]] = {}
+        self._stems: dict[str, str] = {}
+
+    def stem(self, word: str) -> str:
+        """``porter_stem(word) or word``, computed once per word."""
+        stem = self._stems.get(word)
+        if stem is None:
+            stem = self._stems[word] = porter_stem(word) or word
+        return stem
+
+
+def _make_tokens(sentence: str, forms: Forms) -> tuple[Token, ...]:
     tokens = []
     for idx, surface in enumerate(tokenize(sentence)):
-        norm = normalize(surface)
-        stem = porter_stem(norm) or norm
-        tokens.append(Token(index=idx, surface=surface, normalized=norm, stem=stem))
+        known = forms.tokens.get(surface)
+        if known is None:
+            norm = normalize(surface)
+            known = forms.tokens[surface] = (norm, forms.stem(norm))
+        tokens.append(Token(idx, surface, *known))
     return tuple(tokens)
 
 
 def preprocess_passage(
-    text: str, stopwords: frozenset[str] = STOPWORDS
+    text: str,
+    stopwords: frozenset[str] = STOPWORDS,
+    forms: Forms | None = None,
 ) -> list[ProcessedSentence]:
     """Preprocess passage text into a list of ProcessedSentence.
 
     Sentences are numbered in order of appearance.  content_tokens holds
     the same Token objects as all_tokens minus stopwords, so indices stay
     comparable across the two views.
+
+    Each distinct surface is normalized, and each distinct normalized form
+    stemmed, once per `forms`; without one, a fresh one serves this passage
+    alone.
     """
+    if forms is None:
+        forms = Forms()
     out = []
     for sid, sentence in enumerate(split_sentences(text)):
-        all_tokens = _make_tokens(sentence)
+        all_tokens = _make_tokens(sentence, forms)
         content = tuple(t for t in all_tokens if t.normalized not in stopwords)
         out.append(
             ProcessedSentence(
@@ -190,4 +222,3 @@ def preprocess_passage(
             )
         )
     return out
-

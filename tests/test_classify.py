@@ -46,7 +46,7 @@ from paraplag.classify import (
 )
 from paraplag.editsim import max_insdel_similarity
 from paraplag.resources import ICTable, KnowledgeStores, load_lexdb
-from paraplag.semsim import PairTables, SemThresholds, match_sentence
+from paraplag.semsim import PairTables, SemThresholds, Vocabulary, match_sentence
 from paraplag.synsim import syntactic_similarity
 from paraplag.textprep import preprocess_passage
 
@@ -207,7 +207,7 @@ def _oracle_score(sp_sentences, sr_sentences, tables, params):
 def oracle_score(suspect, source, stores=KnowledgeStores(), params=FeatureParams()):
     """The unpruned score of one text pair, on its own tables."""
     sr_sentences = preprocess_passage(source)
-    tables = PairTables(sr_sentences, stores, params.sem)
+    tables = PairTables(sr_sentences, Vocabulary(stores), params.sem)
     return _oracle_score(preprocess_passage(suspect), sr_sentences, tables, params)
 
 
@@ -226,6 +226,16 @@ def bound_cases(draw):
     return stores, FeatureParams(sem=th), draw(passage(3)), draw(passage(6))
 
 
+def test_a_vocabulary_serves_only_the_stores_it_was_built_over():
+    other = KnowledgeStores(lexdb=STORES.lexdb)
+    with pytest.raises(ValueError, match="vocab"):
+        next(classify.score_source("Dogs ran.", ["Dogs ran."], STORES, vocab=Vocabulary(other)))
+    shared = Vocabulary(STORES)
+    assert next(classify.score_source("Dogs ran.", ["Dogs ran."], STORES, vocab=shared)) == next(
+        classify.score_source("Dogs ran.", ["Dogs ran."], STORES)
+    )
+
+
 class TestSentenceBound:
     """The reach bound skips source sentences without changing any score."""
 
@@ -239,7 +249,7 @@ class TestSentenceBound:
     def test_reach_bounds_every_match_count_and_scores_equal_the_oracle(self, case):
         stores, params, suspect, source = case
         sr_sentences = preprocess_passage(source)
-        tables = PairTables(sr_sentences, stores, params.sem)
+        tables = PairTables(sr_sentences, Vocabulary(stores), params.sem)
         for sp in preprocess_passage(suspect):
             reaches = [tables.reach(query) for query in sp.content_tokens]
             for sr in sr_sentences:
@@ -274,10 +284,12 @@ class TestSentenceBound:
     def test_reach_reads_the_index_built_with_the_table(self):
         [sp] = preprocess_passage("Dogs ran.")
         dogs = sp.content_tokens[0]
-        bare = PairTables(preprocess_passage(self.SOURCE), KnowledgeStores(), SemThresholds())
+        bare = PairTables(
+            preprocess_passage(self.SOURCE), Vocabulary(KnowledgeStores()), SemThresholds()
+        )
         assert bare.reach(dogs) == 0b1000  # the stem "dog"
         # and through the stores: "cat" by Resnik, "canine" as a synonym
-        full = PairTables(preprocess_passage(self.SOURCE), STORES, SemThresholds())
+        full = PairTables(preprocess_passage(self.SOURCE), Vocabulary(STORES), SemThresholds())
         assert full.reach(dogs) == 0b1110
 
 

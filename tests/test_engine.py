@@ -10,13 +10,14 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paraplag import classify, engine, gst
 from paraplag.classify import SimilarityVector, score_source
-from paraplag.config import EngineConfig, MissingResource, gst_params
+from paraplag.config import EngineConfig, MissingResource, build_stores, feature_params, gst_params
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair
 from paraplag.engine import (
     baseline_containments,
@@ -32,6 +33,9 @@ from paraplag.engine import (
 from paraplag.errors import ParaplagError
 from paraplag.gst import InputTooLarge
 from paraplag.resources import KnowledgeStores, MalformedLine, TruncatedVector
+from paraplag.semsim import CHANNELS
+
+from test_semsim_tables import FIXTURES, LEMMAS, VOCAB
 
 WORDS = ["river", "stone", "cloud", "meadow", "forest", "harbor", "lantern", "copper"]
 OTHER = ["quartz", "violin", "sulfur", "ledger", "orbit", "basalt"]
@@ -196,6 +200,51 @@ class TestParallelMap:
             parallel_map(_fail_on_p005, partial(_directory, None), EngineConfig(), pairs, jobs)
 
 
+@pytest.fixture(scope="module")
+def all_stores(tmp_path_factory):
+    """A config with every store: the fixture lexdb, the golden IC file, and
+    small text vectors over the fixture lexicon (integer ones tie exactly)."""
+    rng = np.random.default_rng(11)
+    path = tmp_path_factory.mktemp("stores") / "vectors.txt"
+    words = VOCAB + LEMMAS
+    lines = [f"{len(words)} 4"]
+    for i, word in enumerate(words):
+        vec = rng.integers(-2, 3, 4) if i % 2 else rng.standard_normal(4).astype(np.float32)
+        lines.append(" ".join([word, *map(repr, vec.tolist())]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return EngineConfig(
+        lexdb_dir=str(FIXTURES / "lexdb"),
+        ic_file=str(FIXTURES / "golden" / "ic.dat"),
+        embedding_file=str(path),
+    )
+
+
+@st.composite
+def lexicon_passage(draw):
+    words = st.lists(st.sampled_from(VOCAB + ["the", "a", "of"]), min_size=1, max_size=6)
+    return " ".join(
+        " ".join(sentence).capitalize() + "."
+        for sentence in draw(st.lists(words, min_size=1, max_size=2))
+    )
+
+
+@st.composite
+def _lexicon_pairs(draw):
+    sources = draw(st.lists(lexicon_passage(), min_size=2, max_size=5))
+    n = draw(st.integers(engine.PAIRS_PER_TASK + 1, 3 * engine.PAIRS_PER_TASK))
+    return [make_pair(i, draw(lexicon_passage()), draw(st.sampled_from(sources))) for i in range(n)]
+
+
+# more than one batch, so that two workers share the pairs
+lexicon_pairs = _lexicon_pairs().filter(lambda pairs: len(engine._batches(pairs)) > 1)
+
+
+def _oracle_scores(pairs, config):
+    """Each pair scored alone, with a vocabulary of its own."""
+    stores, params = build_stores(config), feature_params(config)
+    return [next(score_source(p.source_text, [p.suspect_text], stores, params)) for p in pairs]
+
+
 class TestExtractFeatures:
     def test_identical_pair_scores_ones(self):
         pairs = [make_pair(0, "Rivers carve stone.", "Rivers carve stone.")]
@@ -221,6 +270,25 @@ class TestExtractFeatures:
         assert serial == [
             next(score_source(p.source_text, [p.suspect_text])) for p in pairs
         ]
+
+    # each example starts a pool of two workers, each loading every store
+    @settings(max_examples=12)
+    @given(pairs=lexicon_pairs)
+    def test_pool_with_every_store_matches_serial_and_the_oracle(self, all_stores, pairs):
+        serial = score_pairs(pairs, all_stores)
+        pooled = score_pairs(pairs, all_stores, jobs=2)
+        # channels and word-match scores as well as vectors
+        traces = [trace_records(p.pair_id, score) for p, score in zip(pairs, serial)]
+        assert [trace_records(p.pair_id, score) for p, score in zip(pairs, pooled)] == traces
+        assert pooled == serial == _oracle_scores(pairs, all_stores)
+
+    def test_every_channel_fires_with_every_store(self, all_stores):
+        pairs = [make_pair(i, " ".join(VOCAB[i::4]) + ".", " ".join(VOCAB[i + 1::3]) + ".")
+                 for i in range(4)]
+        scores = score_pairs(pairs, all_stores)
+        assert scores == _oracle_scores(pairs, all_stores)
+        channels = {m.channel for s in scores for best in s.best_semantic for m in best.matches}
+        assert channels == set(CHANNELS)
 
     def test_pool_sends_back_vectors_only(self):
         pairs = interleaved_pairs()

@@ -17,6 +17,7 @@ from paraplag.semsim import (
     EmptySentence,
     PairTables,
     SemThresholds,
+    Vocabulary,
     WordMatch,
     match_sentence,
     match_word,
@@ -41,7 +42,7 @@ def sentence(text: str):
 
 def tables(sr, stores=KnowledgeStores(), thresholds=SemThresholds()) -> PairTables:
     """The word tables `match_word` reads, over the source sentence's content words."""
-    return PairTables([sr], stores, thresholds)
+    return PairTables([sr], Vocabulary(stores), thresholds)
 
 
 def content(sent, word: str):

@@ -8,6 +8,7 @@ then by id; the maximum over sense pairs wins.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from paraplag import semsim
+from paraplag import engine, semsim, textprep
 from paraplag._porter import porter_stem
 from paraplag.classify import score_source
 from paraplag.config import EngineConfig
@@ -29,7 +30,14 @@ from paraplag.resources import (
     resnik,
     synonyms,
 )
-from paraplag.semsim import PairTables, SemThresholds, WordMatch, match_sentence, match_word
+from paraplag.semsim import (
+    PairTables,
+    SemThresholds,
+    Vocabulary,
+    WordMatch,
+    match_sentence,
+    match_word,
+)
 from paraplag.textprep import preprocess_passage
 
 from embedding_oracle import embedding_store
@@ -273,7 +281,7 @@ def _key(matches):
 @given(cases())
 def test_tables_agree_with_the_scalar_cascade(case):
     stores, th, sp, sources = case
-    shared = PairTables(sources, stores, th)
+    shared = PairTables(sources, Vocabulary(stores), th)
     for sr in sources:
         expected = oracle_match_sentence(sp, sr, stores, th)
         for got in (match_sentence(sp, sr, stores, th, shared), match_sentence(sp, sr, stores, th)):
@@ -290,7 +298,7 @@ def test_tables_agree_with_the_scalar_cascade(case):
 def test_reach_holds_exactly_the_sentences_a_word_matches_in(case):
     stores, th, sp, sources = case
     sources = [dataclasses.replace(sr, sentence_id=i) for i, sr in enumerate(sources)]
-    tables = PairTables(sources, stores, th)
+    tables = PairTables(sources, Vocabulary(stores), th)
     for query in sp.content_tokens:
         reach = tables.reach(query)
         for sr in sources:
@@ -299,57 +307,60 @@ def test_reach_holds_exactly_the_sentences_a_word_matches_in(case):
             assert matched == (oracle_match_word(query, sr.content_tokens, stores, th) is not None)
 
 
-def _count_calls(monkeypatch, name):
-    """Counter of the word each call of `semsim.<name>` asks about."""
+def _count_calls(monkeypatch, name, module=semsim):
+    """Counter of the word each call of `<module>.<name>` asks about."""
     calls = Counter()
-    original = getattr(semsim, name)
+    original = getattr(module, name)
 
     def counted(*args):
         calls[args[-1]] += 1
         return original(*args)
 
-    monkeypatch.setattr(semsim, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def _subsumer_ics_calls_expected(source, suspects):
-    """One `subsumer_ics` call per distinct source form and per distinct suspect word."""
-    forms = {t.normalized: t for s in preprocess_passage(source) for t in s.content_tokens}
+def _headwords(texts):
+    """The lexdb headword of each distinct content word (normalized form) of the texts."""
     words = {
-        (t.normalized, t.stem): t
-        for suspect in suspects for s in preprocess_passage(suspect) for t in s.content_tokens
+        t.normalized: t for text in texts for s in preprocess_passage(text) for t in s.content_tokens
     }
-    return Counter(_oracle_db_form(LEXDB, t) for t in forms.values()) + Counter(
-        _oracle_db_form(LEXDB, t) for t in words.values()
+    return Counter(_oracle_db_form(LEXDB, t) for t in words.values())
+
+
+def _surfaces(texts):
+    return Counter(
+        {t.surface for text in texts for s in preprocess_passage(text) for t in s.all_tokens}
     )
+
+
+def _counting_stores():
+    return KnowledgeStores(
+        lexdb=LEXDB, ic=ICTable({(15388, "n"): 3.5}),
+        embeddings=embedding_store({"machine": np.ones(DIM, np.float32)}, DIM),
+    )
+
+
+def _channels(score):
+    return {m.channel for best in score.best_semantic for m in best.matches}
 
 
 def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
     calls = _count_calls(monkeypatch, "synonyms")
     ics_calls = _count_calls(monkeypatch, "subsumer_ics")
-    stores = KnowledgeStores(
-        lexdb=LEXDB, ic=ICTable({(15388, "n"): 3.5}),
-        embeddings=embedding_store({"machine": np.ones(DIM, np.float32)}, DIM),
-    )
     suspect = "The car chased a cat. A dog and the car slept."
     source = "An automobile passed. The canine barked loudly. A feline hid. Machines run."
-    score = next(score_source(source, [suspect], stores))
-    assert "synonym" in {m.channel for best in score.best_semantic for m in best.matches}
-    suspect_words = {
-        (t.normalized, t.stem) for s in preprocess_passage(suspect) for t in s.content_tokens
-    }
-    assert 0 < sum(calls.values()) <= len(suspect_words)
-    assert max(calls.values()) == 1
-    assert ics_calls == _subsumer_ics_calls_expected(source, [suspect])
+    score = next(score_source(source, [suspect], _counting_stores()))
+    assert "synonym" in _channels(score)
+    # every suspect word is judged; source words are asked about subsumers only
+    assert calls == _headwords([suspect])
+    assert ics_calls == _headwords([suspect, source])
+    assert max(calls.values()) == max(ics_calls.values()) == 1
 
 
 def test_each_suspect_word_is_expanded_once_per_source(monkeypatch):
     calls = _count_calls(monkeypatch, "synonyms")
     ics_calls = _count_calls(monkeypatch, "subsumer_ics")
-    stores = KnowledgeStores(
-        lexdb=LEXDB, ic=ICTable({(15388, "n"): 3.5}),
-        embeddings=embedding_store({"machine": np.ones(DIM, np.float32)}, DIM),
-    )
     source = "An automobile passed. The canine barked loudly. A feline hid. Machines run."
     suspects = [
         "The car chased a cat. A dog and the car slept.",
@@ -360,15 +371,68 @@ def test_each_suspect_word_is_expanded_once_per_source(monkeypatch):
         LabelledPair(f"p{i}", suspect, source, "paraphrased", "synthetic", "")
         for i, suspect in enumerate(suspects)
     ]
-    scores = score_pairs(pairs, EngineConfig(), stores=stores)
-    assert all(
-        "synonym" in {m.channel for best in score.best_semantic for m in best.matches}
-        for score in scores
-    )
-    suspect_words = {
-        (t.normalized, t.stem)
-        for suspect in suspects for s in preprocess_passage(suspect) for t in s.content_tokens
-    }
-    assert 0 < sum(calls.values()) <= len(suspect_words)
-    assert max(calls.values()) == 1
-    assert ics_calls == _subsumer_ics_calls_expected(source, suspects)
+    scores = score_pairs(pairs, EngineConfig(), stores=_counting_stores())
+    assert all("synonym" in _channels(score) for score in scores)
+    assert calls == _headwords(suspects)
+    # "hid" is on both sides, and asked about once
+    assert ics_calls == _headwords(suspects + [source])
+    assert max(calls.values()) == max(ics_calls.values()) == 1
+
+
+# Crowd-shaped: every pair has its own source, and the pairs share words, on
+# both sides and in more than one casing.
+CROWD = [
+    ("The car chased a cat.", "An automobile chased the feline. Machines run."),
+    ("A dog chased the Car.", "The canine barked at an automobile."),
+    ("The cat hid. A dog slept.", "A feline hid from the dog."),
+    ("Machines run. The dog barked.", "The cat slept. Car machines run."),
+]
+
+
+def _crowd_pairs():
+    return [
+        LabelledPair(f"p{i}", suspect, source, "paraphrased", "synthetic", "")
+        for i, (suspect, source) in enumerate(CROWD)
+    ]
+
+
+def test_each_word_is_looked_up_once_per_run_across_sources(monkeypatch):
+    calls = _count_calls(monkeypatch, "synonyms")
+    ics_calls = _count_calls(monkeypatch, "subsumer_ics")
+    normalized = _count_calls(monkeypatch, "normalize", textprep)
+    stores = _counting_stores()
+    scores = score_pairs(_crowd_pairs(), EngineConfig(), stores=stores)
+    # taken before the expectations below preprocess the texts again
+    calls, ics_calls, normalized = map(Counter, (calls, ics_calls, normalized))
+    suspects = [suspect for suspect, _ in CROWD]
+    texts = [text for pair in CROWD for text in pair]
+    assert {"exact", "synonym", "resnik"} <= set().union(*map(_channels, scores))
+    assert normalized == _surfaces(texts)
+    assert calls == _headwords(suspects)
+    assert ics_calls == _headwords(texts)
+    assert max(normalized.values()) == max(calls.values()) == max(ics_calls.values()) == 1
+    # the same scores as each pair on its own, with a vocabulary of its own
+    assert scores == [next(score_source(source, [suspect], stores)) for suspect, source in CROWD]
+
+
+def test_each_run_looks_words_up_afresh_and_drops_its_vocabulary(monkeypatch):
+    refs = []
+
+    class Tracked(semsim.Vocabulary):
+        def __init__(self, stores):
+            super().__init__(stores)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "Vocabulary", Tracked)
+    counters = [
+        _count_calls(monkeypatch, "synonyms"),
+        _count_calls(monkeypatch, "subsumer_ics"),
+        _count_calls(monkeypatch, "normalize", textprep),
+    ]
+    stores = _counting_stores()
+    first = score_pairs(_crowd_pairs(), EngineConfig(), stores=stores)
+    once = [Counter(counter) for counter in counters]
+    assert len(refs) == 1 and refs[0]() is None
+    assert score_pairs(_crowd_pairs(), EngineConfig(), stores=stores) == first
+    assert counters == [counter + counter for counter in once]
+    assert len(refs) == 2 and refs[1]() is None

@@ -18,6 +18,7 @@ from paraplag.errors import ParaplagError
 from paraplag.textprep import (
     _ABBREVIATIONS,
     STOPWORDS,
+    Forms,
     _word_before,
     load_stopwords,
     normalize,
@@ -287,6 +288,16 @@ def test_stem_is_a_function_of_the_normalized_form(text):
             assert t.stem == (porter_stem(t.normalized) or t.normalized), t
 
 
+@given(st.lists(_PREP_TEXT, max_size=4))
+def test_a_shared_forms_memo_changes_no_token(texts):
+    # a run's memo, filled by every passage before, against a fresh one each
+    forms = Forms()
+    for text in texts:
+        assert preprocess_passage(text, STOPWORDS, forms) == preprocess_passage(text, STOPWORDS)
+    for surface, (norm, stem) in forms.tokens.items():
+        assert (norm, stem) == (normalize(surface), porter_stem(norm) or norm)
+
+
 # ---------------------------------------------------------------------------
 # Oracles: the character loop the splitter replaced, and the recursive
 # consonant test with longest-first suffix tables the stemmer replaced.
@@ -380,7 +391,7 @@ def oracle_porter_stem(word: str) -> str:
         _STEP3=tuple(sorted(_STEP3, key=lambda p: len(p[0]), reverse=True)),
         _STEP4=tuple(sorted(_STEP4, key=len, reverse=True)),
     ):
-        return _porter.porter_stem.__wrapped__(word)
+        return _porter.porter_stem(word)
 
 
 def test_oracle_porter_agrees_on_frozen_vectors():
