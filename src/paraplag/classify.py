@@ -24,7 +24,7 @@ import numpy as np
 from .editsim import max_insdel_similarity
 from .errors import ParaplagError, is_integer
 from .resources import KnowledgeStores
-from .semsim import PairTables, SemThresholds, Vocabulary, WordMatch, match_sentence
+from .semsim import PairTables, SemThresholds, Vocabulary, WordMatch, best_sentence
 from .synsim import max_syntactic_similarity
 from .textprep import STOPWORDS, ProcessedSentence, preprocess_passage
 
@@ -136,14 +136,10 @@ def score_source(
     and source words alike.  Without one, a fresh vocabulary serves this
     call.  What depends on the source is worked out once per call: the
     source is preprocessed into a `PairTables`, and scoring reads its
-    sentences from there, so a suspect word's channel verdict and reach are
-    computed once per source, not once per suspect; the table goes when the
+    sentences from there, so a suspect word's candidate source words are
+    found once per source, not once per suspect; the table goes when the
     generator is done.  It carries `params.sem`, the thresholds every
     match of the call uses.
-
-    Source sentences that cannot beat the best semantic count so far are
-    skipped without being matched (see `_score`); the bound is exact, so
-    every score equals that of matching every sentence pair.
     """
     if vocab is None:
         vocab = Vocabulary(stores)
@@ -163,25 +159,14 @@ def _score(
 
     The source sentences are `tables.sentences`; `tables` is built with
     `params.sem` and carries the run's vocabulary and stores.  One walk over
-    the suspect sentences computes all three dimensions.
-
-    A suspect sentence's semantic best is the first source sentence with
-    the most matches.  Sentence i can match at most min(m, n_i, c_i) of the
-    suspect's m content words, n_i being its own content word count and
-    c_i the number of suspect words whose `PairTables.reach` holds i: each
-    match is a channel firing against one of its words, and each source
-    word is consumed once.  So the first sentence is always matched, and a
-    later one is skipped when that bound is at most the best count so far.
-    A skipped sentence could at best tie, and a tie never displaces the
-    first best, so the kept sentence and its word matches are those of the
-    full search.  The free bound min(m, n_i) is tried first; the reaches
-    are computed only when it fails.
+    the suspect sentences computes all three dimensions.  A suspect
+    sentence's semantic best is `semsim.best_sentence`: the first source
+    sentence with the most matches.
     """
     sr_sentences = tables.sentences
     if not sp_sentences or not sr_sentences:
         raise EmptyPassage("both passages need at least one sentence")
 
-    first, *rest = sr_sentences
     sr_stems = [[t.stem for t in sr.content_tokens] for sr in sr_sentences]
     sr_tokens = [sr.all_tokens for sr in sr_sentences]
     semantic_maxima = []
@@ -193,22 +178,9 @@ def _score(
             syntactic_maxima.append(max_syntactic_similarity(sp.all_tokens, sr_tokens))
         if not sp.content_tokens:
             continue
-        m = len(sp.content_tokens)
-        best, best_matches = first, match_sentence(sp, first, tables=tables)
-        reaches = None
-        for sr in rest:
-            if min(m, len(sr.content_tokens)) <= len(best_matches):
-                continue
-            if reaches is None:
-                reaches = [tables.reach(query) for query in sp.content_tokens]
-            bit = 1 << sr.sentence_id
-            if sum(1 for reach in reaches if reach & bit) <= len(best_matches):
-                continue
-            matches = match_sentence(sp, sr, tables=tables)
-            if len(matches) > len(best_matches):
-                best, best_matches = sr, matches
-        semantic_maxima.append(len(best_matches) / m)
-        best_semantic.append(SentenceMatch(sp.sentence_id, best.sentence_id, tuple(best_matches)))
+        source_id, matches = best_sentence(sp, tables)
+        semantic_maxima.append(len(matches) / len(sp.content_tokens))
+        best_semantic.append(SentenceMatch(sp.sentence_id, source_id, tuple(matches)))
         insdel_maxima.append(
             max_insdel_similarity([t.stem for t in sp.content_tokens], sr_stems)
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .classify import MODELS, ClassifierSpec, FeatureParams
-from .errors import ParaplagError, is_integer
+from .errors import ParaplagError, decode_utf8, is_integer
 from .gst import GstParams
 from .resources import KnowledgeStores, load_embeddings, load_ic, load_lexdb
 from .semsim import SemThresholds
@@ -125,10 +125,13 @@ class EngineConfig:
 
 
 def load_config(path) -> EngineConfig:
-    """Read and validate a flat JSON config file."""
+    """Read and validate a flat JSON config file.
+
+    A byte that is not UTF-8 raises ParaplagError naming the file and the line.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = json.loads(decode_utf8(fh.read(), path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

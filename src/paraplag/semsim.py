@@ -23,20 +23,23 @@ alone, so a run's `Vocabulary` asks once per word, for suspect and source
 words alike, and keeps the answers with the stores until the run ends.
 
 Which channel fires between a suspect word and each source word is
-decided once, in `PairTables.verdict`, one table per source passage:
-`classify.score_source` shares a source's table among every suspect
-passage compared with it.  The table indexes its source in one pass when
-it is built, and keys every word by its normalized form, of which the
-stem is a function.  Both readers of that decision go through the
-verdict: `match_word` picks the best remaining source word by it, and
-`PairTables.reach` turns its keys into the source sentences the word can
-match in, which lets `classify._score` skip sentences that cannot win.
+decided once per source passage, in `PairTables`: `classify.score_source`
+shares a source's table among every suspect passage compared with it.  The
+table indexes its source in one pass when it is built, and keys every word
+by its normalized form, of which the stem is a function.  It turns a
+suspect word's verdicts into candidate lists, one per source sentence the
+word can match in, each in the cascade's order.  Matching one sentence is
+one greedy pass over those lists: each suspect word, in order, takes its
+first candidate not yet consumed (`match_sentence`).  `best_sentence` runs
+that pass over every source sentence some suspect word has a candidate in
+and keeps the first with the most matches; any other sentence matches
+nothing.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -45,7 +48,7 @@ import numpy as np
 
 from ._porter import porter_stem  # noqa: F401
 from .errors import ParaplagError
-# The embedding and Resnik values in `PairTables.verdict` follow `cosine`'s
+# The embedding and Resnik values in `PairTables` follow `cosine`'s
 # and `resnik`'s definitions; both stay importable from here with the other
 # store queries, and so does the stemmer behind the run's `Forms`.
 from .resources import KnowledgeStores, cosine, resnik, subsumer_ics, synonyms  # noqa: F401
@@ -74,6 +77,9 @@ class SemThresholds:
 
 CHANNELS = ("exact", "synonym", "embedding", "resnik")
 
+# A source word some channel fires for: (its token index, channel, score).
+Candidate = tuple[int, str, float]
+
 
 @dataclass(frozen=True)
 class WordMatch:
@@ -91,8 +97,6 @@ class WordFacts:
     synonym_stems: tuple[str, ...]
     # embedding rows of its sorted synonyms or, with none, of the word itself
     rows: tuple[int, ...]
-    # as `Vocabulary.subsumers`
-    subsumers: tuple[tuple[tuple, float], ...]
 
 
 class Vocabulary:
@@ -100,11 +104,11 @@ class Vocabulary:
 
     `forms` holds each token surface's (normalized, stem), filled by
     `textprep.preprocess_passage`, and each word's stem.  `word` maps a
-    normalized form to its `WordFacts` as a query, and `subsumers` to the
-    part of them that source words need too.  So each distinct word costs
-    at most one `synonyms` and one `subsumer_ics` call a run, however many
-    passages it appears in, on either side.  The memos are bounded by the
-    run's vocabulary and go with the object.
+    normalized form to its `WordFacts` as a query, and `subsumers` to its
+    subsumers ranked by IC, which source words need too.  So each distinct
+    word costs at most one `synonyms` and one `subsumer_ics` call a run,
+    however many passages it appears in, on either side.  The memos are
+    bounded by the run's vocabulary and go with the object.
     """
 
     def __init__(self, stores: KnowledgeStores):
@@ -125,9 +129,7 @@ class Vocabulary:
                 row for word in syns or [normalized] if (row := emb.row(word)) is not None
             )
             facts = self._words[normalized] = WordFacts(
-                tuple(dict.fromkeys(map(self.forms.stem, syns))),
-                rows,
-                self.subsumers(normalized, stem),
+                tuple(dict.fromkeys(map(self.forms.stem, syns))), rows
             )
         return facts
 
@@ -146,20 +148,20 @@ class Vocabulary:
 
 
 class PairTables:
-    """Channel verdicts for the cascade against one source passage, each computed once.
+    """Candidate source words for the cascade against one source passage, each computed once.
 
     One index of the source's sentences, which it keeps as `sentences`,
-    built in one pass over their content words: normalized form -> the mask
-    of the sentences holding it, and stem -> the forms sharing it, each in
-    first-appearance order.  Every suspect passage scored against that
-    source can share the table.  A token's stem is a function of its
-    normalized form, so the normalized form is the one key of a word.
+    built in one pass over their content words: normalized form -> its
+    (sentence id, token index) occurrences, and stem -> the forms sharing
+    it, each in first-appearance order.  Sentence ids must increase along
+    `sentences`.  Every suspect passage scored against that source can share
+    the table.  A token's stem is a function of its normalized form, so the
+    normalized form is the one key of a word.
 
     Per-word facts, for suspect and source words alike, come from the run's
     `vocab`; the table keeps only what depends on its source.  A suspect
-    word's verdict, filled on first use, maps every source form that some
-    channel fires for to (channel rank, -score), the earliest channel
-    winning:
+    word's verdict maps every source form that some channel fires for to
+    (channel rank, -score), the earliest channel winning:
 
       exact      the forms sharing the query's stem
       synonym    the forms sharing a synonym's stem
@@ -169,12 +171,11 @@ class PairTables:
                  least `resnik_min`, from the query's ranked subsumers in a
                  subsumer -> forms index; only with both the lexdb and IC table
 
-    So the smallest entry is the cascade's choice, and the keys are every
-    source word it could choose.  `thresholds` are fixed for the run, so a
-    table serves only matches made with them.
-
-    A word's reach is a bitmask over the source's sentence ids: the union
-    of the masks of its verdict's forms.
+    Its candidates, filled on first use, are the occurrences of those forms
+    grouped by sentence id and sorted by (channel rank, -score, position):
+    the cascade's tie rule of earliest channel, then highest score, then
+    first in the sentence.  `thresholds` are fixed for the run, so a table
+    serves only matches made with them.
     """
 
     def __init__(
@@ -186,25 +187,39 @@ class PairTables:
         self.vocab = vocab
         self.thresholds = thresholds
         self.sentences = tuple(sentences)
-        self._masks: dict[str, int] = {}
+        ids = [sr.sentence_id for sr in self.sentences]
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError(f"source sentence ids must increase, got {ids}")
+        self._occurrences: dict[str, list[tuple[int, int]]] = {}
         self._forms_by_stem: dict[str, list[str]] = {}
         for sr in self.sentences:
-            bit = 1 << sr.sentence_id
             for tok in sr.content_tokens:
-                if tok.normalized not in self._masks:
+                if tok.normalized not in self._occurrences:
                     self._forms_by_stem.setdefault(tok.stem, []).append(tok.normalized)
-                self._masks[tok.normalized] = self._masks.get(tok.normalized, 0) | bit
-        self._verdicts: dict[str, dict[str, tuple[int, float]]] = {}
-        self._reaches: dict[str, int] = {}
+                self._occurrences.setdefault(tok.normalized, []).append(
+                    (sr.sentence_id, tok.index)
+                )
+        self._candidates: dict[str, dict[int, list[Candidate]]] = {}
 
-    def verdict(self, query: Token) -> dict[str, tuple[int, float]]:
-        """Source form -> (index in CHANNELS, -score) of the first channel firing for it."""
-        verdict = self._verdicts.get(query.normalized)
-        if verdict is None:
-            verdict = self._verdicts[query.normalized] = self._judge(query)
-        return verdict
+    def candidates(self, query: Token) -> dict[int, list[Candidate]]:
+        """Sentence id -> the query's candidates there, best first; only sentences with some.
+
+        The memo hands the same dict and lists to every caller, which must not change them.
+        """
+        found = self._candidates.get(query.normalized)
+        if found is None:
+            ranked: dict[int, list[tuple[int, float, int]]] = {}
+            for form, (rank, neg) in self._judge(query).items():
+                for sid, index in self._occurrences[form]:
+                    ranked.setdefault(sid, []).append((rank, neg, index))
+            found = self._candidates[query.normalized] = {
+                sid: [(index, CHANNELS[rank], -neg) for rank, neg, index in sorted(entries)]
+                for sid, entries in ranked.items()
+            }
+        return found
 
     def _judge(self, query: Token) -> dict[str, tuple[int, float]]:
+        """Source form -> (index in CHANNELS, -score) of the first channel firing for it."""
         facts = self.vocab.word(query.normalized, query.stem)
         by_stem = self._forms_by_stem
         verdict = dict.fromkeys(by_stem.get(query.stem, ()), (0, -1.0))
@@ -216,7 +231,7 @@ class PairTables:
             if value >= embed_min:
                 verdict.setdefault(form, (2, -value))
         # highest IC first: a form's first entry is its best shared subsumer
-        for key, value in facts.subsumers:
+        for key, value in self.vocab.subsumers(query.normalized, query.stem):
             if value < self.thresholds.resnik_min:
                 break
             for form in self._forms_by_subsumer.get(key, ()):
@@ -227,7 +242,7 @@ class PairTables:
     def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
         """Source words with a vector, their float64 vectors, squared norms and zero-norm mask."""
         emb = self.vocab.stores.embeddings
-        rows = {word: row for word in self._masks if (row := emb.row(word)) is not None}
+        rows = {word: row for word in self._occurrences if (row := emb.row(word)) is not None}
         matrix = emb.vectors(list(rows.values()))
         source_sq = np.einsum("ij,ij->i", matrix, matrix)
         return tuple(rows), matrix, source_sq, source_sq == 0.0
@@ -269,43 +284,28 @@ class PairTables:
                     forms.setdefault(key, []).append(word)
         return forms
 
-    def reach(self, query: Token) -> int:
-        """Bitmask with bit i set when some channel fires for the query in sentence i."""
-        mask = self._reaches.get(query.normalized)
-        if mask is None:
-            mask = 0
-            for form in self.verdict(query):
-                mask |= self._masks[form]
-            self._reaches[query.normalized] = mask
-        return mask
-
 
 def _headword(lexdb, normalized: str, stem: str) -> str:
     """A word's lexdb headword: its normalized form if known, else its stem."""
     return normalized if lexdb.synsets_of(normalized) else stem
 
 
-def match_word(
-    query: Token,
-    source_remaining: Sequence[Token],
-    tables: PairTables,
-) -> WordMatch | None:
-    """The cascade's match for one query word, or None when no channel fires.
+def _greedy(queries: Iterable[tuple[Token, list[Candidate]]]) -> list[WordMatch]:
+    """Each query, in order, takes its first candidate that no earlier query took.
 
-    The source word with the smallest verdict wins: the earliest channel,
-    then the highest score, then the first in `source_remaining`.  `tables`
-    must cover every source word in `source_remaining`.
+    The candidates of one form are one list, so a form's later queries
+    resume where its earlier ones stopped: what they passed is taken.
     """
-    verdict = tables.verdict(query)
-    best_tok: Token | None = None
-    best = (len(CHANNELS), 0.0)
-    for tok in source_remaining:
-        judged = verdict.get(tok.normalized)
-        if judged is not None and judged < best:
-            best_tok, best = tok, judged
-    if best_tok is None:
-        return None
-    return WordMatch(query.index, best_tok.index, CHANNELS[best[0]], -best[1])
+    taken: set[int] = set()
+    unread: dict[str, Iterator[Candidate]] = {}
+    matches = []
+    for query, candidates in queries:
+        for index, channel, score in unread.setdefault(query.normalized, iter(candidates)):
+            if index not in taken:
+                taken.add(index)
+                matches.append(WordMatch(query.index, index, channel, score))
+                break
+    return matches
 
 
 def match_sentence(
@@ -317,21 +317,38 @@ def match_sentence(
 ) -> list[WordMatch]:
     """Matches for every suspect content word, consuming source words.
 
-    `tables` is as for `match_word`, and its thresholds are the ones used.
-    `stores` and `thresholds` only build a table over the source sentence,
-    with a fresh `Vocabulary`, when none is passed; with `tables`, they are
-    ignored.
+    With `tables`, `sr` must be one of `tables.sentences`, and the table's
+    thresholds are the ones used.  `stores` and `thresholds` only build a
+    table over the source sentence, with a fresh `Vocabulary`, when none is
+    passed; with `tables`, they are ignored.
     """
-    remaining = list(sr.content_tokens)
     if tables is None:
         tables = PairTables([sr], Vocabulary(stores), thresholds)
-    matches: list[WordMatch] = []
+    sid = sr.sentence_id
+    return _greedy(
+        (query, found)
+        for query in sp.content_tokens
+        if (found := tables.candidates(query).get(sid)) is not None
+    )
+
+
+def best_sentence(sp: ProcessedSentence, tables: PairTables) -> tuple[int, list[WordMatch]]:
+    """The id of the first of `tables.sentences` with the most matches for `sp`, and those.
+
+    Only the sentences some suspect word has a candidate in are matched;
+    the rest match nothing, so with no candidates at all the first
+    sentence wins with no matches.
+    """
+    touched: dict[int, list[tuple[Token, list[Candidate]]]] = {}
     for query in sp.content_tokens:
-        found = match_word(query, remaining, tables)
-        if found is not None:
-            matches.append(found)
-            remaining = [t for t in remaining if t.index != found.source_index]
-    return matches
+        for sid, candidates in tables.candidates(query).items():
+            touched.setdefault(sid, []).append((query, candidates))
+    best_id, best = tables.sentences[0].sentence_id, []
+    for sid in sorted(touched):
+        matches = _greedy(touched[sid])
+        if len(matches) > len(best):
+            best_id, best = sid, matches
+    return best_id, best
 
 
 def semantic_similarity(

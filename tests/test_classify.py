@@ -7,6 +7,7 @@ import json
 import math
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from paraplag import classify
+from paraplag import classify, semsim
 from paraplag.classify import (
     ClassifierSpec,
     Confusion,
@@ -46,12 +47,12 @@ from paraplag.classify import (
 )
 from paraplag.editsim import max_insdel_similarity
 from paraplag.resources import ICTable, KnowledgeStores, load_lexdb
-from paraplag.semsim import PairTables, SemThresholds, Vocabulary, match_sentence
+from paraplag.semsim import PairTables, SemThresholds, Vocabulary
 from paraplag.synsim import syntactic_similarity
 from paraplag.textprep import preprocess_passage
 
 from embedding_oracle import embedding_store
-from test_semsim_tables import VOCAB, stores_and_thresholds
+from test_semsim_tables import VOCAB, scan_match_sentence, stores_and_thresholds
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -155,6 +156,23 @@ class TestPassageFeatures:
             for value in (first.semantic, first.syntactic, first.insdel):
                 assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("words", [
+        [a + v + c + "o" + d for a in "bdgkmnprtvz" for v in "aiou" for c in "bdgkmptvz"
+         for d in "dkt"],
+        ["stone"],
+    ], ids=["random", "repeated"])
+    def test_long_one_sentence_pair_scores_in_bounded_time(self, words):
+        # 20k words with no sentence break: matching one suspect word must not
+        # scan the source sentence, nor the source words its form already
+        # consumed, or the pair takes tens of seconds
+        rng = random.Random(20)
+        source = rng.choices(words, k=20_000)
+        suspect = [w if rng.random() < 0.8 else rng.choice(words) for w in source]
+        start = time.perf_counter()
+        features = passage_features(" ".join(suspect), " ".join(source))
+        assert time.perf_counter() - start < 5.0
+        assert features.semantic > 0.8
+
     @given(st.data())
     def test_every_component_in_unit_interval(self, data):
         words = st.sampled_from(
@@ -171,7 +189,7 @@ class TestPassageFeatures:
 
 
 def _oracle_score(sp_sentences, sr_sentences, tables, params):
-    """`classify._score` matching every sentence pair: the search the bound prunes."""
+    """`classify._score` scanning every sentence pair with the word-by-word cascade."""
     if not sp_sentences or not sr_sentences:
         raise EmptyPassage("both passages need at least one sentence")
     sr_stems = [[t.stem for t in sr.content_tokens] for sr in sr_sentences]
@@ -181,7 +199,7 @@ def _oracle_score(sp_sentences, sr_sentences, tables, params):
             continue
         best, best_matches = None, None
         for sr in sr_sentences:
-            matches = match_sentence(sp, sr, thresholds=params.sem, tables=tables)
+            matches = scan_match_sentence(sp, sr, tables)
             if best_matches is None or len(matches) > len(best_matches):
                 best, best_matches = sr, matches
         semantic_maxima.append(len(best_matches) / len(sp.content_tokens))
@@ -205,15 +223,15 @@ def _oracle_score(sp_sentences, sr_sentences, tables, params):
 
 
 def oracle_score(suspect, source, stores=KnowledgeStores(), params=FeatureParams()):
-    """The unpruned score of one text pair, on its own tables."""
+    """The score of one text pair by the scan cascade, on its own tables."""
     sr_sentences = preprocess_passage(source)
     tables = PairTables(sr_sentences, Vocabulary(stores), params.sem)
     return _oracle_score(preprocess_passage(suspect), sr_sentences, tables, params)
 
 
 @st.composite
-def passage(draw, max_sentences):
-    sentence = st.lists(st.sampled_from(VOCAB + ["the", "a", "of"]), min_size=1, max_size=8)
+def passage(draw, max_sentences, words):
+    sentence = st.lists(st.sampled_from(words + ["the", "a", "of"]), min_size=1, max_size=8)
     return " ".join(
         " ".join(words).capitalize() + "."
         for words in draw(st.lists(sentence, min_size=1, max_size=max_sentences))
@@ -221,9 +239,13 @@ def passage(draw, max_sentences):
 
 
 @st.composite
-def bound_cases(draw):
+def passage_pairs(draw):
+    """Stores, params, suspect, source; the texts often share a few words, repeated."""
     stores, th = draw(stores_and_thresholds())
-    return stores, FeatureParams(sem=th), draw(passage(3)), draw(passage(6))
+    words = draw(st.one_of(
+        st.just(VOCAB), st.lists(st.sampled_from(VOCAB), min_size=1, max_size=5, unique=True)
+    ))
+    return stores, FeatureParams(sem=th), draw(passage(3, words)), draw(passage(6, words))
 
 
 def test_a_vocabulary_serves_only_the_stores_it_was_built_over():
@@ -236,8 +258,8 @@ def test_a_vocabulary_serves_only_the_stores_it_was_built_over():
     )
 
 
-class TestSentenceBound:
-    """The reach bound skips source sentences without changing any score."""
+class TestBestSentence:
+    """Only sentences with candidates are matched, and every score is the scan cascade's."""
 
     SUSPECT = "The car chased a cat. A dog ran home."
     SOURCE = (
@@ -245,52 +267,61 @@ class TestSentenceBound:
         "The canine ran. A dog chased the car home."
     )
 
-    @given(bound_cases())
-    def test_reach_bounds_every_match_count_and_scores_equal_the_oracle(self, case):
+    @given(passage_pairs())
+    def test_scores_equal_the_scan_oracle(self, case):
+        stores, params, suspect, source = case
+        got = next(classify.score_source(source, [suspect], stores, params))
+        assert got == oracle_score(suspect, source, stores, params)
+
+    @given(passage_pairs())
+    def test_a_sentence_without_candidates_matches_nothing(self, case):
         stores, params, suspect, source = case
         sr_sentences = preprocess_passage(source)
         tables = PairTables(sr_sentences, Vocabulary(stores), params.sem)
         for sp in preprocess_passage(suspect):
-            reaches = [tables.reach(query) for query in sp.content_tokens]
-            for sr in sr_sentences:
-                reached = sum(1 for reach in reaches if reach >> sr.sentence_id & 1)
-                matches = match_sentence(sp, sr, stores, params.sem, tables)
-                assert reached >= len(matches)
-        got = next(classify.score_source(source, [suspect], stores, params))
-        assert got == oracle_score(suspect, source, stores, params)
+            touched = [
+                sum(1 for query in sp.content_tokens if sr.sentence_id in tables.candidates(query))
+                for sr in sr_sentences
+            ]
+            for sr, reached in zip(sr_sentences, touched):
+                matches = semsim.match_sentence(sp, sr, tables=tables)
+                assert 0 < len(matches) <= reached or len(matches) == reached == 0
 
-    def test_fewer_sentence_pairs_matched_with_equal_scores(self, monkeypatch):
-        calls = []
+    def test_only_sentences_with_candidates_are_matched(self, monkeypatch):
+        passes = []
+        greedy = semsim._greedy
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return match_sentence(*args, **kwargs)
+        def counted(queries):
+            passes.append(None)
+            return greedy(queries)
 
-        monkeypatch.setattr(classify, "match_sentence", counted)
+        monkeypatch.setattr(semsim, "_greedy", counted)
         got = next(classify.score_source(self.SOURCE, [self.SUSPECT], STORES))
         assert len(preprocess_passage(self.SOURCE)) == 4
-        assert 0 < len(calls) < 2 * 4
+        # both suspect sentences have candidates in every source sentence but
+        # "Quartz glass shone.": "dog" has synonyms, and none of them a vector
+        assert len(passes) == 2 * 3
         assert got == oracle_score(self.SUSPECT, self.SOURCE, STORES)
 
-    def test_one_sentence_source_never_computes_a_reach(self, monkeypatch):
-        def unreachable(self, query):
-            raise AssertionError("reach computed for a one-sentence source")
+    def test_no_candidates_keeps_the_first_sentence_unmatched(self, monkeypatch):
+        def unreachable(queries):
+            raise AssertionError("a sentence without candidates was matched")
 
-        monkeypatch.setattr(PairTables, "reach", unreachable)
-        source = "A dog chased the car home."
-        got = next(classify.score_source(source, [self.SUSPECT], STORES))
-        assert got == oracle_score(self.SUSPECT, source, STORES)
+        monkeypatch.setattr(semsim, "_greedy", unreachable)
+        got = next(classify.score_source(self.SOURCE, ["Violins hummed softly."], STORES))
+        assert got.best_semantic == (classify.SentenceMatch(0, 0, ()),)
+        assert got == oracle_score("Violins hummed softly.", self.SOURCE, STORES)
 
-    def test_reach_reads_the_index_built_with_the_table(self):
+    def test_candidates_read_the_index_built_with_the_table(self):
         [sp] = preprocess_passage("Dogs ran.")
         dogs = sp.content_tokens[0]
         bare = PairTables(
             preprocess_passage(self.SOURCE), Vocabulary(KnowledgeStores()), SemThresholds()
         )
-        assert bare.reach(dogs) == 0b1000  # the stem "dog"
+        assert set(bare.candidates(dogs)) == {3}  # the stem "dog"
         # and through the stores: "cat" by Resnik, "canine" as a synonym
         full = PairTables(preprocess_passage(self.SOURCE), Vocabulary(STORES), SemThresholds())
-        assert full.reach(dogs) == 0b1110
+        assert set(full.candidates(dogs)) == {1, 2, 3}
 
 
 class TestMetrics:

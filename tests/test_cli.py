@@ -334,6 +334,13 @@ class TestExitCodes:
         assert main(["score", a, a, "--config", cfg]) == 2
         assert f"error: {stop}:2: invalid UTF-8" in capsys.readouterr().err
 
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'{\n  "seed": 1,\n  "classifier": "kn\xffn"\n}\n')
+        a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
+        assert main(["score", a, a, "--config", str(cfg)]) == 2
+        assert f"error: {cfg}:3: invalid UTF-8" in capsys.readouterr().err
+
     def test_whitespace_line_in_embeddings_skipped(self, tmp_path, capsys):
         vectors = write_text(tmp_path, "gap.vec", "2 3\nriver 1 0 0\n   \nstone 0 1 0\n")
         cfg = write_config(tmp_path, embedding_file=vectors)
@@ -455,15 +462,16 @@ class TestEvaluate:
         capsys.readouterr()
 
     def test_debug_traces_reuse_the_scoring_pass(self, tmp_path, capsys, monkeypatch):
-        # traces are a view of the feature pass: no word is matched twice
+        # traces are a view of the feature pass: no word's candidates are
+        # computed twice
         calls = []
-        match_word = semsim.match_word
+        judge = semsim.PairTables._judge
 
         def counted(*args, **kwargs):
             calls.append(None)
-            return match_word(*args, **kwargs)
+            return judge(*args, **kwargs)
 
-        monkeypatch.setattr(semsim, "match_word", counted)
+        monkeypatch.setattr(semsim.PairTables, "_judge", counted)
         corpus = write_corpus(tmp_path, n=8)
         cfg = write_config(tmp_path, folds=2, knn_k=3)
         base = ["evaluate", corpus, "--corpus", "jsonl", "--config", cfg]

@@ -20,7 +20,6 @@ from paraplag.semsim import (
     Vocabulary,
     WordMatch,
     match_sentence,
-    match_word,
     semantic_similarity,
 )
 from paraplag.textprep import preprocess_passage
@@ -41,8 +40,14 @@ def sentence(text: str):
 
 
 def tables(sr, stores=KnowledgeStores(), thresholds=SemThresholds()) -> PairTables:
-    """The word tables `match_word` reads, over the source sentence's content words."""
+    """The word tables over the source sentence's content words."""
     return PairTables([sr], Vocabulary(stores), thresholds)
+
+
+def first_candidate(query, sr, tables: PairTables) -> WordMatch | None:
+    """The cascade's match for `query` in `sr` while no source word is consumed, or None."""
+    candidates = tables.candidates(query).get(sr.sentence_id)
+    return None if candidates is None else WordMatch(query.index, *candidates[0])
 
 
 def content(sent, word: str):
@@ -78,11 +83,11 @@ class TestThresholds:
             SemThresholds(resnik_min=resnik_min)
 
 
-class TestMatchWord:
+class TestFirstCandidate:
     def test_exact_normalized(self):
         sp = sentence("A cat slept.")
         sr = sentence("The cat ran.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr))
+        found = first_candidate(sp.content_tokens[0], sr, tables(sr))
         assert found is not None
         assert found.channel == "exact"
         assert found.score == 1.0
@@ -90,14 +95,14 @@ class TestMatchWord:
     def test_exact_by_stem(self):
         sp = sentence("Cats sleep.")
         sr = sentence("The cat slept.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr))
+        found = first_candidate(sp.content_tokens[0], sr, tables(sr))
         assert found is not None and found.channel == "exact"
 
     def test_exact_beats_synonym(self, lexdb):
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("One car passed.")
         sr = sentence("An automobile and a car passed.")
-        found = match_word(content(sp, "car"), sr.content_tokens, tables(sr, stores))
+        found = first_candidate(content(sp, "car"), sr, tables(sr, stores))
         assert found is not None and found.channel == "exact"
         # the consumed token is the literal "car", not the synonym
         matched = [t for t in sr.content_tokens if t.index == found.source_index]
@@ -107,7 +112,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("One car passed.")
         sr = sentence("An automobile passed.")
-        found = match_word(content(sp, "car"), sr.content_tokens, tables(sr, stores))
+        found = first_candidate(content(sp, "car"), sr, tables(sr, stores))
         assert found is not None
         assert found.channel == "synonym"
         assert found.score == 1.0
@@ -116,7 +121,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("One car passed.")
         sr = sentence("Two automobiles passed.")
-        found = match_word(content(sp, "car"), sr.content_tokens, tables(sr, stores))
+        found = first_candidate(content(sp, "car"), sr, tables(sr, stores))
         assert found is not None and found.channel == "synonym"
 
     def test_expansion_falls_back_to_query_stem(self, lexdb):
@@ -124,7 +129,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("Two cars passed.")
         sr = sentence("An auto passed.")
-        found = match_word(content(sp, "cars"), sr.content_tokens, tables(sr, stores))
+        found = first_candidate(content(sp, "cars"), sr, tables(sr, stores))
         assert found is not None and found.channel == "synonym"
 
     def test_embedding_without_synonyms_uses_query_vector(self):
@@ -132,7 +137,7 @@ class TestMatchWord:
         stores = KnowledgeStores(embeddings=emb)
         sp = sentence("A happy crowd.")
         sr = sentence("A glad crowd cheered.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores))
+        found = first_candidate(sp.content_tokens[0], sr, tables(sr, stores))
         assert found is not None
         assert found.channel == "embedding"
         assert found.score == pytest.approx(0.8, abs=1e-6)
@@ -142,8 +147,8 @@ class TestMatchWord:
         stores = KnowledgeStores(embeddings=emb)
         sp = sentence("A happy crowd.")
         sr = sentence("A glad crowd cheered.")
-        found = match_word(
-            sp.content_tokens[0], sr.content_tokens, tables(sr, stores, SemThresholds(embed_min=0.9))
+        found = first_candidate(
+            sp.content_tokens[0], sr, tables(sr, stores, SemThresholds(embed_min=0.9))
         )
         assert found is None
 
@@ -158,7 +163,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb, embeddings=emb)
         sp = sentence("One car passed.")
         sr = sentence("The engine roared.")
-        found = match_word(content(sp, "car"), sr.content_tokens, tables(sr, stores))
+        found = first_candidate(content(sp, "car"), sr, tables(sr, stores))
         assert found is not None
         assert found.channel == "embedding"
         assert found.score == pytest.approx(0.95, abs=1e-6)
@@ -172,7 +177,7 @@ class TestMatchWord:
         stores = KnowledgeStores(embeddings=emb)
         sp = sentence("A happy crowd.")
         sr = sentence("Some alpha and beta here.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores))
+        found = first_candidate(sp.content_tokens[0], sr, tables(sr, stores))
         assert found is not None
         source = {t.index: t.normalized for t in sr.content_tokens}
         assert source[found.source_index] == "beta"
@@ -185,7 +190,7 @@ class TestMatchWord:
         stores = KnowledgeStores(embeddings=emb)
         sp = sentence("A happy crowd.")
         sr = sentence("Some gamma and delta here.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores))
+        found = first_candidate(sp.content_tokens[0], sr, tables(sr, stores))
         assert found is not None
         source = {t.index: t.normalized for t in sr.content_tokens}
         assert source[found.source_index] == "gamma"
@@ -195,7 +200,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog barked.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores))
+        found = first_candidate(sp.content_tokens[0], sr, tables(sr, stores))
         assert found is not None
         assert found.channel == "resnik"
         assert found.score == pytest.approx(3.5)
@@ -207,9 +212,9 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog barked.")
-        found = match_word(
+        found = first_candidate(
             sp.content_tokens[0],
-            sr.content_tokens,
+            sr,
             tables(sr, stores, SemThresholds(resnik_min=resnik_min)),
         )
         if matches:
@@ -223,7 +228,7 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog chased the car.")
-        found = match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores))
+        found = first_candidate(sp.content_tokens[0], sr, tables(sr, stores))
         assert found is not None
         source = {t.index: t.normalized for t in sr.content_tokens}
         assert source[found.source_index] == "car"
@@ -233,12 +238,30 @@ class TestMatchWord:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("The zzqx hummed.")
         sr = sentence("A dog barked.")
-        assert match_word(sp.content_tokens[0], sr.content_tokens, tables(sr, stores)) is None
+        assert first_candidate(sp.content_tokens[0], sr, tables(sr, stores)) is None
 
     def test_no_stores_leaves_only_exact(self):
         sp = sentence("One car passed.")
         sr = sentence("An automobile passed.")
-        assert match_word(content(sp, "car"), sr.content_tokens, tables(sr)) is None
+        assert first_candidate(content(sp, "car"), sr, tables(sr)) is None
+
+    def test_candidates_follow_the_cascade_order(self, lexdb):
+        # the earliest channel first; ties in the order of the source
+        stores = KnowledgeStores(lexdb=lexdb)
+        sp = sentence("One car passed.")
+        sr = sentence("A dog, an auto, the car and an automobile met a car.")
+        assert [t.normalized for t in sr.all_tokens].index("auto") == 3
+        assert tables(sr, stores).candidates(content(sp, "car")) == {
+            0: [(5, "exact", 1.0), (11, "exact", 1.0), (3, "synonym", 1.0), (8, "synonym", 1.0)]
+        }
+
+    def test_candidates_are_grouped_by_sentence_id(self):
+        sr_sentences = preprocess_passage("Cats hid. A dog ran. The cat slept.")
+        [sp] = preprocess_passage("Cats sleep.")
+        found = PairTables(sr_sentences, Vocabulary(KnowledgeStores()), SemThresholds())
+        assert found.candidates(sp.content_tokens[0]) == {
+            0: [(0, "exact", 1.0)], 2: [(1, "exact", 1.0)]
+        }
 
 
 class TestMatchSentence:

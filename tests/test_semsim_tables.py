@@ -1,8 +1,10 @@
-"""Per-pair word tables, checked against the scalar cascade they replaced.
+"""Per-source word tables, checked against the scalar cascade they replaced.
 
-The oracle's Resnik score is the sense-pair form: per noun or verb sense
-pair, the IC of the lowest common subsumer chosen by IC, then by depth,
-then by id; the maximum over sense pairs wins.
+The scalar oracle's Resnik score is the sense-pair form: per noun or verb
+sense pair, the IC of the lowest common subsumer chosen by IC, then by
+depth, then by id; the maximum over sense pairs wins.  The scan oracle
+reads a table's verdicts but matches as the cascade did before candidate
+lists: each suspect word scans every remaining source word.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -36,7 +39,6 @@ from paraplag.semsim import (
     Vocabulary,
     WordMatch,
     match_sentence,
-    match_word,
 )
 from paraplag.textprep import preprocess_passage
 
@@ -152,6 +154,30 @@ def oracle_match_sentence(sp, sr, stores, th):
     return matches
 
 
+def scan_match_word(query, source_remaining, tables):
+    """The source word with the smallest verdict: earliest channel, highest score, first."""
+    verdict = tables._judge(query)
+    best_tok, best = None, (len(semsim.CHANNELS), 0.0)
+    for tok in source_remaining:
+        judged = verdict.get(tok.normalized)
+        if judged is not None and judged < best:
+            best_tok, best = tok, judged
+    if best_tok is None:
+        return None
+    return WordMatch(query.index, best_tok.index, semsim.CHANNELS[best[0]], -best[1])
+
+
+def scan_match_sentence(sp, sr, tables):
+    remaining = list(sr.content_tokens)
+    matches = []
+    for query in sp.content_tokens:
+        found = scan_match_word(query, remaining, tables)
+        if found is not None:
+            matches.append(found)
+            remaining = [t for t in remaining if t.index != found.source_index]
+    return matches
+
+
 # ---------------------------------------------------------------------------
 # Random stores and sentences over the fixture lexdb
 
@@ -231,8 +257,8 @@ def cases(draw):
     stores, th = draw(stores_and_thresholds())
     [sp] = preprocess_passage(sentence_text(draw))
     sources = [
-        preprocess_passage(sentence_text(draw))[0]
-        for _ in range(draw(st.integers(1, 3)))
+        dataclasses.replace(preprocess_passage(sentence_text(draw))[0], sentence_id=i)
+        for i in range(draw(st.integers(1, 3)))
     ]
     return stores, th, sp, sources
 
@@ -284,6 +310,7 @@ def test_tables_agree_with_the_scalar_cascade(case):
     shared = PairTables(sources, Vocabulary(stores), th)
     for sr in sources:
         expected = oracle_match_sentence(sp, sr, stores, th)
+        assert match_sentence(sp, sr, stores, th, shared) == scan_match_sentence(sp, sr, shared)
         for got in (match_sentence(sp, sr, stores, th, shared), match_sentence(sp, sr, stores, th)):
             assert _key(got) == _key(expected)
             for g, e in zip(got, expected):
@@ -295,16 +322,28 @@ def test_tables_agree_with_the_scalar_cascade(case):
 
 
 @given(cases())
-def test_reach_holds_exactly_the_sentences_a_word_matches_in(case):
+def test_candidates_hold_exactly_the_sentences_a_word_matches_in(case):
     stores, th, sp, sources = case
-    sources = [dataclasses.replace(sr, sentence_id=i) for i, sr in enumerate(sources)]
     tables = PairTables(sources, Vocabulary(stores), th)
     for query in sp.content_tokens:
-        reach = tables.reach(query)
+        candidates = tables.candidates(query)
         for sr in sources:
-            matched = match_word(query, sr.content_tokens, tables) is not None
-            assert bool(reach >> sr.sentence_id & 1) == matched
-            assert matched == (oracle_match_word(query, sr.content_tokens, stores, th) is not None)
+            found = scan_match_word(query, sr.content_tokens, tables)
+            assert (sr.sentence_id in candidates) == (found is not None)
+            assert (found is not None) == (
+                oracle_match_word(query, sr.content_tokens, stores, th) is not None
+            )
+            if found is not None:
+                # the first candidate is the one the scan picks in a fresh sentence
+                index, channel, score = candidates[sr.sentence_id][0]
+                assert found == WordMatch(query.index, index, channel, score)
+
+
+def test_source_sentence_ids_must_increase():
+    a, b = preprocess_passage("Dogs ran. Cats hid.")
+    with pytest.raises(ValueError, match="increase"):
+        PairTables([a, dataclasses.replace(b, sentence_id=0)], Vocabulary(KnowledgeStores()),
+                   SemThresholds())
 
 
 def _count_calls(monkeypatch, name, module=semsim):
