@@ -3,10 +3,11 @@
 `score_source`, the one scoring pass, turns each suspect/source passage
 pair into one three-component vector (the semantic, word-order, and
 insert/delete dimensions) and keeps the word matches that traces show.
-Two small classifiers consume those vectors, k-nearest-neighbours and
-Gaussian Naive Bayes, and a stratified cross-validation driver produces
-the confusion matrix, precision/recall/F1, pooled AUC, and per-fold
-metrics as one JSON-ready report.
+Two small classifiers, k-nearest-neighbours and Gaussian Naive Bayes, fit
+and `predict` on (n, 3) matrices of those vectors, and a stratified
+cross-validation driver, one fit and one `predict` per fold, produces the
+confusion matrix, precision/recall/F1, pooled AUC, and per-fold metrics as
+one JSON-ready report.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class SimilarityVector:
         for name, value in vars(self).items():
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.semantic, self.syntactic, self.insdel], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +306,8 @@ def _finite(name: str, value, shape: tuple) -> np.ndarray:
 
 @dataclass
 class KnnModel:
+    """k-nearest neighbours: the training rows, their labels and the vote size."""
+
     points: np.ndarray  # (n, 3) float64
     labels: np.ndarray  # (n,) bool
     k: int
@@ -322,26 +322,22 @@ class KnnModel:
             raise ValueError(f"k must be an integer in [1, {n}], got {self.k!r}")
         self.k = int(self.k)  # a numpy integer would not serialize
 
+    def predict(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(m,) labels and positive shares of the k nearest rows for (m, 3) `points`.
 
-def knn_fit(train: Sequence[LabelledVector], k: int = 5) -> KnnModel:
-    if not train:
-        raise EmptyTrainingSet("no training vectors")
-    points = np.stack([x.as_array() for x, _ in train])
-    labels = np.array([bool(lab) for _, lab in train], dtype=bool)
-    return KnnModel(points=points, labels=labels, k=k)
-
-
-def knn_predict(model: KnnModel, x: SimilarityVector) -> tuple[bool, float]:
-    """Majority vote of the k nearest; ties in distance break on insert order."""
-    deltas = model.points - x.as_array()
-    squared = np.einsum("ij,ij->i", deltas, deltas)
-    nearest = np.argsort(squared, kind="stable")[: model.k]
-    score = float(np.count_nonzero(model.labels[nearest])) / model.k
-    return score > 0.5, score
+        Ties in distance break on insert order; a share of exactly 0.5 is negative.
+        """
+        # summing the squared column differences keeps every temporary (m, n)
+        squared = sum((self.points[:, c] - points[:, c, None]) ** 2 for c in range(3))
+        nearest = np.argsort(squared, axis=1, kind="stable")[:, : self.k]
+        scores = np.count_nonzero(self.labels[nearest], axis=1) / self.k
+        return scores > 0.5, scores
 
 
 @dataclass
 class NbModel:
+    """Gaussian naive Bayes: per-class feature means, floored variances and priors."""
+
     means: np.ndarray  # (2, 3): row 0 negative, row 1 positive
     variances: np.ndarray  # (2, 3), floored
     priors: np.ndarray  # (2,)
@@ -358,36 +354,16 @@ class NbModel:
         if not ((self.priors > 0.0) & (self.priors <= 1.0)).all():
             raise ValueError("priors must be in (0, 1]")
 
-
-def nb_fit(train: Sequence[LabelledVector]) -> NbModel:
-    if not train:
-        raise EmptyTrainingSet("no training vectors")
-    points = np.stack([x.as_array() for x, _ in train])
-    labels = np.array([bool(lab) for _, lab in train], dtype=bool)
-    means = np.zeros((2, 3))
-    variances = np.zeros((2, 3))
-    priors = np.zeros(2)
-    for row, flag in enumerate((False, True)):
-        cluster = points[labels == flag]
-        if cluster.shape[0] == 0:
-            raise DegenerateClass(f"no training examples labelled {flag}")
-        means[row] = cluster.mean(axis=0)
-        variances[row] = np.maximum(cluster.var(axis=0), NbModel.VAR_FLOOR)
-        priors[row] = cluster.shape[0] / points.shape[0]
-    return NbModel(means=means, variances=variances, priors=priors)
-
-
-def nb_predict(model: NbModel, x: SimilarityVector) -> tuple[bool, float]:
-    """Posterior of the positive class from per-feature Gaussian likelihoods."""
-    vec = x.as_array()
-    log_joint = np.log(model.priors) + np.sum(
-        -0.5 * np.log(2.0 * np.pi * model.variances)
-        - (vec - model.means) ** 2 / (2.0 * model.variances),
-        axis=1,
-    )
-    shifted = log_joint - log_joint.max()
-    posterior = float(np.exp(shifted[1]) / np.exp(shifted).sum())
-    return posterior >= 0.5, posterior
+    def predict(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(m,) labels and positive posteriors for (m, 3) `points`; exactly 0.5 is positive."""
+        log_joint = np.log(self.priors) + np.sum(
+            -0.5 * np.log(2.0 * np.pi * self.variances)
+            - (points[:, None, :] - self.means) ** 2 / (2.0 * self.variances),
+            axis=2,
+        )
+        joint = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
+        posteriors = joint[:, 1] / joint.sum(axis=1)
+        return posteriors >= 0.5, posteriors
 
 
 Model = KnnModel | NbModel
@@ -409,16 +385,33 @@ class ClassifierSpec:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
 
 
-def fit_classifier(spec: ClassifierSpec, train: Sequence[LabelledVector]) -> Model:
+def feature_matrix(vectors: Iterable[SimilarityVector]) -> np.ndarray:
+    """The (n, 3) float64 rows of `vectors`: semantic, syntactic, insdel."""
+    rows = [(v.semantic, v.syntactic, v.insdel) for v in vectors]
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+
+
+def fit_classifier(spec: ClassifierSpec, points: np.ndarray, labels: np.ndarray) -> Model:
+    """The `spec.kind` model of (n, 3) `points` and their (n,) bool `labels`.
+
+    k-NN keeps the rows; naive Bayes keeps each class's means, variances
+    floored at `NbModel.VAR_FLOOR`, and its share of the rows.
+    """
+    if len(points) == 0:
+        raise EmptyTrainingSet("no training vectors")
     if spec.kind == KnnModel.kind:
-        return knn_fit(train, spec.knn_k)
-    return nb_fit(train)
-
-
-def predict_classifier(model: Model, x: SimilarityVector) -> tuple[bool, float]:
-    if isinstance(model, KnnModel):
-        return knn_predict(model, x)
-    return nb_predict(model, x)
+        return KnnModel(points=points, labels=labels, k=spec.knn_k)
+    points = _finite("points", points, (None, 3))
+    labels = _array("labels", labels, (len(points),), "b")
+    clusters = [points[labels == flag] for flag in (False, True)]
+    for flag, cluster in zip((False, True), clusters):
+        if not len(cluster):
+            raise DegenerateClass(f"no training examples labelled {flag}")
+    return NbModel(
+        means=np.stack([c.mean(axis=0) for c in clusters]),
+        variances=np.stack([np.maximum(c.var(axis=0), NbModel.VAR_FLOOR) for c in clusters]),
+        priors=np.array([len(c) / len(points) for c in clusters]),
+    )
 
 
 def save_model(model: Model, path) -> None:
@@ -506,9 +499,9 @@ def cross_validate(
     """Stratified k-fold evaluation with pooled scores for AUC."""
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
-    labels = [bool(lab) for _, lab in dataset]
+    labels = np.array([bool(lab) for _, lab in dataset], dtype=bool)
     for cls in (False, True):
-        if sum(1 for lab in labels if lab == cls) < k:
+        if np.count_nonzero(labels == cls) < k:
             raise InsufficientData(
                 f"class {cls} has fewer than {k} examples; cannot stratify"
             )
@@ -522,23 +515,18 @@ def cross_validate(
                 f"knn_k must be <= {train_size}, the training size of fold {fold}, "
                 f"got {spec.knn_k}"
             )
+    points = feature_matrix(x for x, _ in dataset)
     pooled_scores: list[float] = []
     pooled_labels: list[bool] = []
     fold_metrics: list[FoldMetrics] = []
     aggregate = Confusion(0, 0, 0, 0)
     for fold_index, test_indices in enumerate(folds):
-        held_out = set(test_indices)
-        train = [dataset[i] for i in range(len(dataset)) if i not in held_out]
-        model = fit_classifier(spec, train)
-        outcomes = []
-        for i in test_indices:
-            x, raw_label = dataset[i]
-            truth = bool(raw_label)
-            predicted, score = predict_classifier(model, x)
-            pooled_scores.append(score)
-            pooled_labels.append(truth)
-            outcomes.append((predicted, truth))
-        confusion = Confusion.tally(outcomes)
+        test = np.isin(np.arange(len(dataset)), test_indices)
+        model = fit_classifier(spec, points[~test], labels[~test])
+        predicted, scores = model.predict(points[test])
+        pooled_scores.extend(scores.tolist())
+        pooled_labels.extend(labels[test].tolist())
+        confusion = Confusion.tally(zip(predicted, labels[test]))
         fold_metrics.append(FoldMetrics(fold_index, confusion, *metrics(confusion)))
         aggregate = aggregate + confusion
     return build_report(aggregate, pooled_scores, pooled_labels, tuple(fold_metrics))

@@ -28,9 +28,9 @@ from .classify import (
     InsufficientData,
     KnnModel,
     cross_validate,
+    feature_matrix,
     fit_classifier,
     load_model,
-    predict_classifier,
     report_to_json,
     save_model,
     score_source,
@@ -71,9 +71,12 @@ CORPUS_KINDS = ("crowd", "cs", "jsonl")
 def _read_text_file(path) -> str:
     try:
         with open(path, encoding="utf-8", errors="replace") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise ParaplagError(f"cannot read {path}: {exc}") from exc
+    if not text.strip():
+        raise ParaplagError(f"{path}: passage needs at least one sentence")
+    return text
 
 
 def _effective_config(args) -> EngineConfig:
@@ -157,14 +160,13 @@ def _run_baseline(out_dir: str, pairs, config: EngineConfig, jobs: int) -> None:
 
 def cmd_score(args) -> int:
     config = _effective_config(args)
-    state = scoring_state(config)
     suspect = _read_text_file(args.suspect)
     source = _read_text_file(args.source)
-    scored = next(score_source(source, [suspect], *state))
+    scored = next(score_source(source, [suspect], *scoring_state(config)))
     vec = scored.vector
     if args.model is not None:
         model = load_model(args.model)
-        label, score = predict_classifier(model, vec)
+        [label], [score] = model.predict(feature_matrix([vec]))
         rule = model.kind
     else:
         score = (vec.semantic + vec.syntactic + vec.insdel) / 3.0
@@ -219,8 +221,7 @@ def cmd_fit(args) -> int:
         )
     out_dir = _ensure_out_dir(args)
     vectors = extract_features(pairs, config, jobs=args.jobs)
-    dataset = labelled_dataset(pairs, vectors)
-    model = fit_classifier(spec, dataset)
+    model = fit_classifier(spec, feature_matrix(vectors), [p.is_paraphrased for p in pairs])
     model_path = os.path.join(out_dir, "model.json")
     save_model(model, model_path)
     write_feature_csv(os.path.join(out_dir, "features.csv"), pairs, vectors)

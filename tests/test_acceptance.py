@@ -29,10 +29,10 @@ from paraplag.classify import (
     SimilarityVector,
     auc_roc,
     cross_validate,
+    feature_matrix,
+    fit_classifier,
     metrics,
     misclassification_rate,
-    nb_fit,
-    nb_predict,
 )
 from paraplag.cli import main
 from paraplag.config import EngineConfig
@@ -234,14 +234,19 @@ def _nb_suite() -> bool:
     def row(x, lab):
         return SimilarityVector(semantic=x, syntactic=x, insdel=x), lab
 
-    model = nb_fit([row(0.2, False), row(0.4, False), row(0.6, True), row(0.8, True)])
+    train = [row(0.2, False), row(0.4, False), row(0.6, True), row(0.8, True)]
+    model = fit_classifier(
+        ClassifierSpec("nb"), feature_matrix(x for x, _ in train), [lab for _, lab in train]
+    )
     # closed form: equal priors, per-dimension means 0.3/0.7, variance 0.01
     var = 0.01
     for x in (0.5, 0.45, 0.55, 0.3, 0.62, 0.8, 0.95):
         log_pos = 3 * (-0.5 * math.log(2 * math.pi * var) - (x - 0.7) ** 2 / (2 * var))
         log_neg = 3 * (-0.5 * math.log(2 * math.pi * var) - (x - 0.3) ** 2 / (2 * var))
         expected = 1.0 / (1.0 + math.exp(log_neg - log_pos))
-        _, score = nb_predict(model, SimilarityVector(semantic=x, syntactic=x, insdel=x))
+        _, [score] = model.predict(
+            feature_matrix([SimilarityVector(semantic=x, syntactic=x, insdel=x)])
+        )
         if abs(score - expected) > 1e-9:
             return False
     return True

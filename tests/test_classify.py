@@ -31,16 +31,12 @@ from paraplag.classify import (
     SingleClassInput,
     auc_roc,
     cross_validate,
+    feature_matrix,
     fit_classifier,
-    knn_fit,
-    knn_predict,
     load_model,
     metrics,
     misclassification_rate,
-    nb_fit,
-    nb_predict,
     passage_features,
-    predict_classifier,
     report_to_json,
     save_model,
     stratified_folds,
@@ -82,6 +78,67 @@ def clustered_dataset(n_per_class: int, rng: random.Random):
         data.append((vec(0.8 + rng.uniform(0.0, 0.15)), True))
         data.append((vec(0.05 + rng.uniform(0.0, 0.15)), False))
     return data
+
+
+def fit(kind: str, train, k: int = 5):
+    """`fit_classifier` on a list of (vector, label) rows."""
+    return fit_classifier(
+        ClassifierSpec(kind, knn_k=k), feature_matrix(x for x, _ in train), [lab for _, lab in train]
+    )
+
+
+def predict_one(model, x: SimilarityVector) -> tuple[bool, float]:
+    """The model's (label, score) for one vector, as Python values."""
+    [label], [score] = model.predict(feature_matrix([x]))
+    return bool(label), float(score)
+
+
+# ---------------------------------------------------------------------------
+# The per-vector classifiers that the batch `predict` methods replaced
+
+
+def _row(x: SimilarityVector) -> np.ndarray:
+    return np.array([x.semantic, x.syntactic, x.insdel], dtype=np.float64)
+
+
+def oracle_knn_predict(model: KnnModel, x: SimilarityVector) -> tuple[bool, float]:
+    """Majority vote of the k nearest; ties in distance break on insert order."""
+    deltas = model.points - _row(x)
+    squared = np.einsum("ij,ij->i", deltas, deltas)
+    nearest = np.argsort(squared, kind="stable")[: model.k]
+    score = float(np.count_nonzero(model.labels[nearest])) / model.k
+    return score > 0.5, score
+
+
+def oracle_nb_fit(train) -> NbModel:
+    if not train:
+        raise EmptyTrainingSet("no training vectors")
+    points = np.stack([_row(x) for x, _ in train])
+    labels = np.array([bool(lab) for _, lab in train], dtype=bool)
+    means = np.zeros((2, 3))
+    variances = np.zeros((2, 3))
+    priors = np.zeros(2)
+    for row, flag in enumerate((False, True)):
+        cluster = points[labels == flag]
+        if cluster.shape[0] == 0:
+            raise DegenerateClass(f"no training examples labelled {flag}")
+        means[row] = cluster.mean(axis=0)
+        variances[row] = np.maximum(cluster.var(axis=0), NbModel.VAR_FLOOR)
+        priors[row] = cluster.shape[0] / points.shape[0]
+    return NbModel(means=means, variances=variances, priors=priors)
+
+
+def oracle_nb_predict(model: NbModel, x: SimilarityVector) -> tuple[bool, float]:
+    """Posterior of the positive class from per-feature Gaussian likelihoods."""
+    vec = _row(x)
+    log_joint = np.log(model.priors) + np.sum(
+        -0.5 * np.log(2.0 * np.pi * model.variances)
+        - (vec - model.means) ** 2 / (2.0 * model.variances),
+        axis=1,
+    )
+    shifted = log_joint - log_joint.max()
+    posterior = float(np.exp(shifted[1]) / np.exp(shifted).sum())
+    return posterior >= 0.5, posterior
 
 
 class TestSimilarityVector:
@@ -414,8 +471,8 @@ class TestAucRoc:
 class TestKnn:
     def test_exact_training_point(self):
         train = [(vec(0.9), True), (vec(0.1), False)]
-        model = knn_fit(train, k=1)
-        label, score = knn_predict(model, vec(0.9))
+        model = fit("knn", train, k=1)
+        label, score = predict_one(model, vec(0.9))
         assert (label, score) == (True, 1.0)
 
     def test_two_of_three_neighbors(self):
@@ -425,31 +482,31 @@ class TestKnn:
             (vec(0.6), False),
             (vec(0.0), False),
         ]
-        model = knn_fit(train, k=3)
-        label, score = knn_predict(model, vec(0.75))
+        model = fit("knn", train, k=3)
+        label, score = predict_one(model, vec(0.75))
         assert label is True
         assert score == pytest.approx(2 / 3)
 
     def test_single_class_training(self):
-        model = knn_fit([(vec(0.5), True), (vec(0.6), True)], k=2)
-        label, score = knn_predict(model, vec(0.0))
+        model = fit("knn", [(vec(0.5), True), (vec(0.6), True)], k=2)
+        label, score = predict_one(model, vec(0.0))
         assert (label, score) == (True, 1.0)
 
     def test_empty_training_rejected(self):
         with pytest.raises(EmptyTrainingSet):
-            knn_fit([], k=1)
+            fit("knn", [], k=1)
 
     def test_k_bounded_by_training_size(self):
         with pytest.raises(ValueError):
-            knn_fit([(vec(0.5), True)], k=2)
+            fit("knn", [(vec(0.5), True)], k=2)
 
     def test_distance_tie_breaks_on_insert_order(self):
         # 0.25 and 0.75 are exact in binary, so both distances tie exactly
         train = [(vec(0.25), False), (vec(0.75), True)]
-        model = knn_fit(train, k=1)
-        assert knn_predict(model, vec(0.5))[0] is False
-        flipped = knn_fit(list(reversed(train)), k=1)
-        assert knn_predict(flipped, vec(0.5))[0] is True
+        model = fit("knn", train, k=1)
+        assert predict_one(model, vec(0.5))[0] is False
+        flipped = fit("knn", list(reversed(train)), k=1)
+        assert predict_one(flipped, vec(0.5))[0] is True
 
     def test_uniform_rescaling_preserves_prediction(self):
         rng = random.Random(54)
@@ -469,18 +526,18 @@ class TestKnn:
             ]
             scaled_x = vec(x.semantic * alpha, x.syntactic * alpha, x.insdel * alpha)
             k = rng.randint(1, len(train))
-            assert knn_predict(knn_fit(train, k), x) == knn_predict(
-                knn_fit(scaled_train, k), scaled_x
+            assert predict_one(fit("knn", train, k), x) == predict_one(
+                fit("knn", scaled_train, k), scaled_x
             )
 
     def test_persistence_round_trip(self, tmp_path):
-        model = knn_fit([(vec(0.9), True), (vec(0.1), False), (vec(0.4), False)], k=3)
+        model = fit("knn", [(vec(0.9), True), (vec(0.1), False), (vec(0.4), False)], k=3)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
         assert isinstance(loaded, KnnModel)
         probe = vec(0.55, 0.3, 0.7)
-        assert knn_predict(loaded, probe) == knn_predict(model, probe)
+        assert predict_one(loaded, probe) == predict_one(model, probe)
 
 
 class TestNb:
@@ -492,15 +549,15 @@ class TestNb:
     ]
 
     def test_midpoint_posterior(self):
-        model = nb_fit(self.FIXTURE)
-        label, posterior = nb_predict(model, vec(0.5))
+        model = fit("nb", self.FIXTURE)
+        label, posterior = predict_one(model, vec(0.5))
         assert posterior == pytest.approx(0.5, abs=1e-12)
         assert label is True  # >= 0.5 resolves to positive
 
     def test_closed_form_fixture(self):
         # equal priors and per-class variance 0.01 on every feature; the
         # posterior reduces to a logistic over the summed log-likelihood gap
-        model = nb_fit(self.FIXTURE)
+        model = fit("nb", self.FIXTURE)
         x = vec(0.6)
         log_gap = 0.0
         for value in (0.6, 0.6, 0.6):
@@ -508,37 +565,37 @@ class TestNb:
             ll_neg = -0.5 * math.log(2 * math.pi * 0.01) - (value - 0.3) ** 2 / 0.02
             log_gap += ll_pos - ll_neg
         expected = 1.0 / (1.0 + math.exp(-log_gap))
-        _, posterior = nb_predict(model, x)
+        _, posterior = predict_one(model, x)
         assert posterior == pytest.approx(expected, abs=1e-9)
 
     def test_deep_inside_positive_cluster(self):
-        model = nb_fit(self.FIXTURE)
-        label, posterior = nb_predict(model, vec(0.85))
+        model = fit("nb", self.FIXTURE)
+        label, posterior = predict_one(model, vec(0.85))
         assert label is True
         assert posterior > 0.999
 
     def test_missing_class_rejected(self):
         with pytest.raises(DegenerateClass):
-            nb_fit([(vec(0.5), True), (vec(0.6), True)])
+            fit("nb", [(vec(0.5), True), (vec(0.6), True)])
 
     def test_empty_training_rejected(self):
         with pytest.raises(EmptyTrainingSet):
-            nb_fit([])
+            fit("nb", [])
 
     def test_zero_variance_survives_via_floor(self):
         train = [(vec(0.2), False), (vec(0.2), False), (vec(0.9), True), (vec(0.9), True)]
-        model = nb_fit(train)
-        label, posterior = nb_predict(model, vec(0.9))
+        model = fit("nb", train)
+        label, posterior = predict_one(model, vec(0.9))
         assert label is True
         assert 0.0 <= posterior <= 1.0
 
     def test_persistence_round_trip(self, tmp_path):
-        model = nb_fit(self.FIXTURE)
+        model = fit("nb", self.FIXTURE)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
         probe = vec(0.45, 0.8, 0.2)
-        assert nb_predict(loaded, probe) == nb_predict(model, probe)
+        assert predict_one(loaded, probe) == predict_one(model, probe)
 
 
 class TestStratifiedFolds:
@@ -650,17 +707,17 @@ def _round_trip(model):
 class TestModelPersistence:
     @given(st.lists(LABELLED, min_size=1, max_size=12), st.data())
     def test_knn_round_trip_is_exact(self, train, data):
-        model = knn_fit(train, data.draw(st.integers(1, len(train))))
+        model = fit("knn", train, k=data.draw(st.integers(1, len(train))))
         loaded = _round_trip(model)
         assert isinstance(loaded, KnnModel) and loaded.k == model.k
         assert _bits(loaded.points) == _bits(model.points)
         assert _bits(loaded.labels) == _bits(model.labels)
         for probe, _ in train + data.draw(st.lists(LABELLED, max_size=4)):
-            assert predict_classifier(loaded, probe) == predict_classifier(model, probe)
+            assert predict_one(loaded, probe) == predict_one(model, probe)
 
     def test_numpy_integer_k_round_trips_as_int(self):
         train = [(vec(0.5), True), (vec(0.25), False)]
-        model = fit_classifier(ClassifierSpec("knn", knn_k=np.int64(1)), train)
+        model = fit("knn", train, k=np.int64(1))
         loaded = _round_trip(model)
         assert type(model.k) is int and type(loaded.k) is int and loaded.k == 1
         assert _bits(loaded.points) == _bits(model.points)
@@ -668,13 +725,110 @@ class TestModelPersistence:
     @given(st.lists(LABELLED, min_size=1, max_size=12), st.data())
     def test_nb_round_trip_is_exact(self, train, data):
         train = train + [(vec(0.5), True), (vec(0.25), False)]
-        model = nb_fit(train)
+        model = fit("nb", train)
         loaded = _round_trip(model)
         assert isinstance(loaded, NbModel)
         for name in ("means", "variances", "priors"):
             assert _bits(getattr(loaded, name)) == _bits(getattr(model, name))
         for probe, _ in train + data.draw(st.lists(LABELLED, max_size=4)):
-            assert predict_classifier(loaded, probe) == predict_classifier(model, probe)
+            assert predict_one(loaded, probe) == predict_one(model, probe)
+
+
+
+def oracle_cross_validate(dataset, spec: ClassifierSpec, k: int, seed: int) -> classify.EvalReport:
+    """`cross_validate` with a training list per fold and one oracle call per test row."""
+    folds = stratified_folds([lab for _, lab in dataset], k, seed)
+    scores, truths, fold_metrics = [], [], []
+    aggregate = Confusion(0, 0, 0, 0)
+    for fold_index, test_indices in enumerate(folds):
+        held_out = set(test_indices)
+        train = [dataset[i] for i in range(len(dataset)) if i not in held_out]
+        if spec.kind == "knn":
+            points = np.stack([_row(x) for x, _ in train])
+            model = KnnModel(points, np.array([lab for _, lab in train]), spec.knn_k)
+            predict = oracle_knn_predict
+        else:
+            model, predict = oracle_nb_fit(train), oracle_nb_predict
+        outcomes = []
+        for i in test_indices:
+            x, truth = dataset[i]
+            predicted, score = predict(model, x)
+            scores.append(score)
+            truths.append(truth)
+            outcomes.append((predicted, truth))
+        confusion = Confusion.tally(outcomes)
+        fold_metrics.append(classify.FoldMetrics(fold_index, confusion, *metrics(confusion)))
+        aggregate = aggregate + confusion
+    return classify.build_report(aggregate, scores, truths, tuple(fold_metrics))
+
+
+# binary-grid values tie distances exactly and give equal class variances
+TIED = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), UNIT)
+TIED_VECTOR = st.builds(SimilarityVector, TIED, TIED, TIED)
+TIED_ROWS = st.lists(st.tuples(TIED_VECTOR, st.booleans()), min_size=1, max_size=12)
+PROBES = st.lists(TIED_VECTOR, min_size=1, max_size=8)
+
+
+def _outcomes(model, probes) -> list[tuple[bool, str]]:
+    labels, scores = model.predict(feature_matrix(probes))
+    assert labels.shape == scores.shape == (len(probes),)
+    assert labels.dtype == bool and scores.dtype == np.float64
+    return [(bool(label), float(score).hex()) for label, score in zip(labels, scores)]
+
+
+def _oracle_outcomes(oracle, model, probes) -> list[tuple[bool, str]]:
+    return [(label, score.hex()) for label, score in (oracle(model, x) for x in probes)]
+
+
+class TestBatchPredict:
+    """`predict` on a batch equals the per-vector oracle row by row, bit for bit."""
+
+    @given(TIED_ROWS, PROBES, st.data())
+    def test_knn_equals_the_oracle(self, train, probes, data):
+        model = fit("knn", train, k=data.draw(st.integers(1, len(train))))
+        assert _outcomes(model, probes) == _oracle_outcomes(oracle_knn_predict, model, probes)
+
+    @given(TIED_ROWS, PROBES)
+    def test_nb_equals_the_oracle(self, train, probes):
+        train = train + [(vec(0.5), True), (vec(0.25), False)]
+        model = fit("nb", train)
+        expected = oracle_nb_fit(train)
+        for name in ("means", "variances", "priors"):
+            assert _bits(getattr(model, name)) == _bits(getattr(expected, name))
+        assert _outcomes(model, probes) == _oracle_outcomes(oracle_nb_predict, model, probes)
+
+    def test_distance_ties_break_on_insert_order(self):
+        # 0.25 and 0.75 are exact in binary, so every probe's distances tie exactly
+        train = [(vec(0.25), False), (vec(0.75), True)]
+        probes = [vec(0.5), vec(0.5, 0.25, 0.75), vec(0.5, 0.75, 0.25)]
+        model = fit("knn", train, k=1)
+        assert _outcomes(model, probes) == [(False, (0.0).hex())] * 3
+        assert _outcomes(model, probes) == _oracle_outcomes(oracle_knn_predict, model, probes)
+        flipped = fit("knn", list(reversed(train)), k=1)
+        assert _outcomes(flipped, probes) == [(True, (1.0).hex())] * 3
+
+    def test_knn_score_of_one_half_is_negative(self):
+        model = fit("knn", [(vec(0.2), True), (vec(0.8), False)], k=2)
+        probes = [vec(0.0), vec(0.5), vec(1.0)]
+        assert _outcomes(model, probes) == [(False, (0.5).hex())] * 3
+        assert _outcomes(model, probes) == _oracle_outcomes(oracle_knn_predict, model, probes)
+
+    def test_nb_posterior_of_one_half_is_positive(self):
+        model = NbModel(
+            means=[[0.25] * 3, [0.75] * 3], variances=[[0.01] * 3] * 2, priors=[0.5, 0.5]
+        )
+        probes = [vec(0.5), vec(0.5, 0.25, 0.75)]
+        assert _outcomes(model, probes) == [(True, (0.5).hex())] * 2
+        assert _outcomes(model, probes) == _oracle_outcomes(oracle_nb_predict, model, probes)
+
+    @given(st.lists(st.tuples(TIED_VECTOR, st.booleans()), min_size=6, max_size=40),
+           st.sampled_from(["knn", "nb"]), st.integers(2, 3), st.integers(0, 99), st.data())
+    def test_cross_validate_equals_the_per_row_oracle(self, rows, kind, k, seed, data):
+        rows = rows + [(vec(0.5), True), (vec(0.25), False)] * k
+        spec = ClassifierSpec(kind, knn_k=data.draw(st.integers(1, len(rows) // 2 - 1)))
+        assert report_to_json(cross_validate(rows, spec, k, seed)) == report_to_json(
+            oracle_cross_validate(rows, spec, k, seed)
+        )
 
 
 KNN = {"kind": "knn", "k": 1, "points": [[0.5, 0.5, 0.5], [0.25, 0, 1]], "labels": [True, False]}
@@ -726,7 +880,7 @@ class TestModelFile:
         path.write_text(json.dumps(payload), encoding="utf-8")
         model = load_model(path)
         assert model.kind == payload["kind"]
-        assert predict_classifier(model, vec(0.5))[0] in (True, False)
+        assert predict_one(model, vec(0.5))[0] in (True, False)
 
     @pytest.mark.parametrize("text, message", MALFORMED_MODELS)
     def test_malformed_file_names_the_file(self, tmp_path, text, message):
@@ -744,6 +898,6 @@ class TestModelFile:
 
     def test_fitted_models_pass_the_same_checks(self):
         with pytest.raises(ValueError, match="k must be an integer in"):
-            knn_fit([(vec(0.5), True)], k=2)
-        model = nb_fit([(vec(0.5), True), (vec(0.5), True), (vec(0.25), False)])
+            fit("knn", [(vec(0.5), True)], k=2)
+        model = fit("nb", [(vec(0.5), True), (vec(0.5), True), (vec(0.25), False)])
         assert (model.variances > 0).all() and model.priors.tolist() == [1 / 3, 2 / 3]

@@ -105,6 +105,16 @@ class TestScore:
         assert rc == 2
         assert "sentence" in captured.err
 
+    @pytest.mark.parametrize("side", [0, 1], ids=["suspect", "source"])
+    @pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "whitespace"])
+    def test_empty_file_is_named(self, tmp_path, capsys, side, text):
+        cfg = write_config(tmp_path)
+        files = [write_text(tmp_path, "full.txt", "River stone cloud.\n")] * 2
+        files[side] = write_text(tmp_path, "empty.txt", text)
+        assert main(["score", *files, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {files[side]}: passage needs at least one sentence\n"
+
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         b = write_text(tmp_path, "b.txt", "River stone cloud.\n")

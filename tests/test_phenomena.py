@@ -1,0 +1,70 @@
+"""How a paraphrase operation moves the features, over the fixture lexicon.
+
+Reordering: a permutation of one sentence's words keeps its exact-channel
+semantic score, since with no stores a match is stem equality and the
+count is the multiset intersection of the two stem lists; and it lowers
+word order below 1.0 whenever the tokens are distinct and the permutation
+is not the identity.  There the order vectors are (1..n) and the
+permutation itself, so the cosine is sum(i * p(i)) / sum(i * i), which the
+rearrangement inequality puts strictly below 1.
+"""
+
+from __future__ import annotations
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from paraplag.classify import passage_features
+from paraplag.semsim import semantic_similarity
+from paraplag.synsim import syntactic_similarity
+from paraplag.textprep import preprocess_passage
+
+from test_semsim_tables import VOCAB
+
+# the fixture lexicon's words, inflections and unknown words, plus stopwords
+WORDS = VOCAB + ["the", "of", "and"]
+SENTENCE = st.lists(st.sampled_from(WORDS), min_size=1, max_size=10)
+
+
+def _sentence(words):
+    [sentence] = preprocess_passage(" ".join(words) + ".")
+    return sentence
+
+
+def _passage(sentences) -> str:
+    return " ".join(" ".join(words) + "." for words in sentences)
+
+
+@st.composite
+def reordered_pairs(draw):
+    """(suspect sentences, the same with one sentence's words permuted, source sentences)."""
+    suspect = draw(st.lists(SENTENCE, min_size=1, max_size=3))
+    which = draw(st.integers(0, len(suspect) - 1))
+    permuted = list(suspect)
+    permuted[which] = draw(st.permutations(suspect[which]))
+    return suspect, permuted, draw(st.lists(SENTENCE, min_size=1, max_size=3))
+
+
+class TestReordering:
+    @given(SENTENCE, SENTENCE, st.data())
+    def test_exact_channel_sentence_score_ignores_word_order(self, suspect, source, data):
+        sp = _sentence(suspect)
+        assume(sp.content_tokens)
+        permuted = _sentence(data.draw(st.permutations(suspect)))
+        sr = _sentence(source)
+        assert semantic_similarity(permuted, sr) == semantic_similarity(sp, sr)
+
+    @given(reordered_pairs())
+    def test_exact_channel_passage_score_ignores_word_order(self, case):
+        suspect, permuted, source = case
+        expected = passage_features(_passage(suspect), _passage(source)).semantic
+        assert passage_features(_passage(permuted), _passage(source)).semantic == expected
+
+    @given(st.lists(st.sampled_from(WORDS), min_size=2, max_size=12, unique=True), st.data())
+    def test_any_other_order_of_distinct_tokens_scores_below_one(self, words, data):
+        permuted = data.draw(st.permutations(words))
+        assume(permuted != words)
+        original = _sentence(words).all_tokens
+        assert syntactic_similarity(original, original) == 1.0
+        assert syntactic_similarity(_sentence(permuted).all_tokens, original) < 1.0
+        assert passage_features(_passage([permuted]), _passage([words])).syntactic < 1.0
