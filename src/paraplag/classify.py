@@ -157,7 +157,8 @@ def _score(
 
     The source sentences are `tables.sentences`; `tables` is built with
     `params.sem` and carries the run's vocabulary and stores.  One walk over
-    the suspect sentences computes all three dimensions.  A suspect
+    the suspect sentences computes all three dimensions, after the table
+    judges the embedding channel for the passage's words at once.  A suspect
     sentence's semantic best is `semsim.best_sentence`: the first source
     sentence with the most matches.
     """
@@ -165,6 +166,7 @@ def _score(
     if not sp_sentences or not sr_sentences:
         raise EmptyPassage("both passages need at least one sentence")
 
+    tables.embed(query for sp in sp_sentences for query in sp.content_tokens)
     sr_stems = [[t.stem for t in sr.content_tokens] for sr in sr_sentences]
     sr_tokens = [sr.all_tokens for sr in sr_sentences]
     semantic_maxima = []
@@ -312,6 +314,8 @@ class KnnModel:
     labels: np.ndarray  # (n,) bool
     k: int
 
+    # Most (test rows x training rows) cells `predict` holds in one array.
+    BLOCK_ELEMENTS = 1 << 16
     kind: ClassVar[str] = "knn"
 
     def __post_init__(self):
@@ -326,11 +330,16 @@ class KnnModel:
         """(m,) labels and positive shares of the k nearest rows for (m, 3) `points`.
 
         Ties in distance break on insert order; a share of exactly 0.5 is negative.
+        Rows are predicted in blocks of at most `BLOCK_ELEMENTS` distances.
         """
-        # summing the squared column differences keeps every temporary (m, n)
-        squared = sum((self.points[:, c] - points[:, c, None]) ** 2 for c in range(3))
-        nearest = np.argsort(squared, axis=1, kind="stable")[:, : self.k]
-        scores = np.count_nonzero(self.labels[nearest], axis=1) / self.k
+        block = max(1, self.BLOCK_ELEMENTS // len(self.points))
+        scores = np.empty(len(points))
+        for start in range(0, len(points), block):
+            rows = points[start : start + block]
+            # summing the squared column differences keeps every temporary (block, n)
+            squared = sum((self.points[:, c] - rows[:, c, None]) ** 2 for c in range(3))
+            nearest = np.argsort(squared, axis=1, kind="stable")[:, : self.k]
+            scores[start : start + block] = np.count_nonzero(self.labels[nearest], axis=1) / self.k
         return scores > 0.5, scores
 
 

@@ -34,6 +34,13 @@ first candidate not yet consumed (`match_sentence`).  `best_sentence` runs
 that pass over every source sentence some suspect word has a candidate in
 and keeps the first with the most matches; any other sentence matches
 nothing.
+
+The embedding channel is judged for a whole suspect passage at once
+(`PairTables.embed`): one einsum of the vectors of its words not judged
+yet against the source vectors, in blocks of bounded size.  einsum sums
+every product in one order whatever the operands' shapes, so a pair's
+score depends only on its two words, not on the passage or the source
+around them.
 """
 
 from __future__ import annotations
@@ -147,6 +154,10 @@ class Vocabulary:
         return ranked
 
 
+# Most (stacked query rows x source words) cells one embedding block computes.
+_BLOCK_ELEMENTS = 1 << 16
+
+
 class PairTables:
     """Candidate source words for the cascade against one source passage, each computed once.
 
@@ -165,8 +176,10 @@ class PairTables:
 
       exact      the forms sharing the query's stem
       synonym    the forms sharing a synonym's stem
-      embedding  best cosines of at least `embed_min`, from one float64
-                 matmul of its vectors against every source vector
+      embedding  best cosines of at least `embed_min`, from `embed`: one
+                 einsum per suspect passage of its words' vectors against
+                 every source vector, so a pair's score depends only on its
+                 two words
       resnik     the IC of the most informative shared subsumer, when at
                  least `resnik_min`, from the query's ranked subsumers in a
                  subsumer -> forms index; only with both the lexdb and IC table
@@ -200,6 +213,8 @@ class PairTables:
                     (sr.sentence_id, tok.index)
                 )
         self._candidates: dict[str, dict[int, list[Candidate]]] = {}
+        # normalized form -> its (source form, best cosine) pairs of at least embed_min
+        self._embedded: dict[str, tuple[tuple[str, float], ...]] = {}
 
     def candidates(self, query: Token) -> dict[int, list[Candidate]]:
         """Sentence id -> the query's candidates there, best first; only sentences with some.
@@ -226,10 +241,10 @@ class PairTables:
         for stem in facts.synonym_stems:
             for form in by_stem.get(stem, ()):
                 verdict.setdefault(form, (1, -1.0))
-        embed_min = self.thresholds.embed_min
-        for form, value in self._best_cosines(facts.rows).items():
-            if value >= embed_min:
-                verdict.setdefault(form, (2, -value))
+        if query.normalized not in self._embedded:
+            self.embed((query,))
+        for form, value in self._embedded.get(query.normalized, ()):
+            verdict.setdefault(form, (2, -value))
         # highest IC first: a form's first entry is its best shared subsumer
         for key, value in self.vocab.subsumers(query.normalized, query.stem):
             if value < self.thresholds.resnik_min:
@@ -247,25 +262,70 @@ class PairTables:
         source_sq = np.einsum("ij,ij->i", matrix, matrix)
         return tuple(rows), matrix, source_sq, source_sq == 0.0
 
-    def _best_cosines(self, rows: tuple[int, ...]) -> dict[str, float]:
-        """Best `cosine` per source word over the query's embedding rows.
+    def embed(self, queries: Iterable[Token]) -> None:
+        """Judge the embedding channel at once for every query form not judged yet.
 
-        Source words without a vector are absent, and so is everything when
-        the query has no rows (no vector, or no embeddings loaded).
+        A form's best `cosine` per source word is the maximum over its
+        embedding rows; the (source form, score) pairs of at least
+        `embed_min` are memoized for `_judge`.  The rows of whole forms are
+        stacked in blocks of at most `_BLOCK_ELEMENTS` (rows x source words),
+        and each block is one einsum against the source vectors.  einsum
+        sums each product in one order whatever the operands' shapes, so a
+        pair's score depends only on its two words.  Without embeddings, or
+        with no new rows, no numpy work is done.
         """
-        if not rows:
-            return {}
+        emb = self.vocab.stores.embeddings
+        if emb is None:
+            return
+        memo = self._embedded
+        pending: dict[str, tuple[int, ...]] = {}
+        for query in queries:
+            form = query.normalized
+            if form not in memo and form not in pending:
+                rows = self.vocab.word(form, query.stem).rows
+                if rows:
+                    pending[form] = rows
+                else:
+                    memo[form] = ()
+        if not pending:
+            return
         words, sources, source_sq, source_zero = self._source_vectors
         if not words:
-            return {}
-        queries = self.vocab.stores.embeddings.vectors(rows)
+            memo.update(dict.fromkeys(pending, ()))
+            return
+        budget = max(1, _BLOCK_ELEMENTS // len(words))
+        block: list[str] = []
+        stacked = 0
+        for form, rows in pending.items():
+            if block and stacked + len(rows) > budget:
+                self._embed_block(block, pending)
+                block, stacked = [], 0
+            block.append(form)
+            stacked += len(rows)
+        self._embed_block(block, pending)
+
+    def _embed_block(self, forms: list[str], rows: dict[str, tuple[int, ...]]) -> None:
+        """Memoize the embedding verdicts of `forms`, each with at least one of its `rows`."""
+        words, sources, source_sq, source_zero = self._source_vectors
+        queries = self.vocab.stores.embeddings.vectors([r for form in forms for r in rows[form]])
         query_sq = np.einsum("ij,ij->i", queries, queries)
         with np.errstate(divide="ignore", invalid="ignore"):
-            value = (queries @ sources.T) / np.sqrt(query_sq[:, None] * source_sq)
+            value = np.einsum("kd,nd->kn", queries, sources) / np.sqrt(
+                query_sq[:, None] * source_sq
+            )
         # cosine's clamp, under which NaN becomes -1.0, then its zero-norm rule
         value = np.minimum(np.fmax(value, -1.0), 1.0)
         value[(query_sq == 0.0)[:, None] | source_zero] = 0.0
-        return dict(zip(words, value.max(axis=0).tolist()))
+        starts = np.cumsum([0] + [len(rows[form]) for form in forms[:-1]])
+        best = np.maximum.reduceat(value, starts, axis=0)
+        found: dict[int, list[tuple[str, float]]] = {}
+        hit_forms, hit_words = np.nonzero(best >= self.thresholds.embed_min)
+        for i, j, score in zip(
+            hit_forms.tolist(), hit_words.tolist(), best[hit_forms, hit_words].tolist()
+        ):
+            found.setdefault(i, []).append((words[j], score))
+        for i, form in enumerate(forms):
+            self._embedded[form] = tuple(found.get(i, ()))
 
     @cached_property
     def _forms_by_subsumer(self) -> dict[tuple, list[str]]:

@@ -8,6 +8,7 @@ import math
 import random
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -806,6 +807,33 @@ class TestBatchPredict:
         assert _outcomes(model, probes) == _oracle_outcomes(oracle_knn_predict, model, probes)
         flipped = fit("knn", list(reversed(train)), k=1)
         assert _outcomes(flipped, probes) == [(True, (1.0).hex())] * 3
+
+    def test_knn_fold_larger_than_one_block_equals_the_oracle(self):
+        rng = np.random.default_rng(0)
+
+        def point():
+            # grid values tie distances exactly, within a block and across blocks
+            values = (float(rng.choice([0.0, 0.25, 0.5, rng.random()])) for _ in range(3))
+            return SimilarityVector(*values)
+
+        train = [(point(), bool(rng.integers(2))) for _ in range(64)]
+        probes = [point() for _ in range(1500)]
+        model = fit("knn", train, k=5)
+        assert len(probes) > KnnModel.BLOCK_ELEMENTS // len(train)
+        assert _outcomes(model, probes) == _oracle_outcomes(oracle_knn_predict, model, probes)
+
+    def test_knn_predict_memory_is_bounded_by_its_block(self):
+        rng = np.random.default_rng(1)
+        model = KnnModel(rng.random((2000, 3)), rng.random(2000) < 0.5, 5)
+        points = rng.random((2000, 3))
+        tracemalloc.start()
+        try:
+            model.predict(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (2000, 2000) float64 distance matrix alone would take 32 MB
+        assert peak < 8 * 8 * KnnModel.BLOCK_ELEMENTS
 
     def test_knn_score_of_one_half_is_negative(self):
         model = fit("knn", [(vec(0.2), True), (vec(0.8), False)], k=2)

@@ -13,6 +13,7 @@ import dataclasses
 import weakref
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -310,15 +311,16 @@ def test_tables_agree_with_the_scalar_cascade(case):
     shared = PairTables(sources, Vocabulary(stores), th)
     for sr in sources:
         expected = oracle_match_sentence(sp, sr, stores, th)
-        assert match_sentence(sp, sr, stores, th, shared) == scan_match_sentence(sp, sr, shared)
-        for got in (match_sentence(sp, sr, stores, th, shared), match_sentence(sp, sr, stores, th)):
-            assert _key(got) == _key(expected)
-            for g, e in zip(got, expected):
-                if e.channel in ("exact", "synonym"):
-                    assert g.score == 1.0
-                else:
-                    # the matmul sums in another order than the scalar dot
-                    assert abs(g.score - e.score) <= 1e-12
+        got = match_sentence(sp, sr, stores, th, shared)
+        assert got == scan_match_sentence(sp, sr, shared)
+        # a pair's score depends only on its two words, not on the table's other words
+        assert got == match_sentence(sp, sr, stores, th)
+        assert _key(got) == _key(expected)
+        for g, e in zip(got, expected):
+            if e.channel in ("exact", "synonym"):
+                assert g.score == 1.0
+            else:
+                assert abs(g.score - e.score) <= 1e-12
 
 
 @given(cases())
@@ -337,6 +339,110 @@ def test_candidates_hold_exactly_the_sentences_a_word_matches_in(case):
                 # the first candidate is the one the scan picks in a fresh sentence
                 index, channel, score = candidates[sr.sentence_id][0]
                 assert found == WordMatch(query.index, index, channel, score)
+
+
+def passage_text(draw):
+    return " ".join(sentence_text(draw) for _ in range(draw(st.integers(1, 3))))
+
+
+@given(st.builds(KnowledgeStores, st.just(LEXDB), ic_tables(), vectors()), st.data())
+def test_suspect_order_moves_no_score(stores, data):
+    # the words a passage judges first depend on the passages before it
+    source, a, b = (passage_text(data.draw) for _ in range(3))
+    alone = [next(score_source(source, [suspect], stores)) for suspect in (a, b)]
+    assert list(score_source(source, [a, b], stores)) == alone
+    assert list(score_source(source, [b, a], stores)) == alone[::-1]
+
+
+# ---------------------------------------------------------------------------
+# The embedding kernel: a pair's score depends only on its two words
+
+STORE_WORDS = [f"v{i}" for i in range(24)]
+
+
+class _FixedRows(Vocabulary):
+    """A vocabulary whose query words have given embedding rows and no synonyms."""
+
+    def __init__(self, stores, rows_of):
+        super().__init__(stores)
+        self.rows_of = rows_of
+
+    def word(self, normalized, stem):
+        return semsim.WordFacts((), self.rows_of[normalized])
+
+
+def _sentence(words):
+    tokens = tuple(textprep.Token(i, w, w, w) for i, w in enumerate(words))
+    return textprep.ProcessedSentence(0, " ".join(words), tokens, tokens)
+
+
+def _embedding_scores(store, rows_of, source, passage, query):
+    """Source word -> the query's best cosine, with the table judging `passage` at once."""
+    vocab = _FixedRows(KnowledgeStores(embeddings=store), rows_of)
+    tables = PairTables([_sentence(source)], vocab, SemThresholds(embed_min=0.0))
+    tables.embed(_sentence(passage).content_tokens)
+    return dict(tables._embedded[query])
+
+
+@st.composite
+def embedding_contexts(draw):
+    """A store of non-negative vectors, so every cosine clears embed_min 0.0, and words around.
+
+    The query "q" has rows of its own and more synonym rows; the source has
+    more words in any order; the passage has other query words.
+    """
+    dim = draw(st.sampled_from([1, 3, 4, 7, 8, 16, 50, 64, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero = draw(st.sets(st.sampled_from(STORE_WORDS), max_size=3))
+    store = embedding_store(
+        {w: np.zeros(dim) if w in zero else np.abs(rng.standard_normal(dim)) for w in STORE_WORDS},
+        dim,
+    )
+    row_lists = st.lists(st.integers(0, len(STORE_WORDS) - 1), min_size=1, max_size=6)
+    others = draw(st.lists(row_lists.map(tuple), max_size=30))
+    rows_of = {f"o{i}": rows for i, rows in enumerate(others)}
+    rows_of["q"], rows_of["q+"] = tuple(draw(row_lists)), tuple(draw(row_lists))
+    source = draw(st.lists(st.sampled_from(STORE_WORDS), min_size=1, max_size=8, unique=True))
+    more = draw(st.permutations(
+        source + [w for w in STORE_WORDS if w not in source and draw(st.booleans())]
+    ))
+    passage = draw(st.permutations(["q"] + [f"o{i}" for i in range(len(others))]))
+    return store, rows_of, source, more, passage
+
+
+@given(embedding_contexts(), st.integers(1, 64))
+def test_an_embedding_score_depends_only_on_its_two_words(context, budget):
+    store, rows_of, source, more, passage = context
+    scores = _embedding_scores(store, rows_of, source, ["q"], "q")
+    assert list(scores) == source
+    for word, score in scores.items():
+        expected = max(cosine(store.matrix[row], store.lookup_folded(word)) for row in rows_of["q"])
+        assert abs(score - expected) <= 1e-12
+    # more source words, in another order
+    wider = _embedding_scores(store, rows_of, more, ["q"], "q")
+    assert {w: wider[w] for w in source} == scores
+    # more words in the same suspect passage, stacked in blocks of any size
+    with mock.patch.object(semsim, "_BLOCK_ELEMENTS", budget):
+        assert _embedding_scores(store, rows_of, source, passage, "q") == scores
+    # more synonyms: each score is the better of the two sets' scores
+    synonyms_only = _embedding_scores(store, rows_of, source, ["q+"], "q+")
+    rows_of = {**rows_of, "q+": rows_of["q"] + rows_of["q+"]}
+    assert _embedding_scores(store, rows_of, source, ["q+"], "q+") == {
+        w: max(scores[w], synonyms_only[w]) for w in source
+    }
+
+
+def test_the_embedding_pass_does_no_numpy_work_without_rows(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(PairTables, "_embed_block", lambda self, *args: blocks.append(args))
+    source, [suspect] = "Machines run. A dog slept.", preprocess_passage("The cat hid.")
+    store = embedding_store({"machine": np.ones(DIM, np.float32)}, DIM)
+    for stores in (KnowledgeStores(lexdb=LEXDB), KnowledgeStores(embeddings=store)):
+        vocab = Vocabulary(stores)
+        tables = PairTables(preprocess_passage(source, forms=vocab.forms), vocab, SemThresholds())
+        tables.embed(suspect.content_tokens)
+        assert "_source_vectors" not in vars(tables)
+    assert blocks == []
 
 
 def test_source_sentence_ids_must_increase():
