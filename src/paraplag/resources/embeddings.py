@@ -10,6 +10,16 @@ Both loaders write each vector straight into its row of one float32
 matrix: the text loader as it parses each line, the binary loader from
 blocks of `_READ_BLOCK` bytes.
 
+A store is parsed once per content.  After a parse, `load_embeddings`
+writes the matrix and the words in row order to a cache file beside the
+store (`<store>.paraplag-cache`), keyed by the cache layout version, the
+format and the SHA-256 of the store's bytes.  A later load whose key
+matches opens the matrix memory-mapped, so processes loading one store
+share its pages.  A cache that is missing, keyed otherwise or unreadable
+in any way is ignored and the store parsed again; a cache that cannot be
+written is not written.  Either way the vectors are the parse's float32
+bits, and deleting the cache is always safe.
+
 Lookups are case-sensitive; ``lookup_folded`` adds an explicit
 case-insensitive fallback (first stored casing wins) because large
 pre-trained vocabularies mix cased and uncased entries.
@@ -17,6 +27,7 @@ pre-trained vocabularies mix cased and uncased entries.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from collections.abc import Sequence
 from typing import Optional
@@ -35,8 +46,16 @@ __all__ = [
     "cosine",
 ]
 
-# Bytes the binary loader reads at a time.
+# Bytes the binary loader and the hash read at a time.
 _READ_BLOCK = 1 << 20
+
+# The cache beside a store is its path plus this suffix.  Its layout: the
+# float32 matrix in .npy format, then the words in row order, each followed
+# by "\n" (no word holds one: the text format splits on whitespace and the
+# binary loader drops newlines), then `_seal`'s line, all UTF-8.  A change
+# of layout bumps _CACHE_VERSION, so older caches read as misses.
+CACHE_SUFFIX = ".paraplag-cache"
+_CACHE_VERSION = 1
 
 
 class HeaderMismatch(ParaplagError):
@@ -69,9 +88,8 @@ class EmbeddingStore:
         self.matrix = matrix
         self.dim = matrix.shape[1]
         self._rows = rows
-        self._folded: dict[str, int] = {}
-        for word, row in rows.items():
-            self._folded.setdefault(word.lower(), row)
+        # built back to front, so the first stored casing is written last
+        self._folded = dict(zip(map(str.lower, reversed(rows)), reversed(rows.values())))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -191,16 +209,87 @@ def _load_binary(path: str) -> EmbeddingStore:
     return EmbeddingStore(matrix, rows)
 
 
+def _digest(path: str) -> str:
+    import hashlib  # only runs that load a store pay for the import
+
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(_READ_BLOCK):
+            sha.update(block)
+    return sha.hexdigest()
+
+
+def _seal(key: str, offset: int, shape: tuple) -> str:
+    """The cache's last line: the key, then the matrix's offset and shape as
+    written, so that a garbled .npy header which still parses is a miss."""
+    return f"{key} {offset} {shape}"
+
+
+def _read_cache(cache: str, key: str) -> Optional[EmbeddingStore]:
+    """The store cached in `cache` under `key`, or None when it holds no such store."""
+    try:
+        # what np.load(cache, mmap_mode="r") calls for a .npy file, without
+        # its sniffing for zip archives and pickles, which a garbled cache
+        # could set off; an object dtype, which needs pickle, is refused
+        matrix = np.lib.format.open_memmap(cache, mode="r")
+        with open(cache, "rb") as fh:
+            fh.seek(matrix.offset + matrix.nbytes)
+            *words, seal = fh.read().decode("utf-8").split("\n")
+    # On a cut or garbled .npy header numpy raises one of several classes
+    # (ValueError, EOFError, tokenize.TokenError among them): any failure to
+    # read the cache is a miss, and the caller parses the store instead.
+    except Exception:
+        return None
+    if (seal != _seal(key, matrix.offset, matrix.shape) or matrix.dtype != np.float32
+            or not matrix.flags.c_contiguous or len(words) != len(matrix)):
+        return None
+    rows = dict(zip(words, range(len(words))))
+    if len(rows) != len(words):
+        return None
+    # a plain ndarray over the map: np.memmap's Python-level finalizer would
+    # otherwise run for every row a lookup hands out
+    return EmbeddingStore(np.asarray(matrix), rows)
+
+
+def _write_cache(cache: str, key: str, store: EmbeddingStore) -> None:
+    """Write `store` to `cache` under `key` atomically, or not at all."""
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+    except OSError:  # an unwritable directory, or a writer with this pid
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, store.matrix, allow_pickle=False)
+            seal = _seal(key, fh.tell() - store.matrix.nbytes, store.matrix.shape)
+            fh.write("\n".join([*store._rows, seal]).encode("utf-8"))
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
 def load_embeddings(path, format: str = "text") -> EmbeddingStore:
-    """Load word vectors from a text or binary file."""
+    """Load word vectors from a text or binary file, or from its cache.
+
+    Only a parse fills the cache; see the module docstring.
+    """
     path = os.fspath(path)
     if not os.path.isfile(path):
         raise MissingFile(f"embedding file not found: {path}")
-    if format == "text":
-        return _load_text(path)
-    if format == "binary":
-        return _load_binary(path)
-    raise ValueError(f"unknown embedding format {format!r}")
+    if format not in ("text", "binary"):
+        raise ValueError(f"unknown embedding format {format!r}")
+    cache = path + CACHE_SUFFIX
+    before = os.stat(path)
+    key = f"paraplag-embedding-cache {_CACHE_VERSION} {format} sha256:{_digest(path)}"
+    store = _read_cache(cache, key)
+    if store is None:
+        store = _load_text(path) if format == "text" else _load_binary(path)
+        after = os.stat(path)
+        # a store that changed while it was hashed or parsed may not match the key
+        if (before.st_size, before.st_mtime_ns) == (after.st_size, after.st_mtime_ns):
+            _write_cache(cache, key, store)
+    return store
 
 
 def cosine(v1: Sequence[float], v2: Sequence[float]) -> float:

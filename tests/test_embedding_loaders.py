@@ -5,16 +5,20 @@ Generated text and binary files, valid or cut short, are loaded by
 Both must keep the same words with the same float32 bits, resolve case-
 folded lookups to the same vectors, and on a bad file raise the same
 error class with the same message and named word.  The binary loader's
-read block is shrunk to a few bytes, so entries straddle reads.
+read block is shrunk to a few bytes, so entries straddle reads.  A second
+load of each good file comes from the cache the first load wrote, and must
+give the same store; a bad file leaves no cache.
 """
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,27 +70,41 @@ def _outcome(load, path):
         return type(exc), getattr(exc, "word", None), str(exc)
 
 
-def _assert_same(path: Path, fmt: str):
-    oracle = {"text": embedding_oracle.load_text, "binary": embedding_oracle.load_binary}[fmt]
-    expected = _outcome(oracle, str(path))
-    store = _outcome(lambda p: load_embeddings(p, fmt), path)
-    if not isinstance(expected[0], dict):
-        assert store == expected
-        return
-    vectors, dim = expected
-    assert not isinstance(store, tuple), store
+def _assert_matches(store, vectors: dict, dim: int):
+    """`store` holds `vectors` and resolves every casing of their words as the oracle does."""
     assert store.dim == dim and len(store) == len(vectors)
     assert store.matrix.shape == (len(vectors), dim) and store.matrix.dtype == np.float32
     probes = set()
     for word, vec in vectors.items():
         assert word in store
         assert store.lookup_folded(word).tobytes() == vec.tobytes()
-        probes |= {word.lower(), word.upper(), word.title(), word.casefold()}
+        probes |= {word.lower(), word.upper(), word.title(), word.casefold(), word.swapcase()}
     for word in probes | {"absent"}:
         want = embedding_oracle.lookup_folded(vectors, word)
         got = store.lookup_folded(word)
         assert (got is None) == (want is None), word
         assert got is None or got.tobytes() == want.tobytes()
+
+
+def _assert_same(path: Path, fmt: str):
+    """The first load parses `path` as the oracle does; a second load, from
+    the cache the first one wrote, gives the same store without parsing."""
+    oracle = {"text": embedding_oracle.load_text, "binary": embedding_oracle.load_binary}[fmt]
+    expected = _outcome(oracle, str(path))
+    store = _outcome(lambda p: load_embeddings(p, fmt), path)
+    cache = Path(f"{path}{embeddings.CACHE_SUFFIX}")
+    if not isinstance(expected[0], dict):
+        assert store == expected
+        assert not cache.exists()
+        return
+    vectors, dim = expected
+    assert not isinstance(store, tuple), store
+    with mock.patch.object(embeddings, f"_load_{fmt}", side_effect=AssertionError("parsed")):
+        warm = load_embeddings(path, fmt)
+    assert list(warm._rows.items()) == list(store._rows.items())
+    assert warm.matrix.tobytes() == store.matrix.tobytes()
+    for loaded in (store, warm):
+        _assert_matches(loaded, vectors, dim)
 
 
 @settings(max_examples=300)
@@ -139,3 +157,25 @@ def test_loaders_match_reference_on_arbitrary_bytes(body, fmt, block):
         path.write_bytes(b"2 2\n" + body)
         with mock.patch.object(embeddings, "_READ_BLOCK", block):
             _assert_same(path, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize("order", list(itertools.permutations(["paris", "Paris", "PARIS"])))
+def test_first_of_three_casings_wins(tmp_path, order, fmt):
+    vectors = {word: np.full(2, row, dtype=np.float32) for row, word in enumerate(order)}
+    vectors["other"] = np.zeros(2, dtype=np.float32)
+    path = tmp_path / "vectors"
+    if fmt == "text":
+        path.write_text("".join([f"{len(vectors)} 2\n"] + [
+            f"{word} {vec[0]} {vec[1]}\n" for word, vec in vectors.items()
+        ]))
+    else:
+        path.write_bytes(b"".join([f"{len(vectors)} 2\n".encode("ascii")] + [
+            word.encode("ascii") + b" " + vec.tobytes() for word, vec in vectors.items()
+        ]))
+    parsed = load_embeddings(path, fmt)
+    with mock.patch.object(embeddings, f"_load_{fmt}", side_effect=AssertionError("parsed")):
+        cached = load_embeddings(path, fmt)
+    for store in (parsed, cached):
+        _assert_matches(store, vectors, 2)
+        assert store.lookup_folded("pArIs").tobytes() == vectors[order[0]].tobytes()

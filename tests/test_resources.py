@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import gc
 import math
+import multiprocessing
+import os
 import random
 import shutil
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from paraplag.resources import (
     subsumer_ics,
     synonyms,
 )
+from paraplag.resources import embeddings
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -429,21 +434,219 @@ class TestEmbeddings:
         else:
             rows = np.eye(2, dtype="<f4")
             path.write_bytes(b"2 2\nParis " + rows[0].tobytes() + b"london " + rows[1].tobytes())
-        store = load_embeddings(path, fmt)
-        for word in ("Paris", "paris", "london"):
-            vec = store.lookup_folded(word)
-            with pytest.raises(ValueError):
-                vec *= 2
-            with pytest.raises(ValueError):
-                vec[0] = 5.0
-        np.testing.assert_array_equal(store.lookup_folded("paris"), [1, 0])
-        np.testing.assert_array_equal(store.lookup_folded("london"), [0, 1])
+        for _ in ("parsed", "cached"):
+            store = load_embeddings(path, fmt)
+            for word in ("Paris", "paris", "london"):
+                vec = store.lookup_folded(word)
+                with pytest.raises(ValueError):
+                    vec *= 2
+                with pytest.raises(ValueError):
+                    vec[0] = 5.0
+            np.testing.assert_array_equal(store.lookup_folded("paris"), [1, 0])
+            np.testing.assert_array_equal(store.lookup_folded("london"), [0, 1])
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("0 3\n")
         with pytest.raises(ValueError):
             load_embeddings(path, "parquet")
+
+
+def _load(path, fmt="text"):
+    """load_embeddings(path, fmt), and whether it parsed the store."""
+    parse = getattr(embeddings, f"_load_{fmt}")
+    with mock.patch.object(embeddings, f"_load_{fmt}", wraps=parse) as spy:
+        store = load_embeddings(path, fmt)
+    return store, spy.called
+
+
+def _assert_same_store(got, want):
+    assert list(got._rows.items()) == list(want._rows.items())
+    assert got._folded == want._folded
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+def _cache_regions(data: bytes) -> tuple[int, int]:
+    """Where the matrix ends and the seal line starts, in a cache's bytes."""
+    shape_at = data.index(b"'shape': (") + len(b"'shape': (")
+    rows, dim = map(int, data[shape_at:data.index(b")", shape_at)].split(b","))
+    return data.index(b"\n") + 1 + 4 * rows * dim, data.rindex(b"\n") + 1
+
+
+# Each takes a good cache's bytes and returns a corrupted copy.
+CORRUPTIONS = {
+    "empty": lambda data: b"",
+    "cut-in-header": lambda data: data[:20],
+    "cut-in-matrix": lambda data: data[:_cache_regions(data)[0] - 3],
+    "cut-in-words": lambda data: data[:_cache_regions(data)[0] + 3],
+    "cut-in-seal": lambda data: data[:-1],
+    "flipped-key-byte": lambda data: data[:-30] + bytes([data[-30] ^ 1]) + data[-29:],
+    "header-length-shrunk": lambda data: data[:8] + bytes([data[8] - 4]) + data[9:],
+    "dtype-changed": lambda data: data.replace(b"'<f4'", b"'<i4'", 1),
+    "one-word-more": lambda data: (
+        data[:_cache_regions(data)[1]] + b"extra\n" + data[_cache_regions(data)[1]:]),
+    "one-word-fewer": lambda data: (
+        data[:_cache_regions(data)[0]] + data[data.index(b"\n", _cache_regions(data)[0]) + 1:]),
+    "repeated-word": lambda data: data.replace(b"\nbanana\n", b"\napple\n"),
+    "non-utf8-word": lambda data: data.replace(b"\nbanana\n", b"\nban\xffna\n"),
+    "not-npy": lambda data: b"PK\x03\x04" + data[4:],
+}
+
+
+class TestEmbeddingCache:
+    """The cache beside a store: hits, misses, and writes that fail."""
+
+    # The last component is 0.0: its bytes are valid UTF-8, so a matrix read
+    # from too early an offset leaves a tail that still decodes.
+    TEXT = "3 2\napple 1.5 -0.25\nbanana 0.1 0.2\nApple 3 0\n"
+
+    def test_same_size_edit_with_the_old_mtime_is_a_miss(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text(self.TEXT)
+        load_embeddings(path)
+        before = os.stat(path)
+        path.write_text(self.TEXT.replace("apple 1.5", "apple 2.5"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (
+            before.st_size, before.st_mtime_ns)
+        store, did_parse = _load(path)
+        assert did_parse
+        np.testing.assert_array_equal(store.lookup_folded("apple"), [2.5, -0.25])
+        _assert_same_store(_load(path)[0], store)
+
+    def test_the_format_is_part_of_the_key(self, tmp_path):
+        # a valid store in both formats: to the binary loader, "1.5\n" is a float32
+        path = tmp_path / "vecs"
+        path.write_bytes(b"1 1\na 1.5\n")
+        for fmt, want in [("text", [1.5]), ("binary", np.frombuffer(b"1.5\n", "<f4"))] * 2:
+            store, did_parse = _load(path, fmt)
+            assert did_parse
+            assert store.lookup_folded("a").tobytes() == np.asarray(want, "<f4").tobytes()
+
+    @pytest.mark.parametrize("fmt, data, error, message", [
+        ("text", b"2 2\napple 1 0\n", HeaderMismatch, "declares 2 words, file holds 1"),
+        ("text", b"1 2\napple 1 x\n", TruncatedVector, "truncated vector for 'apple'"),
+        ("binary", b"1 2\napple \x00\x00", TruncatedVector, "truncated vector for 'apple'"),
+    ])
+    def test_failed_parse_raises_as_before_and_leaves_no_cache(self, tmp_path, fmt, data,
+                                                               error, message):
+        path = tmp_path / "vecs"
+        path.write_bytes(data)
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                load_embeddings(path, fmt)
+            assert [p.name for p in tmp_path.iterdir()] == ["vecs"]
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+    def test_corrupt_cache_is_a_miss_and_rewritten(self, tmp_path, corrupt):
+        path = tmp_path / "vecs.txt"
+        path.write_text(self.TEXT)
+        parsed = load_embeddings(path)
+        cache = tmp_path / "vecs.txt.paraplag-cache"
+        good = cache.read_bytes()
+        bad = corrupt(good)
+        assert bad != good
+        cache.write_bytes(bad)
+        store, did_parse = _load(path)
+        assert did_parse
+        _assert_same_store(store, parsed)
+        assert cache.read_bytes() == good
+
+    def test_older_layout_version_is_a_miss(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text(self.TEXT)
+        with mock.patch.object(embeddings, "_CACHE_VERSION", 0):
+            load_embeddings(path)
+        assert _load(path)[1]
+        assert not _load(path)[1]
+
+    @pytest.mark.parametrize("call, error", [("open", PermissionError), ("replace", OSError)])
+    def test_failed_write_still_loads_and_leaves_no_file(self, tmp_path, call, error):
+        path = tmp_path / "vecs.txt"
+        path.write_text(self.TEXT)
+        with mock.patch.object(embeddings.os, call, side_effect=error("no room")):
+            store = load_embeddings(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
+        np.testing.assert_array_equal(store.lookup_folded("APPLE"), [1.5, -0.25])
+        _assert_same_store(_load(path)[0], store)
+
+    def test_store_changed_while_loading_is_not_cached(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text(self.TEXT)
+        parse = embeddings._load_text
+
+        def parse_then_touch(p):
+            store = parse(p)
+            os.utime(path, ns=(0, os.stat(path).st_mtime_ns + 10**9))
+            return store
+
+        with mock.patch.object(embeddings, "_load_text", side_effect=parse_then_touch):
+            load_embeddings(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_empty_store_round_trips(self, tmp_path, fmt):
+        path = tmp_path / "vecs"
+        path.write_bytes(b"0 3\n")
+        parsed, _ = _load(path, fmt)
+        cached, did_parse = _load(path, fmt)
+        assert not did_parse and len(cached) == 0 and cached.matrix.shape == (0, 3)
+        _assert_same_store(cached, parsed)
+
+    def test_binary_words_keep_every_line_break_but_newline(self, tmp_path):
+        # str.splitlines() would split all four words; a split on "\n" keeps them
+        words = ["a\x85b", "c\u2028d", "e\tf", "g\rh", "\r"]
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(f"{len(words)} 2\n".encode("ascii") + b"".join(
+            word.encode("utf-8") + b" " + np.array([row, -row], dtype="<f4").tobytes()
+            for row, word in enumerate(words)
+        ))
+        parsed, _ = _load(path, "binary")
+        cached, did_parse = _load(path, "binary")
+        assert not did_parse and list(cached._rows) == words
+        _assert_same_store(cached, parsed)
+
+    def test_writer_racing_a_rival_leaves_one_complete_cache(self, tmp_path):
+        # a second process (another pid) loads the cold store and renames its
+        # cache into place between this process's write and its rename
+        path = tmp_path / "vecs.txt"
+        path.write_text(self.TEXT)
+        replace = os.replace
+        rival = {}
+
+        def rival_then_replace(src, dst):
+            if not rival:
+                rival["pid"] = os.getpid() + 1
+                with mock.patch.object(embeddings.os, "getpid", return_value=rival["pid"]):
+                    rival["parsed"] = _load(path)[1]
+            replace(src, dst)
+
+        with mock.patch.object(embeddings.os, "replace", side_effect=rival_then_replace):
+            parsed = load_embeddings(path)
+        assert rival["parsed"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vecs.txt", "vecs.txt.paraplag-cache"]
+        cached, did_parse = _load(path)
+        assert not did_parse
+        _assert_same_store(cached, parsed)
+
+    def test_pool_workers_racing_on_a_cold_cache(self, tmp_path):
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((3000, 16)).astype("<f4")
+        path = tmp_path / "vecs.bin"
+        path.write_bytes(b"3000 16\n" + b"".join(
+            f"w{row} ".encode("ascii") + vec.tobytes() for row, vec in enumerate(matrix)
+        ))
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=4, mp_context=spawn) as pool:
+            futures = [pool.submit(load_embeddings, path, "binary") for _ in range(8)]
+            stores = [future.result(timeout=120) for future in futures]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vecs.bin", "vecs.bin.paraplag-cache"]
+        cached, did_parse = _load(path, "binary")
+        assert not did_parse
+        assert cached.matrix.tobytes() == matrix.tobytes()
+        for store in stores:
+            _assert_same_store(store, cached)
 
 
 class TestCosine:
