@@ -188,8 +188,12 @@ def cmd_evaluate(args) -> int:
     config = _effective_config(args)
     pairs = _load_pairs(args, config)
     out_dir = _ensure_out_dir(args)
-    scores = score_pairs(pairs, config, jobs=args.jobs)
-    vectors = [s.vector for s in scores]
+    if args.debug_traces:
+        scores = score_pairs(pairs, config, jobs=args.jobs)
+        vectors = [s.vector for s in scores]
+    else:
+        # the word matches are only for traces: a pool's workers send back vectors alone
+        vectors = extract_features(pairs, config, jobs=args.jobs)
     dataset = labelled_dataset(pairs, vectors)
     report = cross_validate(
         dataset, classifier_spec(config), k=config.folds, seed=config.seed

@@ -1,9 +1,10 @@
 """External knowledge stores: lexical database, IC tables, word vectors.
 
-Each store loads once from its standard on-disk format and is immutable
-afterwards, so stores can be shared freely across threads and reused for
-any number of queries.  KnowledgeStores bundles whichever stores a run has
-configured; the semantic engine degrades gracefully when one is absent.
+Each store loads once from its standard on-disk format, and no query
+changes it afterwards, so stores can be shared freely across threads and
+reused for any number of queries.  KnowledgeStores bundles whichever
+stores a run has configured; the semantic engine degrades gracefully when
+one is absent.
 """
 
 from __future__ import annotations

@@ -63,11 +63,19 @@ class HeaderMismatch(ParaplagError):
 
 
 class TruncatedVector(ParaplagError):
-    """A vector entry ends before its declared component count."""
+    """A vector entry ends before its declared component count.
 
-    def __init__(self, word: str, message: str = ""):
+    `where`, the store file and for a text store the line number, prefixes
+    the message, as in every other loader error.
+    """
+
+    def __init__(self, word: str, message: str = "", where: str = ""):
         self.word = word
-        super().__init__(f"truncated vector for {word!r}" + (f": {message}" if message else ""))
+        super().__init__(
+            (f"{where}: " if where else "")
+            + f"truncated vector for {word!r}"
+            + (f": {message}" if message else "")
+        )
 
 
 class DimMismatch(ParaplagError):
@@ -135,18 +143,19 @@ def _load_text(path: str) -> EmbeddingStore:
         size = os.fstat(fh.fileno()).st_size
         matrix = np.empty((min(count, size // (2 * dim + 1)), dim), dtype=np.float32)
         rows: dict[str, int] = {}
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=2):
             fields = raw.split()
             if not fields:
                 continue
             word = fields[0]
             if len(fields) - 1 != dim:
-                raise TruncatedVector(word, f"expected {dim} components, found {len(fields) - 1}")
+                raise TruncatedVector(word, f"expected {dim} components, found {len(fields) - 1}",
+                                      f"{path}:{line_no}")
             try:
                 # parsed as float64, then rounded once to float32
                 values = [float(x) for x in fields[1:]]
             except ValueError as exc:
-                raise TruncatedVector(word, str(exc)) from None
+                raise TruncatedVector(word, str(exc), f"{path}:{line_no}") from None
             if word in rows:
                 raise HeaderMismatch(f"{path}: word {word!r} is repeated")
             row = rows[word] = len(rows)
@@ -191,7 +200,7 @@ def _load_binary(path: str) -> EmbeddingStore:
                 while len(buf) - pos < vec_bytes:
                     more = fh.read(_READ_BLOCK)
                     if not more:
-                        raise TruncatedVector(word, f"{len(buf) - pos} of {vec_bytes} bytes")
+                        raise TruncatedVector(word, f"{len(buf) - pos} of {vec_bytes} bytes", path)
                     buf, pos = buf[pos:] + more, 0
                 if word in rows:
                     raise HeaderMismatch(f"{path}: word {word!r} is repeated")

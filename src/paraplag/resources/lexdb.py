@@ -9,9 +9,8 @@ A synset is identified by ``(byte_offset, pos_char)`` exactly as in the
 source files, so identifiers line up with external information-content
 tables keyed the same way.
 
-The store is immutable after load and safe to share across threads; its
-internal ancestor memo only ever holds values that any racing computation
-would reproduce identically.
+The store is the parse result alone: no query changes it, so it is
+immutable after load and safe to share across threads and processes.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ class LexicalStore:
     ):
         self._synsets = synsets
         self._senses = senses
-        self._ancestor_memo: dict[SynsetId, frozenset[SynsetId]] = {}
 
     def synset(self, sid: SynsetId) -> Synset:
         try:
@@ -116,68 +114,45 @@ class LexicalStore:
         """The synset itself plus every transitive hypernym.
 
         An explicit stack walks the pointers, so depth is not limited by
-        recursion.  Only the synsets asked for are memoized, and a walk
-        stops at any of them it meets: memoizing every synset passed on a
-        chain of depth d would hold d * d / 2 entries.
+        recursion.
         """
-        memo = self._ancestor_memo
-        cached = memo.get(sid)
-        if cached is not None:
-            return cached
         acc = {sid}
         stack = [self.synset(sid)]
         while stack:
             for h in stack.pop().hypernyms:
-                if h in acc:
-                    continue
-                known = memo.get(h)
-                if known is not None:
-                    acc |= known
-                else:
+                if h not in acc:
                     acc.add(h)
                     stack.append(self._synsets[h])
-        result = frozenset(acc)
-        memo[sid] = result
-        return result
+        return frozenset(acc)
 
 
 def _parse_data_line(line: str, file: str, line_no: int) -> Synset:
     fields = line.split()
     if len(fields) < 4:
         raise MalformedLine(file, line_no, "too few fields")
+    lemmas = set()
+    hypernyms = []
     try:
         offset = int(fields[0])
         ss_type = _SS_TYPE_MAP[fields[2]]
-        w_cnt = int(fields[3], 16)
-    except (ValueError, KeyError) as exc:
-        raise MalformedLine(file, line_no, str(exc)) from None
-    cursor = 4
-    lemmas = set()
-    for _ in range(w_cnt):
-        try:
+        cursor = 4
+        for _ in range(int(fields[3], 16)):
             word = fields[cursor]
             int(fields[cursor + 1], 16)  # lex_id sanity check
-        except (IndexError, ValueError) as exc:
-            raise MalformedLine(file, line_no, str(exc)) from None
-        lemmas.add(_strip_marker(word).lower())
-        cursor += 2
-    try:
+            lemmas.add(_strip_marker(word).lower())
+            cursor += 2
         p_cnt = int(fields[cursor])
-    except (IndexError, ValueError) as exc:
-        raise MalformedLine(file, line_no, str(exc)) from None
-    cursor += 1
-    hypernyms = []
-    for _ in range(p_cnt):
-        try:
+        cursor += 1
+        for _ in range(p_cnt):
             symbol = fields[cursor]
             target_offset = int(fields[cursor + 1])
             target_pos = fields[cursor + 2]
             fields[cursor + 3]  # source/target word index; presence check only
-        except (IndexError, ValueError) as exc:
-            raise MalformedLine(file, line_no, str(exc)) from None
-        if symbol in ("@", "@i"):
-            hypernyms.append((target_offset, _SS_TYPE_MAP.get(target_pos, target_pos)))
-        cursor += 4
+            if symbol in ("@", "@i"):
+                hypernyms.append((target_offset, _SS_TYPE_MAP.get(target_pos, target_pos)))
+            cursor += 4
+    except (IndexError, ValueError, KeyError) as exc:
+        raise MalformedLine(file, line_no, str(exc)) from None
     # anything after the pointers (verb frames) up to '|' is ignored
     return Synset(
         id=(offset, ss_type),
@@ -228,38 +203,35 @@ def load_lexdb(path) -> LexicalStore:
     if not (os.path.isfile(noun_index) and os.path.isfile(noun_data)):
         raise MissingFile(f"no index.noun/data.noun pair in {path}")
 
+    parts = [
+        (pos, os.path.join(path, f"data.{name}"), os.path.join(path, f"index.{name}"))
+        for name, pos in _POS_FILES
+    ]
+    parts = [part for part in parts if os.path.isfile(part[1]) and os.path.isfile(part[2])]
     synsets: dict[SynsetId, Synset] = {}
     origin: dict[SynsetId, tuple[str, int]] = {}
-    senses: dict[tuple[str, str], tuple[SynsetId, ...]] = {}
-    index_origin: list[tuple[str, int, str, tuple[SynsetId, ...]]] = []
-
-    for pos_name, pos in _POS_FILES:
-        data_file = os.path.join(path, f"data.{pos_name}")
-        index_file = os.path.join(path, f"index.{pos_name}")
-        if not (os.path.isfile(data_file) and os.path.isfile(index_file)):
-            continue
+    for _, data_file, _ in parts:
         for line_no, line in _iter_content_lines(data_file):
             synset = _parse_data_line(line, data_file, line_no)
             synsets[synset.id] = synset
             origin[synset.id] = (data_file, line_no)
+    # every data file is parsed, so each index entry is checked as it is read
+    senses: dict[tuple[str, str], tuple[SynsetId, ...]] = {}
+    for pos, _, index_file in parts:
         for line_no, line in _iter_content_lines(index_file):
             lemma, ids = _parse_index_line(line, pos, index_file, line_no)
+            for sid in ids:
+                if sid not in synsets:
+                    raise MalformedLine(
+                        index_file, line_no,
+                        f"index entry {lemma!r} references missing synset {sid!r}",
+                    )
             senses[(lemma, pos)] = ids
-            index_origin.append((index_file, line_no, lemma, ids))
-
+    # hypernym pointers may point forward, so they are checked once all are read
     for sid, synset in synsets.items():
         for hyp in synset.hypernyms:
             if hyp not in synsets:
-                file, line_no = origin[sid]
-                raise MalformedLine(
-                    file, line_no, f"unresolved hypernym target {hyp!r}"
-                )
-    for file, line_no, lemma, ids in index_origin:
-        for sid in ids:
-            if sid not in synsets:
-                raise MalformedLine(
-                    file, line_no, f"index entry {lemma!r} references missing synset {sid!r}"
-                )
+                raise MalformedLine(*origin[sid], f"unresolved hypernym target {hyp!r}")
     on_cycle = _synset_on_cycle(synsets)
     if on_cycle is not None:
         raise MalformedLine(*origin[on_cycle], f"hypernym cycle through synset {on_cycle!r}")

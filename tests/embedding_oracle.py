@@ -35,17 +35,18 @@ def load_text(path: str) -> tuple[dict[str, np.ndarray], int]:
         header = fh.readline().rstrip("\n")
         count, dim = _parse_header(header, path)
         vectors: dict[str, np.ndarray] = {}
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=2):
             fields = raw.split()
             if not fields:
                 continue
             word = fields[0]
             if len(fields) - 1 != dim:
-                raise TruncatedVector(word, f"expected {dim} components, found {len(fields) - 1}")
+                raise TruncatedVector(word, f"expected {dim} components, found {len(fields) - 1}",
+                                      f"{path}:{line_no}")
             try:
                 vec = np.array([float(x) for x in fields[1:]], dtype=np.float32)
             except ValueError as exc:
-                raise TruncatedVector(word, str(exc)) from None
+                raise TruncatedVector(word, str(exc), f"{path}:{line_no}") from None
             if word in vectors:
                 raise HeaderMismatch(f"{path}: word {word!r} is repeated")
             vectors[word] = vec
@@ -81,7 +82,7 @@ def load_binary(path: str) -> tuple[dict[str, np.ndarray], int]:
             word = word_bytes.decode("utf-8", errors="replace")
             payload = fh.read(vec_bytes)
             if len(payload) != vec_bytes:
-                raise TruncatedVector(word, f"{len(payload)} of {vec_bytes} bytes")
+                raise TruncatedVector(word, f"{len(payload)} of {vec_bytes} bytes", path)
             if word in vectors:
                 raise HeaderMismatch(f"{path}: word {word!r} is repeated")
             vectors[word] = np.frombuffer(payload, dtype="<f4").copy()

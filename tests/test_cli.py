@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import paraplag
-from paraplag import engine, semsim
+from paraplag import cli, engine, semsim
 from paraplag.cli import main
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair, save_pairs_jsonl
 
@@ -246,6 +246,25 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "truncated vector for 'foo'" in capsys.readouterr().err
+
+    def test_truncated_text_vector_names_file_and_line(self, tmp_path, capsys):
+        vectors = write_text(tmp_path, "short.vec", "2 3\nfoo 0 0 1\nbar 1 0\n")
+        cfg = write_config(tmp_path, embedding_file=vectors)
+        a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
+        assert main(["score", a, a, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {vectors}:3: truncated vector for 'bar': expected 3 components, found 2\n"
+        )
+
+    def test_truncated_binary_vector_names_file(self, tmp_path, capsys):
+        vectors = tmp_path / "short.bin"
+        vectors.write_bytes(b"2 3\nfoo " + b"\x00" * 12 + b"\nbar " + b"\x00" * 8)
+        cfg = write_config(tmp_path, embedding_file=str(vectors), embedding_format="binary")
+        a = write_text(tmp_path, "a.txt", "River stone cloud.\n")
+        assert main(["score", a, a, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {vectors}: truncated vector for 'bar': 8 of 12 bytes\n"
+        )
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_empty_corpus_missing_resource_exits_3(self, tmp_path, capsys, jobs):
@@ -490,6 +509,27 @@ class TestEvaluate:
         assert main(base + ["--out", str(tmp_path / "traced"), "--debug-traces"]) == 0
         assert untraced > 0
         assert len(calls) - untraced == untraced
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_untraced_run_scores_vectors_alone(self, tmp_path, capsys, monkeypatch, jobs):
+        # without --debug-traces no word match is kept, nor sent back from a pool worker
+        corpus = write_corpus(tmp_path, n=12)
+        cfg = write_config(tmp_path, folds=2, knn_k=3)
+        base = ["evaluate", corpus, "--corpus", "jsonl", "--config", cfg, "--baseline",
+                "--jobs", jobs]
+        assert main(base + ["--out", str(tmp_path / "traced"), "--debug-traces"]) == 0
+
+        def no_matches(*args, **kwargs):
+            raise AssertionError("score_pairs called without --debug-traces")
+
+        for module in (engine, cli):
+            monkeypatch.setattr(module, "score_pairs", no_matches)
+        assert main(base + ["--out", str(tmp_path / "plain")]) == 0
+        for name in ("features.csv", "report.json", "baseline.csv", "baseline.json"):
+            assert (tmp_path / "plain" / name).read_bytes() == (
+                tmp_path / "traced" / name).read_bytes()
+        assert not (tmp_path / "plain" / "traces.jsonl").exists()
         capsys.readouterr()
 
     def test_baseline_flag_adds_comparison(self, tmp_path, capsys):

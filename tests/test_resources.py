@@ -106,6 +106,51 @@ class TestLexdbLoading:
         assert "00777777" in str(exc.value) or "777777" in str(exc.value)
 
     @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0000x001 05 n 01 w 0 000 | g", "invalid literal for int() with base 10: '0000x001'"),
+            ("00000001 05 q 01 w 0 000 | g", "'q'"),
+            ("00000001 05 n zz w 0 000 | g", "invalid literal for int() with base 16: 'zz'"),
+            ("00000001 05 n", "too few fields"),
+            ("00000001 05 n 01", "list index out of range"),
+            ("00000001 05 n 01 w", "list index out of range"),
+            ("00000001 05 n 01 w zz 000 | g", "invalid literal for int() with base 16: 'zz'"),
+            ("00000001 05 n 01 w 0", "list index out of range"),
+            ("00000001 05 n 01 w 0 x01 | g", "invalid literal for int() with base 10: 'x01'"),
+            ("00000001 05 n 01 w 0 001", "list index out of range"),
+            ("00000001 05 n 01 w 0 001 @", "list index out of range"),
+            ("00000001 05 n 01 w 0 001 @ 00001740", "list index out of range"),
+            ("00000001 05 n 01 w 0 001 @ 00001740 n", "list index out of range"),
+            ("00000001 05 n 01 w 0 001 @ 0000174x n 0000 | g",
+             "invalid literal for int() with base 10: '0000174x'"),
+        ],
+        ids=["bad-offset", "unknown-ss-type", "non-hex-word-count", "too-few-fields",
+             "missing-lemma", "missing-lex-id", "bad-lex-id", "missing-pointer-count",
+             "bad-pointer-count", "missing-pointer-symbol", "missing-pointer-offset",
+             "missing-pointer-pos", "missing-pointer-source-target", "bad-pointer-offset"],
+    )
+    def test_malformed_data_line_message(self, tmp_path, line, message):
+        self._copy_fixture(tmp_path)
+        data = tmp_path / "data.noun"
+        n = len(data.read_text().splitlines())
+        data.write_text(data.read_text() + line + "\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_lexdb(tmp_path)
+        assert (exc.value.file, exc.value.line_no) == (str(data), n + 1)
+        assert str(exc.value) == f"{data}:{n + 1}: {message}"
+
+    def test_index_entry_naming_a_missing_synset_rejected(self, tmp_path):
+        self._copy_fixture(tmp_path)
+        index = tmp_path / "index.verb"
+        n = len(index.read_text().splitlines())
+        index.write_text(index.read_text() + "ghost v 1 1 @ 1 0 01835497\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_lexdb(tmp_path)
+        assert str(exc.value) == (
+            f"{index}:{n + 1}: index entry 'ghost' references missing synset (1835497, 'v')"
+        )
+
+    @pytest.mark.parametrize(
         "appended, on_cycle",
         [
             (["00000001 05 n 01 hen 0 001 @ 00000002 n 0000 | one side of a loop",
@@ -146,11 +191,28 @@ class TestLexdbLoading:
         def oracle(i):
             return {(90000000 + j, "n") for j in range(i, depth)} | {ENTITY}
 
-        # the middle one first, so the walk from the bottom meets its memo
+        # the middle one first: an answer must not depend on what was asked before
         middle = depth // 2
         assert store.ancestors((90000000 + middle, "n")) == oracle(middle)
         assert store.ancestors((90000000, "n")) == oracle(0)
         assert store.ancestors((90000000 + depth - 1, "n")) == oracle(depth - 1)
+
+    def test_queries_leave_the_store_as_loaded(self):
+        store = load_lexdb(FIXTURES / "lexdb")
+
+        def shape():
+            return {key: len(value) for key, value in vars(store).items()}
+
+        loaded = shape()
+        table = ICTable({sid: 1.0 + i for i, sid in enumerate(FIXTURE_SYNSETS)})
+        for sid in FIXTURE_SYNSETS:
+            store.ancestors(sid)
+        for w1 in FIXTURE_WORDS:
+            synonyms(store, w1)
+            subsumer_ics(store, table, w1)
+            for w2 in FIXTURE_WORDS:
+                resnik(store, table, w1, w2)
+        assert shape() == loaded
 
     def test_unknown_synset_access(self, store):
         with pytest.raises(UnknownSynset):
