@@ -65,7 +65,6 @@ class EngineConfig:
     discard_syntactic: float = FeatureParams.discard_syntactic
     discard_insdel: float = FeatureParams.discard_insdel
 
-    gst_min_match: int = GstParams.min_match
     gst_min_tile: int = GstParams.min_tile
     # tiling-baseline rule: containment >= this
     gst_threshold: float = 0.15
@@ -149,11 +148,7 @@ def feature_params(config: EngineConfig) -> FeatureParams:
 
 
 def gst_params(config: EngineConfig) -> GstParams:
-    return GstParams(
-        min_match=config.gst_min_match,
-        min_tile=config.gst_min_tile,
-        max_chars=config.gst_max_chars,
-    )
+    return GstParams(min_tile=config.gst_min_tile, max_chars=config.gst_max_chars)
 
 
 def classifier_spec(config: EngineConfig) -> ClassifierSpec:

@@ -2,18 +2,28 @@
 
 Rounds of matching each mark the longest common substring whose
 characters are still unmarked on both sides (ties: smallest suspect
-offset, then smallest source offset), stopping below ``min_match``.
-Adjacent tiles are merged, short tiles dropped, and the surviving
-coverage of the suspect text becomes the containment score.
+offset, then smallest source offset), stopping below ``min_tile``.  The
+coverage of the suspect text by the marked tiles is the containment
+score.  Tiling at ``min_tile`` alone scores what rounds down to any
+shorter length, then merging adjacent tiles and dropping short ones,
+would score:
+
+- No merge can fire.  Two tiles back to back on both sides lie in one
+  maximal equal run on one diagonal, and a piece of a run can end inside
+  the run only at a character already marked.  Marks are permanent, so
+  whichever of the two was laid second could not have been laid.
+- Shorter tiles cannot change the longer ones.  The heap pops by length,
+  and a pop only pushes shorter pieces, so every candidate of at least
+  ``min_tile`` pops before any shorter one, whether or not those exist.
 
 Matching is seeded by shared grams, as in Wise's Running-Karp-Rabin
 Greedy-String-Tiling.  A `SourceGrams` index is built once per source:
 its code points, its sorted alphabet, and the exact integer key of each
 of its g-grams (g alphabet ranks read as a base-(|alphabet|+1) number,
-g = ``min_match`` unless such keys would overflow an int64), sorted.  A
+g = ``min_tile`` unless such keys would overflow an int64), sorted.  A
 suspect gram is keyed the same way, a character the source lacks taking
 the rank |alphabet| so that it seeds nothing.  A maximal equal run of
-``min_match`` or more characters is exactly a maximal chain of seeds
+``min_tile`` or more characters is exactly a maximal chain of seeds
 (shared-gram position pairs) on one diagonal, so runs are read off the
 seeds that start and end a chain, each test local to its seed, with no
 diagonal scanned.  The runs go into a max-heap and are re-checked lazily
@@ -60,23 +70,16 @@ class InputTooLarge(ParaplagError):
 
 @dataclass(frozen=True)
 class GstParams:
-    min_match: int = 5
     min_tile: int = 10
     max_chars: int = 50_000
 
     def __post_init__(self):
-        for name in ("min_match", "min_tile", "max_chars"):
+        for name in ("min_tile", "max_chars"):
             value = getattr(self, name)
             if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.min_match < 1:
-            raise ValueError(f"min_match must be >= 1, got {self.min_match}")
-        if self.min_tile < self.min_match:
-            raise ValueError(
-                f"min_tile ({self.min_tile}) must be >= min_match ({self.min_match})"
-            )
-        if self.max_chars < 1:
-            raise ValueError(f"max_chars must be >= 1, got {self.max_chars}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,7 @@ class SourceGrams:
         self.alphabet = ordered[distinct]
         self.base = len(self.alphabet) + 1
         self.width = 1
-        while self.width < params.min_match and self.base ** (self.width + 1) <= _INT64_MAX:
+        while self.width < params.min_tile and self.base ** (self.width + 1) <= _INT64_MAX:
             self.width += 1
         ranks = np.searchsorted(self.alphabet, self.codes[1:-1])
         keys = _gram_keys(ranks, self.base, self.width)
@@ -203,10 +206,10 @@ class SourceGrams:
     def runs(self, suspect: str) -> list[tuple[int, int, int]]:
         """(-length, suspect offset, source offset) of each maximal equal run.
 
-        Only runs of at least ``min_match`` characters are listed, ordered
+        Only runs of at least ``min_tile`` characters are listed, ordered
         by diagonal (source offset minus suspect offset), then offset.
         """
-        if min(len(suspect), self.length) < self.params.min_match:
+        if min(len(suspect), self.length) < self.params.min_tile:
             return []
         sus = _codepoints(suspect, _SUSPECT_EDGE)
         start_i, start_j, stop_i, stop_j = self._chain_ends(sus)
@@ -216,11 +219,15 @@ class SourceGrams:
         by_stop = np.lexsort((stop_i, stop_j - stop_i))
         a, b = start_i[by_start], start_j[by_start]
         length = stop_i[by_stop] + self.width - a
-        long = length >= self.params.min_match
+        long = length >= self.params.min_tile
         return list(zip((-length[long]).tolist(), a[long].tolist(), b[long].tolist()))
 
     def matches(self, suspect: str) -> list[Tile]:
-        """Raw per-round matches against `suspect`, in marking order."""
+        """The tiles laid against `suspect`, in marking order.
+
+        Each round's tile is at least ``min_tile`` characters long, and so
+        is every surviving piece of a run that goes back on the heap.
+        """
         _check_length(suspect, self.params)
         heap = self.runs(suspect)
         heapq.heapify(heap)
@@ -236,17 +243,16 @@ class SourceGrams:
                 marked_sus |= span << a
                 marked_src |= span << b
                 continue
-            for start, sub_length in _set_bit_runs(free, self.params.min_match):
+            for start, sub_length in _set_bit_runs(free, self.params.min_tile):
                 heapq.heappush(heap, (-sub_length, a + start, b + start))
         return matches
 
     def containment(self, suspect: str) -> float:
-        """Fraction of the canonical `suspect` covered by surviving tiles."""
+        """Fraction of the canonical `suspect` covered by tiles."""
         canon_sus = canonicalize(suspect)
         if not canon_sus:
             raise EmptySuspect("suspect text is empty once canonicalized")
-        tiles = _surviving(self.matches(canon_sus), self.params)
-        return sum(t.length for t in tiles) / len(canon_sus)
+        return sum(t.length for t in self.matches(canon_sus)) / len(canon_sus)
 
 
 def source_grams(source: str, params: GstParams = GstParams()) -> SourceGrams:
@@ -255,38 +261,10 @@ def source_grams(source: str, params: GstParams = GstParams()) -> SourceGrams:
 
 
 def tiling_matches(suspect: str, source: str, params: GstParams = GstParams()) -> list[Tile]:
-    """Raw per-round matches, in marking order, before merge and discard."""
+    """The tiles laid on pre-canonicalized text, in marking order."""
     return SourceGrams(source, params).matches(suspect)
 
 
-def merge_tiles(tiles: list[Tile]) -> list[Tile]:
-    """Join tiles that sit back-to-back on both the suspect and source side."""
-    ordered = sorted(tiles, key=lambda t: t.suspect_offset)
-    merged: list[Tile] = []
-    for tile in ordered:
-        if merged:
-            last = merged[-1]
-            if (
-                last.suspect_offset + last.length == tile.suspect_offset
-                and last.source_offset + last.length == tile.source_offset
-            ):
-                merged[-1] = Tile(
-                    last.suspect_offset, last.source_offset, last.length + tile.length
-                )
-                continue
-        merged.append(tile)
-    return merged
-
-
-def _surviving(matches: list[Tile], params: GstParams) -> list[Tile]:
-    return [t for t in merge_tiles(matches) if t.length >= params.min_tile]
-
-
-def gst_tiles(suspect: str, source: str, params: GstParams = GstParams()) -> list[Tile]:
-    """Final tiles on pre-canonicalized text: matched, merged, length-filtered."""
-    return _surviving(tiling_matches(suspect, source, params), params)
-
-
 def gst_containment(suspect: str, source: str, params: GstParams = GstParams()) -> float:
-    """Fraction of the canonical suspect text covered by surviving tiles."""
+    """Fraction of the canonical suspect text covered by tiles."""
     return source_grams(source, params).containment(suspect)

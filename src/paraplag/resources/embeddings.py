@@ -157,7 +157,7 @@ def _load_text(path: str) -> EmbeddingStore:
             except ValueError as exc:
                 raise TruncatedVector(word, str(exc), f"{path}:{line_no}") from None
             if word in rows:
-                raise HeaderMismatch(f"{path}: word {word!r} is repeated")
+                raise HeaderMismatch(f"{path}:{line_no}: word {word!r} is repeated")
             row = rows[word] = len(rows)
             if row < len(matrix):  # entries past the declared count are checked, not kept
                 matrix[row] = values

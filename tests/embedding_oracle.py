@@ -48,7 +48,7 @@ def load_text(path: str) -> tuple[dict[str, np.ndarray], int]:
             except ValueError as exc:
                 raise TruncatedVector(word, str(exc), f"{path}:{line_no}") from None
             if word in vectors:
-                raise HeaderMismatch(f"{path}: word {word!r} is repeated")
+                raise HeaderMismatch(f"{path}:{line_no}: word {word!r} is repeated")
             vectors[word] = vec
     if len(vectors) != count:
         raise HeaderMismatch(f"{path}: header declares {count} words, file holds {len(vectors)}")

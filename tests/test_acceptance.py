@@ -194,7 +194,7 @@ def _gst_round_oracle(sus: str, src: str, min_match: int) -> list[tuple[int, int
 
 def _gst_suite() -> tuple[bool, int, float]:
     rng = random.Random(31)
-    params = GstParams(min_match=3, min_tile=3)
+    params = GstParams(min_tile=3)
     start = time.perf_counter()
     for trial in range(200):
         sus = "".join(rng.choice("ab ") for _ in range(rng.randint(0, 25))).strip()

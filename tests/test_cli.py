@@ -155,7 +155,17 @@ class TestExitCodes:
         assert main(["score", a, a, "--config", cfg]) == 2
         assert "embedmin" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("knn_k", 2.5), ("gst_min_match", 5.5)])
+    def test_removed_tiling_key_exits_2(self, tmp_path, capsys):
+        # tiling has one length, gst_min_tile; the round minimum it replaced is unknown
+        corpus = write_corpus(tmp_path, n=8)
+        cfg = write_config(tmp_path, gst_min_match=5)
+        rc = main(
+            ["baseline", corpus, "--corpus", "jsonl", "--config", cfg, "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert "unknown config keys: gst_min_match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("knn_k", 2.5), ("gst_min_tile", 5.5)])
     def test_non_integer_config_value_exits_2(self, tmp_path, capsys, key, value):
         corpus = write_corpus(tmp_path, n=8)
         cfg = write_config(tmp_path, **{key: value})

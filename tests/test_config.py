@@ -47,7 +47,7 @@ class TestEngineConfig:
             "embedding_format": "text", "stopword_file": None,
             "embed_min": 0.6, "resnik_min": 3.0,
             "discard_semantic": 0.3, "discard_syntactic": 0.3, "discard_insdel": 0.3,
-            "gst_min_match": 5, "gst_min_tile": 10, "gst_threshold": 0.15,
+            "gst_min_tile": 10, "gst_threshold": 0.15,
             "gst_max_chars": 50_000,
             "classifier": "knn", "knn_k": 5, "folds": 10, "seed": 0,
             "fallback_threshold": 0.5,
@@ -96,15 +96,15 @@ class TestEngineConfig:
             EngineConfig(embed_min=1.5)
         with pytest.raises(ConfigError):
             EngineConfig(discard_semantic=-0.1)
-        with pytest.raises(ConfigError):
-            EngineConfig(gst_min_tile=2, gst_min_match=5)
+        with pytest.raises(ConfigError, match="^min_tile must be >= 1, got 0$"):
+            EngineConfig(gst_min_tile=0)
         with pytest.raises(ConfigError):
             EngineConfig(knn_k=0)
 
-    @pytest.mark.parametrize("key", ["gst_min_match", "gst_min_tile", "gst_max_chars", "knn_k"])
+    @pytest.mark.parametrize("key", ["gst_min_tile", "gst_max_chars", "knn_k", "folds", "seed"])
     @pytest.mark.parametrize("value", [5.5, 6.0, True, "6"])
     def test_integer_fields_reject_non_integers(self, key, value):
-        # 5.5 used to act as 6 for gst_min_match and crash evaluate for knn_k
+        # 5.5 used to act as 6 for a tiling length and crash evaluate for knn_k
         with pytest.raises(ConfigError, match=key):
             EngineConfig.from_dict({key: value})
 
@@ -134,8 +134,8 @@ class TestEngineConfig:
         assert cfg.gst_threshold == 0
 
     def test_numpy_integers_accepted(self):
-        cfg = EngineConfig(gst_min_match=np.int64(4), knn_k=np.int32(3))
-        assert gst_params(cfg).min_match == 4
+        cfg = EngineConfig(gst_min_tile=np.int64(4), knn_k=np.int32(3))
+        assert gst_params(cfg).min_tile == 4
         assert classifier_spec(cfg).knn_k == 3
 
     def test_replace_revalidates(self):
@@ -176,9 +176,9 @@ class TestDerivedParams:
         assert p.discard_semantic == 0.3
 
     def test_gst_params_mapping(self):
-        cfg = EngineConfig(gst_min_match=3, gst_min_tile=6, gst_max_chars=90)
+        cfg = EngineConfig(gst_min_tile=6, gst_max_chars=90)
         g = gst_params(cfg)
-        assert (g.min_match, g.min_tile, g.max_chars) == (3, 6, 90)
+        assert (g.min_tile, g.max_chars) == (6, 90)
 
     def test_classifier_spec_mapping(self):
         assert classifier_spec(EngineConfig(classifier="nb")) == ClassifierSpec(kind="nb")
@@ -186,7 +186,7 @@ class TestDerivedParams:
 
 
 class TestParamTypes:
-    @pytest.mark.parametrize("name", ["min_match", "min_tile", "max_chars"])
+    @pytest.mark.parametrize("name", ["min_tile", "max_chars"])
     @pytest.mark.parametrize("value", [5.5, 10.0, True, None])
     def test_gst_params_reject_non_integers(self, name, value):
         with pytest.raises(ValueError, match=name):

@@ -402,7 +402,7 @@ class TestBaseline:
         "pairs", [synthetic_pairs(12, seed=5), interleaved_pairs()], ids=["alternating", "interleaved"]
     )
     def test_parallel_matches_serial(self, pairs):
-        config = EngineConfig(gst_min_match=3, gst_min_tile=3)
+        config = EngineConfig(gst_min_tile=3)
         assert baseline_containments(pairs, config, jobs=2) == baseline_containments(pairs, config)
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -467,7 +467,7 @@ class TestBaseline:
             ("Sulfur ledger orbit basalt.", a),
             (b, b),
         ])]
-        config = EngineConfig(gst_min_match=3, gst_min_tile=3)
+        config = EngineConfig(gst_min_tile=3)
         params = gst_params(config)
         want = [gst.gst_containment(p.suspect_text, p.source_text, params) for p in pairs]
         assert len(set(want)) == 4  # so any reordering shows

@@ -21,12 +21,10 @@ from paraplag.gst import (
     Tile,
     canonicalize,
     gst_containment,
-    gst_tiles,
-    merge_tiles,
     tiling_matches,
 )
 
-LOOSE = GstParams(min_match=3, min_tile=3)
+LOOSE = GstParams(min_tile=3)
 
 
 def oracle_true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -100,8 +98,8 @@ def tiling_cases(draw):
 def wide_tiling_cases(draw):
     """Texts over 200 to 4000 code points, most of them astral, up to 600 chars.
 
-    With min_match up to 30 the source alphabet is wide enough that gram
-    keys would overflow at width min_match, so they are keyed narrower.
+    With min_tile up to 30 the source alphabet is wide enough that gram
+    keys would overflow at width min_tile, so they are keyed narrower.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     # any code point but a surrogate
@@ -154,6 +152,48 @@ def oracle_rounds(sus: str, src: str, min_match: int) -> list[tuple[int, int, in
             free_b[b + i] = False
 
 
+def oracle_merge_tiles(tiles: list[Tile]) -> list[Tile]:
+    """Join tiles that sit back-to-back on both the suspect and source side."""
+    ordered = sorted(tiles, key=lambda t: t.suspect_offset)
+    merged: list[Tile] = []
+    for tile in ordered:
+        if merged:
+            last = merged[-1]
+            if (
+                last.suspect_offset + last.length == tile.suspect_offset
+                and last.source_offset + last.length == tile.source_offset
+            ):
+                merged[-1] = Tile(
+                    last.suspect_offset, last.source_offset, last.length + tile.length
+                )
+                continue
+        merged.append(tile)
+    return merged
+
+
+def oracle_two_length_tiles(rounds, sus: str, src: str, min_match: int, min_tile: int):
+    """Tiling in two lengths: `rounds` down to min_match, merged, then cut at min_tile."""
+    return [t for t in oracle_merge_tiles(rounds(sus, src, min_match)) if t.length >= min_tile]
+
+
+def round_oracle_tiles(sus: str, src: str, min_match: int) -> list[Tile]:
+    return [Tile(a, b, length) for a, b, length in oracle_rounds(sus, src, min_match)]
+
+
+def assert_one_length_tiles_as_two(sus: str, src: str, min_match: int, min_tile: int, rounds):
+    """Tiling at min_tile lays the tiles, and scores the containment, of
+    `rounds` down to min_match, merged, then cut at min_tile."""
+    params = GstParams(min_tile=min_tile)
+    want = oracle_two_length_tiles(rounds, sus, src, min_match, min_tile)
+    assert sorted(tiling_matches(sus, src, params), key=dataclasses.astuple) == sorted(
+        want, key=dataclasses.astuple
+    )
+    canon_sus, canon_src = canonicalize(sus), canonicalize(src)
+    if canon_sus:
+        want = oracle_two_length_tiles(rounds, canon_sus, canon_src, min_match, min_tile)
+        assert gst_containment(sus, src, params) == sum(t.length for t in want) / len(canon_sus)
+
+
 class TestCanonicalize:
     def test_case_folded(self):
         assert canonicalize("A  Cat") == "a cat"
@@ -176,44 +216,40 @@ class TestCanonicalize:
 class TestParams:
     def test_defaults(self):
         p = GstParams()
-        assert (p.min_match, p.min_tile, p.max_chars) == (5, 10, 50_000)
+        assert (p.min_tile, p.max_chars) == (10, 50_000)
 
-    def test_min_tile_cannot_undercut_min_match(self):
-        with pytest.raises(ValueError):
-            GstParams(min_match=5, min_tile=4)
-
-    def test_min_match_positive(self):
-        with pytest.raises(ValueError):
-            GstParams(min_match=0, min_tile=10)
+    def test_min_tile_positive(self):
+        with pytest.raises(ValueError, match="^min_tile must be >= 1, got 0$"):
+            GstParams(min_tile=0)
 
 
 class TestTiles:
     def test_identical_strings_single_tile(self):
         text = "abcdefghijklmnopqrst"
-        assert gst_tiles(text, text) == [Tile(0, 0, 20)]
+        assert tiling_matches(text, text) == [Tile(0, 0, 20)]
 
     def test_no_long_enough_match(self):
-        assert gst_tiles("abcdqqqq", "abcdzzzz") == []
+        assert tiling_matches("abcdqqqq", "abcdzzzz") == []
 
     def test_embedded_substring(self):
-        assert gst_tiles("abcdefghij", "XXabcdefghijYY".lower()) == [Tile(0, 2, 10)]
+        assert tiling_matches("abcdefghij", "XXabcdefghijYY".lower()) == [Tile(0, 2, 10)]
 
     def test_short_tile_discarded_after_marking(self):
-        # seven shared chars form a match but fall under the tile floor
-        tiles = gst_tiles("abcdefgXYZ".lower(), "abcdefgQRS".lower())
+        # seven shared chars form a tile at a floor of 5, and none at the default 10
+        tiles = tiling_matches("abcdefgXYZ".lower(), "abcdefgQRS".lower())
         assert tiles == []
-        assert tiling_matches("abcdefgxyz", "abcdefgqrs") == [Tile(0, 0, 7)]
+        assert tiling_matches("abcdefgxyz", "abcdefgqrs", GstParams(min_tile=5)) == [Tile(0, 0, 7)]
 
     def test_tie_break_prefers_low_offsets(self):
         # two equal-length candidates; the earlier suspect offset wins round one
-        matches = tiling_matches("abcde123fghij", "fghij000abcde")
+        matches = tiling_matches("abcde123fghij", "fghij000abcde", GstParams(min_tile=5))
         assert matches[0] == Tile(0, 8, 5)
         assert matches[1] == Tile(8, 0, 5)
 
     def test_round_order_is_longest_first(self):
         sus = "aaaaaaaXbbbbb"
         src = "bbbbbYaaaaaaa"
-        matches = tiling_matches(sus, src)
+        matches = tiling_matches(sus, src, GstParams(min_tile=5))
         assert [t.length for t in matches] == [7, 5]
         assert matches[0] == Tile(0, 6, 7)
 
@@ -223,26 +259,9 @@ class TestTiles:
             tiling_matches("a" * 101, "abc", params)
 
     def test_json_dump(self):
-        tiles = gst_tiles("abcdefghij", "abcdefghij")
+        tiles = tiling_matches("abcdefghij", "abcdefghij")
         payload = json.loads(json.dumps([dataclasses.asdict(t) for t in tiles]))
         assert payload == [{"suspect_offset": 0, "source_offset": 0, "length": 10}]
-
-
-class TestMergeTiles:
-    def test_back_to_back_on_both_sides(self):
-        assert merge_tiles([Tile(0, 0, 5), Tile(5, 5, 5)]) == [Tile(0, 0, 10)]
-
-    def test_chain_collapses(self):
-        tiles = [Tile(0, 3, 4), Tile(4, 7, 5), Tile(9, 12, 6)]
-        assert merge_tiles(tiles) == [Tile(0, 3, 15)]
-
-    def test_contiguous_on_one_side_only(self):
-        tiles = [Tile(0, 0, 5), Tile(5, 6, 5)]
-        assert merge_tiles(tiles) == tiles
-
-    def test_order_independent(self):
-        tiles = [Tile(5, 5, 5), Tile(0, 0, 5)]
-        assert merge_tiles(tiles) == [Tile(0, 0, 10)]
 
 
 class TestContainment:
@@ -280,9 +299,9 @@ class TestProperties:
         for _ in range(200):
             sus = self._random_text(rng, 25)
             src = self._random_text(rng, 25)
-            params = rng.choice([LOOSE, GstParams()])
+            params = rng.choice([LOOSE, GstParams(min_tile=5)])
             got = [(t.suspect_offset, t.source_offset, t.length) for t in tiling_matches(sus, src, params)]
-            assert got == oracle_rounds(sus, src, params.min_match)
+            assert got == oracle_rounds(sus, src, params.min_tile)
 
     def test_non_overlap_and_coverage_bound(self):
         rng = random.Random(43)
@@ -312,34 +331,54 @@ class TestProperties:
             if not canonicalize(sus):
                 continue
             suffix = "".join(rng.choices(self.ALPHABET.strip(), k=rng.randint(10, 15)))
-            before = sum(t.length for t in gst_tiles(canonicalize(sus), canonicalize(src)))
+            before = sum(t.length for t in tiling_matches(canonicalize(sus), canonicalize(src)))
             after = sum(
                 t.length
-                for t in gst_tiles(canonicalize(sus + suffix), canonicalize(src + suffix))
+                for t in tiling_matches(canonicalize(sus + suffix), canonicalize(src + suffix))
             )
             assert after >= before
 
     @given(tiling_cases())
     def test_seeded_matches_equal_the_full_scan(self, case):
-        sus, src, min_match = case
-        params = GstParams(min_match=min_match, min_tile=min_match)
-        assert tiling_matches(sus, src, params) == oracle_tiling_matches(sus, src, min_match)
+        sus, src, min_tile = case
+        params = GstParams(min_tile=min_tile)
+        assert tiling_matches(sus, src, params) == oracle_tiling_matches(sus, src, min_tile)
 
     @given(wide_tiling_cases())
     def test_wide_alphabet_matches_equal_the_full_scan(self, case):
-        sus, src, min_match = case
-        params = GstParams(min_match=min_match, min_tile=min_match)
-        assert tiling_matches(sus, src, params) == oracle_tiling_matches(sus, src, min_match)
+        sus, src, min_tile = case
+        params = GstParams(min_tile=min_tile)
+        assert tiling_matches(sus, src, params) == oracle_tiling_matches(sus, src, min_tile)
 
     @given(
         st.text(st.sampled_from("ab c\u00e9\U0001f600\t\n"), max_size=120),
-        st.integers(1, 8),
-        st.integers(0, 12),
+        st.integers(1, 20),
     )
-    def test_identical_text_is_fully_contained(self, text, min_match, extra):
-        params = GstParams(min_match=min_match, min_tile=min_match + extra)
+    def test_identical_text_is_fully_contained(self, text, min_tile):
+        params = GstParams(min_tile=min_tile)
         if len(canonicalize(text)) >= params.min_tile:
             assert gst_containment(text, text, params) == 1.0
+
+    @given(tiling_cases(), st.data())
+    def test_one_length_tiles_as_rounds_merged_and_cut(self, case, data):
+        # short enough for the brute-force round oracle
+        sus, src, min_tile = case
+        min_match = data.draw(st.integers(1, min_tile))
+        assert_one_length_tiles_as_two(sus[:40], src[:40], min_match, min_tile, round_oracle_tiles)
+
+    @given(wide_tiling_cases(), st.data())
+    def test_one_length_tiles_as_rounds_merged_and_cut_on_narrow_grams(self, case, data):
+        # with hundreds of symbols most gram widths fall below min_tile
+        sus, src, min_tile = case
+        min_match = data.draw(st.integers(1, min_tile))
+        assert_one_length_tiles_as_two(sus, src, min_match, min_tile, oracle_tiling_matches)
+
+    @given(tiling_cases())
+    def test_no_two_tiles_are_back_to_back_on_both_sides(self, case):
+        sus, src, min_tile = case
+        tiles = tiling_matches(sus, src, GstParams(min_tile=min_tile))
+        ends = {(t.suspect_offset + t.length, t.source_offset + t.length) for t in tiles}
+        assert not ends & {(t.suspect_offset, t.source_offset) for t in tiles}
 
     def test_deterministic(self):
         rng = random.Random(45)
@@ -355,7 +394,7 @@ class TestSeeding:
         text = "a" * 4000
         tracemalloc.start()
         try:
-            matches = tiling_matches(text, text)
+            matches = tiling_matches(text, text, GstParams(min_tile=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -363,12 +402,12 @@ class TestSeeding:
         assert peak < 16 * 2**20
 
     def test_no_shared_gram_gives_no_runs(self):
-        assert gst.SourceGrams("zzzzabcd" * 3).runs("abcdqqqq") == []
+        assert gst.SourceGrams("zzzzabcd" * 3, GstParams(min_tile=5)).runs("abcdqqqq") == []
 
     def test_each_shared_run_is_listed_once(self):
         # "hello" sits on one diagonal, "world" on another: one run each,
         # as (-length, suspect offset, source offset)
-        grams = gst.SourceGrams("world, and hello")
+        grams = gst.SourceGrams("world, and hello", GstParams(min_tile=5))
         assert grams.runs("hello there world") == [(-5, 12, 0), (-5, 0, 11)]
 
     def test_wide_alphabet_keys_narrower_grams(self):
@@ -378,7 +417,7 @@ class TestSeeding:
         shared = "".join(rng.choices(alphabet, k=40))
         source = "".join(alphabet) + shared
         suspect = "".join(rng.choices(alphabet, k=50)) + shared[:35] + alphabet[0] * 30
-        params = GstParams(min_match=30, min_tile=30)
+        params = GstParams(min_tile=30)
         assert gst.SourceGrams(source, params).width == 5
         matches = tiling_matches(suspect, source, params)
         assert Tile(50, 5000, 35) in matches

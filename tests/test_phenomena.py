@@ -1,5 +1,8 @@
 """How a paraphrase operation moves the features, over the fixture lexicon.
 
+Exact channel: with config ``{}`` (no stores), a sentence's match count is
+the size of the multiset intersection of the two content-stem lists.
+
 Reordering: a permutation of one sentence's words keeps its exact-channel
 semantic score, since with no stores a match is stem equality and the
 count is the multiset intersection of the two stem lists; and it lowers
@@ -11,11 +14,14 @@ rearrangement inequality puts strictly below 1.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from paraplag.classify import passage_features
-from paraplag.semsim import semantic_similarity
+from paraplag.config import EngineConfig, build_stores, feature_params
+from paraplag.semsim import match_sentence, semantic_similarity
 from paraplag.synsim import syntactic_similarity
 from paraplag.textprep import preprocess_passage
 
@@ -43,6 +49,19 @@ def reordered_pairs(draw):
     permuted = list(suspect)
     permuted[which] = draw(st.permutations(suspect[which]))
     return suspect, permuted, draw(st.lists(SENTENCE, min_size=1, max_size=3))
+
+
+class TestExactChannel:
+    @given(SENTENCE, SENTENCE)
+    def test_match_count_is_the_stem_multiset_intersection(self, suspect, source):
+        config = EngineConfig.from_dict({})
+        sp, sr = _sentence(suspect), _sentence(source)
+        matches = match_sentence(sp, sr, build_stores(config), feature_params(config).sem)
+        shared = Counter(t.stem for t in sp.content_tokens) & Counter(
+            t.stem for t in sr.content_tokens
+        )
+        assert len(matches) == sum(shared.values())
+        assert {m.channel for m in matches} <= {"exact"}
 
 
 class TestReordering:
