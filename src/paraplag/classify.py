@@ -156,19 +156,31 @@ def _score(
     """The scoring pass of `score_source` on a preprocessed suspect passage.
 
     The source sentences are `tables.sentences`; `tables` is built with
-    `params.sem` and carries the run's vocabulary and stores.  One walk over
+    `params.sem` and carries the run's vocabulary and stores, and the
+    source's stems and stem postings, built once per source.  One walk over
     the suspect sentences computes all three dimensions, after the table
-    judges the embedding channel for the passage's words at once.  A suspect
-    sentence's semantic best is `semsim.best_sentence`: the first source
-    sentence with the most matches.
+    judges the embedding channel for the passage's words at once.  Each
+    dimension's best over the source sentences is the full scan's bit for
+    bit, and two of them compare only the sentences that can win:
+
+      semantic       `semsim.best_sentence`, the first source sentence with
+                     the most matches, matches sentences in falling order of
+                     how many suspect words have a candidate there
+      word order     every source sentence is scanned, up to the first 1.0
+      insert/delete  `editsim.max_insdel_similarity` compares sentences in
+                     falling order of the bound their shared stems
+                     (`tables.shared_stems`, read off the postings) put on
+                     the similarity; a one-sentence source has nothing to
+                     order, and reads no postings
     """
     sr_sentences = tables.sentences
     if not sp_sentences or not sr_sentences:
         raise EmptyPassage("both passages need at least one sentence")
 
     tables.embed(query for sp in sp_sentences for query in sp.content_tokens)
-    sr_stems = [[t.stem for t in sr.content_tokens] for sr in sr_sentences]
     sr_tokens = [sr.all_tokens for sr in sr_sentences]
+    # a one-sentence source has nothing to order, so its postings are not read
+    several = len(sr_sentences) > 1
     semantic_maxima = []
     syntactic_maxima = []
     insdel_maxima = []
@@ -181,9 +193,10 @@ def _score(
         source_id, matches = best_sentence(sp, tables)
         semantic_maxima.append(len(matches) / len(sp.content_tokens))
         best_semantic.append(SentenceMatch(sp.sentence_id, source_id, tuple(matches)))
-        insdel_maxima.append(
-            max_insdel_similarity([t.stem for t in sp.content_tokens], sr_stems)
-        )
+        stems = [t.stem for t in sp.content_tokens]
+        insdel_maxima.append(max_insdel_similarity(
+            stems, tables.stems, tables.shared_stems(stems) if several else None
+        ))
 
     vector = SimilarityVector(
         semantic=_aggregate(semantic_maxima, params.discard_semantic),

@@ -2,9 +2,18 @@
 
 Distance counts unit-cost insertions, deletions, and replacements over
 token lists (callers pass content-word stems).  Similarity normalizes by
-the longer list so the value always lands in [0, 1].  The best similarity
-against several candidates skips a candidate whose length alone rules it
-out, since the distance is at least the difference in length.
+the longer list so the value always lands in [0, 1].
+
+The best similarity against several candidates compares only the
+candidates that can win.  Let c be the size of the multiset intersection
+of a candidate's tokens with the suspect's.  An alignment keeps at most c
+tokens unchanged and spends a step on every other position of the longer
+list, so the distance is at least ``longer - c`` and the similarity at most
+``1 - (longer - c) / longer``.  Candidates are compared in falling order of
+that bound until the bound cannot beat the best so far, and a candidate
+sharing no token, which scores exactly 0.0, is never compared.  The bound
+is computed with the same float operations as the similarity, so the
+result is the unpruned maximum bit for bit.
 
 The distance is bit-parallel: Myers' bit-vector algorithm (Myers 1999, in
 Hyyrö's 2001 formulation) keeps one column of the m x n dynamic program as
@@ -12,12 +21,13 @@ vertical +1/-1 delta bitmasks over the m pattern tokens and advances it
 one text token at a time.  Python ints have no width limit, so one path
 serves every length at O(n * ceil(m / w)) word operations, w being the
 machine word.  The pattern's per-token position masks are built once per
-suspect sentence and reused against each candidate.
+suspect sentence, when a first candidate is compared, and reused against
+each candidate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Mapping, Sequence
 
 Masks = dict[str, int]
 
@@ -71,25 +81,39 @@ def insdel_similarity(sp_tokens: Sequence[str], sr_tokens: Sequence[str]) -> flo
 
 
 def max_insdel_similarity(
-    sp_tokens: Sequence[str], candidates: Iterable[Sequence[str]]
+    sp_tokens: Sequence[str],
+    candidates: Sequence[Sequence[str]],
+    shared: Mapping[int, int] | None = None,
 ) -> float:
-    """Largest `insdel_similarity` of sp_tokens against any candidate.
+    """Largest `insdel_similarity` of sp_tokens against any of candidates.
 
-    A candidate is skipped when `1 - |m - n| / max(m, n)`, an upper bound on
-    its similarity, cannot beat the best so far; the bound is computed with
-    the same float operations as the similarity, so the result is exactly
-    the unpruned maximum.  sp_tokens must be non-empty, and so must
-    candidates.
+    `shared` maps the position in candidates of each candidate that shares
+    a token with sp_tokens to c, the size of their multiset intersection;
+    `semsim.PairTables.shared_stems` reads it off a source's postings.
+    Without it, each candidate is taken to share min(m, n) tokens, all it
+    can, which leaves the bound `1 - |m - n| / max(m, n)` of lengths alone.
+    Candidates are compared in falling order of the bound
+    `1 - (longer - c) / longer`, and the search stops at the first bound
+    that does not beat the best so far; a candidate left out of `shared`
+    scores exactly 0.0 and is never compared.  The result is exactly the
+    unpruned maximum.  sp_tokens must be non-empty, and so must candidates.
     """
     m = len(sp_tokens)
-    masks = _pattern_masks(sp_tokens)
-    best = None
-    for sr_tokens in candidates:
-        n = len(sr_tokens)
-        longer = max(m, n)
-        if best is not None and 1.0 - abs(m - n) / longer <= best:
-            continue
-        value = 1.0 - _masked_distance(masks, m, sr_tokens) / longer
-        if best is None or value > best:
+    if shared is None:
+        shared = {j: min(m, len(sr_tokens)) for j, sr_tokens in enumerate(candidates)}
+    bounds = []
+    for j, c in shared.items():
+        longer = max(m, len(candidates[j]))
+        bounds.append((1.0 - (longer - c) / longer, longer, j))
+    bounds.sort(reverse=True)
+    masks = None
+    best = 0.0
+    for bound, longer, j in bounds:
+        if bound <= best:
+            break
+        if masks is None:
+            masks = _pattern_masks(sp_tokens)
+        value = 1.0 - _masked_distance(masks, m, candidates[j]) / longer
+        if value > best:
             best = value
     return best

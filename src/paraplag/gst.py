@@ -41,6 +41,7 @@ quadratic, hence the ``max_chars`` cap.
 from __future__ import annotations
 
 import heapq
+import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,11 @@ class Tile:
 
 
 def canonicalize(text: str) -> str:
-    """Lowercase with whitespace runs collapsed to single spaces."""
-    return " ".join(text.lower().split())
+    """Composed (NFC) and lowercased, with whitespace runs collapsed to single spaces.
+
+    Composing first makes canonically equivalent texts the same characters.
+    """
+    return " ".join(unicodedata.normalize("NFC", text).lower().split())
 
 
 def _check_length(text: str, params: GstParams) -> None:

@@ -30,10 +30,16 @@ by its normalized form, of which the stem is a function.  It turns a
 suspect word's verdicts into candidate lists, one per source sentence the
 word can match in, each in the cascade's order.  Matching one sentence is
 one greedy pass over those lists: each suspect word, in order, takes its
-first candidate not yet consumed (`match_sentence`).  `best_sentence` runs
-that pass over every source sentence some suspect word has a candidate in
-and keeps the first with the most matches; any other sentence matches
-nothing.
+first candidate not yet consumed (`match_sentence`).  `best_sentence`
+keeps the first source sentence with the most matches, and runs that pass
+only over the sentences that can be it: a sentence no suspect word has a
+candidate in matches nothing, and one cannot match more suspect words
+than have a candidate there.
+
+The table also keeps each source sentence's content stems, and postings
+from each content stem to the sentences holding it, so that insert/delete
+compares a suspect sentence only with the source sentences sharing a stem
+with it (`shared_stems`).
 
 The embedding channel is judged for a whole suspect passage at once
 (`PairTables.embed`): one einsum of the vectors of its words not judged
@@ -46,7 +52,7 @@ around them.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -189,6 +195,11 @@ class PairTables:
     the cascade's tie rule of earliest channel, then highest score, then
     first in the sentence.  `thresholds` are fixed for the run, so a table
     serves only matches made with them.
+
+    For insert/delete it keeps each sentence's content `stems` and, filled
+    on first use, postings from each content stem to {sentence position:
+    count}, from which `shared_stems` counts a suspect sentence's shared
+    stems with every source sentence in one pass.
     """
 
     def __init__(
@@ -203,6 +214,8 @@ class PairTables:
         ids = [sr.sentence_id for sr in self.sentences]
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise ValueError(f"source sentence ids must increase, got {ids}")
+        # each sentence's content stems, in order
+        self.stems = [[tok.stem for tok in sr.content_tokens] for sr in self.sentences]
         self._occurrences: dict[str, list[tuple[int, int]]] = {}
         self._forms_by_stem: dict[str, list[str]] = {}
         for sr in self.sentences:
@@ -252,6 +265,37 @@ class PairTables:
             for form in self._forms_by_subsumer.get(key, ()):
                 verdict.setdefault(form, (3, -value))
         return verdict
+
+    @cached_property
+    def _postings(self) -> dict[str, dict[int, int]]:
+        """Content stem -> {position in `sentences`: how often it occurs there}."""
+        postings: dict[str, dict[int, int]] = {}
+        for position, stems in enumerate(self.stems):
+            for stem in stems:
+                counts = postings.get(stem)
+                if counts is None:
+                    postings[stem] = {position: 1}
+                else:
+                    counts[position] = counts.get(position, 0) + 1
+        return postings
+
+    def shared_stems(self, stems: Sequence[str]) -> dict[int, int]:
+        """Position in `sentences` -> size of the multiset intersection of `stems` with its stems.
+
+        One pass over the postings of `stems`' distinct stems; sentences
+        sharing no stem are left out.
+        """
+        wanted: dict[str, int] = {}
+        for stem in stems:
+            wanted[stem] = wanted.get(stem, 0) + 1
+        shared: dict[int, int] = {}
+        postings = self._postings
+        for stem, k in wanted.items():
+            counts = postings.get(stem)
+            if counts is not None:
+                for position, n in counts.items():
+                    shared[position] = shared.get(position, 0) + (n if n < k else k)
+        return shared
 
     @cached_property
     def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
@@ -395,18 +439,26 @@ def match_sentence(
 def best_sentence(sp: ProcessedSentence, tables: PairTables) -> tuple[int, list[WordMatch]]:
     """The id of the first of `tables.sentences` with the most matches for `sp`, and those.
 
-    Only the sentences some suspect word has a candidate in are matched;
-    the rest match nothing, so with no candidates at all the first
-    sentence wins with no matches.
+    A sentence can match at most as many suspect words as have a candidate
+    there, its bound, and one without candidates matches nothing; with no
+    candidates at all the first sentence wins with no matches.  Sentences
+    with candidates are matched in falling order of bound, then rising id,
+    and a sentence is skipped when its bound is below the most matches so
+    far, or equal to it with a higher id than the best's: it could not
+    replace the best.  Since the order only skips sentences that cannot
+    win, the result is the full scan's, tie rule included.
     """
     touched: dict[int, list[tuple[Token, list[Candidate]]]] = {}
     for query in sp.content_tokens:
         for sid, candidates in tables.candidates(query).items():
             touched.setdefault(sid, []).append((query, candidates))
     best_id, best = tables.sentences[0].sentence_id, []
-    for sid in sorted(touched):
+    for sid in sorted(touched, key=lambda sid: (-len(touched[sid]), sid)):
+        bound = len(touched[sid])
+        if bound < len(best) or (bound == len(best) and sid > best_id):
+            break
         matches = _greedy(touched[sid])
-        if len(matches) > len(best):
+        if len(matches) > len(best) or (len(matches) == len(best) and sid < best_id):
             best_id, best = sid, matches
     return best_id, best
 

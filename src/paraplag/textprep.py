@@ -7,14 +7,22 @@ output, token for token.
 
 Pipeline per passage:
 
-    split_sentences -> tokenize -> normalize -> stopword filter -> stem
+    NFC -> split_sentences -> tokenize -> normalize -> stopword filter -> stem
+
+The text is composed (Unicode NFC) first, so canonically equivalent texts,
+such as a precomposed "é" and an "e" with a combining accent, give the same
+sentences and tokens: the tokenizer would otherwise read a combining mark
+as a separator and split the word.  Compatibility characters (ligatures
+such as "ﬁ", full-width letters) are folded per token, by `normalize`, and
+never in the whole text, where folding "…" into "..." would add a sentence
+boundary.
 
 Sentence boundaries come from one anchored pattern, so splitting is linear
 in the text's length, and the stemmer takes tokens of any length.
 
 Every token keeps its position in the sentence (before stopword removal),
-its original surface form, a normalized form (diacritics stripped,
-lowercased) and a Porter stem.  Semantic lookups downstream use the
+its original surface form, a normalized form (compatibility-decomposed,
+diacritics stripped, lowercased) and a Porter stem.  Semantic lookups downstream use the
 normalized form, because lexical-database headwords are lemmas rather than
 stems; stems serve for equality matching.  The stem is a function of the
 normalized form, ``porter_stem(normalized) or normalized``, so the normalized
@@ -113,8 +121,8 @@ STOPWORDS = _parse_stopwords(
 
 
 def normalize(surface: str) -> str:
-    """Strip diacritics (NFD decomposition) and lowercase."""
-    decomposed = unicodedata.normalize("NFD", surface)
+    """Fold compatibility characters and strip diacritics (NFKD decomposition), and lowercase."""
+    decomposed = unicodedata.normalize("NFKD", surface)
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     return stripped.lower()
 
@@ -199,7 +207,9 @@ def preprocess_passage(
 ) -> list[ProcessedSentence]:
     """Preprocess passage text into a list of ProcessedSentence.
 
-    Sentences are numbered in order of appearance.  content_tokens holds
+    The text is composed (NFC) before it is split, so canonically
+    equivalent texts preprocess alike.  Sentences are numbered in order of
+    appearance.  content_tokens holds
     the same Token objects as all_tokens minus stopwords, so indices stay
     comparable across the two views.
 
@@ -210,7 +220,7 @@ def preprocess_passage(
     if forms is None:
         forms = Forms()
     out = []
-    for sid, sentence in enumerate(split_sentences(text)):
+    for sid, sentence in enumerate(split_sentences(unicodedata.normalize("NFC", text))):
         all_tokens = _make_tokens(sentence, forms)
         content = tuple(t for t in all_tokens if t.normalized not in stopwords)
         out.append(

@@ -42,7 +42,7 @@ from paraplag.classify import (
     save_model,
     stratified_folds,
 )
-from paraplag.editsim import max_insdel_similarity
+from paraplag.editsim import insdel_similarity
 from paraplag.resources import ICTable, KnowledgeStores, load_lexdb
 from paraplag.semsim import PairTables, SemThresholds, Vocabulary
 from paraplag.synsim import syntactic_similarity
@@ -247,7 +247,11 @@ class TestPassageFeatures:
 
 
 def _oracle_score(sp_sentences, sr_sentences, tables, params):
-    """`classify._score` scanning every sentence pair with the word-by-word cascade."""
+    """`classify._score` scanning every sentence pair, with no bound.
+
+    Semantic matching is the word-by-word cascade, and insert/delete one
+    `insdel_similarity` per sentence pair.
+    """
     if not sp_sentences or not sr_sentences:
         raise EmptyPassage("both passages need at least one sentence")
     sr_stems = [[t.stem for t in sr.content_tokens] for sr in sr_sentences]
@@ -264,9 +268,8 @@ def _oracle_score(sp_sentences, sr_sentences, tables, params):
         best_semantic.append(
             classify.SentenceMatch(sp.sentence_id, best.sentence_id, tuple(best_matches))
         )
-        insdel_maxima.append(
-            max_insdel_similarity([t.stem for t in sp.content_tokens], sr_stems)
-        )
+        sp_stems = [t.stem for t in sp.content_tokens]
+        insdel_maxima.append(max(insdel_similarity(sp_stems, sr) for sr in sr_stems))
     syntactic_maxima = [
         max(syntactic_similarity(sp.all_tokens, sr.all_tokens) for sr in sr_sentences)
         for sp in sp_sentences
@@ -357,8 +360,11 @@ class TestBestSentence:
         got = next(classify.score_source(self.SOURCE, [self.SUSPECT], STORES))
         assert len(preprocess_passage(self.SOURCE)) == 4
         # both suspect sentences have candidates in every source sentence but
-        # "Quartz glass shone.": "dog" has synonyms, and none of them a vector
-        assert len(passes) == 2 * 3
+        # "Quartz glass shone.": "dog" has synonyms, and none of them a vector.
+        # Of those three, the first visited (most suspect words with a
+        # candidate, then lowest id) matches every one of its words, which no
+        # other sentence can beat: one pass per suspect sentence
+        assert len(passes) == 2
         assert got == oracle_score(self.SUSPECT, self.SOURCE, STORES)
 
     def test_no_candidates_keeps_the_first_sentence_unmatched(self, monkeypatch):
@@ -370,6 +376,36 @@ class TestBestSentence:
         assert got.best_semantic == (classify.SentenceMatch(0, 0, ()),)
         assert got == oracle_score("Violins hummed softly.", self.SOURCE, STORES)
 
+    @given(passage_pairs())
+    def test_the_pruned_best_is_the_first_best_of_the_full_scan(self, case):
+        # small word lists repeat stems and sentences, so bounds and match counts tie
+        stores, params, suspect, source = case
+        sr_sentences = preprocess_passage(source)
+        tables = PairTables(sr_sentences, Vocabulary(stores), params.sem)
+        for sp in preprocess_passage(suspect):
+            if not sp.content_tokens:
+                continue
+            scanned = [
+                (sr.sentence_id, semsim.match_sentence(sp, sr, tables=tables))
+                for sr in sr_sentences
+            ]
+            # max keeps the first of equal counts: the lowest id
+            assert semsim.best_sentence(sp, tables) == max(scanned, key=lambda s: len(s[1]))
+
+    def test_a_higher_bound_is_matched_before_a_lower_id(self):
+        # no stores: a suspect word has a candidate wherever its stem is
+        tables = PairTables(
+            preprocess_passage("Dogs dog ran. Dog walked. Dog dog walks."),
+            Vocabulary(KnowledgeStores()),
+            SemThresholds(),
+        )
+        [sp] = preprocess_passage("Dogs dog walk.")
+        # bounds: 2, 3 and 3; sentence 1 matches only 2, sentence 2 all 3
+        sid, matches = semsim.best_sentence(sp, tables)
+        assert (sid, len(matches)) == (2, 3)
+        [tied] = preprocess_passage("Dog.")
+        assert semsim.best_sentence(tied, tables)[0] == 0
+
     def test_candidates_read_the_index_built_with_the_table(self):
         [sp] = preprocess_passage("Dogs ran.")
         dogs = sp.content_tokens[0]
@@ -380,6 +416,51 @@ class TestBestSentence:
         # and through the stores: "cat" by Resnik, "canine" as a synonym
         full = PairTables(preprocess_passage(self.SOURCE), Vocabulary(STORES), SemThresholds())
         assert set(full.candidates(dogs)) == {1, 2, 3}
+
+
+def _long_document(rng):
+    """A seeded source of 320 sentences and a suspect of 60 drawn from it.
+
+    Words come from the fixture lexicon, stopwords and a pool of filler
+    words; the suspect copies source sentences, reorders their words,
+    inserts words into them, and adds a few sentences of its own.
+    """
+    filler = [
+        "".join(rng.choice("bdgkmnprtvz") + rng.choice("aiou") for _ in range(3)) + "k"
+        for _ in range(300)
+    ]
+
+    def word():
+        # no one-letter word: "a." would read as an initial, not a sentence end
+        pool = rng.choice((VOCAB, filler, filler, ["the", "of", "and", "was"]))
+        return rng.choice(pool)
+
+    def text(sentences):
+        return " ".join(" ".join(words).capitalize() + "." for words in sentences)
+
+    source = [[word() for _ in range(rng.randint(1, 10))] for _ in range(320)]
+    suspect = []
+    for _ in range(60):
+        words = list(rng.choice(source))
+        kind = rng.randrange(4)
+        if kind == 1:
+            rng.shuffle(words)
+        elif kind == 2:
+            for _ in range(rng.randint(1, 3)):
+                words.insert(rng.randint(0, len(words)), word())
+        elif kind == 3:
+            words = [word() for _ in range(rng.randint(1, 10))]
+        suspect.append(words)
+    return text(suspect), text(source)
+
+
+@pytest.mark.parametrize("stores", [STORES, KnowledgeStores()], ids=["stores", "bare"])
+def test_a_long_document_scores_as_the_full_scan(stores):
+    suspect, source = _long_document(random.Random(27))
+    assert len(preprocess_passage(source)) >= 300
+    got = next(classify.score_source(source, [suspect], stores))
+    assert got == oracle_score(suspect, source, stores)
+    assert len(got.best_semantic) > 50
 
 
 class TestMetrics:

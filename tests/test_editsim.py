@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 
 from paraplag import classify, editsim
 from paraplag.editsim import insdel_similarity, max_insdel_similarity, word_edit_distance
+from paraplag.resources import KnowledgeStores
+from paraplag.semsim import PairTables, SemThresholds, Vocabulary
+from paraplag.textprep import preprocess_passage
 
 
 @lru_cache(maxsize=None)
@@ -180,6 +184,16 @@ class TestSimilarity:
 
 TOKEN_LISTS = st.lists(st.sampled_from("abcd"), max_size=12)
 
+# inflections share stems, and a sentence of stopwords alone has no content word
+SENTENCE = st.lists(
+    st.sampled_from(["dog", "dogs", "cat", "cats", "run", "running", "zq", "the", "of"]),
+    min_size=1, max_size=8,
+)
+
+
+def _text(sentences):
+    return " ".join(" ".join(words).capitalize() + "." for words in sentences)
+
 
 class TestMaxSimilarity:
     @given(TOKEN_LISTS.filter(bool), st.lists(TOKEN_LISTS, min_size=1, max_size=6))
@@ -211,5 +225,40 @@ class TestMaxSimilarity:
         source = long + " Rivers carve. Stones fall. Clouds drift."
         score = next(classify.score_source(source, [long]))
         assert score.vector.insdel == 1.0
-        # the identical long sentence comes first; no short one can beat 1.0
+        # the identical long sentence comes first; the short ones share no stem with it
         assert calls == [(9, 9)]
+
+    def test_a_sentence_sharing_no_stem_runs_no_myers_pass(self, monkeypatch):
+        calls = []
+        distance = editsim._masked_distance
+
+        def counted(masks, m, sr_tokens):
+            calls.append(list(sr_tokens))
+            return distance(masks, m, sr_tokens)
+
+        monkeypatch.setattr(editsim, "_masked_distance", counted)
+        source = "Rivers carve stone. Clouds drift north. Quartz glitters."
+        score = next(classify.score_source(source, ["Violins hum softly."]))
+        assert score.vector.insdel == 0.0
+        assert calls == []
+        # a second suspect sentence is compared with the one source sentence it shares a stem with
+        next(classify.score_source(source, ["Violins hum softly. The clouds hum."]))
+        assert calls == [["cloud", "drift", "north"]]
+
+    @given(st.lists(SENTENCE, min_size=1, max_size=6), SENTENCE)
+    def test_shared_stems_from_the_postings_prune_exactly(self, source, suspect):
+        tables = PairTables(
+            preprocess_passage(_text(source)), Vocabulary(KnowledgeStores()), SemThresholds()
+        )
+        for sp in preprocess_passage(_text([suspect])):
+            stems = [t.stem for t in sp.content_tokens]
+            if not stems:
+                continue
+            shared = tables.shared_stems(stems)
+            assert shared == {
+                j: c for j, sr in enumerate(tables.stems)
+                if (c := sum((Counter(stems) & Counter(sr)).values()))
+            }
+            expected = max(insdel_similarity(stems, sr) for sr in tables.stems)
+            assert max_insdel_similarity(stems, tables.stems, shared) == expected
+            assert max_insdel_similarity(stems, tables.stems) == expected

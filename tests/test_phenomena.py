@@ -3,6 +3,12 @@
 Exact channel: with config ``{}`` (no stores), a sentence's match count is
 the size of the multiset intersection of the two content-stem lists.
 
+Insertion: inserting k content words whose stems the source lacks moves
+the word edit distance by at most k, since the two suspect stem lists are
+k insertions apart, and with config ``{}`` keeps the match count, since
+the multiset intersection does not change.  Word order is not claimed to
+fall: inserting "x" before "b a" against "a b" raises it from 0.80 to 0.87.
+
 Reordering: a permutation of one sentence's words keeps its exact-channel
 semantic score, since with no stores a match is stem equality and the
 count is the multiset intersection of the two stem lists; and it lowers
@@ -21,9 +27,10 @@ from hypothesis import strategies as st
 
 from paraplag.classify import passage_features
 from paraplag.config import EngineConfig, build_stores, feature_params
+from paraplag.editsim import word_edit_distance
 from paraplag.semsim import match_sentence, semantic_similarity
 from paraplag.synsim import syntactic_similarity
-from paraplag.textprep import preprocess_passage
+from paraplag.textprep import STOPWORDS, preprocess_passage
 
 from test_semsim_tables import VOCAB
 
@@ -62,6 +69,36 @@ class TestExactChannel:
         )
         assert len(matches) == sum(shared.values())
         assert {m.channel for m in matches} <= {"exact"}
+
+
+def _stems(sentence):
+    return [t.stem for t in sentence.content_tokens]
+
+
+class TestInsertion:
+    @given(SENTENCE, SENTENCE, st.data())
+    def test_inserting_words_the_source_lacks(self, suspect, source, data):
+        sr = _sentence(source)
+        lacking = [
+            w for w in VOCAB
+            if w not in STOPWORDS and _stems(_sentence([w]))[0] not in _stems(sr)
+        ]
+        assume(lacking)
+        inserted = data.draw(st.lists(st.sampled_from(lacking), min_size=1, max_size=4))
+        grown = list(suspect)
+        for word in inserted:
+            grown.insert(data.draw(st.integers(0, len(grown))), word)
+        sp, sp_grown = _sentence(suspect), _sentence(grown)
+        assert len(_stems(sp_grown)) == len(_stems(sp)) + len(inserted)
+        before = word_edit_distance(_stems(sp), _stems(sr))
+        after = word_edit_distance(_stems(sp_grown), _stems(sr))
+        assert abs(after - before) <= len(inserted)
+
+        config = EngineConfig.from_dict({})
+        stores, sem = build_stores(config), feature_params(config).sem
+        assert len(match_sentence(sp_grown, sr, stores, sem)) == len(
+            match_sentence(sp, sr, stores, sem)
+        )
 
 
 class TestReordering:

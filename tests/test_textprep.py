@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import time
+import unicodedata
 from unittest import mock
 
 import pytest
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 from paraplag import _porter
 from paraplag._porter import _STEP2, _STEP3, _STEP4, porter_stem
+from paraplag.classify import passage_features
 from paraplag.errors import ParaplagError
+from paraplag.gst import gst_containment
 from paraplag.textprep import (
     _ABBREVIATIONS,
     STOPWORDS,
@@ -484,3 +487,75 @@ def test_long_y_run_stems_and_preprocesses():
     assert porter_stem(word)
     [sentence] = preprocess_passage(f"The token {word} is long.")
     assert sentence.all_tokens[2].normalized == word
+
+
+# ---------------------------------------------------------------------------
+# Unicode-equivalent texts: composed first, compatibility forms folded per token
+
+# precomposed letters, letters with combining marks, ligatures, full-width
+# letters, an ellipsis, and ASCII words and terminators
+_UNICODE_TEXT = st.lists(
+    st.sampled_from(
+        ["résumé", "naïve", "café", "Ångström", "ﬁne", "ﬂow", "Ｆull", "é", "ö",
+         "fine", "cafe", "the", "owner", "Was", "…", ".", "?", "Dr.", "Zoë"]
+    ),
+    min_size=1, max_size=14,
+).map(" ".join)
+
+
+def _forms(text):
+    return unicodedata.normalize("NFC", text), unicodedata.normalize("NFD", text)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type of the ParaplagError it raises."""
+    try:
+        return fn(*args)
+    except ParaplagError as exc:
+        return type(exc)
+
+
+class TestUnicodeEquivalence:
+    TEXT = "The résumé of the naïve café owner was ﬁne."
+
+    def test_decomposed_text_scores_as_composed_text(self):
+        composed, decomposed = _forms(self.TEXT)
+        assert composed != decomposed
+        vector = passage_features(decomposed, composed)
+        assert (vector.semantic, vector.syntactic, vector.insdel) == (1.0, 1.0, 1.0)
+        assert gst_containment(decomposed, composed) == 1.0
+
+    def test_compatibility_forms_fold_per_token(self):
+        assert normalize("ﬁne") == "fine"
+        assert normalize("Ｆｕｌｌ") == "full"
+        [sentence] = preprocess_passage("The ﬁne ﬂow.")
+        assert [t.normalized for t in sentence.all_tokens] == ["the", "fine", "flow"]
+        # an ellipsis stays one character: folding it into "..." would end a sentence
+        assert len(preprocess_passage("Wait… What now?")) == 1
+
+    @given(_UNICODE_TEXT, _UNICODE_TEXT)
+    def test_canonically_equivalent_texts_score_alike(self, text, other):
+        composed, decomposed = _forms(text)
+        for against in _forms(other):
+            assert _outcome(passage_features, decomposed, against) == _outcome(
+                passage_features, composed, against
+            )
+            assert _outcome(passage_features, against, decomposed) == _outcome(
+                passage_features, against, composed
+            )
+            assert _outcome(gst_containment, decomposed, against) == _outcome(
+                gst_containment, composed, against
+            )
+            assert _outcome(gst_containment, against, decomposed) == _outcome(
+                gst_containment, against, composed
+            )
+
+    @given(_UNICODE_TEXT)
+    def test_a_texts_decomposed_form_scores_as_the_text_against_itself(self, text):
+        composed, decomposed = _forms(text)
+        assert _outcome(passage_features, decomposed, composed) == _outcome(
+            passage_features, text, text
+        )
+        assert _outcome(gst_containment, decomposed, composed) == _outcome(
+            gst_containment, text, text
+        )
