@@ -170,8 +170,7 @@ def _score(
       insert/delete  `editsim.max_insdel_similarity` compares sentences in
                      falling order of the bound their shared stems
                      (`tables.shared_stems`, read off the postings) put on
-                     the similarity; a one-sentence source has nothing to
-                     order, and reads no postings
+                     the similarity
     """
     sr_sentences = tables.sentences
     if not sp_sentences or not sr_sentences:
@@ -179,8 +178,6 @@ def _score(
 
     tables.embed(query for sp in sp_sentences for query in sp.content_tokens)
     sr_tokens = [sr.all_tokens for sr in sr_sentences]
-    # a one-sentence source has nothing to order, so its postings are not read
-    several = len(sr_sentences) > 1
     semantic_maxima = []
     syntactic_maxima = []
     insdel_maxima = []
@@ -194,9 +191,7 @@ def _score(
         semantic_maxima.append(len(matches) / len(sp.content_tokens))
         best_semantic.append(SentenceMatch(sp.sentence_id, source_id, tuple(matches)))
         stems = [t.stem for t in sp.content_tokens]
-        insdel_maxima.append(max_insdel_similarity(
-            stems, tables.stems, tables.shared_stems(stems) if several else None
-        ))
+        insdel_maxima.append(max_insdel_similarity(stems, tables.stems, tables.shared_stems(stems)))
 
     vector = SimilarityVector(
         semantic=_aggregate(semantic_maxima, params.discard_semantic),

@@ -83,15 +83,13 @@ def insdel_similarity(sp_tokens: Sequence[str], sr_tokens: Sequence[str]) -> flo
 def max_insdel_similarity(
     sp_tokens: Sequence[str],
     candidates: Sequence[Sequence[str]],
-    shared: Mapping[int, int] | None = None,
+    shared: Mapping[int, int],
 ) -> float:
     """Largest `insdel_similarity` of sp_tokens against any of candidates.
 
     `shared` maps the position in candidates of each candidate that shares
     a token with sp_tokens to c, the size of their multiset intersection;
     `semsim.PairTables.shared_stems` reads it off a source's postings.
-    Without it, each candidate is taken to share min(m, n) tokens, all it
-    can, which leaves the bound `1 - |m - n| / max(m, n)` of lengths alone.
     Candidates are compared in falling order of the bound
     `1 - (longer - c) / longer`, and the search stops at the first bound
     that does not beat the best so far; a candidate left out of `shared`
@@ -99,8 +97,6 @@ def max_insdel_similarity(
     unpruned maximum.  sp_tokens must be non-empty, and so must candidates.
     """
     m = len(sp_tokens)
-    if shared is None:
-        shared = {j: min(m, len(sr_tokens)) for j, sr_tokens in enumerate(candidates)}
     bounds = []
     for j, c in shared.items():
         longer = max(m, len(candidates[j]))

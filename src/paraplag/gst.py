@@ -41,12 +41,12 @@ quadratic, hence the ``max_chars`` cap.
 from __future__ import annotations
 
 import heapq
-import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParaplagError, is_integer
+from .textprep import compose
 
 
 # Most seeds (shared-gram position pairs) enumerated at once: repetitive
@@ -93,9 +93,10 @@ class Tile:
 def canonicalize(text: str) -> str:
     """Composed (NFC) and lowercased, with whitespace runs collapsed to single spaces.
 
-    Composing first makes canonically equivalent texts the same characters.
+    Composing first (`textprep.compose`, the rule preprocessing applies too)
+    makes canonically equivalent texts the same characters.
     """
-    return " ".join(unicodedata.normalize("NFC", text).lower().split())
+    return " ".join(compose(text).lower().split())
 
 
 def _check_length(text: str, params: GstParams) -> None:

@@ -51,6 +51,7 @@ __all__ = [
     "split_sentences",
     "tokenize",
     "normalize",
+    "compose",
     "preprocess_passage",
 ]
 
@@ -120,11 +121,30 @@ STOPWORDS = _parse_stopwords(
 )
 
 
+def compose(text: str) -> str:
+    """The text composed (Unicode NFC): canonically equivalent texts become the same characters.
+
+    The one composition rule for whole texts, which preprocessing and
+    tiling both apply.
+    """
+    return unicodedata.normalize("NFC", text)
+
+
+def _strip_marks(surface: str, form: str) -> str:
+    """surface decomposed under `form` ("NFKD" or "NFD"), without its combining marks."""
+    decomposed = unicodedata.normalize(form, surface)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
 def normalize(surface: str) -> str:
-    """Fold compatibility characters and strip diacritics (NFKD decomposition), and lowercase."""
-    decomposed = unicodedata.normalize("NFKD", surface)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    return stripped.lower()
+    """Fold compatibility characters and strip diacritics (NFKD decomposition), and lowercase.
+
+    The halfwidth sound marks U+FF9E and U+FF9F fold to combining marks,
+    which would leave nothing; a surface that folds away whole is only
+    canonically decomposed (NFD), so a non-empty surface never normalizes
+    to "".
+    """
+    return (_strip_marks(surface, "NFKD") or _strip_marks(surface, "NFD")).lower()
 
 
 def _word_before(text: str, pos: int) -> str:
@@ -220,7 +240,7 @@ def preprocess_passage(
     if forms is None:
         forms = Forms()
     out = []
-    for sid, sentence in enumerate(split_sentences(unicodedata.normalize("NFC", text))):
+    for sid, sentence in enumerate(split_sentences(compose(text))):
         all_tokens = _make_tokens(sentence, forms)
         content = tuple(t for t in all_tokens if t.normalized not in stopwords)
         out.append(

@@ -151,7 +151,7 @@ class TestDistance:
         assert word_edit_distance(a, b) == 0
         if a:
             assert insdel_similarity(a, b) == 1.0
-            assert max_insdel_similarity(a, [b]) == 1.0
+            assert _max_insdel(a, [b]) == 1.0
 
 
 class TestSimilarity:
@@ -184,6 +184,18 @@ class TestSimilarity:
 
 TOKEN_LISTS = st.lists(st.sampled_from("abcd"), max_size=12)
 
+
+def _shared(sp, candidates):
+    """Position -> multiset-intersection size, for each candidate sharing a token with sp."""
+    return {
+        j: c for j, sr in enumerate(candidates)
+        if (c := sum((Counter(sp) & Counter(sr)).values()))
+    }
+
+
+def _max_insdel(sp, candidates):
+    return max_insdel_similarity(sp, candidates, _shared(sp, candidates))
+
 # inflections share stems, and a sentence of stopwords alone has no content word
 SENTENCE = st.lists(
     st.sampled_from(["dog", "dogs", "cat", "cats", "run", "running", "zq", "the", "of"]),
@@ -199,7 +211,7 @@ class TestMaxSimilarity:
     @given(TOKEN_LISTS.filter(bool), st.lists(TOKEN_LISTS, min_size=1, max_size=6))
     def test_pruned_maximum_is_the_unpruned_one(self, sp, candidates):
         expected = max(insdel_similarity(sp, sr) for sr in candidates)
-        assert max_insdel_similarity(sp, candidates) == expected
+        assert _max_insdel(sp, candidates) == expected
 
     @given(st.integers(1, 20), st.data())
     def test_maximum_equals_dp_oracle_maximum(self, k, data):
@@ -210,9 +222,9 @@ class TestMaxSimilarity:
         others = data.draw(st.lists(_token_lists(k, 0, 2 * m + 1), max_size=4))
         candidates = data.draw(st.permutations([shorter, longer, *others]))
         expected = max(_dp_similarity(sp, sr) for sr in candidates)
-        assert max_insdel_similarity(sp, candidates) == expected
+        assert _max_insdel(sp, candidates) == expected
 
-    def test_length_bound_skips_short_sentences(self, monkeypatch):
+    def test_shared_stem_bound_skips_sentences_that_cannot_win(self, monkeypatch):
         calls = []
         distance = editsim._masked_distance
 
@@ -222,10 +234,11 @@ class TestMaxSimilarity:
 
         monkeypatch.setattr(editsim, "_masked_distance", counted)
         long = "Quartz violins echo through copper harbors beneath silent meadows tonight."
-        source = long + " Rivers carve. Stones fall. Clouds drift."
+        source = "Quartz cracks. " + long + " Violins fall. Harbors drift."
         score = next(classify.score_source(source, [long]))
         assert score.vector.insdel == 1.0
-        # the identical long sentence comes first; the short ones share no stem with it
+        # each short sentence shares one stem with the long one, which bounds it at 1/9;
+        # the identical sentence comes first and scores 1.0, so none of them is compared
         assert calls == [(9, 9)]
 
     def test_a_sentence_sharing_no_stem_runs_no_myers_pass(self, monkeypatch):
@@ -239,6 +252,10 @@ class TestMaxSimilarity:
         monkeypatch.setattr(editsim, "_masked_distance", counted)
         source = "Rivers carve stone. Clouds drift north. Quartz glitters."
         score = next(classify.score_source(source, ["Violins hum softly."]))
+        assert score.vector.insdel == 0.0
+        assert calls == []
+        # a one-sentence source is no exception
+        score = next(classify.score_source("Quartz glitters.", ["Violins hum softly."]))
         assert score.vector.insdel == 0.0
         assert calls == []
         # a second suspect sentence is compared with the one source sentence it shares a stem with
@@ -255,10 +272,6 @@ class TestMaxSimilarity:
             if not stems:
                 continue
             shared = tables.shared_stems(stems)
-            assert shared == {
-                j: c for j, sr in enumerate(tables.stems)
-                if (c := sum((Counter(stems) & Counter(sr)).values()))
-            }
+            assert shared == _shared(stems, tables.stems)
             expected = max(insdel_similarity(stems, sr) for sr in tables.stems)
             assert max_insdel_similarity(stems, tables.stems, shared) == expected
-            assert max_insdel_similarity(stems, tables.stems) == expected

@@ -533,6 +533,23 @@ class TestUnicodeEquivalence:
         # an ellipsis stays one character: folding it into "..." would end a sentence
         assert len(preprocess_passage("Wait… What now?")) == 1
 
+    def test_a_surface_that_folds_away_whole_keeps_its_canonical_form(self):
+        # the halfwidth sound marks fold (NFKD) to combining marks, which are stripped
+        assert normalize("\uff9e") == "\uff9e"
+        assert normalize("\uff9f\uff9e") == "\uff9f\uff9e"
+        [sentence] = preprocess_passage("A \uff9e b \uff9f.")
+        assert [(t.normalized, t.stem) for t in sentence.all_tokens] == [
+            ("a", "a"), ("\uff9e", "\uff9e"), ("b", "b"), ("\uff9f", "\uff9f")
+        ]
+        # two different marks are two different words, not one empty word
+        vector = passage_features("Quartz \uff9e.", "Violins \uff9f.")
+        assert (vector.semantic, vector.insdel) == (0.0, 0.0)
+
+    def test_no_token_of_one_code_point_normalizes_to_nothing(self):
+        for cp in range(sys.maxunicode + 1):
+            for token in tokenize(chr(cp)):
+                assert normalize(token), hex(cp)
+
     @given(_UNICODE_TEXT, _UNICODE_TEXT)
     def test_canonically_equivalent_texts_score_alike(self, text, other):
         composed, decomposed = _forms(text)
