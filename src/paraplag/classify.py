@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .editsim import max_insdel_similarity
+from .editsim import SourceStems
 from .errors import ParaplagError, is_integer
 from .resources import KnowledgeStores
 from .semsim import PairTables, SemThresholds, Vocabulary, WordMatch, best_sentence
@@ -135,31 +135,35 @@ def score_source(
     call.  What depends on the source is worked out once per call: the
     source is preprocessed into a `PairTables`, and scoring reads its
     sentences from there, so a suspect word's candidate source words are
-    found once per source, not once per suspect; the table goes when the
-    generator is done.  It carries `params.sem`, the thresholds every
-    match of the call uses.
+    found once per source, not once per suspect, and the source's content
+    stems are indexed for insert/delete in an `editsim.SourceStems`; both go
+    when the generator is done.  The table carries `params.sem`, the
+    thresholds every match of the call uses.
     """
     if vocab is None:
         vocab = Vocabulary(stores)
     elif vocab.stores is not stores:
         raise ValueError("vocab must be built over the stores it scores with")
     tables = PairTables(preprocess_passage(source, stopwords, vocab.forms), vocab, params.sem)
+    source_stems = SourceStems([t.stem for t in sr.content_tokens] for sr in tables.sentences)
     for suspect in suspects:
-        yield _score(preprocess_passage(suspect, stopwords, vocab.forms), tables, params)
+        sp_sentences = preprocess_passage(suspect, stopwords, vocab.forms)
+        yield _score(sp_sentences, tables, source_stems, params)
 
 
 def _score(
     sp_sentences: list[ProcessedSentence],
     tables: PairTables,
+    source_stems: SourceStems,
     params: FeatureParams,
 ) -> PassageScore:
     """The scoring pass of `score_source` on a preprocessed suspect passage.
 
     The source sentences are `tables.sentences`; `tables` is built with
-    `params.sem` and carries the run's vocabulary and stores, and the
-    source's stems and stem postings, built once per source.  One walk over
-    the suspect sentences computes all three dimensions, after the table
-    judges the embedding channel for the passage's words at once.  Each
+    `params.sem` and carries the run's vocabulary and stores, and
+    `source_stems` is `editsim`'s index of their content stems.  One walk
+    over the suspect sentences computes all three dimensions, after the
+    table judges the embedding channel for the passage's words at once.  Each
     dimension's best over the source sentences is the full scan's bit for
     bit, and two of them compare only the sentences that can win:
 
@@ -167,10 +171,9 @@ def _score(
                      the most matches, matches sentences in falling order of
                      how many suspect words have a candidate there
       word order     every source sentence is scanned, up to the first 1.0
-      insert/delete  `editsim.max_insdel_similarity` compares sentences in
-                     falling order of the bound their shared stems
-                     (`tables.shared_stems`, read off the postings) put on
-                     the similarity
+      insert/delete  `editsim.SourceStems.best` compares sentences in
+                     falling order of the bound their shared stems, read
+                     off the index's postings, put on the similarity
     """
     sr_sentences = tables.sentences
     if not sp_sentences or not sr_sentences:
@@ -190,8 +193,7 @@ def _score(
         source_id, matches = best_sentence(sp, tables)
         semantic_maxima.append(len(matches) / len(sp.content_tokens))
         best_semantic.append(SentenceMatch(sp.sentence_id, source_id, tuple(matches)))
-        stems = [t.stem for t in sp.content_tokens]
-        insdel_maxima.append(max_insdel_similarity(stems, tables.stems, tables.shared_stems(stems)))
+        insdel_maxima.append(source_stems.best([t.stem for t in sp.content_tokens]))
 
     vector = SimilarityVector(
         semantic=_aggregate(semantic_maxima, params.discard_semantic),

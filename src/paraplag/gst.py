@@ -41,12 +41,12 @@ quadratic, hence the ``max_chars`` cap.
 from __future__ import annotations
 
 import heapq
+import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParaplagError, is_integer
-from .textprep import compose
 
 
 # Most seeds (shared-gram position pairs) enumerated at once: repetitive
@@ -91,12 +91,14 @@ class Tile:
 
 
 def canonicalize(text: str) -> str:
-    """Composed (NFC) and lowercased, with whitespace runs collapsed to single spaces.
+    """Folded (NFKC) and lowercased, with whitespace runs collapsed to single spaces.
 
-    Composing first (`textprep.compose`, the rule preprocessing applies too)
-    makes canonically equivalent texts the same characters.
+    Folding first makes canonically equivalent texts, and compatibility
+    characters such as "ﬁ" and their plain forms, the same characters.
+    Tiling has no sentence boundaries, so the whole text can be folded,
+    where preprocessing folds per token.
     """
-    return " ".join(compose(text).lower().split())
+    return " ".join(unicodedata.normalize("NFKC", text).lower().split())
 
 
 def _check_length(text: str, params: GstParams) -> None:

@@ -36,11 +36,6 @@ only over the sentences that can be it: a sentence no suspect word has a
 candidate in matches nothing, and one cannot match more suspect words
 than have a candidate there.
 
-The table also keeps each source sentence's content stems, and postings
-from each content stem to the sentences holding it, so that insert/delete
-compares a suspect sentence only with the source sentences sharing a stem
-with it (`shared_stems`).
-
 The embedding channel is judged for a whole suspect passage at once
 (`PairTables.embed`): one einsum of the vectors of its words not judged
 yet against the source vectors, in blocks of bounded size.  einsum sums
@@ -52,7 +47,7 @@ around them.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -195,11 +190,6 @@ class PairTables:
     the cascade's tie rule of earliest channel, then highest score, then
     first in the sentence.  `thresholds` are fixed for the run, so a table
     serves only matches made with them.
-
-    For insert/delete it keeps each sentence's content `stems` and, filled
-    on first use, postings from each content stem to {sentence position:
-    count}, from which `shared_stems` counts a suspect sentence's shared
-    stems with every source sentence in one pass.
     """
 
     def __init__(
@@ -214,8 +204,6 @@ class PairTables:
         ids = [sr.sentence_id for sr in self.sentences]
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise ValueError(f"source sentence ids must increase, got {ids}")
-        # each sentence's content stems, in order
-        self.stems = [[tok.stem for tok in sr.content_tokens] for sr in self.sentences]
         self._occurrences: dict[str, list[tuple[int, int]]] = {}
         self._forms_by_stem: dict[str, list[str]] = {}
         for sr in self.sentences:
@@ -265,37 +253,6 @@ class PairTables:
             for form in self._forms_by_subsumer.get(key, ()):
                 verdict.setdefault(form, (3, -value))
         return verdict
-
-    @cached_property
-    def _postings(self) -> dict[str, dict[int, int]]:
-        """Content stem -> {position in `sentences`: how often it occurs there}."""
-        postings: dict[str, dict[int, int]] = {}
-        for position, stems in enumerate(self.stems):
-            for stem in stems:
-                counts = postings.get(stem)
-                if counts is None:
-                    postings[stem] = {position: 1}
-                else:
-                    counts[position] = counts.get(position, 0) + 1
-        return postings
-
-    def shared_stems(self, stems: Sequence[str]) -> dict[int, int]:
-        """Position in `sentences` -> size of the multiset intersection of `stems` with its stems.
-
-        One pass over the postings of `stems`' distinct stems; sentences
-        sharing no stem are left out.
-        """
-        wanted: dict[str, int] = {}
-        for stem in stems:
-            wanted[stem] = wanted.get(stem, 0) + 1
-        shared: dict[int, int] = {}
-        postings = self._postings
-        for stem, k in wanted.items():
-            counts = postings.get(stem)
-            if counts is not None:
-                for position, n in counts.items():
-                    shared[position] = shared.get(position, 0) + (n if n < k else k)
-        return shared
 
     @cached_property
     def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:

@@ -51,7 +51,6 @@ __all__ = [
     "split_sentences",
     "tokenize",
     "normalize",
-    "compose",
     "preprocess_passage",
 ]
 
@@ -119,15 +118,6 @@ STOPWORDS = _parse_stopwords(
     (importlib_resources.files("paraplag") / "data" / "stopwords_english.txt")
     .read_text(encoding="utf-8")
 )
-
-
-def compose(text: str) -> str:
-    """The text composed (Unicode NFC): canonically equivalent texts become the same characters.
-
-    The one composition rule for whole texts, which preprocessing and
-    tiling both apply.
-    """
-    return unicodedata.normalize("NFC", text)
 
 
 def _strip_marks(surface: str, form: str) -> str:
@@ -240,7 +230,7 @@ def preprocess_passage(
     if forms is None:
         forms = Forms()
     out = []
-    for sid, sentence in enumerate(split_sentences(compose(text))):
+    for sid, sentence in enumerate(split_sentences(unicodedata.normalize("NFC", text))):
         all_tokens = _make_tokens(sentence, forms)
         content = tuple(t for t in all_tokens if t.normalized not in stopwords)
         out.append(

@@ -9,13 +9,11 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from paraplag import classify, editsim
-from paraplag.editsim import insdel_similarity, max_insdel_similarity, word_edit_distance
-from paraplag.resources import KnowledgeStores
-from paraplag.semsim import PairTables, SemThresholds, Vocabulary
+from paraplag.editsim import SourceStems, insdel_similarity, word_edit_distance
 from paraplag.textprep import preprocess_passage
 
 
@@ -194,7 +192,7 @@ def _shared(sp, candidates):
 
 
 def _max_insdel(sp, candidates):
-    return max_insdel_similarity(sp, candidates, _shared(sp, candidates))
+    return SourceStems(candidates).best(sp)
 
 # inflections share stems, and a sentence of stopwords alone has no content word
 SENTENCE = st.lists(
@@ -263,15 +261,19 @@ class TestMaxSimilarity:
         assert calls == [["cloud", "drift", "north"]]
 
     @given(st.lists(SENTENCE, min_size=1, max_size=6), SENTENCE)
+    # two sentences tie for the best, with a repeated stem
+    @example([["dog", "cat", "dogs"], ["cats", "dog", "dog"]], ["dog", "dog", "cat"])
+    # a one-sentence source, and a source sentence of stopwords alone
+    @example([["run", "cats", "run"]], ["running", "dog"])
+    @example([["the", "of"], ["zq", "the"]], ["zq", "of"])
     def test_shared_stems_from_the_postings_prune_exactly(self, source, suspect):
-        tables = PairTables(
-            preprocess_passage(_text(source)), Vocabulary(KnowledgeStores()), SemThresholds()
-        )
+        sentences = preprocess_passage(_text(source))
+        index = SourceStems([t.stem for t in sr.content_tokens] for sr in sentences)
+        assert index.stems == [[t.stem for t in sr.content_tokens] for sr in sentences]
         for sp in preprocess_passage(_text([suspect])):
             stems = [t.stem for t in sp.content_tokens]
             if not stems:
                 continue
-            shared = tables.shared_stems(stems)
-            assert shared == _shared(stems, tables.stems)
-            expected = max(insdel_similarity(stems, sr) for sr in tables.stems)
-            assert max_insdel_similarity(stems, tables.stems, shared) == expected
+            assert index.shared(stems) == _shared(stems, index.stems)
+            expected = max(insdel_similarity(stems, sr) for sr in index.stems)
+            assert index.best(stems) == expected

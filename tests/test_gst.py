@@ -212,6 +212,23 @@ class TestCanonicalize:
             once = canonicalize(text)
             assert canonicalize(once) == once
 
+    @given(st.text())
+    def test_idempotent_on_any_text(self, text):
+        once = canonicalize(text)
+        assert canonicalize(once) == once
+
+    def test_compatibility_characters_fold(self):
+        assert canonicalize("The ﬁne  ＦＵＬＬ café") == "the fine full café"
+        suspect, source = "The ﬁne dining was ﬂawless tonight.", "The fine dining was flawless tonight."
+        assert gst_containment(suspect, source) == gst_containment(source, suspect) == 1.0
+
+    def test_the_cap_applies_to_the_folded_text(self):
+        # one "ﷺ" folds to 18 characters
+        params = GstParams(min_tile=3, max_chars=20)
+        assert gst_containment("a ﷺ", "a ﷺ", params) == 1.0
+        with pytest.raises(InputTooLarge, match="21 chars"):
+            gst_containment("ab ﷺ", "a ﷺ", params)
+
 
 class TestParams:
     def test_defaults(self):

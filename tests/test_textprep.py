@@ -567,6 +567,18 @@ class TestUnicodeEquivalence:
                 gst_containment, against, composed
             )
 
+    @given(_UNICODE_TEXT, _UNICODE_TEXT)
+    @example("The ﬁne dining was ﬂawless tonight.", "The fine dining was flawless tonight.")
+    def test_a_texts_compatibility_form_tiles_as_the_text(self, text, other):
+        folded = unicodedata.normalize("NFKC", text)
+        for against in (other, unicodedata.normalize("NFKC", other)):
+            assert _outcome(gst_containment, folded, against) == _outcome(
+                gst_containment, text, against
+            )
+            assert _outcome(gst_containment, against, folded) == _outcome(
+                gst_containment, against, text
+            )
+
     @given(_UNICODE_TEXT)
     def test_a_texts_decomposed_form_scores_as_the_text_against_itself(self, text):
         composed, decomposed = _forms(text)
