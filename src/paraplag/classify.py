@@ -27,7 +27,7 @@ from .errors import ParaplagError, is_integer
 from .resources import KnowledgeStores
 from .semsim import PairTables, SemThresholds, Vocabulary, WordMatch, best_sentence
 from .synsim import max_syntactic_similarity
-from .textprep import STOPWORDS, ProcessedSentence, preprocess_passage
+from .textprep import STOPWORDS, preprocess_passage
 
 LabelledVector = tuple["SimilarityVector", bool]
 
@@ -115,10 +115,9 @@ class PassageScore:
 def score_source(
     source: str,
     suspects: Iterable[str],
-    stores: KnowledgeStores = KnowledgeStores(),
+    vocab: Vocabulary,
     params: FeatureParams = FeatureParams(),
     stopwords: frozenset[str] = STOPWORDS,
-    vocab: Vocabulary | None = None,
 ) -> Iterator[PassageScore]:
     """The `PassageScore` of each suspect against `source`, in order, one at a time.
 
@@ -129,43 +128,20 @@ def score_source(
     with its word matches.
 
     What depends on a word alone is worked out once per `vocab`, the run's
-    `Vocabulary` over `stores`: a token's normalized form and stem, and
-    the word's synonyms, embedding rows and ranked subsumers, for suspect
-    and source words alike.  Without one, a fresh vocabulary serves this
-    call.  What depends on the source is worked out once per call: the
-    source is preprocessed into a `PairTables`, and scoring reads its
-    sentences from there, so a suspect word's candidate source words are
-    found once per source, not once per suspect, and the source's content
-    stems are indexed for insert/delete in an `editsim.SourceStems`; both go
-    when the generator is done.  The table carries `params.sem`, the
-    thresholds every match of the call uses.
-    """
-    if vocab is None:
-        vocab = Vocabulary(stores)
-    elif vocab.stores is not stores:
-        raise ValueError("vocab must be built over the stores it scores with")
-    tables = PairTables(preprocess_passage(source, stopwords, vocab.forms), vocab, params.sem)
-    source_stems = SourceStems([t.stem for t in sr.content_tokens] for sr in tables.sentences)
-    for suspect in suspects:
-        sp_sentences = preprocess_passage(suspect, stopwords, vocab.forms)
-        yield _score(sp_sentences, tables, source_stems, params)
+    `Vocabulary`, whose stores are the ones scored with: a token's
+    normalized form and stem, and the word's synonyms, embedding rows and
+    ranked subsumers, for suspect and source words alike.  What depends on
+    the source is worked out once per call: the source is preprocessed into
+    a `PairTables` with `params.sem`, so a suspect word's candidate source
+    words are found once per source, not once per suspect; its content
+    stems are indexed for insert/delete in an `editsim.SourceStems`, and its
+    token lists kept for word order.  All go when the generator is done.
 
-
-def _score(
-    sp_sentences: list[ProcessedSentence],
-    tables: PairTables,
-    source_stems: SourceStems,
-    params: FeatureParams,
-) -> PassageScore:
-    """The scoring pass of `score_source` on a preprocessed suspect passage.
-
-    The source sentences are `tables.sentences`; `tables` is built with
-    `params.sem` and carries the run's vocabulary and stores, and
-    `source_stems` is `editsim`'s index of their content stems.  One walk
-    over the suspect sentences computes all three dimensions, after the
-    table judges the embedding channel for the passage's words at once.  Each
-    dimension's best over the source sentences is the full scan's bit for
-    bit, and two of them compare only the sentences that can win:
+    One walk over a suspect's sentences computes all three dimensions,
+    after the table judges the embedding channel for the passage's words at
+    once.  Each dimension's best over the source sentences is the full
+    scan's bit for bit, and two of them compare only the sentences that can
+    win:
 
       semantic       `semsim.best_sentence`, the first source sentence with
                      the most matches, matches sentences in falling order of
@@ -175,32 +151,34 @@ def _score(
                      falling order of the bound their shared stems, read
                      off the index's postings, put on the similarity
     """
+    tables = PairTables(preprocess_passage(source, stopwords, vocab.forms), vocab, params.sem)
     sr_sentences = tables.sentences
-    if not sp_sentences or not sr_sentences:
-        raise EmptyPassage("both passages need at least one sentence")
-
-    tables.embed(query for sp in sp_sentences for query in sp.content_tokens)
+    source_stems = SourceStems([t.stem for t in sr.content_tokens] for sr in sr_sentences)
     sr_tokens = [sr.all_tokens for sr in sr_sentences]
-    semantic_maxima = []
-    syntactic_maxima = []
-    insdel_maxima = []
-    best_semantic = []
-    for sp in sp_sentences:
-        if sp.all_tokens:
-            syntactic_maxima.append(max_syntactic_similarity(sp.all_tokens, sr_tokens))
-        if not sp.content_tokens:
-            continue
-        source_id, matches = best_sentence(sp, tables)
-        semantic_maxima.append(len(matches) / len(sp.content_tokens))
-        best_semantic.append(SentenceMatch(sp.sentence_id, source_id, tuple(matches)))
-        insdel_maxima.append(source_stems.best([t.stem for t in sp.content_tokens]))
-
-    vector = SimilarityVector(
-        semantic=_aggregate(semantic_maxima, params.discard_semantic),
-        syntactic=_aggregate(syntactic_maxima, params.discard_syntactic),
-        insdel=_aggregate(insdel_maxima, params.discard_insdel),
-    )
-    return PassageScore(vector, tuple(best_semantic))
+    for suspect in suspects:
+        sp_sentences = preprocess_passage(suspect, stopwords, vocab.forms)
+        if not sp_sentences or not sr_sentences:
+            raise EmptyPassage("both passages need at least one sentence")
+        tables.embed(query for sp in sp_sentences for query in sp.content_tokens)
+        semantic_maxima = []
+        syntactic_maxima = []
+        insdel_maxima = []
+        best_semantic = []
+        for sp in sp_sentences:
+            if sp.all_tokens:
+                syntactic_maxima.append(max_syntactic_similarity(sp.all_tokens, sr_tokens))
+            if not sp.content_tokens:
+                continue
+            source_id, matches = best_sentence(sp, tables)
+            semantic_maxima.append(len(matches) / len(sp.content_tokens))
+            best_semantic.append(SentenceMatch(sp.sentence_id, source_id, tuple(matches)))
+            insdel_maxima.append(source_stems.best([t.stem for t in sp.content_tokens]))
+        vector = SimilarityVector(
+            semantic=_aggregate(semantic_maxima, params.discard_semantic),
+            syntactic=_aggregate(syntactic_maxima, params.discard_syntactic),
+            insdel=_aggregate(insdel_maxima, params.discard_insdel),
+        )
+        yield PassageScore(vector, tuple(best_semantic))
 
 
 def passage_features(
@@ -210,8 +188,8 @@ def passage_features(
     params: FeatureParams = FeatureParams(),
     stopwords: frozenset[str] = STOPWORDS,
 ) -> SimilarityVector:
-    """The vector of one pair's `score_source` score."""
-    return next(score_source(source, [suspect], stores, params, stopwords)).vector
+    """The vector of one pair's `score_source` score, with a vocabulary of its own."""
+    return next(score_source(source, [suspect], Vocabulary(stores), params, stopwords)).vector
 
 
 # ---------------------------------------------------------------------------

@@ -141,14 +141,14 @@ def parallel_map(
 # Features and traces
 
 def scoring_state(config: EngineConfig, stores: KnowledgeStores | None = None):
-    """(stores, feature params, stopword set, a fresh `Vocabulary`) for scoring under config.
+    """(a fresh `Vocabulary` over the stores, feature params, stopword set) under config.
 
     The arguments `score_source` takes after the texts.  The vocabulary
     lives as long as the state: one run inline, or one pool worker.
     """
     if stores is None:
         stores = build_stores(config)
-    return stores, feature_params(config), prep_config(config), Vocabulary(stores)
+    return Vocabulary(stores), feature_params(config), prep_config(config)
 
 
 def _score_task(state, source: str, pairs: Sequence[LabelledPair]) -> Iterable[PassageScore]:

@@ -101,9 +101,15 @@ def canonicalize(text: str) -> str:
     return " ".join(unicodedata.normalize("NFKC", text).lower().split())
 
 
-def _check_length(text: str, params: GstParams) -> None:
-    if len(text) > params.max_chars:
+def _check_length(text: str, params: GstParams, given: str | None = None) -> None:
+    """Reject `text` over the cap; `given` is the caller's text when `text` is its folded form."""
+    if len(text) <= params.max_chars:
+        return
+    if given is None or len(given) == len(text):
         raise InputTooLarge(f"text of {len(text)} chars exceeds cap {params.max_chars}")
+    raise InputTooLarge(
+        f"text of {len(given)} chars is {len(text)} once folded, over cap {params.max_chars}"
+    )
 
 
 def _codepoints(text: str, edge: int) -> np.ndarray:
@@ -259,12 +265,15 @@ class SourceGrams:
         canon_sus = canonicalize(suspect)
         if not canon_sus:
             raise EmptySuspect("suspect text is empty once canonicalized")
+        _check_length(canon_sus, self.params, suspect)
         return sum(t.length for t in self.matches(canon_sus)) / len(canon_sus)
 
 
 def source_grams(source: str, params: GstParams = GstParams()) -> SourceGrams:
     """The tiling index of the canonical form of `source`."""
-    return SourceGrams(canonicalize(source), params)
+    canon = canonicalize(source)
+    _check_length(canon, params, source)
+    return SourceGrams(canon, params)
 
 
 def tiling_matches(suspect: str, source: str, params: GstParams = GstParams()) -> list[Tile]:

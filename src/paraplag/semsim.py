@@ -125,14 +125,14 @@ class Vocabulary:
         self._words: dict[str, WordFacts] = {}
         self._subsumers: dict[str, tuple[tuple[tuple, float], ...]] = {}
 
-    def word(self, normalized: str, stem: str) -> WordFacts:
-        """The facts of the word with this normalized form and its stem."""
+    def word(self, normalized: str) -> WordFacts:
+        """The facts of the word with this normalized form."""
         facts = self._words.get(normalized)
         if facts is None:
             lexdb, emb = self.stores.lexdb, self.stores.embeddings
             syns = []
             if lexdb is not None:
-                syns = sorted(synonyms(lexdb, _headword(lexdb, normalized, stem)))
+                syns = sorted(synonyms(lexdb, self._headword(normalized)))
             rows = () if emb is None else tuple(
                 row for word in syns or [normalized] if (row := emb.row(word)) is not None
             )
@@ -141,18 +141,23 @@ class Vocabulary:
             )
         return facts
 
-    def subsumers(self, normalized: str, stem: str) -> tuple[tuple[tuple, float], ...]:
+    def subsumers(self, normalized: str) -> tuple[tuple[tuple, float], ...]:
         """The word's `subsumer_ics` items, highest IC first; none without lexdb and IC."""
         ranked = self._subsumers.get(normalized)
         if ranked is None:
             lexdb, ic = self.stores.lexdb, self.stores.ic
             ics = {}
             if lexdb is not None and ic is not None:
-                ics = subsumer_ics(lexdb, ic, _headword(lexdb, normalized, stem))
+                ics = subsumer_ics(lexdb, ic, self._headword(normalized))
             ranked = self._subsumers[normalized] = tuple(
                 sorted(ics.items(), key=itemgetter(1), reverse=True)
             )
         return ranked
+
+    def _headword(self, normalized: str) -> str:
+        """A word's lexdb headword: its normalized form if the lexdb knows it, else its stem."""
+        known = self.stores.lexdb.synsets_of(normalized)
+        return normalized if known else self.forms.stem(normalized)
 
 
 # Most (stacked query rows x source words) cells one embedding block computes.
@@ -236,7 +241,7 @@ class PairTables:
 
     def _judge(self, query: Token) -> dict[str, tuple[int, float]]:
         """Source form -> (index in CHANNELS, -score) of the first channel firing for it."""
-        facts = self.vocab.word(query.normalized, query.stem)
+        facts = self.vocab.word(query.normalized)
         by_stem = self._forms_by_stem
         verdict = dict.fromkeys(by_stem.get(query.stem, ()), (0, -1.0))
         for stem in facts.synonym_stems:
@@ -247,7 +252,7 @@ class PairTables:
         for form, value in self._embedded.get(query.normalized, ()):
             verdict.setdefault(form, (2, -value))
         # highest IC first: a form's first entry is its best shared subsumer
-        for key, value in self.vocab.subsumers(query.normalized, query.stem):
+        for key, value in self.vocab.subsumers(query.normalized):
             if value < self.thresholds.resnik_min:
                 break
             for form in self._forms_by_subsumer.get(key, ()):
@@ -283,7 +288,7 @@ class PairTables:
         for query in queries:
             form = query.normalized
             if form not in memo and form not in pending:
-                rows = self.vocab.word(form, query.stem).rows
+                rows = self.vocab.word(form).rows
                 if rows:
                     pending[form] = rows
                 else:
@@ -337,18 +342,12 @@ class PairTables:
         """
         resnik_min = self.thresholds.resnik_min
         forms: dict[tuple, list[str]] = {}
-        for stem, words in self._forms_by_stem.items():
-            for word in words:
-                for key, value in self.vocab.subsumers(word, stem):
-                    if value < resnik_min:
-                        break
-                    forms.setdefault(key, []).append(word)
+        for word in self._occurrences:
+            for key, value in self.vocab.subsumers(word):
+                if value < resnik_min:
+                    break
+                forms.setdefault(key, []).append(word)
         return forms
-
-
-def _headword(lexdb, normalized: str, stem: str) -> str:
-    """A word's lexdb headword: its normalized form if known, else its stem."""
-    return normalized if lexdb.synsets_of(normalized) else stem
 
 
 def _greedy(queries: Iterable[tuple[Token, list[Candidate]]]) -> list[WordMatch]:

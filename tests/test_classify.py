@@ -309,16 +309,6 @@ def passage_pairs(draw):
     return stores, FeatureParams(sem=th), draw(passage(3, words)), draw(passage(6, words))
 
 
-def test_a_vocabulary_serves_only_the_stores_it_was_built_over():
-    other = KnowledgeStores(lexdb=STORES.lexdb)
-    with pytest.raises(ValueError, match="vocab"):
-        next(classify.score_source("Dogs ran.", ["Dogs ran."], STORES, vocab=Vocabulary(other)))
-    shared = Vocabulary(STORES)
-    assert next(classify.score_source("Dogs ran.", ["Dogs ran."], STORES, vocab=shared)) == next(
-        classify.score_source("Dogs ran.", ["Dogs ran."], STORES)
-    )
-
-
 class TestBestSentence:
     """Only sentences with candidates are matched, and every score is the scan cascade's."""
 
@@ -331,7 +321,7 @@ class TestBestSentence:
     @given(passage_pairs())
     def test_scores_equal_the_scan_oracle(self, case):
         stores, params, suspect, source = case
-        got = next(classify.score_source(source, [suspect], stores, params))
+        got = next(classify.score_source(source, [suspect], Vocabulary(stores), params))
         assert got == oracle_score(suspect, source, stores, params)
 
     @given(passage_pairs())
@@ -357,7 +347,7 @@ class TestBestSentence:
             return greedy(queries)
 
         monkeypatch.setattr(semsim, "_greedy", counted)
-        got = next(classify.score_source(self.SOURCE, [self.SUSPECT], STORES))
+        got = next(classify.score_source(self.SOURCE, [self.SUSPECT], Vocabulary(STORES)))
         assert len(preprocess_passage(self.SOURCE)) == 4
         # both suspect sentences have candidates in every source sentence but
         # "Quartz glass shone.": "dog" has synonyms, and none of them a vector.
@@ -372,7 +362,8 @@ class TestBestSentence:
             raise AssertionError("a sentence without candidates was matched")
 
         monkeypatch.setattr(semsim, "_greedy", unreachable)
-        got = next(classify.score_source(self.SOURCE, ["Violins hummed softly."], STORES))
+        scores = classify.score_source(self.SOURCE, ["Violins hummed softly."], Vocabulary(STORES))
+        got = next(scores)
         assert got.best_semantic == (classify.SentenceMatch(0, 0, ()),)
         assert got == oracle_score("Violins hummed softly.", self.SOURCE, STORES)
 
@@ -458,7 +449,7 @@ def _long_document(rng):
 def test_a_long_document_scores_as_the_full_scan(stores):
     suspect, source = _long_document(random.Random(27))
     assert len(preprocess_passage(source)) >= 300
-    got = next(classify.score_source(source, [suspect], stores))
+    got = next(classify.score_source(source, [suspect], Vocabulary(stores)))
     assert got == oracle_score(suspect, source, stores)
     assert len(got.best_semantic) > 50
 

@@ -233,8 +233,7 @@ class TestMaxSimilarity:
         monkeypatch.setattr(editsim, "_masked_distance", counted)
         long = "Quartz violins echo through copper harbors beneath silent meadows tonight."
         source = "Quartz cracks. " + long + " Violins fall. Harbors drift."
-        score = next(classify.score_source(source, [long]))
-        assert score.vector.insdel == 1.0
+        assert classify.passage_features(long, source).insdel == 1.0
         # each short sentence shares one stem with the long one, which bounds it at 1/9;
         # the identical sentence comes first and scores 1.0, so none of them is compared
         assert calls == [(9, 9)]
@@ -249,15 +248,13 @@ class TestMaxSimilarity:
 
         monkeypatch.setattr(editsim, "_masked_distance", counted)
         source = "Rivers carve stone. Clouds drift north. Quartz glitters."
-        score = next(classify.score_source(source, ["Violins hum softly."]))
-        assert score.vector.insdel == 0.0
+        assert classify.passage_features("Violins hum softly.", source).insdel == 0.0
         assert calls == []
         # a one-sentence source is no exception
-        score = next(classify.score_source("Quartz glitters.", ["Violins hum softly."]))
-        assert score.vector.insdel == 0.0
+        assert classify.passage_features("Violins hum softly.", "Quartz glitters.").insdel == 0.0
         assert calls == []
         # a second suspect sentence is compared with the one source sentence it shares a stem with
-        next(classify.score_source(source, ["Violins hum softly. The clouds hum."]))
+        classify.passage_features("Violins hum softly. The clouds hum.", source)
         assert calls == [["cloud", "drift", "north"]]
 
     @given(st.lists(SENTENCE, min_size=1, max_size=6), SENTENCE)

@@ -33,7 +33,7 @@ from paraplag.engine import (
 from paraplag.errors import ParaplagError
 from paraplag.gst import InputTooLarge
 from paraplag.resources import KnowledgeStores, MalformedLine, TruncatedVector
-from paraplag.semsim import CHANNELS
+from paraplag.semsim import CHANNELS, Vocabulary
 
 from test_semsim_tables import FIXTURES, LEMMAS, VOCAB
 
@@ -242,7 +242,10 @@ lexicon_pairs = _lexicon_pairs().filter(lambda pairs: len(engine._batches(pairs)
 def _oracle_scores(pairs, config):
     """Each pair scored alone, with a vocabulary of its own."""
     stores, params = build_stores(config), feature_params(config)
-    return [next(score_source(p.source_text, [p.suspect_text], stores, params)) for p in pairs]
+    return [
+        next(score_source(p.source_text, [p.suspect_text], Vocabulary(stores), params))
+        for p in pairs
+    ]
 
 
 class TestExtractFeatures:
@@ -268,7 +271,8 @@ class TestExtractFeatures:
         assert score_pairs(pairs, EngineConfig(), jobs=2) == serial
         # in input order: each score is the pair's own
         assert serial == [
-            next(score_source(p.source_text, [p.suspect_text])) for p in pairs
+            next(score_source(p.source_text, [p.suspect_text], Vocabulary(KnowledgeStores())))
+            for p in pairs
         ]
 
     # each example starts a pool of two workers, each loading every store
@@ -325,7 +329,8 @@ class TestExtractFeatures:
 
         monkeypatch.setattr(classify, "PairTables", Tracked)
         source = "Rivers carve stone. Clouds drift."
-        scores = score_source(source, ["Rivers carve.", "Stone drifts."])
+        vocab = Vocabulary(KnowledgeStores())
+        scores = score_source(source, ["Rivers carve.", "Stone drifts."], vocab)
         next(scores)
         next(scores)
         assert len(refs) == 1 and refs[0]() is not None  # one table for every suspect
@@ -335,7 +340,7 @@ class TestExtractFeatures:
         refs.clear()
         live_at_build.clear()
         for p in synthetic_pairs(6):
-            list(score_source(p.source_text, [p.suspect_text]))
+            list(score_source(p.source_text, [p.suspect_text], Vocabulary(KnowledgeStores())))
         assert len(refs) == 6 and live_at_build == [0] * 6
 
     # extract_features wraps the scoring generator in a second one

@@ -226,8 +226,10 @@ class TestCanonicalize:
         # one "ﷺ" folds to 18 characters
         params = GstParams(min_tile=3, max_chars=20)
         assert gst_containment("a ﷺ", "a ﷺ", params) == 1.0
-        with pytest.raises(InputTooLarge, match="21 chars"):
+        with pytest.raises(InputTooLarge, match="^text of 4 chars is 21 once folded, over cap 20$"):
             gst_containment("ab ﷺ", "a ﷺ", params)
+        with pytest.raises(InputTooLarge, match="^text of 4 chars is 21 once folded, over cap 20$"):
+            gst_containment("a ﷺ", "ab ﷺ", params)
 
 
 class TestParams:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from paraplag.classify import SimilarityVector
+from paraplag.classify import SimilarityVector, passage_features
 
 ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -13,7 +13,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def test_readme_python_examples_run(tmp_path, monkeypatch, capsys):
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.DOTALL)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     # the example's relative paths, resolved in a working directory of their own
     (tmp_path / "wordnet").symlink_to(FIXTURES / "lexdb", target_is_directory=True)
     (tmp_path / "ic.dat").symlink_to(FIXTURES / "golden" / "ic.dat")
@@ -39,5 +39,10 @@ def test_readme_python_examples_run(tmp_path, monkeypatch, capsys):
     printed = [float(x) for x in capsys.readouterr().out.split()]
     assert printed[:3] == [vec.semantic, vec.syntactic, vec.insdel]
     assert vec.semantic == 1.0 and 0.0 < printed[3] < 1.0
+    # one vocabulary over several suspects scores each as it scores alone
+    source, stores = namespace["source_text"], namespace["stores"]
+    assert namespace["vectors"] == [
+        passage_features(suspect, source, stores) for suspect in namespace["suspects"]
+    ]
     labels, scores = namespace["labels"], namespace["scores"]
     assert labels.tolist() == [True] and scores.shape == (1,)

@@ -349,9 +349,9 @@ def passage_text(draw):
 def test_suspect_order_moves_no_score(stores, data):
     # the words a passage judges first depend on the passages before it
     source, a, b = (passage_text(data.draw) for _ in range(3))
-    alone = [next(score_source(source, [suspect], stores)) for suspect in (a, b)]
-    assert list(score_source(source, [a, b], stores)) == alone
-    assert list(score_source(source, [b, a], stores)) == alone[::-1]
+    alone = [next(score_source(source, [suspect], Vocabulary(stores))) for suspect in (a, b)]
+    assert list(score_source(source, [a, b], Vocabulary(stores))) == alone
+    assert list(score_source(source, [b, a], Vocabulary(stores))) == alone[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ class _FixedRows(Vocabulary):
         super().__init__(stores)
         self.rows_of = rows_of
 
-    def word(self, normalized, stem):
+    def word(self, normalized):
         return semsim.WordFacts((), self.rows_of[normalized])
 
 
@@ -495,7 +495,7 @@ def test_each_suspect_word_is_expanded_once_per_pair(monkeypatch):
     ics_calls = _count_calls(monkeypatch, "subsumer_ics")
     suspect = "The car chased a cat. A dog and the car slept."
     source = "An automobile passed. The canine barked loudly. A feline hid. Machines run."
-    score = next(score_source(source, [suspect], _counting_stores()))
+    score = next(score_source(source, [suspect], Vocabulary(_counting_stores())))
     assert "synonym" in _channels(score)
     # every suspect word is judged; source words are asked about subsumers only
     assert calls == _headwords([suspect])
@@ -557,7 +557,9 @@ def test_each_word_is_looked_up_once_per_run_across_sources(monkeypatch):
     assert ics_calls == _headwords(texts)
     assert max(normalized.values()) == max(calls.values()) == max(ics_calls.values()) == 1
     # the same scores as each pair on its own, with a vocabulary of its own
-    assert scores == [next(score_source(source, [suspect], stores)) for suspect, source in CROWD]
+    assert scores == [
+        next(score_source(source, [suspect], Vocabulary(stores))) for suspect, source in CROWD
+    ]
 
 
 def test_each_run_looks_words_up_afresh_and_drops_its_vocabulary(monkeypatch):
