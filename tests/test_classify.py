@@ -309,6 +309,21 @@ def passage_pairs(draw):
     return stores, FeatureParams(sem=th), draw(passage(3, words)), draw(passage(6, words))
 
 
+def test_the_vocabularys_stores_are_the_ones_scored_with():
+    source = "An automobile chased the cat. A dog ran home."
+    suspects = ["The car chased a cat.", "The canine ran."]
+    for stores in (STORES, KnowledgeStores()):
+        # one vocabulary shared by every suspect scores each pair as its own would
+        shared = [s.vector for s in classify.score_source(source, suspects, Vocabulary(stores))]
+        assert shared == [passage_features(sp, source, stores) for sp in suspects]
+    # the synonyms that make these pairs match come only from the vocabulary's lexdb
+    def semantic(stores):
+        return [s.vector.semantic for s in classify.score_source(source, suspects, Vocabulary(stores))]
+
+    assert semantic(STORES) == [1.0, 1.0]
+    assert all(score < 1.0 for score in semantic(KnowledgeStores()))
+
+
 class TestBestSentence:
     """Only sentences with candidates are matched, and every score is the scan cascade's."""
 
