@@ -18,6 +18,8 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields
+from itertools import groupby
+from operator import itemgetter
 from typing import ClassVar
 
 import numpy as np
@@ -212,14 +214,6 @@ class Confusion:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def __add__(self, other: "Confusion") -> "Confusion":
-        return Confusion(
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.fn + other.fn,
-            self.tn + other.tn,
-        )
-
     @classmethod
     def tally(cls, outcomes: Iterable[tuple[bool, bool]]) -> "Confusion":
         """Count (predicted, actual) outcomes."""
@@ -250,18 +244,14 @@ def auc_roc(scores: Sequence[float], labels: Sequence[bool]) -> float:
     n_neg = len(flags) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassInput("need at least one positive and one negative")
-    order = sorted(range(len(scores)), key=lambda i: scores[i])
-    ranks = [0.0] * len(scores)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = mean_rank
-        i = j + 1
-    rank_sum = sum(r for r, flag in zip(ranks, flags) if flag)
+    # ranks run from 1 in score order, and a tie group's rows share its mean
+    # rank, a multiple of 0.5: every partial sum below 2**53 is exact
+    rank_sum = 0.0
+    below = 0  # rows with a lower score
+    for _, group in groupby(sorted(zip(scores, flags), key=itemgetter(0)), key=itemgetter(0)):
+        group_flags = [flag for _, flag in group]
+        rank_sum += (2 * below + len(group_flags) + 1) / 2.0 * sum(group_flags)
+        below += len(group_flags)
     u_statistic = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u_statistic / (n_pos * n_neg)
 
@@ -463,8 +453,9 @@ class EvalReport:
     folds: tuple[FoldMetrics, ...]
 
 
-def build_report(confusion: Confusion, scores, labels, folds=()) -> EvalReport:
-    """Report for a confusion matrix, with AUC over the matching scores."""
+def build_report(predicted, scores, labels, folds=()) -> EvalReport:
+    """Report on pooled outcomes: the confusion of `predicted` against `labels`, AUC of `scores`."""
+    confusion = Confusion.tally(zip(predicted, labels))
     auc = auc_roc(scores, labels)
     return EvalReport(
         confusion, *metrics(confusion), auc, misclassification_rate(confusion), folds
@@ -513,17 +504,17 @@ def cross_validate(
                 f"got {spec.knn_k}"
             )
     points = feature_matrix(x for x, _ in dataset)
+    pooled_predicted: list[bool] = []
     pooled_scores: list[float] = []
     pooled_labels: list[bool] = []
     fold_metrics: list[FoldMetrics] = []
-    aggregate = Confusion(0, 0, 0, 0)
     for fold_index, test_indices in enumerate(folds):
         test = np.isin(np.arange(len(dataset)), test_indices)
         model = fit_classifier(spec, points[~test], labels[~test])
         predicted, scores = model.predict(points[test])
+        pooled_predicted.extend(predicted.tolist())
         pooled_scores.extend(scores.tolist())
         pooled_labels.extend(labels[test].tolist())
         confusion = Confusion.tally(zip(predicted, labels[test]))
         fold_metrics.append(FoldMetrics(fold_index, confusion, *metrics(confusion)))
-        aggregate = aggregate + confusion
-    return build_report(aggregate, pooled_scores, pooled_labels, tuple(fold_metrics))
+    return build_report(pooled_predicted, pooled_scores, pooled_labels, tuple(fold_metrics))

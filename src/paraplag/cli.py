@@ -96,18 +96,12 @@ def _load_pairs(args, config: EngineConfig) -> list[LabelledPair]:
         if args.truth is None:
             raise ConfigError("--corpus cs requires --truth TRUTH_FILE")
         pairs = load_clough_stevenson(args.corpus_path, args.truth)
-    elif kind == "jsonl":
+    else:  # jsonl, the last of the parser's choices
         pairs = load_pairs_jsonl(args.corpus_path)
-    else:  # argparse choices make this unreachable
-        raise ConfigError(f"unknown corpus kind {kind!r}")
-    sample = getattr(args, "sample", None)
-    if sample is not None:
-        if sample < 1:
-            raise ConfigError(f"--sample must be >= 1, got {sample}")
-        if sample < len(pairs):
-            rng = random.Random(config.seed)
-            keep = sorted(rng.sample(range(len(pairs)), sample))
-            pairs = [pairs[i] for i in keep]
+    if args.sample is not None and args.sample < len(pairs):
+        rng = random.Random(config.seed)
+        keep = sorted(rng.sample(range(len(pairs)), args.sample))
+        pairs = [pairs[i] for i in keep]
     return pairs
 
 
@@ -301,8 +295,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+        for name in ("jobs", "sample"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                parser.error(f"argument --{name}: must be at least 1, got {value}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

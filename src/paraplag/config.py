@@ -117,10 +117,7 @@ class EngineConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**raw)
 
 
 def load_config(path) -> EngineConfig:

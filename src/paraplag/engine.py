@@ -28,7 +28,6 @@ from dataclasses import asdict
 from functools import partial
 
 from .classify import (
-    Confusion,
     EvalReport,
     LabelledVector,
     PassageScore,
@@ -240,10 +239,7 @@ def threshold_report(scores: Sequence[float], labels: Sequence[bool], threshold:
         raise ValueError("scores and labels must align one-to-one")
     if not scores:
         raise ParaplagError("cannot evaluate an empty pair list")
-    confusion = Confusion.tally(
-        (score >= threshold, label) for score, label in zip(scores, labels)
-    )
-    return build_report(confusion, scores, labels)
+    return build_report([score >= threshold for score in scores], scores, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,6 @@ class ICTable:
     def __contains__(self, sid: SynsetId) -> bool:
         return sid in self._values
 
-    def __len__(self) -> int:
-        return len(self._values)
-
 
 def load_ic(path) -> ICTable:
     """Load a frequency-count file and convert counts to IC values."""

@@ -93,9 +93,6 @@ class LexicalStore:
         except KeyError:
             raise UnknownSynset(f"no synset {sid!r}") from None
 
-    def __contains__(self, sid: SynsetId) -> bool:
-        return sid in self._synsets
-
     def synset_count(self, pos: str) -> int:
         return sum(1 for (_, p) in self._synsets if p == pos)
 
@@ -164,17 +161,18 @@ def _parse_data_line(line: str, file: str, line_no: int) -> Synset:
 def _parse_index_line(
     line: str, pos: str, file: str, line_no: int
 ) -> tuple[str, tuple[SynsetId, ...]]:
+    # lemma pos synset_cnt p_cnt [ptr_symbol]*p_cnt sense_cnt tagsense_cnt [offset]*synset_cnt
     fields = line.split()
     if len(fields) < 5:
         raise MalformedLine(file, line_no, "too few fields")
     lemma = fields[0].lower()
     try:
-        synset_cnt = int(fields[2])
-        offsets = [int(x) for x in fields[-synset_cnt:]]
-    except (ValueError, IndexError) as exc:
+        synset_cnt, p_cnt = int(fields[2]), int(fields[3])
+        if synset_cnt < 1 or p_cnt < 0 or len(fields) != 6 + p_cnt + synset_cnt:
+            raise MalformedLine(file, line_no, "bad synset count")
+        offsets = [int(x) for x in fields[6 + p_cnt:]]
+    except ValueError as exc:
         raise MalformedLine(file, line_no, str(exc)) from None
-    if synset_cnt <= 0 or len(offsets) != synset_cnt:
-        raise MalformedLine(file, line_no, "bad synset count")
     return lemma, tuple((o, pos) for o in offsets)
 
 

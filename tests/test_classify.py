@@ -497,11 +497,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Confusion(-1, 0, 0, 0)
 
-    def test_confusion_addition(self):
-        total = Confusion(1, 2, 3, 4) + Confusion(10, 20, 30, 40)
-        assert total == Confusion(11, 22, 33, 44)
-        assert total.total == 110
-
 
 class TestAucRoc:
     def test_perfect_separation(self):
@@ -554,6 +549,38 @@ class TestAucRoc:
             scores = [rng.choice(grid) for _ in range(n)]
             stretched = [2.0 * s + 1.0 for s in scores]
             assert auc_roc(scores, labels) == auc_roc(stretched, labels)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="scores and labels must align"):
+            auc_roc([0.1, 0.2, 0.3], [True, False])
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0]), st.booleans()),
+                    min_size=2, max_size=200).filter(
+                        lambda rows: len({label for _, label in rows}) == 2))
+    def test_equals_the_rank_array_oracle(self, rows):
+        scores, labels = [score for score, _ in rows], [label for _, label in rows]
+        assert auc_roc(scores, labels) == oracle_auc_roc(scores, labels)
+
+
+def oracle_auc_roc(scores, labels) -> float:
+    """Mann-Whitney AUC from a rank per row, each tie group at its mean rank."""
+    flags = [bool(l) for l in labels]
+    n_pos = sum(flags)
+    n_neg = len(flags) - n_pos
+    order = sorted(range(len(scores)), key=lambda i: scores[i])
+    ranks = [0.0] * len(scores)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        mean_rank = (i + j) / 2.0 + 1.0
+        for pos in range(i, j + 1):
+            ranks[order[pos]] = mean_rank
+        i = j + 1
+    rank_sum = sum(r for r, flag in zip(ranks, flags) if flag)
+    u_statistic = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return u_statistic / (n_pos * n_neg)
 
 
 class TestKnn:
@@ -824,10 +851,12 @@ class TestModelPersistence:
 
 
 def oracle_cross_validate(dataset, spec: ClassifierSpec, k: int, seed: int) -> classify.EvalReport:
-    """`cross_validate` with a training list per fold and one oracle call per test row."""
+    """`cross_validate` with a training list per fold and one oracle call per test row.
+
+    The report's confusion is the sum of the folds' counts.
+    """
     folds = stratified_folds([lab for _, lab in dataset], k, seed)
     scores, truths, fold_metrics = [], [], []
-    aggregate = Confusion(0, 0, 0, 0)
     for fold_index, test_indices in enumerate(folds):
         held_out = set(test_indices)
         train = [dataset[i] for i in range(len(dataset)) if i not in held_out]
@@ -846,8 +875,12 @@ def oracle_cross_validate(dataset, spec: ClassifierSpec, k: int, seed: int) -> c
             outcomes.append((predicted, truth))
         confusion = Confusion.tally(outcomes)
         fold_metrics.append(classify.FoldMetrics(fold_index, confusion, *metrics(confusion)))
-        aggregate = aggregate + confusion
-    return classify.build_report(aggregate, scores, truths, tuple(fold_metrics))
+    counts = [fold.confusion for fold in fold_metrics]
+    total = Confusion(*(sum(getattr(c, name) for c in counts) for name in ("tp", "fp", "fn", "tn")))
+    return classify.EvalReport(
+        total, *metrics(total), auc_roc(scores, truths), misclassification_rate(total),
+        tuple(fold_metrics),
+    )
 
 
 # binary-grid values tie distances exactly and give equal class variances

@@ -410,6 +410,18 @@ class TestExitCodes:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "baseline", "fit"])
+    def test_sample_below_one_rejected_before_loading(self, tmp_path, capsys, command):
+        # neither the config nor the corpus exists: the flag is checked first
+        out = tmp_path / "out"
+        rc = main(
+            [command, str(tmp_path / "no-corpus.jsonl"), "--corpus", "jsonl",
+             "--config", str(tmp_path / "no-config.json"), "--out", str(out), "--sample", "0"]
+        )
+        assert rc == 2
+        assert "argument --sample: must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_pair_error_names_the_pair(self, tmp_path, capsys, jobs):
         corpus = write_corpus(tmp_path)

@@ -217,6 +217,17 @@ class TestLoadCloughStevenson:
         pairs = load_clough_stevenson(root, root / "truth.csv")
         assert count_labels(pairs) == (2, 1, 1)
 
+    def test_blank_and_comment_lines_between_truth_rows_skipped(self, tmp_path):
+        root = tmp_path / "cs"
+        shutil.copytree(FIXTURES / "cs", root)
+        header, *rows = (FIXTURES / "cs" / "truth.csv").read_text().splitlines()
+        spaced = [header, "# rows follow", ""]
+        for row in rows:
+            spaced += [row, "", "  # a note", "   "]
+        (root / "truth.csv").write_text("\n".join(spaced) + "\n")
+        expected = load_clough_stevenson(FIXTURES / "cs", FIXTURES / "cs" / "truth.csv")
+        assert load_clough_stevenson(root, root / "truth.csv") == expected
+
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):

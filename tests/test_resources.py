@@ -151,6 +151,22 @@ class TestLexdbLoading:
         )
 
     @pytest.mark.parametrize(
+        "line",
+        ["dog n 2 0 2 0 02084071", "dog n 0 0 0 0 02084071", "dog n 9 0 0 0 02084071",
+         "dog n 1 2 @ 1 0 02084071", "dog n 1 -1 1 0 02084071"],
+        ids=["tagsense-count-as-offset", "no-synsets", "too-few-offsets",
+             "too-few-pointer-symbols", "negative-pointer-count"],
+    )
+    def test_index_line_off_its_layout_rejected(self, tmp_path, line):
+        self._copy_fixture(tmp_path)
+        index = tmp_path / "index.noun"
+        n = len(index.read_text().splitlines())
+        index.write_text(index.read_text() + line + "\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_lexdb(tmp_path)
+        assert str(exc.value) == f"{index}:{n + 1}: bad synset count"
+
+    @pytest.mark.parametrize(
         "appended, on_cycle",
         [
             (["00000001 05 n 01 hen 0 001 @ 00000002 n 0000 | one side of a loop",
@@ -396,6 +412,19 @@ class TestEmbeddings:
         with pytest.raises(TruncatedVector) as exc:
             load_embeddings(path, "text")
         assert exc.value.word == "apple"
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("header", ["-1 3", "2 0"])
+    def test_implausible_header_rejected(self, tmp_path, fmt, header):
+        path = tmp_path / "vecs"
+        path.write_bytes(header.encode("ascii") + b"\napple 1 0 0\n")
+        with pytest.raises(HeaderMismatch) as exc:
+            load_embeddings(path, fmt)
+        assert str(exc.value) == f"{path}: implausible header values {header}"
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(MissingFile, match="embedding file not found"):
+            load_embeddings(tmp_path / "absent.txt", "text")
 
     def test_header_count_enforced(self, tmp_path):
         path = tmp_path / "vecs.txt"
