@@ -140,8 +140,8 @@ def score_source(
     token lists kept for word order.  All go when the generator is done.
 
     One walk over a suspect's sentences computes all three dimensions,
-    after the table judges the embedding channel for the passage's words at
-    once.  Each dimension's best over the source sentences is the full
+    after `PairTables.judge` decides the candidates of the passage's words,
+    all four channels, at once.  Each dimension's best over the source sentences is the full
     scan's bit for bit, and two of them compare only the sentences that can
     win:
 
@@ -161,7 +161,7 @@ def score_source(
         sp_sentences = preprocess_passage(suspect, stopwords, vocab.forms)
         if not sp_sentences or not sr_sentences:
             raise EmptyPassage("both passages need at least one sentence")
-        tables.embed(query for sp in sp_sentences for query in sp.content_tokens)
+        tables.judge(query for sp in sp_sentences for query in sp.content_tokens)
         semantic_maxima = []
         syntactic_maxima = []
         insdel_maxima = []

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict
 from functools import partial
@@ -125,6 +124,9 @@ def parallel_map(
         if jobs == 1:
             outputs = map(partial(_run_task, task, setup(config)), inputs)
         else:
+            # imported here, so that a run in this process never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=min(jobs, len(batches)))
             # on the way out, failing or not: drop the batches not yet started
             stack.callback(pool.shutdown, cancel_futures=True)

@@ -36,12 +36,12 @@ only over the sentences that can be it: a sentence no suspect word has a
 candidate in matches nothing, and one cannot match more suspect words
 than have a candidate there.
 
-The embedding channel is judged for a whole suspect passage at once
-(`PairTables.embed`): one einsum of the vectors of its words not judged
-yet against the source vectors, in blocks of bounded size.  einsum sums
-every product in one order whatever the operands' shapes, so a pair's
-score depends only on its two words, not on the passage or the source
-around them.
+`PairTables.judge` decides all four channels for a whole suspect passage
+at once, and a word asked about alone goes through it too.  The embedding
+channel is one einsum of the vectors of the words not judged yet against
+the source vectors, in blocks of bounded size.  einsum sums every product
+in one order whatever the operands' shapes, so a pair's score depends only
+on its two words, not on the passage or the source around them.
 """
 
 from __future__ import annotations
@@ -176,25 +176,27 @@ class PairTables:
     normalized form is the one key of a word.
 
     Per-word facts, for suspect and source words alike, come from the run's
-    `vocab`; the table keeps only what depends on its source.  A suspect
-    word's verdict maps every source form that some channel fires for to
-    (channel rank, -score), the earliest channel winning:
+    `vocab`; the table keeps only what depends on its source.  `judge` is
+    where every verdict is made.  A suspect word's verdict maps every source
+    form that some channel fires for to (channel rank, -score), the earliest
+    channel winning:
 
       exact      the forms sharing the query's stem
       synonym    the forms sharing a synonym's stem
-      embedding  best cosines of at least `embed_min`, from `embed`: one
-                 einsum per suspect passage of its words' vectors against
-                 every source vector, so a pair's score depends only on its
-                 two words
+      embedding  best cosines of at least `embed_min`: one einsum per block
+                 of the judged words' vectors against every source vector,
+                 so a pair's score depends only on its two words
       resnik     the IC of the most informative shared subsumer, when at
                  least `resnik_min`, from the query's ranked subsumers in a
                  subsumer -> forms index; only with both the lexdb and IC table
 
-    Its candidates, filled on first use, are the occurrences of those forms
-    grouped by sentence id and sorted by (channel rank, -score, position):
-    the cascade's tie rule of earliest channel, then highest score, then
-    first in the sentence.  `thresholds` are fixed for the run, so a table
-    serves only matches made with them.
+    A word's candidates are the occurrences of those forms grouped by
+    sentence id and sorted by (channel rank, -score, position): the
+    cascade's tie rule of earliest channel, then highest score, then first
+    in the sentence.  `judge` fills them for a whole suspect passage at
+    once, and `candidates` reads them, judging a word alone the first time
+    it is asked about one not judged yet.  `thresholds` are fixed for the
+    run, so a table serves only matches made with them.
     """
 
     def __init__(
@@ -219,45 +221,68 @@ class PairTables:
                     (sr.sentence_id, tok.index)
                 )
         self._candidates: dict[str, dict[int, list[Candidate]]] = {}
-        # normalized form -> its (source form, best cosine) pairs of at least embed_min
-        self._embedded: dict[str, tuple[tuple[str, float], ...]] = {}
 
     def candidates(self, query: Token) -> dict[int, list[Candidate]]:
         """Sentence id -> the query's candidates there, best first; only sentences with some.
 
-        The memo hands the same dict and lists to every caller, which must not change them.
+        A query not judged yet is judged alone.  The memo hands the same
+        dict and lists to every caller, which must not change them.
         """
         found = self._candidates.get(query.normalized)
         if found is None:
+            self.judge((query,))
+            found = self._candidates[query.normalized]
+        return found
+
+    def judge(self, queries: Iterable[Token]) -> None:
+        """Fill the candidates of every query form not judged yet, in the cascade's order.
+
+        The embedding channel comes first, for all those forms together: a
+        form's best `cosine` per source word is the maximum over its
+        embedding rows.  The rows of whole forms are stacked in blocks of at
+        most `_BLOCK_ELEMENTS` (rows x source words), and each block is one
+        einsum against the source vectors.  einsum sums each product in one
+        order whatever the operands' shapes, so a pair's score depends only
+        on its two words: a form judged with a whole passage gets the
+        candidates it gets alone.  Without embedding rows, no numpy work is
+        done.
+        """
+        pending = {q.normalized: q for q in queries if q.normalized not in self._candidates}
+        rows = {form: r for form in pending if (r := self.vocab.word(form).rows)}
+        embedded: dict[str, list[tuple[str, float]]] = {}
+        if rows and self._source_vectors[0]:
+            budget = max(1, _BLOCK_ELEMENTS // len(self._source_vectors[0]))
+            block: list[str] = []
+            stacked = 0
+            for form, form_rows in rows.items():
+                if block and stacked + len(form_rows) > budget:
+                    embedded.update(self._embed_block(block, rows))
+                    block, stacked = [], 0
+                block.append(form)
+                stacked += len(form_rows)
+            embedded.update(self._embed_block(block, rows))
+        by_stem = self._forms_by_stem
+        for form, query in pending.items():
+            verdict = dict.fromkeys(by_stem.get(query.stem, ()), (0, -1.0))
+            for stem in self.vocab.word(form).synonym_stems:
+                for source in by_stem.get(stem, ()):
+                    verdict.setdefault(source, (1, -1.0))
+            for source, value in embedded.get(form, ()):
+                verdict.setdefault(source, (2, -value))
+            # highest IC first: a source form's first entry is its best shared subsumer
+            for key, value in self.vocab.subsumers(form):
+                if value < self.thresholds.resnik_min:
+                    break
+                for source in self._forms_by_subsumer.get(key, ()):
+                    verdict.setdefault(source, (3, -value))
             ranked: dict[int, list[tuple[int, float, int]]] = {}
-            for form, (rank, neg) in self._judge(query).items():
-                for sid, index in self._occurrences[form]:
+            for source, (rank, neg) in verdict.items():
+                for sid, index in self._occurrences[source]:
                     ranked.setdefault(sid, []).append((rank, neg, index))
-            found = self._candidates[query.normalized] = {
+            self._candidates[form] = {
                 sid: [(index, CHANNELS[rank], -neg) for rank, neg, index in sorted(entries)]
                 for sid, entries in ranked.items()
             }
-        return found
-
-    def _judge(self, query: Token) -> dict[str, tuple[int, float]]:
-        """Source form -> (index in CHANNELS, -score) of the first channel firing for it."""
-        facts = self.vocab.word(query.normalized)
-        by_stem = self._forms_by_stem
-        verdict = dict.fromkeys(by_stem.get(query.stem, ()), (0, -1.0))
-        for stem in facts.synonym_stems:
-            for form in by_stem.get(stem, ()):
-                verdict.setdefault(form, (1, -1.0))
-        if query.normalized not in self._embedded:
-            self.embed((query,))
-        for form, value in self._embedded.get(query.normalized, ()):
-            verdict.setdefault(form, (2, -value))
-        # highest IC first: a form's first entry is its best shared subsumer
-        for key, value in self.vocab.subsumers(query.normalized):
-            if value < self.thresholds.resnik_min:
-                break
-            for form in self._forms_by_subsumer.get(key, ()):
-                verdict.setdefault(form, (3, -value))
-        return verdict
 
     @cached_property
     def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
@@ -268,50 +293,10 @@ class PairTables:
         source_sq = np.einsum("ij,ij->i", matrix, matrix)
         return tuple(rows), matrix, source_sq, source_sq == 0.0
 
-    def embed(self, queries: Iterable[Token]) -> None:
-        """Judge the embedding channel at once for every query form not judged yet.
-
-        A form's best `cosine` per source word is the maximum over its
-        embedding rows; the (source form, score) pairs of at least
-        `embed_min` are memoized for `_judge`.  The rows of whole forms are
-        stacked in blocks of at most `_BLOCK_ELEMENTS` (rows x source words),
-        and each block is one einsum against the source vectors.  einsum
-        sums each product in one order whatever the operands' shapes, so a
-        pair's score depends only on its two words.  Without embeddings, or
-        with no new rows, no numpy work is done.
-        """
-        emb = self.vocab.stores.embeddings
-        if emb is None:
-            return
-        memo = self._embedded
-        pending: dict[str, tuple[int, ...]] = {}
-        for query in queries:
-            form = query.normalized
-            if form not in memo and form not in pending:
-                rows = self.vocab.word(form).rows
-                if rows:
-                    pending[form] = rows
-                else:
-                    memo[form] = ()
-        if not pending:
-            return
-        words, sources, source_sq, source_zero = self._source_vectors
-        if not words:
-            memo.update(dict.fromkeys(pending, ()))
-            return
-        budget = max(1, _BLOCK_ELEMENTS // len(words))
-        block: list[str] = []
-        stacked = 0
-        for form, rows in pending.items():
-            if block and stacked + len(rows) > budget:
-                self._embed_block(block, pending)
-                block, stacked = [], 0
-            block.append(form)
-            stacked += len(rows)
-        self._embed_block(block, pending)
-
-    def _embed_block(self, forms: list[str], rows: dict[str, tuple[int, ...]]) -> None:
-        """Memoize the embedding verdicts of `forms`, each with at least one of its `rows`."""
+    def _embed_block(
+        self, forms: list[str], rows: dict[str, tuple[int, ...]]
+    ) -> dict[str, list[tuple[str, float]]]:
+        """Form -> its (source form, best cosine) pairs of at least `embed_min`, for `forms`."""
         words, sources, source_sq, source_zero = self._source_vectors
         queries = self.vocab.stores.embeddings.vectors([r for form in forms for r in rows[form]])
         query_sq = np.einsum("ij,ij->i", queries, queries)
@@ -324,14 +309,13 @@ class PairTables:
         value[(query_sq == 0.0)[:, None] | source_zero] = 0.0
         starts = np.cumsum([0] + [len(rows[form]) for form in forms[:-1]])
         best = np.maximum.reduceat(value, starts, axis=0)
-        found: dict[int, list[tuple[str, float]]] = {}
+        found: dict[str, list[tuple[str, float]]] = {}
         hit_forms, hit_words = np.nonzero(best >= self.thresholds.embed_min)
         for i, j, score in zip(
             hit_forms.tolist(), hit_words.tolist(), best[hit_forms, hit_words].tolist()
         ):
-            found.setdefault(i, []).append((words[j], score))
-        for i, form in enumerate(forms):
-            self._embedded[form] = tuple(found.get(i, ()))
+            found.setdefault(forms[i], []).append((words[j], score))
+        return found
 
     @cached_property
     def _forms_by_subsumer(self) -> dict[tuple, list[str]]:

@@ -94,32 +94,6 @@ class ProcessedSentence:
     content_tokens: tuple[Token, ...]
 
 
-def _parse_stopwords(text: str) -> frozenset[str]:
-    """One lowercase word per line, '#' comments; any newline convention."""
-    words = set()
-    for line in io.StringIO(text, newline=None):
-        word = line.split("#", 1)[0].strip()
-        if word:
-            words.add(word.lower())
-    return frozenset(words)
-
-
-def load_stopwords(path) -> frozenset[str]:
-    """Load a stopword list: one lowercase word per line, '#' comments.
-
-    A byte that is not UTF-8 raises ParaplagError naming the file and the line.
-    """
-    with open(path, "rb") as fh:
-        return _parse_stopwords(decode_utf8(fh.read(), path))
-
-
-# The built-in English list; `frozenset()` as a stopword set keeps every token.
-STOPWORDS = _parse_stopwords(
-    (importlib_resources.files("paraplag") / "data" / "stopwords_english.txt")
-    .read_text(encoding="utf-8")
-)
-
-
 def _strip_marks(surface: str, form: str) -> str:
     """surface decomposed under `form` ("NFKD" or "NFD"), without its combining marks."""
     decomposed = unicodedata.normalize(form, surface)
@@ -135,6 +109,35 @@ def normalize(surface: str) -> str:
     to "".
     """
     return (_strip_marks(surface, "NFKD") or _strip_marks(surface, "NFD")).lower()
+
+
+def _parse_stopwords(text: str) -> frozenset[str]:
+    """The normalized form of each word, one per line, '#' comments; any newline convention."""
+    words = set()
+    for line in io.StringIO(text, newline=None):
+        word = line.split("#", 1)[0].strip()
+        if word:
+            words.add(normalize(word))
+    return frozenset(words)
+
+
+def load_stopwords(path) -> frozenset[str]:
+    """Load a stopword list: one word per line, '#' comments, kept by normalized form.
+
+    A token is a stopword when its normalized form is in the set, so "été"
+    in the file filters "Été" and "ete" alike.
+
+    A byte that is not UTF-8 raises ParaplagError naming the file and the line.
+    """
+    with open(path, "rb") as fh:
+        return _parse_stopwords(decode_utf8(fh.read(), path))
+
+
+# The built-in English list; `frozenset()` as a stopword set keeps every token.
+STOPWORDS = _parse_stopwords(
+    (importlib_resources.files("paraplag") / "data" / "stopwords_english.txt")
+    .read_text(encoding="utf-8")
+)
 
 
 def _word_before(text: str, pos: int) -> str:
@@ -219,9 +222,9 @@ def preprocess_passage(
 
     The text is composed (NFC) before it is split, so canonically
     equivalent texts preprocess alike.  Sentences are numbered in order of
-    appearance.  content_tokens holds
-    the same Token objects as all_tokens minus stopwords, so indices stay
-    comparable across the two views.
+    appearance.  content_tokens holds the same Token objects as all_tokens
+    minus stopwords, the tokens whose normalized form is in `stopwords`, so
+    indices stay comparable across the two views.
 
     Each distinct surface is normalized, and each distinct normalized form
     stemmed, once per `forms`; without one, a fresh one serves this passage

@@ -1,5 +1,6 @@
 """Command-line behaviour: commands, outputs, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import os
 import random
@@ -399,7 +400,7 @@ class TestExitCodes:
         def no_pool(*args, **kwargs):
             raise AssertionError("no pool may start")
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         corpus = write_corpus(tmp_path)
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -515,22 +516,23 @@ class TestEvaluate:
     def test_debug_traces_reuse_the_scoring_pass(self, tmp_path, capsys, monkeypatch):
         # traces are a view of the feature pass: no word's candidates are
         # computed twice
-        calls = []
-        judge = semsim.PairTables._judge
+        judged = []
+        judge = semsim.PairTables.judge
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return judge(*args, **kwargs)
+        def counted(self, queries):
+            before = len(self._candidates)
+            judge(self, queries)
+            judged.append(len(self._candidates) - before)
 
-        monkeypatch.setattr(semsim.PairTables, "_judge", counted)
+        monkeypatch.setattr(semsim.PairTables, "judge", counted)
         corpus = write_corpus(tmp_path, n=8)
         cfg = write_config(tmp_path, folds=2, knn_k=3)
         base = ["evaluate", corpus, "--corpus", "jsonl", "--config", cfg]
         assert main(base + ["--out", str(tmp_path / "plain")]) == 0
-        untraced = len(calls)
+        untraced = sum(judged)
         assert main(base + ["--out", str(tmp_path / "traced"), "--debug-traces"]) == 0
         assert untraced > 0
-        assert len(calls) - untraced == untraced
+        assert sum(judged) - untraced == untraced
         capsys.readouterr()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -717,16 +719,33 @@ class TestFitAndCrossval:
         capsys.readouterr()
 
 
+def _child_env():
+    """The environment of a child that imports the package this test imported, installed or not."""
+    package_root = os.path.dirname(os.path.dirname(paraplag.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path)
         a = write_text(tmp_path, "a.txt", "Rivers carve stone.\n")
-        # the child imports the package this test imported, installed or not
-        package_root = os.path.dirname(os.path.dirname(paraplag.__file__))
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "paraplag.cli", "score", str(a), str(a), "--config", cfg],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["label"] == "paraphrased"
+
+    def test_import_loads_no_process_pool(self):
+        # only a pool run pays for importing multiprocessing
+        code = (
+            "import sys, paraplag.cli, paraplag.engine; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+            "or m == 'concurrent.futures.process'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -1,5 +1,6 @@
 """Pair-scoring pipeline: feature extraction, baseline scores, CSV tables."""
 
+import concurrent.futures
 import pickle
 import random
 import tempfile
@@ -178,7 +179,7 @@ class TestParallelMap:
             started.append(max_workers)
             return ProcessPoolExecutor(max_workers, **kwargs)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", recorded)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
         pairs = [make_pair(i, "A river.", "The stone.") for i in range(3)]
         setup = partial(_directory, None)
         got = parallel_map(_pair_ids, setup, EngineConfig(), pairs, jobs=4)

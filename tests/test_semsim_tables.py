@@ -155,12 +155,18 @@ def oracle_match_sentence(sp, sr, stores, th):
     return matches
 
 
-def scan_match_word(query, source_remaining, tables):
-    """The source word with the smallest verdict: earliest channel, highest score, first."""
-    verdict = tables._judge(query)
+def scan_match_word(query, sid, source_remaining, tables):
+    """The word of sentence `sid` with the smallest verdict: earliest channel, highest score, first.
+
+    Each source word's verdict, (channel rank, -score), is read off the
+    query's candidates there, whatever their order.
+    """
+    listed = tables.candidates(query).get(sid, [])
+    verdict = {index: (semsim.CHANNELS.index(channel), -score) for index, channel, score in listed}
+    assert len(verdict) == len(listed)  # no source word is listed twice
     best_tok, best = None, (len(semsim.CHANNELS), 0.0)
     for tok in source_remaining:
-        judged = verdict.get(tok.normalized)
+        judged = verdict.get(tok.index)
         if judged is not None and judged < best:
             best_tok, best = tok, judged
     if best_tok is None:
@@ -172,7 +178,7 @@ def scan_match_sentence(sp, sr, tables):
     remaining = list(sr.content_tokens)
     matches = []
     for query in sp.content_tokens:
-        found = scan_match_word(query, remaining, tables)
+        found = scan_match_word(query, sr.sentence_id, remaining, tables)
         if found is not None:
             matches.append(found)
             remaining = [t for t in remaining if t.index != found.source_index]
@@ -330,7 +336,7 @@ def test_candidates_hold_exactly_the_sentences_a_word_matches_in(case):
     for query in sp.content_tokens:
         candidates = tables.candidates(query)
         for sr in sources:
-            found = scan_match_word(query, sr.content_tokens, tables)
+            found = scan_match_word(query, sr.sentence_id, sr.content_tokens, tables)
             assert (sr.sentence_id in candidates) == (found is not None)
             assert (found is not None) == (
                 oracle_match_word(query, sr.content_tokens, stores, th) is not None
@@ -343,6 +349,22 @@ def test_candidates_hold_exactly_the_sentences_a_word_matches_in(case):
 
 def passage_text(draw):
     return " ".join(sentence_text(draw) for _ in range(draw(st.integers(1, 3))))
+
+
+@given(stores_and_thresholds(), st.integers(1, 64), st.data())
+def test_judging_a_passage_at_once_gives_each_words_candidates_alone(stores_th, budget, data):
+    stores, th = stores_th
+    suspect = preprocess_passage(passage_text(data.draw))
+    sources = preprocess_passage(passage_text(data.draw))
+    queries = [query for sp in suspect for query in sp.content_tokens]
+    tables = PairTables(sources, Vocabulary(stores), th)
+    # stacked in embedding blocks of any size
+    with mock.patch.object(semsim, "_BLOCK_ELEMENTS", budget):
+        tables.judge(queries)
+    for query in queries:
+        alone = PairTables(sources, Vocabulary(stores), th)
+        alone.judge((query,))
+        assert tables.candidates(query) == alone.candidates(query)
 
 
 @given(st.builds(KnowledgeStores, st.just(LEXDB), ic_tables(), vectors()), st.data())
@@ -377,11 +399,16 @@ def _sentence(words):
 
 
 def _embedding_scores(store, rows_of, source, passage, query):
-    """Source word -> the query's best cosine, with the table judging `passage` at once."""
+    """Source word -> the query's best cosine, with the table judging `passage` at once.
+
+    The words are in source order.
+    """
     vocab = _FixedRows(KnowledgeStores(embeddings=store), rows_of)
     tables = PairTables([_sentence(source)], vocab, SemThresholds(embed_min=0.0))
-    tables.embed(_sentence(passage).content_tokens)
-    return dict(tables._embedded[query])
+    tables.judge(_sentence(passage).content_tokens)
+    [[sid, candidates]] = tables.candidates(_sentence([query]).content_tokens[0]).items()
+    assert sid == 0 and {channel for _, channel, _ in candidates} == {"embedding"}
+    return {source[index]: score for index, _, score in sorted(candidates)}
 
 
 @st.composite
@@ -433,16 +460,25 @@ def test_an_embedding_score_depends_only_on_its_two_words(context, budget):
 
 
 def test_the_embedding_pass_does_no_numpy_work_without_rows(monkeypatch):
-    blocks = []
-    monkeypatch.setattr(PairTables, "_embed_block", lambda self, *args: blocks.append(args))
-    source, [suspect] = "Machines run. A dog slept.", preprocess_passage("The cat hid.")
+    calls = []
+
+    def counted(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
+    source, [suspect] = "A machine ran. A dog slept.", preprocess_passage("The cat hid.")
     store = embedding_store({"machine": np.ones(DIM, np.float32)}, DIM)
+    monkeypatch.setattr(store, "vectors", counted("vectors", store.vectors))
     for stores in (KnowledgeStores(lexdb=LEXDB), KnowledgeStores(embeddings=store)):
         vocab = Vocabulary(stores)
         tables = PairTables(preprocess_passage(source, forms=vocab.forms), vocab, SemThresholds())
-        tables.embed(suspect.content_tokens)
-        assert "_source_vectors" not in vars(tables)
-    assert blocks == []
+        tables.judge(suspect.content_tokens)
+        assert all(tables.candidates(query) == {} for query in suspect.content_tokens)
+    assert calls == []
+    # the same table reads and multiplies vectors for a word with a row
+    [machine] = preprocess_passage("Machine.")[0].content_tokens
+    assert tables.candidates(machine) == {0: [(1, "exact", 1.0)]}
+    assert set(calls) == {"vectors", "einsum"}
 
 
 def test_source_sentence_ids_must_increase():

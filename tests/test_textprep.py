@@ -247,6 +247,17 @@ def test_stopword_file_loading(tmp_path):
     assert words == frozenset({"the", "of", "and"})
 
 
+def test_stopword_file_words_are_compared_by_normalized_form(tmp_path):
+    # accents, capitals and compatibility characters (the "fi" ligature) fold away
+    path = tmp_path / "stop.txt"
+    path.write_text("été\nÀ\n\ufb01n\n", encoding="utf-8")
+    words = load_stopwords(path)
+    assert words == frozenset({"ete", "a", "fin"})
+    [sentence] = preprocess_passage("Il a été à la fin.", words)
+    assert [t.surface for t in sentence.content_tokens] == ["Il", "la"]
+    assert all(normalize(word) == word for word in STOPWORDS)
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_stopword_file_not_utf8_names_file_and_line(tmp_path, newline):
     path = tmp_path / "stop.txt"
