@@ -105,12 +105,6 @@ def _load_pairs(args, config: EngineConfig) -> list[LabelledPair]:
     return pairs
 
 
-def _ensure_out_dir(args) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _write_report(out_dir: str, name: str, report: EvalReport) -> str:
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
@@ -181,7 +175,7 @@ def cmd_score(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _effective_config(args)
     pairs = _load_pairs(args, config)
-    out_dir = _ensure_out_dir(args)
+    os.makedirs(args.out, exist_ok=True)
     if args.debug_traces:
         scores = score_pairs(pairs, config, jobs=args.jobs)
         vectors = [s.vector for s in scores]
@@ -192,20 +186,21 @@ def cmd_evaluate(args) -> int:
     report = cross_validate(
         dataset, classifier_spec(config), k=config.folds, seed=config.seed
     )
-    _write_report(out_dir, "report.json", report)
-    write_feature_csv(os.path.join(out_dir, "features.csv"), pairs, vectors)
+    _write_report(args.out, "report.json", report)
+    write_feature_csv(os.path.join(args.out, "features.csv"), pairs, vectors)
     _print_report(report, f"{config.classifier} over {len(pairs)} pairs, {config.folds}-fold")
     if args.baseline:
-        _run_baseline(out_dir, pairs, config, args.jobs)
+        _run_baseline(args.out, pairs, config, args.jobs)
     if args.debug_traces:
-        _write_traces(out_dir, pairs, scores)
+        _write_traces(args.out, pairs, scores)
     return 0
 
 
 def cmd_baseline(args) -> int:
     config = _effective_config(args)
     pairs = _load_pairs(args, config)
-    _run_baseline(_ensure_out_dir(args), pairs, config, args.jobs)
+    os.makedirs(args.out, exist_ok=True)
+    _run_baseline(args.out, pairs, config, args.jobs)
     return 0
 
 
@@ -217,12 +212,12 @@ def cmd_fit(args) -> int:
         raise InsufficientData(
             f"knn_k must be <= {len(pairs)}, the number of training pairs, got {spec.knn_k}"
         )
-    out_dir = _ensure_out_dir(args)
+    os.makedirs(args.out, exist_ok=True)
     vectors = extract_features(pairs, config, jobs=args.jobs)
     model = fit_classifier(spec, feature_matrix(vectors), [p.is_paraphrased for p in pairs])
-    model_path = os.path.join(out_dir, "model.json")
+    model_path = os.path.join(args.out, "model.json")
     save_model(model, model_path)
-    write_feature_csv(os.path.join(out_dir, "features.csv"), pairs, vectors)
+    write_feature_csv(os.path.join(args.out, "features.csv"), pairs, vectors)
     print(f"fitted {config.classifier} on {len(pairs)} pairs -> {model_path}")
     return 0
 
@@ -233,11 +228,11 @@ def cmd_crossval(args) -> int:
         ids, dataset = read_feature_csv(args.features)
     except OSError as exc:
         raise ParaplagError(f"cannot read feature table {args.features}: {exc}") from exc
-    out_dir = _ensure_out_dir(args)
+    os.makedirs(args.out, exist_ok=True)
     report = cross_validate(
         dataset, classifier_spec(config), k=config.folds, seed=config.seed
     )
-    _write_report(out_dir, "report.json", report)
+    _write_report(args.out, "report.json", report)
     _print_report(report, f"{config.classifier} over {len(ids)} rows, {config.folds}-fold")
     return 0
 

@@ -4,23 +4,24 @@ Scores labelled text pairs (vectors, and the word matches that traces
 show), computes tiling-containment baseline scores, builds evaluation
 reports, and round-trips per-pair feature tables as CSV.  Every fan-out
 goes through `parallel_map`, which groups the pairs by source text and
-hands a task one source and its pairs at a time, in the same batches of
-about eight pairs at any number of jobs.  One job runs the batches in
-this process after one set-up (loading stores, say); a pool's workers
-each run the set-up before their first batch.  So each source's
-preprocessing, word tables and tiling index are built once per run, and
-one at a time.  Scoring's set-up also makes the run's `semsim.Vocabulary`,
-so what depends on a word alone (its normalized form and stem, its
-synonyms, embedding rows and subsumers) is worked out once per run, or
-once per worker in a pool, and dropped with the set-up's result.  Output
-order always follows input order, so results never depend on how work
-was scheduled.
+hands a task one source and its pairs at a time, at any number of jobs.
+One job runs the sources in this process after one set-up (loading
+stores, say); a pool hands its workers chunks of whole sources, about
+eight pairs on average, and each worker runs the set-up before its first
+source.  So each source's preprocessing, word tables and tiling index are
+built once per run, and one at a time.  Scoring's set-up also makes the
+run's `semsim.Vocabulary`, so what depends on a word alone (its
+normalized form and stem, its synonyms, embedding rows and subsumers) is
+worked out once per run, or once per worker in a pool, and dropped with
+the set-up's result.  Output order always follows input order, so results
+never depend on how work was scheduled.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import ExitStack
 from dataclasses import asdict
@@ -45,53 +46,29 @@ from .semsim import Vocabulary
 # ---------------------------------------------------------------------------
 # Fan-out
 
-# Pairs a batch carries at least, unless the input runs out: enough that one
-# round trip to a pool worker is not paid per pair.
+# Pairs a pool round trip carries about, on average: the pool hands a worker
+# chunks of whole sources, so that a round trip is not paid per pair.
 PAIRS_PER_TASK = 8
 
-# This pool worker's set-up result, built before its first batch.
+# This pool worker's set-up result, built before its first source.
 _WORKER: dict = {}
 
 
-def _run_task(task, state, batch: list[list[LabelledPair]]) -> list:
+def _run_task(task, state, pairs: list[LabelledPair]) -> list:
     results: list = []
-    for pairs in batch:
-        done = len(results)
-        try:
-            for result in task(state, pairs[0].source_text, pairs):
-                results.append(result)
-        except ParaplagError as exc:
-            exc.args = (f"pair {pairs[len(results) - done].pair_id}: {exc}",)
-            raise
+    try:
+        for result in task(state, pairs[0].source_text, pairs):
+            results.append(result)
+    except ParaplagError as exc:
+        exc.args = (f"pair {pairs[len(results)].pair_id}: {exc}",)
+        raise
     return results
 
 
-def _worker_task(task, setup, config: EngineConfig, batch: list[list[LabelledPair]]) -> list:
+def _worker_task(task, setup, config: EngineConfig, pairs: list[LabelledPair]) -> list:
     if "state" not in _WORKER:
         _WORKER["state"] = setup(config)
-    return _run_task(task, _WORKER["state"], batch)
-
-
-def _batches(pairs: Sequence[LabelledPair]) -> list[list[list[int]]]:
-    """Input positions of the batches tasks are handed, one list per source.
-
-    The pairs of one source text form a group, in input order; groups
-    follow their sources' first appearance, and consecutive groups fill a
-    batch until it holds at least PAIRS_PER_TASK pairs.
-    """
-    groups: dict[str, list[int]] = {}
-    for i, pair in enumerate(pairs):
-        groups.setdefault(pair.source_text, []).append(i)
-    batches: list[list[list[int]]] = []
-    batch: list[list[int]] = []
-    for group in groups.values():
-        batch.append(group)
-        if sum(map(len, batch)) >= PAIRS_PER_TASK:
-            batches.append(batch)
-            batch = []
-    if batch:
-        batches.append(batch)
-    return batches
+    return _run_task(task, _WORKER["state"], pairs)
 
 
 def parallel_map(
@@ -105,21 +82,24 @@ def parallel_map(
 
     A task takes one source text and that source's pairs, in input order,
     and yields one result per pair, in order; it is called once per
-    distinct source, one source after another.  Batches of sources hold
-    about PAIRS_PER_TASK pairs; with no pairs there is no batch, and
-    `setup` never runs.  jobs == 1 runs the batches in this process, after
-    one `setup`.  Otherwise up to `jobs` worker processes, never more than
-    there are batches, each run `setup` before their first batch; task,
+    distinct source, one source after another, in order of the sources'
+    first appearance.  With no pairs `setup` never runs.  jobs == 1 runs
+    the sources in this process, after one `setup`.  Otherwise the pool
+    hands out chunks of whole sources that carry about PAIRS_PER_TASK pairs
+    on average, to up to `jobs` worker processes, never more than there are
+    chunks, each of which runs `setup` before its first source; task,
     setup, config, pairs and results must pickle.  A set-up error keeps its
     class; an error raised on a pair names the pair, and in a pool cancels
-    the batches not yet started.
+    the chunks not yet started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    batches = _batches(pairs)
-    if not batches:
+    groups: dict[str, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault(pair.source_text, []).append(i)
+    if not groups:
         return []
-    inputs = [[[pairs[i] for i in group] for group in batch] for batch in batches]
+    inputs = [[pairs[i] for i in group] for group in groups.values()]
     with ExitStack() as stack:
         if jobs == 1:
             outputs = map(partial(_run_task, task, setup(config)), inputs)
@@ -127,13 +107,16 @@ def parallel_map(
             # imported here, so that a run in this process never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(batches)))
-            # on the way out, failing or not: drop the batches not yet started
+            # the sources that carry about PAIRS_PER_TASK pairs on average
+            chunksize = max(1, PAIRS_PER_TASK * len(groups) // len(pairs))
+            pool = ProcessPoolExecutor(max_workers=min(jobs, math.ceil(len(groups) / chunksize)))
+            # on the way out, failing or not: drop the chunks not yet started
             stack.callback(pool.shutdown, cancel_futures=True)
-            outputs = pool.map(partial(_worker_task, task, setup, config), inputs)
+            outputs = pool.map(partial(_worker_task, task, setup, config), inputs,
+                               chunksize=chunksize)
         results: list = [None] * len(pairs)
-        for batch, output in zip(batches, outputs):
-            for i, result in zip((i for group in batch for i in group), output):
+        for group, output in zip(groups.values(), outputs):
+            for i, result in zip(group, output):
                 results[i] = result
     return results
 

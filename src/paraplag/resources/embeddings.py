@@ -20,9 +20,11 @@ in any way is ignored and the store parsed again; a cache that cannot be
 written is not written.  Either way the vectors are the parse's float32
 bits, and deleting the cache is always safe.
 
-Lookups are case-sensitive; ``lookup_folded`` adds an explicit
-case-insensitive fallback (first stored casing wins) because large
-pre-trained vocabularies mix cased and uncased entries.
+Lookups are exact; ``lookup_folded`` adds an explicit fallback by
+normalized form (`textprep.normalize`: case and diacritics folded, as a
+token's normalized form is; the first stored spelling wins) because large
+pre-trained vocabularies mix cased and uncased, accented and unaccented
+entries.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ParaplagError
+from ..textprep import normalize
 from .lexdb import MissingFile
 
 __all__ = [
@@ -83,11 +86,11 @@ class DimMismatch(ParaplagError):
 
 
 class EmbeddingStore:
-    """Read-only word vectors with an explicit case-folded fallback.
+    """Read-only word vectors with an explicit fallback by normalized form.
 
     The vectors are the rows of one float32 ``(count, dim)`` matrix, in file
-    order; a word -> row dict and a folded alias dict (lower-cased word ->
-    row of its first stored casing) find them.  The matrix is made read-only
+    order; a word -> row dict and a folded alias dict (normalized word ->
+    row of its first stored spelling) find them.  The matrix is made read-only
     here, so every vector handed out is a read-only view of it.
     """
 
@@ -96,8 +99,8 @@ class EmbeddingStore:
         self.matrix = matrix
         self.dim = matrix.shape[1]
         self._rows = rows
-        # built back to front, so the first stored casing is written last
-        self._folded = dict(zip(map(str.lower, reversed(rows)), reversed(rows.values())))
+        # built back to front, so the first stored spelling is written last
+        self._folded = dict(zip(map(normalize, reversed(rows)), reversed(rows.values())))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -108,10 +111,10 @@ class EmbeddingStore:
     def row(self, word: str) -> Optional[int]:
         """The matrix row `lookup_folded` reads for the word, or None."""
         row = self._rows.get(word)
-        return self._folded.get(word.lower()) if row is None else row
+        return self._folded.get(normalize(word)) if row is None else row
 
     def lookup_folded(self, word: str) -> Optional[np.ndarray]:
-        """Exact lookup, then the first stored case-insensitive match."""
+        """Exact lookup, then the first stored word of the same normalized form."""
         row = self.row(word)
         return None if row is None else self.matrix[row]
 

@@ -7,7 +7,9 @@ All other pointer types are discarded at parse time.
 
 A synset is identified by ``(byte_offset, pos_char)`` exactly as in the
 source files, so identifiers line up with external information-content
-tables keyed the same way.
+tables keyed the same way.  Lemmas are kept by their normalized form
+(`textprep.normalize`: case and diacritics folded), the form tokens are
+looked up by, so "Café" in the files matches the token "cafe".
 
 The store is the parse result alone: no query changes it, so it is
 immutable after load and safe to share across threads and processes.
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..errors import MissingFile, ParaplagError
+from ..textprep import normalize
 
 __all__ = [
     "SynsetId",
@@ -136,7 +139,7 @@ def _parse_data_line(line: str, file: str, line_no: int) -> Synset:
         for _ in range(int(fields[3], 16)):
             word = fields[cursor]
             int(fields[cursor + 1], 16)  # lex_id sanity check
-            lemmas.add(_strip_marker(word).lower())
+            lemmas.add(normalize(_strip_marker(word)))
             cursor += 2
         p_cnt = int(fields[cursor])
         cursor += 1
@@ -165,7 +168,7 @@ def _parse_index_line(
     fields = line.split()
     if len(fields) < 5:
         raise MalformedLine(file, line_no, "too few fields")
-    lemma = fields[0].lower()
+    lemma = normalize(fields[0])
     try:
         synset_cnt, p_cnt = int(fields[2]), int(fields[3])
         if synset_cnt < 1 or p_cnt < 0 or len(fields) != 6 + p_cnt + synset_cnt:
@@ -224,7 +227,9 @@ def load_lexdb(path) -> LexicalStore:
                         index_file, line_no,
                         f"index entry {lemma!r} references missing synset {sid!r}",
                     )
-            senses[(lemma, pos)] = ids
+            key = (lemma, pos)
+            # lines that fold to one lemma ("résumé", "resume") keep every sense, in file order
+            senses[key] = tuple(dict.fromkeys(senses[key] + ids)) if key in senses else ids
     # hypernym pointers may point forward, so they are checked once all are read
     for sid, synset in synsets.items():
         for hyp in synset.hypernyms:

@@ -108,6 +108,8 @@ def normalize(surface: str) -> str:
     canonically decomposed (NFD), so a non-empty surface never normalizes
     to "".
     """
+    if surface.isascii():  # ASCII has no decompositions and no marks
+        return surface.lower()
     return (_strip_marks(surface, "NFKD") or _strip_marks(surface, "NFD")).lower()
 
 

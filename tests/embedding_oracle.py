@@ -3,7 +3,7 @@
 `load_text` and `load_binary` read the two formats one entry, and the
 binary words one byte, at a time into a dict of per-word float32 arrays,
 raising the errors `paraplag.resources.load_embeddings` raises;
-`lookup_folded` is the case-folded lookup over such a dict.  They are the
+`lookup_folded` is the lookup by normalized form over such a dict.  They are the
 oracles the store's matrix loaders and lookups are checked against.
 """
 
@@ -15,6 +15,7 @@ import numpy as np
 
 from paraplag.resources import EmbeddingStore, HeaderMismatch, TruncatedVector
 from paraplag.resources.embeddings import _parse_header
+from paraplag.textprep import normalize
 
 
 def embedding_store(vectors: dict, dim: int) -> EmbeddingStore:
@@ -24,10 +25,10 @@ def embedding_store(vectors: dict, dim: int) -> EmbeddingStore:
 
 
 def lookup_folded(vectors: dict[str, np.ndarray], word: str):
-    """The vector of `word`, else of the first stored word equal to it case-folded."""
+    """The vector of `word`, else of the first stored word of its normalized form."""
     if word in vectors:
         return vectors[word]
-    return next((vec for w, vec in vectors.items() if w.lower() == word.lower()), None)
+    return next((vec for w, vec in vectors.items() if normalize(w) == normalize(word)), None)
 
 
 def load_text(path: str) -> tuple[dict[str, np.ndarray], int]:

@@ -2,8 +2,8 @@
 
 Generated text and binary files, valid or cut short, are loaded by
 `load_embeddings` and by the reference loaders in `embedding_oracle`.
-Both must keep the same words with the same float32 bits, resolve case-
-folded lookups to the same vectors, and on a bad file raise the same
+Both must keep the same words with the same float32 bits, resolve lookups
+by normalized form (case and diacritics folded) to the same vectors, and on a bad file raise the same
 error class with the same message and named word.  The binary loader's
 read block is shrunk to a few bytes, so entries straddle reads.  A second
 load of each good file comes from the cache the first load wrote, and must
@@ -24,13 +24,15 @@ from hypothesis import strategies as st
 
 from paraplag.errors import ParaplagError
 from paraplag.resources import embeddings, load_embeddings
+from paraplag.textprep import normalize
 
 import embedding_oracle
 
 # Cased and non-ASCII words: "İ" and "ß" change length when case-folded,
+# "é", "e" and "İx", "ix" share a normalized form,
 # "\xa0" and "\x85" are whitespace to str.split but not to the binary format.
 WORDS = st.one_of(
-    st.sampled_from(["paris", "Paris", "PARIS", "é", "É", "straße", "STRASSE", "İx", "ix", "σς"]),
+    st.sampled_from(["paris", "Paris", "PARIS", "é", "É", "e", "straße", "STRASSE", "İx", "ix", "σς"]),
     st.text(st.sampled_from("aAzéÉΩω\xa0\x85\t€\U0001f600"), min_size=1, max_size=4),
 )
 # Components as the text format spells them: float64 reprs (rounded once
@@ -71,14 +73,16 @@ def _outcome(load, path):
 
 
 def _assert_matches(store, vectors: dict, dim: int):
-    """`store` holds `vectors` and resolves every casing of their words as the oracle does."""
+    """`store` holds `vectors` and resolves every casing and the normalized form
+    of their words as the oracle does."""
     assert store.dim == dim and len(store) == len(vectors)
     assert store.matrix.shape == (len(vectors), dim) and store.matrix.dtype == np.float32
     probes = set()
     for word, vec in vectors.items():
         assert word in store
         assert store.lookup_folded(word).tobytes() == vec.tobytes()
-        probes |= {word.lower(), word.upper(), word.title(), word.casefold(), word.swapcase()}
+        probes |= {word.lower(), word.upper(), word.title(), word.casefold(), word.swapcase(),
+                   normalize(word)}
     for word in probes | {"absent"}:
         want = embedding_oracle.lookup_folded(vectors, word)
         got = store.lookup_folded(word)

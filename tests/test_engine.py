@@ -1,6 +1,7 @@
 """Pair-scoring pipeline: feature extraction, baseline scores, CSV tables."""
 
 import concurrent.futures
+import math
 import pickle
 import random
 import tempfile
@@ -128,38 +129,51 @@ class TestParallelMap:
         ran = len(list(tmp_path.iterdir()))
         assert ran < len(pairs) // 4
 
-    def test_batches_keep_sources_together_and_pack_small_groups(self):
-        pairs = interleaved_pairs()
-        batches = [[i for group in batch for i in group] for batch in engine._batches(pairs)]
-        assert sorted(i for batch in batches for i in batch) == list(range(len(pairs)))
-        homes = {}
-        for n, batch in enumerate(batches):
-            for i in batch:
-                assert homes.setdefault(pairs[i].source_text, n) == n
-        assert all(len(batch) >= engine.PAIRS_PER_TASK for batch in batches[:-1])
-
-    def test_distinct_sources_batch_like_fixed_chunks(self):
-        pairs = [make_pair(i, "A river.", f"Source {i}.") for i in range(20)]
-        chunks = [range(0, 8), range(8, 16), range(16, 20)]
-        assert engine._batches(pairs) == [[[i] for i in chunk] for chunk in chunks]
-
     @given(st.integers(1, 12).flatmap(lambda k: st.lists(st.integers(0, k - 1), max_size=60)))
-    def test_batches_hold_each_source_in_one_group(self, order):
+    def test_each_source_is_one_call_in_order_of_first_appearance(self, order):
         # order[i] is the source of pair i
         pairs = [make_pair(i, "A river.", f"Source {k}.") for i, k in enumerate(order)]
-        batches = engine._batches(pairs)
-        groups = [group for batch in batches for group in batch]
-        assert sorted(i for group in groups for i in group) == list(range(len(pairs)))
-        # one group per source, in order of first appearance, in input order
-        assert [order[group[0]] for group in groups] == list(dict.fromkeys(order))
-        for group in groups:
-            assert group == sorted(group)
-            assert {order[i] for i in group} == {order[group[0]]}
-        sizes = [sum(map(len, batch)) for batch in batches]
-        assert all(size >= engine.PAIRS_PER_TASK for size in sizes[:-1])
-        # a batch closes with the group that fills it
-        assert all(size - len(batch[-1]) < engine.PAIRS_PER_TASK
-                   for size, batch in zip(sizes, batches))
+        calls = []
+        got = parallel_map(_record_calls, partial(_directory, calls), EngineConfig(), pairs, 1)
+        # one call per source, first appearance first, with its pairs in input order
+        assert calls == [
+            (f"Source {k}.", [p.pair_id for p in pairs if p.source_text == f"Source {k}."])
+            for k in dict.fromkeys(order)
+        ]
+        homes = {call[0]: call for call in calls}
+        assert got == [(p.pair_id, homes[p.source_text]) for p in pairs]
+
+    @pytest.mark.parametrize(
+        "sources, per_source, jobs, chunksize, workers",
+        [(20, 1, 4, 8, 3), (5, 30, 2, 1, 2), (1, 3, 4, 2, 1)],
+        ids=["distinct-sources", "shared-sources", "one-source"],
+    )
+    def test_pool_chunks_whole_sources(self, monkeypatch, sources, per_source, jobs,
+                                       chunksize, workers):
+        # a chunk carries the sources of about PAIRS_PER_TASK pairs on average,
+        # and the pool starts no more workers than there are chunks
+        started, chunksizes = [], []
+
+        class Recorded(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunksizes.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        pairs = [make_pair(i, "A river.", f"Source {i % sources}.")
+                 for i in range(sources * per_source)]
+        setup = partial(_directory, None)
+        assert parallel_map(_pair_ids, setup, EngineConfig(), pairs, jobs) == [
+            p.pair_id for p in pairs
+        ]
+        assert (started, chunksizes) == ([workers], [chunksize])
+        # no pairs, no pool
+        assert parallel_map(_pair_ids, setup, EngineConfig(), [], jobs) == []
+        assert started == [workers]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_task_call_gets_one_source_in_input_order(self, jobs):
@@ -172,22 +186,6 @@ class TestParallelMap:
         if jobs == 1:  # a pool worker records into its own copy
             assert calls == [call_a, call_b]
 
-    def test_pool_starts_no_more_workers_than_batches(self, monkeypatch):
-        started = []
-
-        def recorded(max_workers, **kwargs):
-            started.append(max_workers)
-            return ProcessPoolExecutor(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
-        pairs = [make_pair(i, "A river.", "The stone.") for i in range(3)]
-        setup = partial(_directory, None)
-        got = parallel_map(_pair_ids, setup, EngineConfig(), pairs, jobs=4)
-        assert got == ["p000", "p001", "p002"]
-        assert started == [1]
-        assert parallel_map(_pair_ids, setup, EngineConfig(), [], jobs=4) == []
-        assert started == [1]
-
     def test_no_pairs_run_no_setup(self):
         def setup(config):
             raise AssertionError("setup ran with no pairs")
@@ -195,7 +193,7 @@ class TestParallelMap:
         assert parallel_map(_pair_ids, setup, EngineConfig(), [], jobs=1) == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_error_inside_a_batch_names_its_pair(self, jobs):
+    def test_error_inside_a_source_names_its_pair(self, jobs):
         pairs = interleaved_pairs()
         with pytest.raises(ParaplagError, match="^pair p005: this pair fails$"):
             parallel_map(_fail_on_p005, partial(_directory, None), EngineConfig(), pairs, jobs)
@@ -236,8 +234,14 @@ def _lexicon_pairs(draw):
     return [make_pair(i, draw(lexicon_passage()), draw(st.sampled_from(sources))) for i in range(n)]
 
 
-# more than one batch, so that two workers share the pairs
-lexicon_pairs = _lexicon_pairs().filter(lambda pairs: len(engine._batches(pairs)) > 1)
+def _chunks(pairs) -> int:
+    """The number of chunks a pool hands out for `pairs`: see `parallel_map`."""
+    sources = len({p.source_text for p in pairs})
+    return math.ceil(sources / max(1, engine.PAIRS_PER_TASK * sources // len(pairs)))
+
+
+# more than one chunk, so that two workers share the pairs
+lexicon_pairs = _lexicon_pairs().filter(lambda pairs: _chunks(pairs) > 1)
 
 
 def _oracle_scores(pairs, config):

@@ -213,6 +213,25 @@ class TestLexdbLoading:
         assert store.ancestors((90000000, "n")) == oracle(0)
         assert store.ancestors((90000000 + depth - 1, "n")) == oracle(depth - 1)
 
+    def test_index_lines_folding_to_one_lemma_keep_every_sense(self, tmp_path):
+        (tmp_path / "data.noun").write_text(
+            "00000100 05 n 01 Résumé 0 000 | a summary\n"
+            "00000200 05 n 01 resume 0 000 | a new start\n"
+            "00000300 05 n 01 cv 0 000 | a record\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "index.noun").write_text(
+            "cv n 1 0 1 0 00000300\n"
+            "résumé n 2 0 2 0 00000100 00000300\n"
+            "resume n 2 0 2 0 00000200 00000100\n",
+            encoding="utf-8",
+        )
+        store = load_lexdb(tmp_path)
+        # both lines' senses, in file order, each once
+        assert store.senses("resume", "n") == ((100, "n"), (300, "n"), (200, "n"))
+        assert store.synset((100, "n")).lemmas == {"resume"}
+        assert synonyms(store, "resume") == {"cv"}
+
     def test_queries_leave_the_store_as_loaded(self):
         store = load_lexdb(FIXTURES / "lexdb")
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paraplag.classify import passage_features, score_source
 from paraplag.resources import EmbeddingStore, ICTable, KnowledgeStores, load_lexdb
 from paraplag.semsim import (
     CHANNELS,
@@ -319,6 +320,33 @@ class TestSemanticSimilarity:
         sp = sentence("A dog barked.")
         sr = sentence("The of and.")
         assert semantic_similarity(sp, sr) == 0.0
+
+
+class TestAccentedStoreEntries:
+    """A token is looked up by its normalized form, so an accented store
+    entry ("café") matches the token "Café", whose form is "cafe"."""
+
+    @staticmethod
+    def _score(stores):
+        [score] = score_source("Café.", ["Bistro."], Vocabulary(stores))
+        return score.vector.semantic, [m.channel for best in score.best_semantic
+                                       for m in best.matches]
+
+    def test_embedding_entry(self):
+        stores = KnowledgeStores(embeddings=embeddings(bistro=(1.0, 2.0), café=(1.0, 2.0)))
+        assert stores.embeddings.row("cafe") == stores.embeddings.row("café") == 1
+        assert passage_features("Bistro.", "Café.", stores).semantic == 1.0
+        assert self._score(stores) == (1.0, ["embedding"])
+
+    def test_lexdb_lemma(self, tmp_path):
+        (tmp_path / "data.noun").write_text(
+            "00000100 05 n 02 café 0 bistro 0 000 | a small restaurant\n", encoding="utf-8"
+        )
+        (tmp_path / "index.noun").write_text(
+            "bistro n 1 0 1 0 00000100\ncafé n 1 0 1 0 00000100\n", encoding="utf-8"
+        )
+        stores = KnowledgeStores(lexdb=load_lexdb(tmp_path))
+        assert self._score(stores) == (1.0, ["synonym"])
 
 
 class TestProperties:

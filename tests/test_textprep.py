@@ -192,6 +192,12 @@ def test_normalize_strips_diacritics_and_lowercases():
     assert normalize("plain") == "plain"
 
 
+@given(st.text(st.characters(max_codepoint=127)))
+def test_normalize_of_ascii_is_lower(surface):
+    # ASCII has no decompositions and no combining marks
+    assert normalize(surface) == surface.lower()
+
+
 def test_normalize_idempotent():
     rng = random.Random(11)
     samples = ["Café", "ÉLAN", "naïve", "Ärger", "résumé", "ok"]
