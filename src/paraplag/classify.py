@@ -99,7 +99,11 @@ def _aggregate(per_sentence_maxima: list[float], discard: float) -> float:
 
 @dataclass(frozen=True)
 class SentenceMatch:
-    """A suspect sentence's best semantic source sentence and its word matches."""
+    """A suspect sentence's best semantic source sentence and its word matches.
+
+    Each sentence is named by its position in its passage's
+    `preprocess_passage` list.
+    """
 
     suspect_sentence: int
     source_sentence: int
@@ -166,14 +170,14 @@ def score_source(
         syntactic_maxima = []
         insdel_maxima = []
         best_semantic = []
-        for sp in sp_sentences:
+        for position, sp in enumerate(sp_sentences):
             if sp.all_tokens:
                 syntactic_maxima.append(max_syntactic_similarity(sp.all_tokens, sr_tokens))
             if not sp.content_tokens:
                 continue
-            source_id, matches = best_sentence(sp, tables)
+            source_position, matches = best_sentence(sp, tables)
             semantic_maxima.append(len(matches) / len(sp.content_tokens))
-            best_semantic.append(SentenceMatch(sp.sentence_id, source_id, tuple(matches)))
+            best_semantic.append(SentenceMatch(position, source_position, tuple(matches)))
             insdel_maxima.append(source_stems.best([t.stem for t in sp.content_tokens]))
         vector = SimilarityVector(
             semantic=_aggregate(semantic_maxima, params.discard_semantic),
@@ -504,17 +508,15 @@ def cross_validate(
                 f"got {spec.knn_k}"
             )
     points = feature_matrix(x for x, _ in dataset)
-    pooled_predicted: list[bool] = []
-    pooled_scores: list[float] = []
-    pooled_labels: list[bool] = []
+    # each row's held-out outcome, in row order
+    predicted = np.zeros(len(dataset), dtype=bool)
+    scores = np.zeros(len(dataset))
     fold_metrics: list[FoldMetrics] = []
     for fold_index, test_indices in enumerate(folds):
-        test = np.isin(np.arange(len(dataset)), test_indices)
+        test = np.zeros(len(dataset), dtype=bool)
+        test[test_indices] = True
         model = fit_classifier(spec, points[~test], labels[~test])
-        predicted, scores = model.predict(points[test])
-        pooled_predicted.extend(predicted.tolist())
-        pooled_scores.extend(scores.tolist())
-        pooled_labels.extend(labels[test].tolist())
-        confusion = Confusion.tally(zip(predicted, labels[test]))
+        predicted[test], scores[test] = model.predict(points[test])
+        confusion = Confusion.tally(zip(predicted[test], labels[test]))
         fold_metrics.append(FoldMetrics(fold_index, confusion, *metrics(confusion)))
-    return build_report(pooled_predicted, pooled_scores, pooled_labels, tuple(fold_metrics))
+    return build_report(predicted.tolist(), scores.tolist(), labels.tolist(), tuple(fold_metrics))

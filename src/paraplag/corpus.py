@@ -79,8 +79,9 @@ _PAIR_FIELDS = tuple(f.name for f in fields(LabelledPair))
 
 
 def _read_text(path: Path) -> str:
-    # crowd-sourced files carry occasional stray bytes; keep the rest
-    return path.read_text(encoding="utf-8", errors="replace")
+    # crowd-sourced files carry occasional stray bytes, keep the rest; a
+    # leading byte-order mark marks the encoding, not text
+    return path.read_text(encoding="utf-8", errors="replace").removeprefix("\ufeff")
 
 
 def count_labels(pairs: list[LabelledPair]) -> tuple[int, int, int]:
@@ -267,7 +268,7 @@ def _pair_from_json(line: bytes) -> LabelledPair:
 
 
 def load_pairs_jsonl(path) -> list[LabelledPair]:
-    """Pairs of a JSON-lines file, one object per non-blank line.
+    """Pairs of a JSON-lines file, one object per non-blank line; a byte-order mark may lead.
 
     A line that does not hold a valid pair, or repeats an earlier line's
     pair_id (outputs and errors name a pair only by its id), raises
@@ -280,6 +281,8 @@ def load_pairs_jsonl(path) -> list[LabelledPair]:
     lines_by_id: dict[str, int] = {}
     with open(jsonl_path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if line_no == 1:
+                line = line.removeprefix(b"\xef\xbb\xbf")
             if not line.strip():
                 continue
             try:

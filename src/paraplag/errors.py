@@ -26,11 +26,12 @@ class MissingFile(ParaplagError):
 def decode_utf8(raw: bytes, path) -> str:
     """`raw` as text; a bad byte raises ParaplagError naming `path` and its line.
 
+    One leading byte-order mark is dropped: it marks the encoding, not text.
     Lines are counted as universal-newline readers count them: a line ends
     at CR LF, CR or LF.
     """
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         head = raw[: exc.start]
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1

@@ -28,13 +28,15 @@ shares a source's table among every suspect passage compared with it.  The
 table indexes its source in one pass when it is built, and keys every word
 by its normalized form, of which the stem is a function.  It turns a
 suspect word's verdicts into candidate lists, one per source sentence the
-word can match in, each in the cascade's order.  Matching one sentence is
-one greedy pass over those lists: each suspect word, in order, takes its
-first candidate not yet consumed (`match_sentence`).  `best_sentence`
-keeps the first source sentence with the most matches, and runs that pass
-only over the sentences that can be it: a sentence no suspect word has a
-candidate in matches nothing, and one cannot match more suspect words
-than have a candidate there.
+word can match in, each in the cascade's order; a source sentence is
+addressed by its position in the passage.  Matching one sentence is one
+greedy pass over those lists: each suspect word, in order, takes its first
+candidate not yet consumed.  `best_sentence` keeps the first source
+sentence with the most matches, and runs that pass only over the sentences
+that can be it: a sentence no suspect word has a candidate in matches
+nothing, and one cannot match more suspect words than have a candidate
+there.  Every semantic match comes from `best_sentence`; `match_sentence`
+is its one-sentence case.
 
 `PairTables.judge` decides all four channels for a whole suspect passage
 at once, and a word asked about alone goes through it too.  The embedding
@@ -169,11 +171,11 @@ class PairTables:
 
     One index of the source's sentences, which it keeps as `sentences`,
     built in one pass over their content words: normalized form -> its
-    (sentence id, token index) occurrences, and stem -> the forms sharing
-    it, each in first-appearance order.  Sentence ids must increase along
-    `sentences`.  Every suspect passage scored against that source can share
-    the table.  A token's stem is a function of its normalized form, so the
-    normalized form is the one key of a word.
+    (sentence position, token index) occurrences, and stem -> the forms
+    sharing it, each in first-appearance order.  A sentence's position is
+    its index in `sentences`.  Every suspect passage scored against that
+    source can share the table.  A token's stem is a function of its
+    normalized form, so the normalized form is the one key of a word.
 
     Per-word facts, for suspect and source words alike, come from the run's
     `vocab`; the table keeps only what depends on its source.  `judge` is
@@ -191,7 +193,7 @@ class PairTables:
                  subsumer -> forms index; only with both the lexdb and IC table
 
     A word's candidates are the occurrences of those forms grouped by
-    sentence id and sorted by (channel rank, -score, position): the
+    sentence position and sorted by (channel rank, -score, position): the
     cascade's tie rule of earliest channel, then highest score, then first
     in the sentence.  `judge` fills them for a whole suspect passage at
     once, and `candidates` reads them, judging a word alone the first time
@@ -208,22 +210,17 @@ class PairTables:
         self.vocab = vocab
         self.thresholds = thresholds
         self.sentences = tuple(sentences)
-        ids = [sr.sentence_id for sr in self.sentences]
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise ValueError(f"source sentence ids must increase, got {ids}")
         self._occurrences: dict[str, list[tuple[int, int]]] = {}
         self._forms_by_stem: dict[str, list[str]] = {}
-        for sr in self.sentences:
+        for pos, sr in enumerate(self.sentences):
             for tok in sr.content_tokens:
                 if tok.normalized not in self._occurrences:
                     self._forms_by_stem.setdefault(tok.stem, []).append(tok.normalized)
-                self._occurrences.setdefault(tok.normalized, []).append(
-                    (sr.sentence_id, tok.index)
-                )
+                self._occurrences.setdefault(tok.normalized, []).append((pos, tok.index))
         self._candidates: dict[str, dict[int, list[Candidate]]] = {}
 
     def candidates(self, query: Token) -> dict[int, list[Candidate]]:
-        """Sentence id -> the query's candidates there, best first; only sentences with some.
+        """Sentence position -> the query's candidates there, best first; only sentences with some.
 
         A query not judged yet is judged alone.  The memo hands the same
         dict and lists to every caller, which must not change them.
@@ -277,11 +274,11 @@ class PairTables:
                     verdict.setdefault(source, (3, -value))
             ranked: dict[int, list[tuple[int, float, int]]] = {}
             for source, (rank, neg) in verdict.items():
-                for sid, index in self._occurrences[source]:
-                    ranked.setdefault(sid, []).append((rank, neg, index))
+                for pos, index in self._occurrences[source]:
+                    ranked.setdefault(pos, []).append((rank, neg, index))
             self._candidates[form] = {
-                sid: [(index, CHANNELS[rank], -neg) for rank, neg, index in sorted(entries)]
-                for sid, entries in ranked.items()
+                pos: [(index, CHANNELS[rank], -neg) for rank, neg, index in sorted(entries)]
+                for pos, entries in ranked.items()
             }
 
     @cached_property
@@ -357,50 +354,41 @@ def match_sentence(
     sr: ProcessedSentence,
     stores: KnowledgeStores = KnowledgeStores(),
     thresholds: SemThresholds = SemThresholds(),
-    tables: PairTables | None = None,
 ) -> list[WordMatch]:
-    """Matches for every suspect content word, consuming source words.
+    """Matches for every suspect content word, consuming words of the one source sentence.
 
-    With `tables`, `sr` must be one of `tables.sentences`, and the table's
-    thresholds are the ones used.  `stores` and `thresholds` only build a
-    table over the source sentence, with a fresh `Vocabulary`, when none is
-    passed; with `tables`, they are ignored.
+    `best_sentence` over a table of `sr` alone, built with a fresh
+    `Vocabulary` over `stores`.
     """
-    if tables is None:
-        tables = PairTables([sr], Vocabulary(stores), thresholds)
-    sid = sr.sentence_id
-    return _greedy(
-        (query, found)
-        for query in sp.content_tokens
-        if (found := tables.candidates(query).get(sid)) is not None
-    )
+    return best_sentence(sp, PairTables([sr], Vocabulary(stores), thresholds))[1]
 
 
 def best_sentence(sp: ProcessedSentence, tables: PairTables) -> tuple[int, list[WordMatch]]:
-    """The id of the first of `tables.sentences` with the most matches for `sp`, and those.
+    """The position of the first of `tables.sentences` with the most matches for `sp`, and those.
 
     A sentence can match at most as many suspect words as have a candidate
     there, its bound, and one without candidates matches nothing; with no
-    candidates at all the first sentence wins with no matches.  Sentences
-    with candidates are matched in falling order of bound, then rising id,
-    and a sentence is skipped when its bound is below the most matches so
-    far, or equal to it with a higher id than the best's: it could not
-    replace the best.  Since the order only skips sentences that cannot
-    win, the result is the full scan's, tie rule included.
+    candidates at all the first sentence, position 0, wins with no matches.
+    Sentences with candidates are matched in falling order of bound, then
+    rising position, and a sentence is skipped when its bound is below the
+    most matches so far, or equal to it at a later position than the
+    best's: it could not replace the best.  Since the order only skips
+    sentences that cannot win, the result is the full scan's, tie rule
+    included.
     """
     touched: dict[int, list[tuple[Token, list[Candidate]]]] = {}
     for query in sp.content_tokens:
-        for sid, candidates in tables.candidates(query).items():
-            touched.setdefault(sid, []).append((query, candidates))
-    best_id, best = tables.sentences[0].sentence_id, []
-    for sid in sorted(touched, key=lambda sid: (-len(touched[sid]), sid)):
-        bound = len(touched[sid])
-        if bound < len(best) or (bound == len(best) and sid > best_id):
+        for pos, candidates in tables.candidates(query).items():
+            touched.setdefault(pos, []).append((query, candidates))
+    best_pos, best = 0, []
+    for pos in sorted(touched, key=lambda pos: (-len(touched[pos]), pos)):
+        bound = len(touched[pos])
+        if bound < len(best) or (bound == len(best) and pos > best_pos):
             break
-        matches = _greedy(touched[sid])
-        if len(matches) > len(best) or (len(matches) == len(best) and sid < best_id):
-            best_id, best = sid, matches
-    return best_id, best
+        matches = _greedy(touched[pos])
+        if len(matches) > len(best) or (len(matches) == len(best) and pos < best_pos):
+            best_pos, best = pos, matches
+    return best_pos, best
 
 
 def semantic_similarity(
@@ -411,6 +399,7 @@ def semantic_similarity(
 ) -> float:
     """Fraction of suspect content words matched somewhere in the source."""
     if not sp.content_tokens:
-        raise EmptySentence(f"no content words in sentence: {sp.text!r}")
+        surfaces = " ".join(t.surface for t in sp.all_tokens)
+        raise EmptySentence(f"no content words in sentence: {surfaces!r}")
     matches = match_sentence(sp, sr, stores, thresholds)
     return len(matches) / len(sp.content_tokens)

@@ -88,8 +88,13 @@ class Token:
 
 @dataclass(frozen=True)
 class ProcessedSentence:
-    sentence_id: int
-    text: str
+    """One sentence of a passage, addressed by its index in `preprocess_passage`'s list.
+
+    all_tokens holds every token of the sentence in order; content_tokens
+    holds the same Token objects minus stopwords, so a content token's
+    index is still its position among all_tokens.
+    """
+
     all_tokens: tuple[Token, ...]
     content_tokens: tuple[Token, ...]
 
@@ -223,8 +228,9 @@ def preprocess_passage(
     """Preprocess passage text into a list of ProcessedSentence.
 
     The text is composed (NFC) before it is split, so canonically
-    equivalent texts preprocess alike.  Sentences are numbered in order of
-    appearance.  content_tokens holds the same Token objects as all_tokens
+    equivalent texts preprocess alike.  Sentences come in order of
+    appearance, and a sentence's index in the list is its address
+    downstream.  content_tokens holds the same Token objects as all_tokens
     minus stopwords, the tokens whose normalized form is in `stopwords`, so
     indices stay comparable across the two views.
 
@@ -235,15 +241,8 @@ def preprocess_passage(
     if forms is None:
         forms = Forms()
     out = []
-    for sid, sentence in enumerate(split_sentences(unicodedata.normalize("NFC", text))):
+    for sentence in split_sentences(unicodedata.normalize("NFC", text)):
         all_tokens = _make_tokens(sentence, forms)
         content = tuple(t for t in all_tokens if t.normalized not in stopwords)
-        out.append(
-            ProcessedSentence(
-                sentence_id=sid,
-                text=sentence,
-                all_tokens=all_tokens,
-                content_tokens=content,
-            )
-        )
+        out.append(ProcessedSentence(all_tokens, content))
     return out

@@ -43,6 +43,7 @@ from paraplag.classify import (
     stratified_folds,
 )
 from paraplag.editsim import insdel_similarity
+from paraplag.engine import trace_records
 from paraplag.resources import ICTable, KnowledgeStores, load_lexdb
 from paraplag.semsim import PairTables, SemThresholds, Vocabulary
 from paraplag.synsim import syntactic_similarity
@@ -256,18 +257,16 @@ def _oracle_score(sp_sentences, sr_sentences, tables, params):
         raise EmptyPassage("both passages need at least one sentence")
     sr_stems = [[t.stem for t in sr.content_tokens] for sr in sr_sentences]
     semantic_maxima, insdel_maxima, best_semantic = [], [], []
-    for sp in sp_sentences:
+    for sp_pos, sp in enumerate(sp_sentences):
         if not sp.content_tokens:
             continue
         best, best_matches = None, None
-        for sr in sr_sentences:
-            matches = scan_match_sentence(sp, sr, tables)
+        for pos in range(len(sr_sentences)):
+            matches = scan_match_sentence(sp, pos, tables)
             if best_matches is None or len(matches) > len(best_matches):
-                best, best_matches = sr, matches
+                best, best_matches = pos, matches
         semantic_maxima.append(len(best_matches) / len(sp.content_tokens))
-        best_semantic.append(
-            classify.SentenceMatch(sp.sentence_id, best.sentence_id, tuple(best_matches))
-        )
+        best_semantic.append(classify.SentenceMatch(sp_pos, best, tuple(best_matches)))
         sp_stems = [t.stem for t in sp.content_tokens]
         insdel_maxima.append(max(insdel_similarity(sp_stems, sr) for sr in sr_stems))
     syntactic_maxima = [
@@ -346,12 +345,29 @@ class TestBestSentence:
         tables = PairTables(sr_sentences, Vocabulary(stores), params.sem)
         for sp in preprocess_passage(suspect):
             touched = [
-                sum(1 for query in sp.content_tokens if sr.sentence_id in tables.candidates(query))
-                for sr in sr_sentences
+                sum(1 for query in sp.content_tokens if pos in tables.candidates(query))
+                for pos in range(len(sr_sentences))
             ]
             for sr, reached in zip(sr_sentences, touched):
-                matches = semsim.match_sentence(sp, sr, tables=tables)
+                matches = semsim.match_sentence(sp, sr, stores, params.sem)
                 assert 0 < len(matches) <= reached or len(matches) == reached == 0
+
+    @given(passage_pairs())
+    def test_traces_name_sentences_by_their_positions(self, case):
+        stores, params, suspect, source = case
+        # sentences of stopwords alone have no trace but keep their positions
+        suspect, source = f"Of the. {suspect} The of. {suspect}", f"A of. {source}"
+        got = next(classify.score_source(source, [suspect], Vocabulary(stores), params))
+        sp_sentences, sr_sentences = preprocess_passage(suspect), preprocess_passage(source)
+        traces = trace_records("p", got)
+        assert [t["suspect_sentence"] for t in traces] == [
+            pos for pos, sp in enumerate(sp_sentences) if sp.content_tokens
+        ]
+        for trace in traces:
+            assert 0 <= trace["source_sentence"] < len(sr_sentences)
+            sr = sr_sentences[trace["source_sentence"]]
+            content = {t.index for t in sr.content_tokens}
+            assert all(m["source_index"] in content for m in trace["matches"])
 
     def test_only_sentences_with_candidates_are_matched(self, monkeypatch):
         passes = []
@@ -367,7 +383,7 @@ class TestBestSentence:
         # both suspect sentences have candidates in every source sentence but
         # "Quartz glass shone.": "dog" has synonyms, and none of them a vector.
         # Of those three, the first visited (most suspect words with a
-        # candidate, then lowest id) matches every one of its words, which no
+        # candidate, then lowest position) matches every one of its words, which no
         # other sentence can beat: one pass per suspect sentence
         assert len(passes) == 2
         assert got == oracle_score(self.SUSPECT, self.SOURCE, STORES)
@@ -392,10 +408,10 @@ class TestBestSentence:
             if not sp.content_tokens:
                 continue
             scanned = [
-                (sr.sentence_id, semsim.match_sentence(sp, sr, tables=tables))
-                for sr in sr_sentences
+                (pos, semsim.match_sentence(sp, sr, stores, params.sem))
+                for pos, sr in enumerate(sr_sentences)
             ]
-            # max keeps the first of equal counts: the lowest id
+            # max keeps the first of equal counts: the lowest position
             assert semsim.best_sentence(sp, tables) == max(scanned, key=lambda s: len(s[1]))
 
     def test_a_higher_bound_is_matched_before_a_lower_id(self):
@@ -407,8 +423,8 @@ class TestBestSentence:
         )
         [sp] = preprocess_passage("Dogs dog walk.")
         # bounds: 2, 3 and 3; sentence 1 matches only 2, sentence 2 all 3
-        sid, matches = semsim.best_sentence(sp, tables)
-        assert (sid, len(matches)) == (2, 3)
+        pos, matches = semsim.best_sentence(sp, tables)
+        assert (pos, len(matches)) == (2, 3)
         [tied] = preprocess_passage("Dog.")
         assert semsim.best_sentence(tied, tables)[0] == 0
 
@@ -560,6 +576,19 @@ class TestAucRoc:
     def test_equals_the_rank_array_oracle(self, rows):
         scores, labels = [score for score, _ in rows], [label for _, label in rows]
         assert auc_roc(scores, labels) == oracle_auc_roc(scores, labels)
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), st.booleans(),
+                              st.booleans()), min_size=2, max_size=60).filter(
+                        lambda rows: len({label for _, _, label in rows}) == 2), st.data())
+    def test_auc_and_confusion_ignore_row_order(self, rows, data):
+        # so cross-validation may pool its held-out outcomes in any order
+        shuffled = data.draw(st.permutations(rows))
+
+        def pooled(rows):
+            scores, predicted, labels = zip(*rows)
+            return auc_roc(scores, labels), Confusion.tally(zip(predicted, labels))
+
+        assert pooled(shuffled) == pooled(rows)
 
 
 def oracle_auc_roc(scores, labels) -> float:

@@ -159,6 +159,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
 
+    def test_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("\ufeff" + json.dumps({"seed": 12}), encoding="utf-8")
+        assert load_config(path).seed == 12
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json", encoding="utf-8")

@@ -56,6 +56,14 @@ def copy_crowd(dest: Path) -> Path:
     return target
 
 
+BOM = "\ufeff".encode()
+
+
+def prepend_bom(*paths: Path) -> None:
+    for path in paths:
+        path.write_bytes(BOM + path.read_bytes())
+
+
 class TestLabelledPair:
     def test_label_validated(self):
         with pytest.raises(ValueError):
@@ -130,6 +138,11 @@ class TestLoadCrowd:
         # same texts, labels and verdicts as the unpadded fixture
         assert pairs == load_crowd(FIXTURES / "crowd")
 
+    def test_files_may_start_with_a_byte_order_mark(self, tmp_path):
+        root = copy_crowd(tmp_path)
+        prepend_bom(*root.iterdir())
+        assert load_crowd(root) == load_crowd(FIXTURES / "crowd")
+
     def test_metadata_without_verdict_line(self, tmp_path):
         root = copy_crowd(tmp_path)
         (root / "1-metadata.txt").write_text("author: worker_3\n")
@@ -185,6 +198,17 @@ class TestLoadCloughStevenson:
         (root / "orig_taskb.txt").unlink()
         with pytest.raises(MissingFile):
             load_clough_stevenson(root, root / "truth.csv")
+
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(MissingFile, match="corpus directory not found"):
+            load_clough_stevenson(tmp_path / "absent", FIXTURES / "cs" / "truth.csv")
+
+    def test_files_may_start_with_a_byte_order_mark(self, tmp_path):
+        root = tmp_path / "cs"
+        shutil.copytree(FIXTURES / "cs", root)
+        prepend_bom(*root.iterdir())
+        expected = load_clough_stevenson(FIXTURES / "cs", FIXTURES / "cs" / "truth.csv")
+        assert load_clough_stevenson(root, root / "truth.csv") == expected
 
     def test_missing_truth_table(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -257,6 +281,16 @@ class TestJsonl:
         path = tmp_path / "pairs.jsonl"
         path.write_text(json.dumps(dict(RECORD, note="kept out")) + "\n", encoding="utf-8")
         assert load_pairs_jsonl(path) == [LabelledPair(**RECORD)]
+
+    def test_first_line_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        record = json.dumps(RECORD).encode()
+        path.write_bytes(BOM + record + b"\n")
+        assert load_pairs_jsonl(path) == [LabelledPair(**RECORD)]
+        # only the file's first line: elsewhere a mark is no JSON
+        path.write_bytes(BOM + record + b"\n" + BOM + record + b"\n")
+        with pytest.raises(MalformedPair, match=":2: invalid JSON"):
+            load_pairs_jsonl(path)
 
     def test_blank_lines_ignored(self, tmp_path):
         pairs = load_crowd(FIXTURES / "crowd")

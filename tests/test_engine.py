@@ -23,6 +23,7 @@ from paraplag.config import EngineConfig, MissingResource, build_stores, feature
 from paraplag.corpus import NOT_PARAPHRASED, PARAPHRASED, LabelledPair
 from paraplag.engine import (
     baseline_containments,
+    baseline_csv_rows,
     extract_features,
     labelled_dataset,
     parallel_map,
@@ -415,6 +416,12 @@ class TestBaseline:
         config = EngineConfig(gst_min_tile=3)
         assert baseline_containments(pairs, config, jobs=2) == baseline_containments(pairs, config)
 
+    def test_misaligned_rows_are_not_written(self, tmp_path):
+        path = tmp_path / "baseline.csv"
+        with pytest.raises(ValueError, match="pairs and containments must align"):
+            baseline_csv_rows(path, synthetic_pairs(2), [0.5])
+        assert not path.exists()
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_pair_error_names_the_pair(self, jobs):
         long_text = "Rivers carve stone " * 20 + "."
@@ -546,6 +553,19 @@ class TestFeatureCsv:
         assert ids == [p.pair_id for p in pairs]
         got = [(v.semantic, v.syntactic, v.insdel) for v, _ in dataset]
         assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in rows]
+
+    def test_table_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "features.csv"
+        write_feature_csv(path, synthetic_pairs(3), [SimilarityVector(0.5, 0.25, 1.0)] * 3)
+        expected = read_feature_csv(path)
+        path.write_bytes("\ufeff".encode() + path.read_bytes())
+        assert read_feature_csv(path) == expected
+
+    def test_misaligned_rows_are_not_written(self, tmp_path):
+        path = tmp_path / "features.csv"
+        with pytest.raises(ValueError, match="pairs and vectors must align"):
+            write_feature_csv(path, synthetic_pairs(2), [SimilarityVector(0.5, 0.5, 0.5)])
+        assert not path.exists()
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -164,10 +164,10 @@ def _brute_force_maximum(adjacency):
     return best
 
 
-def _fires_for(tables, sp, sr):
-    """Each suspect content word's source token indices that some channel fires for."""
+def _fires_for(tables, sp, pos):
+    """Per suspect content word, the token indices some channel fires for in source sentence `pos`."""
     return [
-        [index for index, _, _ in tables.candidates(query).get(sr.sentence_id, ())]
+        [index for index, _, _ in tables.candidates(query).get(pos, ())]
         for query in sp.content_tokens
     ]
 
@@ -181,9 +181,9 @@ class TestEveryChannel:
     def test_greedy_cascade_is_a_maximal_matching(self, case):
         stores, th, sp, sources = case
         tables = PairTables(sources, Vocabulary(stores), th)
-        for sr in sources:
-            fires = _fires_for(tables, sp, sr)
-            matches = match_sentence(sp, sr, tables=tables)
+        for pos, sr in enumerate(sources):
+            fires = _fires_for(tables, sp, pos)
+            matches = match_sentence(sp, sr, stores, th)
             taken = {m.source_index for m in matches}
             matched = {m.query_index for m in matches}
             for query, hits in zip(sp.content_tokens, fires):
@@ -209,10 +209,10 @@ class TestSubstitution:
         stores, th, suspect, source = case
         sp, sr = _sentence(suspect), _sentence(source)
         tables = PairTables([sr], Vocabulary(stores), th)
-        fires = _fires_for(tables, sp, sr)
+        fires = _fires_for(tables, sp, 0)
         targets = [index for hits in fires for index in hits]
         assume(all(len(hits) <= 1 for hits in fires) and len(set(targets)) == len(targets))
-        matches = match_sentence(sp, sr, tables=tables)
+        matches = match_sentence(sp, sr, stores, th)
         queries = {query.index: query for query in sp.content_tokens}
         substitutions = [
             (m.source_index, synonym)
@@ -224,9 +224,7 @@ class TestSubstitution:
         index, synonym = data.draw(st.sampled_from(substitutions))
         replaced = [tok.surface for tok in sr.all_tokens]
         replaced[index] = synonym
-        sr = _sentence(replaced)
-        tables = PairTables([sr], Vocabulary(stores), th)
-        assert len(match_sentence(sp, sr, tables=tables)) == len(matches)
+        assert len(match_sentence(sp, _sentence(replaced), stores, th)) == len(matches)
 
 
 class TestReordering:

@@ -375,6 +375,15 @@ class TestICTable:
         table = load_ic(path)
         assert table.get((300, "v")) == pytest.approx(-math.log(40 / 400), abs=1e-12)
 
+    def test_load_skips_blank_lines_and_counts_them(self, tmp_path):
+        path = tmp_path / "ic.dat"
+        path.write_text("wnver::30\n\n100v 300 ROOT\n   \n300v 40\n")
+        assert load_ic(path).get((300, "v")) == pytest.approx(-math.log(40 / 300), abs=1e-12)
+        path.write_text("wnver::30\n\n100v 300 ROOT\n   \nnot a valid line\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_ic(path)
+        assert exc.value.line_no == 5
+
     def test_load_rejects_missing_header(self, tmp_path):
         path = tmp_path / "ic.dat"
         path.write_text("1740n 1000 ROOT\n")

@@ -45,9 +45,9 @@ def tables(sr, stores=KnowledgeStores(), thresholds=SemThresholds()) -> PairTabl
     return PairTables([sr], Vocabulary(stores), thresholds)
 
 
-def first_candidate(query, sr, tables: PairTables) -> WordMatch | None:
-    """The cascade's match for `query` in `sr` while no source word is consumed, or None."""
-    candidates = tables.candidates(query).get(sr.sentence_id)
+def first_candidate(query, tables: PairTables) -> WordMatch | None:
+    """The cascade's match for `query` in the table's one sentence, none of it consumed, or None."""
+    candidates = tables.candidates(query).get(0)
     return None if candidates is None else WordMatch(query.index, *candidates[0])
 
 
@@ -88,7 +88,7 @@ class TestFirstCandidate:
     def test_exact_normalized(self):
         sp = sentence("A cat slept.")
         sr = sentence("The cat ran.")
-        found = first_candidate(sp.content_tokens[0], sr, tables(sr))
+        found = first_candidate(sp.content_tokens[0], tables(sr))
         assert found is not None
         assert found.channel == "exact"
         assert found.score == 1.0
@@ -96,14 +96,14 @@ class TestFirstCandidate:
     def test_exact_by_stem(self):
         sp = sentence("Cats sleep.")
         sr = sentence("The cat slept.")
-        found = first_candidate(sp.content_tokens[0], sr, tables(sr))
+        found = first_candidate(sp.content_tokens[0], tables(sr))
         assert found is not None and found.channel == "exact"
 
     def test_exact_beats_synonym(self, lexdb):
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("One car passed.")
         sr = sentence("An automobile and a car passed.")
-        found = first_candidate(content(sp, "car"), sr, tables(sr, stores))
+        found = first_candidate(content(sp, "car"), tables(sr, stores))
         assert found is not None and found.channel == "exact"
         # the consumed token is the literal "car", not the synonym
         matched = [t for t in sr.content_tokens if t.index == found.source_index]
@@ -113,7 +113,7 @@ class TestFirstCandidate:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("One car passed.")
         sr = sentence("An automobile passed.")
-        found = first_candidate(content(sp, "car"), sr, tables(sr, stores))
+        found = first_candidate(content(sp, "car"), tables(sr, stores))
         assert found is not None
         assert found.channel == "synonym"
         assert found.score == 1.0
@@ -122,7 +122,7 @@ class TestFirstCandidate:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("One car passed.")
         sr = sentence("Two automobiles passed.")
-        found = first_candidate(content(sp, "car"), sr, tables(sr, stores))
+        found = first_candidate(content(sp, "car"), tables(sr, stores))
         assert found is not None and found.channel == "synonym"
 
     def test_expansion_falls_back_to_query_stem(self, lexdb):
@@ -130,7 +130,7 @@ class TestFirstCandidate:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("Two cars passed.")
         sr = sentence("An auto passed.")
-        found = first_candidate(content(sp, "cars"), sr, tables(sr, stores))
+        found = first_candidate(content(sp, "cars"), tables(sr, stores))
         assert found is not None and found.channel == "synonym"
 
     def test_embedding_without_synonyms_uses_query_vector(self):
@@ -138,7 +138,7 @@ class TestFirstCandidate:
         stores = KnowledgeStores(embeddings=emb)
         sp = sentence("A happy crowd.")
         sr = sentence("A glad crowd cheered.")
-        found = first_candidate(sp.content_tokens[0], sr, tables(sr, stores))
+        found = first_candidate(sp.content_tokens[0], tables(sr, stores))
         assert found is not None
         assert found.channel == "embedding"
         assert found.score == pytest.approx(0.8, abs=1e-6)
@@ -149,7 +149,7 @@ class TestFirstCandidate:
         sp = sentence("A happy crowd.")
         sr = sentence("A glad crowd cheered.")
         found = first_candidate(
-            sp.content_tokens[0], sr, tables(sr, stores, SemThresholds(embed_min=0.9))
+            sp.content_tokens[0], tables(sr, stores, SemThresholds(embed_min=0.9))
         )
         assert found is None
 
@@ -164,7 +164,7 @@ class TestFirstCandidate:
         stores = KnowledgeStores(lexdb=lexdb, embeddings=emb)
         sp = sentence("One car passed.")
         sr = sentence("The engine roared.")
-        found = first_candidate(content(sp, "car"), sr, tables(sr, stores))
+        found = first_candidate(content(sp, "car"), tables(sr, stores))
         assert found is not None
         assert found.channel == "embedding"
         assert found.score == pytest.approx(0.95, abs=1e-6)
@@ -178,7 +178,7 @@ class TestFirstCandidate:
         stores = KnowledgeStores(embeddings=emb)
         sp = sentence("A happy crowd.")
         sr = sentence("Some alpha and beta here.")
-        found = first_candidate(sp.content_tokens[0], sr, tables(sr, stores))
+        found = first_candidate(sp.content_tokens[0], tables(sr, stores))
         assert found is not None
         source = {t.index: t.normalized for t in sr.content_tokens}
         assert source[found.source_index] == "beta"
@@ -191,7 +191,7 @@ class TestFirstCandidate:
         stores = KnowledgeStores(embeddings=emb)
         sp = sentence("A happy crowd.")
         sr = sentence("Some gamma and delta here.")
-        found = first_candidate(sp.content_tokens[0], sr, tables(sr, stores))
+        found = first_candidate(sp.content_tokens[0], tables(sr, stores))
         assert found is not None
         source = {t.index: t.normalized for t in sr.content_tokens}
         assert source[found.source_index] == "gamma"
@@ -201,7 +201,7 @@ class TestFirstCandidate:
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog barked.")
-        found = first_candidate(sp.content_tokens[0], sr, tables(sr, stores))
+        found = first_candidate(sp.content_tokens[0], tables(sr, stores))
         assert found is not None
         assert found.channel == "resnik"
         assert found.score == pytest.approx(3.5)
@@ -215,7 +215,6 @@ class TestFirstCandidate:
         sr = sentence("The dog barked.")
         found = first_candidate(
             sp.content_tokens[0],
-            sr,
             tables(sr, stores, SemThresholds(resnik_min=resnik_min)),
         )
         if matches:
@@ -229,7 +228,7 @@ class TestFirstCandidate:
         stores = KnowledgeStores(lexdb=lexdb, ic=table)
         sp = sentence("A cat slept.")
         sr = sentence("The dog chased the car.")
-        found = first_candidate(sp.content_tokens[0], sr, tables(sr, stores))
+        found = first_candidate(sp.content_tokens[0], tables(sr, stores))
         assert found is not None
         source = {t.index: t.normalized for t in sr.content_tokens}
         assert source[found.source_index] == "car"
@@ -239,12 +238,12 @@ class TestFirstCandidate:
         stores = KnowledgeStores(lexdb=lexdb)
         sp = sentence("The zzqx hummed.")
         sr = sentence("A dog barked.")
-        assert first_candidate(sp.content_tokens[0], sr, tables(sr, stores)) is None
+        assert first_candidate(sp.content_tokens[0], tables(sr, stores)) is None
 
     def test_no_stores_leaves_only_exact(self):
         sp = sentence("One car passed.")
         sr = sentence("An automobile passed.")
-        assert first_candidate(content(sp, "car"), sr, tables(sr)) is None
+        assert first_candidate(content(sp, "car"), tables(sr)) is None
 
     def test_candidates_follow_the_cascade_order(self, lexdb):
         # the earliest channel first; ties in the order of the source
@@ -256,7 +255,7 @@ class TestFirstCandidate:
             0: [(5, "exact", 1.0), (11, "exact", 1.0), (3, "synonym", 1.0), (8, "synonym", 1.0)]
         }
 
-    def test_candidates_are_grouped_by_sentence_id(self):
+    def test_candidates_are_grouped_by_sentence_position(self):
         sr_sentences = preprocess_passage("Cats hid. A dog ran. The cat slept.")
         [sp] = preprocess_passage("Cats sleep.")
         found = PairTables(sr_sentences, Vocabulary(KnowledgeStores()), SemThresholds())

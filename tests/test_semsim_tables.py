@@ -9,14 +9,12 @@ lists: each suspect word scans every remaining source word.
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -155,13 +153,13 @@ def oracle_match_sentence(sp, sr, stores, th):
     return matches
 
 
-def scan_match_word(query, sid, source_remaining, tables):
-    """The word of sentence `sid` with the smallest verdict: earliest channel, highest score, first.
+def scan_match_word(query, pos, source_remaining, tables):
+    """The word of sentence `pos` with the smallest verdict: earliest channel, highest score, first.
 
     Each source word's verdict, (channel rank, -score), is read off the
     query's candidates there, whatever their order.
     """
-    listed = tables.candidates(query).get(sid, [])
+    listed = tables.candidates(query).get(pos, [])
     verdict = {index: (semsim.CHANNELS.index(channel), -score) for index, channel, score in listed}
     assert len(verdict) == len(listed)  # no source word is listed twice
     best_tok, best = None, (len(semsim.CHANNELS), 0.0)
@@ -174,11 +172,12 @@ def scan_match_word(query, sid, source_remaining, tables):
     return WordMatch(query.index, best_tok.index, semsim.CHANNELS[best[0]], -best[1])
 
 
-def scan_match_sentence(sp, sr, tables):
-    remaining = list(sr.content_tokens)
+def scan_match_sentence(sp, pos, tables):
+    """The cascade's matches for `sp` in the sentence at position `pos` of `tables`."""
+    remaining = list(tables.sentences[pos].content_tokens)
     matches = []
     for query in sp.content_tokens:
-        found = scan_match_word(query, sr.sentence_id, remaining, tables)
+        found = scan_match_word(query, pos, remaining, tables)
         if found is not None:
             matches.append(found)
             remaining = [t for t in remaining if t.index != found.source_index]
@@ -264,8 +263,7 @@ def cases(draw):
     stores, th = draw(stores_and_thresholds())
     [sp] = preprocess_passage(sentence_text(draw))
     sources = [
-        dataclasses.replace(preprocess_passage(sentence_text(draw))[0], sentence_id=i)
-        for i in range(draw(st.integers(1, 3)))
+        preprocess_passage(sentence_text(draw))[0] for _ in range(draw(st.integers(1, 3)))
     ]
     return stores, th, sp, sources
 
@@ -315,12 +313,11 @@ def _key(matches):
 def test_tables_agree_with_the_scalar_cascade(case):
     stores, th, sp, sources = case
     shared = PairTables(sources, Vocabulary(stores), th)
-    for sr in sources:
+    for pos, sr in enumerate(sources):
         expected = oracle_match_sentence(sp, sr, stores, th)
-        got = match_sentence(sp, sr, stores, th, shared)
-        assert got == scan_match_sentence(sp, sr, shared)
+        got = match_sentence(sp, sr, stores, th)
         # a pair's score depends only on its two words, not on the table's other words
-        assert got == match_sentence(sp, sr, stores, th)
+        assert got == scan_match_sentence(sp, pos, shared)
         assert _key(got) == _key(expected)
         for g, e in zip(got, expected):
             if e.channel in ("exact", "synonym"):
@@ -335,20 +332,38 @@ def test_candidates_hold_exactly_the_sentences_a_word_matches_in(case):
     tables = PairTables(sources, Vocabulary(stores), th)
     for query in sp.content_tokens:
         candidates = tables.candidates(query)
-        for sr in sources:
-            found = scan_match_word(query, sr.sentence_id, sr.content_tokens, tables)
-            assert (sr.sentence_id in candidates) == (found is not None)
+        for pos, sr in enumerate(sources):
+            found = scan_match_word(query, pos, sr.content_tokens, tables)
+            assert (pos in candidates) == (found is not None)
             assert (found is not None) == (
                 oracle_match_word(query, sr.content_tokens, stores, th) is not None
             )
             if found is not None:
                 # the first candidate is the one the scan picks in a fresh sentence
-                index, channel, score = candidates[sr.sentence_id][0]
+                index, channel, score = candidates[pos][0]
                 assert found == WordMatch(query.index, index, channel, score)
 
 
 def passage_text(draw):
     return " ".join(sentence_text(draw) for _ in range(draw(st.integers(1, 3))))
+
+
+@given(stores_and_thresholds(), st.data())
+def test_a_sentences_candidates_do_not_depend_on_its_position(stores_th, data):
+    # so the one-sentence table of `match_sentence` matches a sentence of a
+    # passage as the passage's table does at that sentence's position
+    stores, th = stores_th
+    suspect = preprocess_passage(passage_text(data.draw))
+    count = data.draw(st.integers(2, 4))
+    sources = preprocess_passage(
+        " ".join(sentence_text(data.draw).capitalize() for _ in range(count))
+    )
+    assert len(sources) == count
+    shared = PairTables(sources, Vocabulary(stores), th)
+    for pos, sr in enumerate(sources):
+        alone = PairTables([sr], Vocabulary(stores), th)
+        for query in (query for sp in suspect for query in sp.content_tokens):
+            assert shared.candidates(query).get(pos) == alone.candidates(query).get(0)
 
 
 @given(stores_and_thresholds(), st.integers(1, 64), st.data())
@@ -395,7 +410,7 @@ class _FixedRows(Vocabulary):
 
 def _sentence(words):
     tokens = tuple(textprep.Token(i, w, w, w) for i, w in enumerate(words))
-    return textprep.ProcessedSentence(0, " ".join(words), tokens, tokens)
+    return textprep.ProcessedSentence(tokens, tokens)
 
 
 def _embedding_scores(store, rows_of, source, passage, query):
@@ -406,8 +421,8 @@ def _embedding_scores(store, rows_of, source, passage, query):
     vocab = _FixedRows(KnowledgeStores(embeddings=store), rows_of)
     tables = PairTables([_sentence(source)], vocab, SemThresholds(embed_min=0.0))
     tables.judge(_sentence(passage).content_tokens)
-    [[sid, candidates]] = tables.candidates(_sentence([query]).content_tokens[0]).items()
-    assert sid == 0 and {channel for _, channel, _ in candidates} == {"embedding"}
+    [[pos, candidates]] = tables.candidates(_sentence([query]).content_tokens[0]).items()
+    assert pos == 0 and {channel for _, channel, _ in candidates} == {"embedding"}
     return {source[index]: score for index, _, score in sorted(candidates)}
 
 
@@ -479,13 +494,6 @@ def test_the_embedding_pass_does_no_numpy_work_without_rows(monkeypatch):
     [machine] = preprocess_passage("Machine.")[0].content_tokens
     assert tables.candidates(machine) == {0: [(1, "exact", 1.0)]}
     assert set(calls) == {"vectors", "einsum"}
-
-
-def test_source_sentence_ids_must_increase():
-    a, b = preprocess_passage("Dogs ran. Cats hid.")
-    with pytest.raises(ValueError, match="increase"):
-        PairTables([a, dataclasses.replace(b, sentence_id=0)], Vocabulary(KnowledgeStores()),
-                   SemThresholds())
 
 
 def _count_calls(monkeypatch, name, module=semsim):

@@ -264,6 +264,12 @@ def test_stopword_file_words_are_compared_by_normalized_form(tmp_path):
     assert all(normalize(word) == word for word in STOPWORDS)
 
 
+def test_stopword_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("\ufeffthe\nof\n", encoding="utf-8")
+    assert load_stopwords(path) == frozenset({"the", "of"})
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_stopword_file_not_utf8_names_file_and_line(tmp_path, newline):
     path = tmp_path / "stop.txt"
