@@ -4,25 +4,34 @@ Both formats share the header ``<word_count> <dimensions>``.  The text form
 follows with one ``word v1 v2 ...`` line per word; the binary form packs
 each entry as the ASCII word, a single space, then ``dimensions``
 little-endian IEEE-754 float32 values (an optional trailing newline per
-entry, as some writers emit, is tolerated).
+entry, as some writers emit, is tolerated).  A text store may start with
+a UTF-8 byte-order mark; the binary header is ASCII.
 
 Both loaders write each vector straight into its row of one float32
 matrix: the text loader as it parses each line, the binary loader from
-blocks of `_READ_BLOCK` bytes.
+blocks of `_READ_BLOCK` bytes.  `WordTable`s find the rows: one keyed by
+word, and one keyed by normalized form (`textprep.normalize`: case and
+diacritics folded, as a token's normalized form is) holding the row of the
+first stored spelling of that form.  When every word is its own normalized
+form the second would copy the first, and the store keeps one.
 
 A store is parsed once per content.  After a parse, `load_embeddings`
-writes the matrix and the words in row order to a cache file beside the
-store (`<store>.paraplag-cache`), keyed by the cache layout version, the
-format and the SHA-256 of the store's bytes.  A later load whose key
-matches opens the matrix memory-mapped, so processes loading one store
-share its pages.  A cache that is missing, keyed otherwise or unreadable
-in any way is ignored and the store parsed again; a cache that cannot be
-written is not written.  Either way the vectors are the parse's float32
-bits, and deleting the cache is always safe.
+writes the matrix and the tables to a cache file beside the store
+(`<store>.paraplag-cache`), keyed by the cache layout version, the format
+and the SHA-256 of the store's bytes.  A later load whose key matches maps
+the whole file read-only and reads the matrix and the tables in place, so
+it builds nothing per word, and processes loading one store share its
+pages.  A hit checks the tables' bytes against the CRC-32 on the cache's
+last line, and their shape (`WordTable.is_sound`), so that every lookup in
+a hit's tables ends.  A hit does not detect bytes changed inside a
+well-formed matrix, nor tables changed together with their CRC-32.  A
+cache that is missing, keyed otherwise or unreadable in any way is ignored
+and the store parsed again; a cache that cannot be written is not written.
+Either way the vectors are the parse's float32 bits, every lookup finds the
+parse's row, and deleting the cache is always safe.
 
 Lookups are exact; ``lookup_folded`` adds an explicit fallback by
-normalized form (`textprep.normalize`: case and diacritics folded, as a
-token's normalized form is; the first stored spelling wins) because large
+normalized form (the first stored spelling wins) because large
 pre-trained vocabularies mix cased and uncased, accented and unaccented
 entries.
 """
@@ -30,8 +39,10 @@ entries.
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
-from collections.abc import Sequence
+import zlib
+from collections.abc import Iterable, Sequence
 from typing import Optional
 
 import numpy as np
@@ -51,14 +62,124 @@ __all__ = [
 
 # Bytes the binary loader and the hash read at a time.
 _READ_BLOCK = 1 << 20
+# Elements a vectorized check of a cached table reads at a time, so that its
+# temporaries stay small however many words the store holds.
+_CHECK_BLOCK = 1 << 16
 
 # The cache beside a store is its path plus this suffix.  Its layout: the
-# float32 matrix in .npy format, then the words in row order, each followed
-# by "\n" (no word holds one: the text format splits on whitespace and the
-# binary loader drops newlines), then `_seal`'s line, all UTF-8.  A change
-# of layout bumps _CACHE_VERSION, so older caches read as misses.
+# float32 matrix in .npy format (version 1.0); then the store's one or two
+# `WordTable`s, each starting at a multiple of 8 bytes and laid out as its offsets (int64),
+# row ids (int32), slots (int32) and key blob, all little-endian; then zero
+# bytes up to a multiple of 8, "\n" and `_seal`'s line, in ASCII.  A change of
+# layout bumps _CACHE_VERSION, so older caches read as misses.
 CACHE_SUFFIX = ".paraplag-cache"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+
+
+def _slot_count(keys: int) -> int:
+    """A table's slot count: the least power of two that is at least 2 * keys and 2."""
+    return 1 << max(1, (2 * keys - 1).bit_length())
+
+
+def _aligned(at: int) -> int:
+    return -(-at // 8) * 8
+
+
+class WordTable:
+    """A read-only map from words to matrix rows, held in four flat arrays.
+
+    Key ``k``'s UTF-8 bytes are ``blob[offsets[k]:offsets[k + 1]]`` and its
+    row is ``rows[k]``.  `slots` is an open-addressing hash table with a
+    power-of-two count of at least twice the keys: key ``k`` sits in the
+    first slot holding ``k`` or -1 (empty) from slot ``crc32(key) mod
+    len(slots)`` on, going up and wrapping round.  crc32 is the same in every
+    process, unlike `hash`, so a table one process writes to the cache
+    another reads in place.  A parse builds the table in memory with `build`;
+    a cache hit maps it with `map`.  Either way `get` reads it.
+    """
+
+    def __init__(self, offsets: np.ndarray, rows: np.ndarray, slots: np.ndarray,
+                 blob: np.ndarray):
+        self.regions = (offsets, rows, slots, blob)
+        # memoryviews index to Python ints and slice to comparable bytes, far
+        # faster per lookup than numpy scalars; a native dtype is no copy
+        self._offsets = memoryview(np.asarray(offsets, np.int64))
+        self._rows = memoryview(np.asarray(rows, np.int32))
+        self._slots = memoryview(np.asarray(slots, np.int32))
+        self._blob = memoryview(blob)
+        self._mask = len(slots) - 1
+
+    @classmethod
+    def build(cls, words: Iterable[str], rows: Iterable[int]) -> "WordTable":
+        """The table of distinct `words`, each read as its row in `rows`."""
+        keys = [word.encode() for word in words]
+        slots = [-1] * _slot_count(len(keys))
+        mask = len(slots) - 1
+        for k, key in enumerate(keys):
+            i = zlib.crc32(key) & mask
+            while slots[i] >= 0:
+                i = (i + 1) & mask
+            slots[i] = k
+        offsets = np.zeros(len(keys) + 1, "<i8")
+        np.cumsum(np.fromiter(map(len, keys), np.int64, len(keys)), out=offsets[1:])
+        return cls(offsets, np.fromiter(rows, "<i4", len(keys)), np.array(slots, "<i4"),
+                   np.frombuffer(b"".join(keys), np.uint8))
+
+    @classmethod
+    def map(cls, buffer, at: int, keys: int, blob_bytes: int) -> tuple["WordTable", int]:
+        """The table of `keys` keys in `blob_bytes` key bytes laid out in
+        `buffer` from `at`, read in place, and the aligned end of its bytes."""
+        regions = []
+        for dtype, count in (("<i8", keys + 1), ("<i4", keys), ("<i4", _slot_count(keys)),
+                             (np.uint8, blob_bytes)):
+            regions.append(np.frombuffer(buffer, dtype, count, at))
+            at += regions[-1].nbytes
+        return cls(*regions), _aligned(at)
+
+    def __reduce__(self):
+        # memoryviews do not pickle; the arrays do, by value
+        return WordTable, self.regions
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def get(self, word: str) -> Optional[int]:
+        """The row of `word`, or None."""
+        try:
+            key = word.encode()
+        except UnicodeEncodeError:  # a lone surrogate, which no decoded word holds
+            return None
+        slots, offsets, blob, mask = self._slots, self._offsets, self._blob, self._mask
+        i = zlib.crc32(key) & mask
+        while (k := slots[i]) >= 0:
+            if blob[offsets[k]:offsets[k + 1]] == key:
+                return self._rows[k]
+            i = (i + 1) & mask
+        return None
+
+    def is_sound(self, count: int) -> bool:
+        """Whether every lookup ends, reading inside the arrays, at a row below `count`.
+
+        Offsets rise from 0 to the blob's length, row ids lie in [0, count),
+        slot ids in [-1, keys), and exactly len(slots) - keys slots are empty,
+        which is at least one: so a probe meets an empty slot within a round
+        of the table.  Each check is vectorized over `_CHECK_BLOCK` elements
+        at a time.
+        """
+        offsets, rows, slots, blob = self.regions
+        keys = len(rows)
+        if offsets[0] != 0 or offsets[-1] != len(blob):
+            return False
+        if keys and not (0 <= rows.min() and rows.max() < count):
+            return False
+        if not (-1 <= slots.min() and slots.max() < keys):
+            return False
+        for at in range(0, keys, _CHECK_BLOCK):
+            if (np.diff(offsets[at:at + _CHECK_BLOCK + 1]) < 0).any():
+                return False
+        empty = sum(int(np.count_nonzero(slots[at:at + _CHECK_BLOCK] < 0))
+                    for at in range(0, len(slots), _CHECK_BLOCK))
+        return empty == len(slots) - keys
 
 
 class HeaderMismatch(ParaplagError):
@@ -89,29 +210,42 @@ class EmbeddingStore:
     """Read-only word vectors with an explicit fallback by normalized form.
 
     The vectors are the rows of one float32 ``(count, dim)`` matrix, in file
-    order; a word -> row dict and a folded alias dict (normalized word ->
-    row of its first stored spelling) find them.  The matrix is made read-only
-    here, so every vector handed out is a read-only view of it.
+    order; `exact`, a `WordTable` of every word, and `folded`, one of each
+    normalized form with the row of its first stored spelling, find them.
+    `from_words` builds both tables, or one when every word is its own
+    normalized form: `folded` is then `exact`, which it would copy.  The
+    matrix is made read-only here, so every vector handed out is a read-only
+    view of it.
     """
 
-    def __init__(self, matrix: np.ndarray, rows: dict[str, int]):
+    def __init__(self, matrix: np.ndarray, exact: WordTable, folded: WordTable):
         matrix.flags.writeable = False
         self.matrix = matrix
         self.dim = matrix.shape[1]
-        self._rows = rows
-        # built back to front, so the first stored spelling is written last
-        self._folded = dict(zip(map(normalize, reversed(rows)), reversed(rows.values())))
+        self.exact = exact
+        self.folded = folded
+
+    @classmethod
+    def from_words(cls, matrix: np.ndarray, words: Iterable[str]) -> "EmbeddingStore":
+        """The store of `matrix` whose rows belong to the distinct `words`, in order."""
+        words = list(words)
+        first: dict[str, int] = {}
+        for row, word in enumerate(words):
+            first.setdefault(normalize(word), row)
+        exact = WordTable.build(words, range(len(words)))
+        folded = exact if list(first) == words else WordTable.build(first, first.values())
+        return cls(matrix, exact, folded)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.exact)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._rows
+        return self.exact.get(word) is not None
 
     def row(self, word: str) -> Optional[int]:
         """The matrix row `lookup_folded` reads for the word, or None."""
-        row = self._rows.get(word)
-        return self._folded.get(normalize(word)) if row is None else row
+        row = self.exact.get(word)
+        return self.folded.get(normalize(word)) if row is None else row
 
     def lookup_folded(self, word: str) -> Optional[np.ndarray]:
         """Exact lookup, then the first stored word of the same normalized form."""
@@ -137,7 +271,8 @@ def _parse_header(first_line: str, path: str) -> tuple[int, int]:
 
 
 def _load_text(path: str) -> EmbeddingStore:
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    # "utf-8-sig" drops one leading byte-order mark
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         count, dim = _parse_header(header, path)
         # An entry takes at least 2 * dim + 1 bytes (word and components, each
@@ -166,7 +301,7 @@ def _load_text(path: str) -> EmbeddingStore:
                 matrix[row] = values
     if len(rows) != count:
         raise HeaderMismatch(f"{path}: header declares {count} words, file holds {len(rows)}")
-    return EmbeddingStore(matrix, rows)
+    return EmbeddingStore.from_words(matrix, rows)
 
 
 def _load_binary(path: str) -> EmbeddingStore:
@@ -218,7 +353,7 @@ def _load_binary(path: str) -> EmbeddingStore:
             trailer = fh.read(_READ_BLOCK)
             if not trailer:
                 break
-    return EmbeddingStore(matrix, rows)
+    return EmbeddingStore.from_words(matrix, rows)
 
 
 def _digest(path: str) -> str:
@@ -231,36 +366,54 @@ def _digest(path: str) -> str:
     return sha.hexdigest()
 
 
-def _seal(key: str, offset: int, shape: tuple) -> str:
-    """The cache's last line: the key, then the matrix's offset and shape as
-    written, so that a garbled .npy header which still parses is a miss."""
-    return f"{key} {offset} {shape}"
+def _seal(key: str, offset: int, shape: tuple, tables: Sequence[WordTable], crc: int) -> str:
+    """The cache's last line: the key, the matrix's offset and shape as
+    written, so that a garbled .npy header which still parses is a miss, then
+    each stored table's key count and blob length, then the CRC-32 of the
+    tables' bytes."""
+    sizes = " ".join(f"{len(table)} {len(table.regions[-1])}" for table in tables)  # blob last
+    return f"{key} {offset} {shape} {sizes} {crc}"
+
+
+# The longest `_seal` line: a key of about 110 bytes, then a few numbers.
+_SEAL_MAX = 512
 
 
 def _read_cache(cache: str, key: str) -> Optional[EmbeddingStore]:
     """The store cached in `cache` under `key`, or None when it holds no such store."""
     try:
-        # what np.load(cache, mmap_mode="r") calls for a .npy file, without
-        # its sniffing for zip archives and pickles, which a garbled cache
-        # could set off; an object dtype, which needs pickle, is refused
-        matrix = np.lib.format.open_memmap(cache, mode="r")
         with open(cache, "rb") as fh:
-            fh.seek(matrix.offset + matrix.nbytes)
-            *words, seal = fh.read().decode("utf-8").split("\n")
+            # the .npy header np.load would read, without its sniffing for zip
+            # archives and pickles, which a garbled cache could set off; any
+            # dtype but float32, such as an object dtype, is refused
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            offset = fh.tell()
+            if fortran_order or dtype != np.float32 or len(shape) != 2:
+                return None
+            buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        seal = buffer[-_SEAL_MAX:].rpartition(b"\n")[2].decode("ascii")
+        *sizes, _ = map(int, seal.removeprefix(f"{key} {offset} {shape} ").split(" "))
+        if len(sizes) not in (2, 4) or min(sizes) < 0:
+            return None
+        matrix = np.frombuffer(buffer, np.float32, shape[0] * shape[1], offset).reshape(shape)
+        start = at = _aligned(offset + matrix.nbytes)
+        tables = []
+        for keys, blob_bytes in zip(sizes[::2], sizes[1::2]):
+            table, at = WordTable.map(buffer, at, keys, blob_bytes)
+            tables.append(table)
+        crc = zlib.crc32(memoryview(buffer)[start:at])
     # On a cut or garbled .npy header numpy raises one of several classes
     # (ValueError, EOFError, tokenize.TokenError among them): any failure to
     # read the cache is a miss, and the caller parses the store instead.
     except Exception:
         return None
-    if (seal != _seal(key, matrix.offset, matrix.shape) or matrix.dtype != np.float32
-            or not matrix.flags.c_contiguous or len(words) != len(matrix)):
+    if (seal != _seal(key, offset, shape, tables, crc)
+            or len(buffer) != at + 1 + len(seal) or len(tables[0]) != len(matrix)
+            or not all(table.is_sound(len(matrix)) for table in tables)):
         return None
-    rows = dict(zip(words, range(len(words))))
-    if len(rows) != len(words):
-        return None
-    # a plain ndarray over the map: np.memmap's Python-level finalizer would
-    # otherwise run for every row a lookup hands out
-    return EmbeddingStore(np.asarray(matrix), rows)
+    return EmbeddingStore(matrix, tables[0], tables[-1])
 
 
 def _write_cache(cache: str, key: str, store: EmbeddingStore) -> None:
@@ -273,8 +426,20 @@ def _write_cache(cache: str, key: str, store: EmbeddingStore) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             np.save(fh, store.matrix, allow_pickle=False)
-            seal = _seal(key, fh.tell() - store.matrix.nbytes, store.matrix.shape)
-            fh.write("\n".join([*store._rows, seal]).encode("utf-8"))
+            offset = fh.tell() - store.matrix.nbytes
+            # `folded` is written only when it is a table of its own
+            tables = (store.exact,) if store.folded is store.exact else (store.exact, store.folded)
+            fh.write(bytes(_aligned(fh.tell()) - fh.tell()))
+            crc = 0
+            for table in tables:
+                for region in table.regions:
+                    fh.write(region)
+                    crc = zlib.crc32(region, crc)
+                padding = bytes(_aligned(fh.tell()) - fh.tell())
+                fh.write(padding)
+                crc = zlib.crc32(padding, crc)
+            seal = _seal(key, offset, store.matrix.shape, tables, crc)
+            fh.write(b"\n" + seal.encode("ascii"))
         os.replace(tmp, cache)
     except OSError:
         with contextlib.suppress(OSError):

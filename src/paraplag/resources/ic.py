@@ -55,7 +55,8 @@ def load_ic(path) -> ICTable:
         raise MissingFile(f"information-content file not found: {path}")
     counts: dict[SynsetId, float] = {}
     root_total: dict[str, float] = {}
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    # "utf-8-sig" drops one leading byte-order mark
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         header = fh.readline()
         if not header.lower().startswith("wnver"):
             raise MalformedLine(path, 1, "missing wnver header")

@@ -180,7 +180,8 @@ def _parse_index_line(
 
 
 def _iter_content_lines(path: str) -> Iterable[tuple[int, str]]:
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    # "utf-8-sig" drops one leading byte-order mark
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         for line_no, raw in enumerate(fh, start=1):
             # license header lines start with whitespace
             if not raw.strip() or raw.startswith(" "):

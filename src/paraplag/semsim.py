@@ -53,6 +53,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import Optional
 
 import numpy as np
 
@@ -114,9 +115,10 @@ class Vocabulary:
 
     `forms` holds each token surface's (normalized, stem), filled by
     `textprep.preprocess_passage`, and each word's stem.  `word` maps a
-    normalized form to its `WordFacts` as a query, and `subsumers` to its
-    subsumers ranked by IC, which source words need too.  So each distinct
-    word costs at most one `synonyms` and one `subsumer_ics` call a run,
+    normalized form to its `WordFacts` as a query, `subsumers` to its
+    subsumers ranked by IC, which source words need too, and `row` a word to
+    its embedding row, which both need.  So each distinct word costs at most
+    one `synonyms`, one `subsumer_ics` and one embedding row lookup a run,
     however many passages it appears in, on either side.  The memos are
     bounded by the run's vocabulary and go with the object.
     """
@@ -126,6 +128,7 @@ class Vocabulary:
         self.forms = Forms()
         self._words: dict[str, WordFacts] = {}
         self._subsumers: dict[str, tuple[tuple[tuple, float], ...]] = {}
+        self._rows: dict[str, Optional[int]] = {}
 
     def word(self, normalized: str) -> WordFacts:
         """The facts of the word with this normalized form."""
@@ -136,12 +139,18 @@ class Vocabulary:
             if lexdb is not None:
                 syns = sorted(synonyms(lexdb, self._headword(normalized)))
             rows = () if emb is None else tuple(
-                row for word in syns or [normalized] if (row := emb.row(word)) is not None
+                row for word in syns or [normalized] if (row := self.row(word)) is not None
             )
             facts = self._words[normalized] = WordFacts(
                 tuple(dict.fromkeys(map(self.forms.stem, syns))), rows
             )
         return facts
+
+    def row(self, word: str) -> Optional[int]:
+        """The word's row in the embedding store (`EmbeddingStore.row`), or None."""
+        if word not in self._rows:
+            self._rows[word] = self.stores.embeddings.row(word)
+        return self._rows[word]
 
     def subsumers(self, normalized: str) -> tuple[tuple[tuple, float], ...]:
         """The word's `subsumer_ics` items, highest IC first; none without lexdb and IC."""
@@ -284,9 +293,10 @@ class PairTables:
     @cached_property
     def _source_vectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
         """Source words with a vector, their float64 vectors, squared norms and zero-norm mask."""
-        emb = self.vocab.stores.embeddings
-        rows = {word: row for word in self._occurrences if (row := emb.row(word)) is not None}
-        matrix = emb.vectors(list(rows.values()))
+        rows = {
+            word: row for word in self._occurrences if (row := self.vocab.row(word)) is not None
+        }
+        matrix = self.vocab.stores.embeddings.vectors(list(rows.values()))
         source_sq = np.einsum("ij,ij->i", matrix, matrix)
         return tuple(rows), matrix, source_sq, source_sq == 0.0
 

@@ -5,6 +5,8 @@ binary words one byte, at a time into a dict of per-word float32 arrays,
 raising the errors `paraplag.resources.load_embeddings` raises;
 `lookup_folded` is the lookup by normalized form over such a dict.  They are the
 oracles the store's matrix loaders and lookups are checked against.
+`assert_same_store` compares two stores through their public lookups, on
+`probes` of the stored words.
 """
 
 from __future__ import annotations
@@ -21,7 +23,25 @@ from paraplag.textprep import normalize
 def embedding_store(vectors: dict, dim: int) -> EmbeddingStore:
     """A store holding `vectors` (word -> components), rows in dict order."""
     matrix = np.array(list(vectors.values()), dtype=np.float32).reshape(len(vectors), dim)
-    return EmbeddingStore(matrix, {word: row for row, word in enumerate(vectors)})
+    return EmbeddingStore.from_words(matrix, vectors)
+
+
+def probes(words) -> list[str]:
+    """Each word, each of its casings, its normalized form, and a word none holds."""
+    found: dict[str, None] = {}
+    for word in words:
+        found.update(dict.fromkeys([word, word.lower(), word.upper(), word.title(),
+                                    word.casefold(), word.swapcase(), normalize(word)]))
+    return [*found, "absent"]
+
+
+def assert_same_store(got: EmbeddingStore, want: EmbeddingStore, words) -> None:
+    """`got` holds `want`'s matrix bits and finds the same row for every probe of `words`."""
+    assert len(got) == len(want)
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    for probe in probes(words):
+        assert (got.row(probe), probe in got) == (want.row(probe), probe in want), probe
 
 
 def lookup_folded(vectors: dict[str, np.ndarray], word: str):
@@ -32,7 +52,7 @@ def lookup_folded(vectors: dict[str, np.ndarray], word: str):
 
 
 def load_text(path: str) -> tuple[dict[str, np.ndarray], int]:
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         count, dim = _parse_header(header, path)
         vectors: dict[str, np.ndarray] = {}

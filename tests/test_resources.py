@@ -8,7 +8,9 @@ import multiprocessing
 import os
 import random
 import shutil
+import tracemalloc
 import weakref
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +39,9 @@ from paraplag.resources import (
     synonyms,
 )
 from paraplag.resources import embeddings
+from paraplag.textprep import normalize
+
+from embedding_oracle import assert_same_store
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -85,6 +90,18 @@ class TestLexdbLoading:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(MissingFile):
             load_lexdb(tmp_path)
+
+    def test_files_may_start_with_a_byte_order_mark(self, tmp_path, store):
+        self._copy_fixture(tmp_path)
+        for path in tmp_path.iterdir():
+            path.write_bytes("\ufeff".encode() + path.read_bytes())
+        marked = load_lexdb(tmp_path)
+        assert [marked.synset_count(pos) for pos in "nvar"] == [
+            store.synset_count(pos) for pos in "nvar"]
+        assert [marked.synset(sid) for sid in FIXTURE_SYNSETS] == [
+            store.synset(sid) for sid in FIXTURE_SYNSETS]
+        assert [marked.senses(word, pos) for word in FIXTURE_WORDS for pos in "nvar"] == [
+            store.senses(word, pos) for word in FIXTURE_WORDS for pos in "nvar"]
 
     def test_malformed_data_line_reports_location(self, tmp_path):
         self._copy_fixture(tmp_path)
@@ -364,6 +381,17 @@ class TestICTable:
         assert table.get(CAT) is None  # zero count carries no value
         assert table.get((1904930, "v")) == pytest.approx(-math.log(150 / 600), abs=1e-12)
 
+    def test_load_accepts_a_byte_order_mark(self, tmp_path):
+        text = "wnver::30\n1740n 1000 ROOT\n15388n 10\n"
+        path = tmp_path / "ic.dat"
+        path.write_text(text, encoding="utf-8")
+        plain = load_ic(path)
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        marked = load_ic(path)
+        assert [marked.get(sid) for sid in (ENTITY, ANIMAL)] == [
+            plain.get(sid) for sid in (ENTITY, ANIMAL)]
+        assert marked.get(ANIMAL) == pytest.approx(math.log(100))
+
     def test_load_sums_multiple_roots_per_pos(self, tmp_path):
         path = tmp_path / "ic.dat"
         path.write_text(
@@ -433,6 +461,19 @@ class TestEmbeddings:
         assert "apple" in store
         np.testing.assert_array_equal(store.lookup_folded("apple"), [1, 0, 0])
         assert "cherry" not in store and store.lookup_folded("cherry") is None
+
+    def test_text_store_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("\ufeff2 2\nParis 1 0\nlondon 0 1\n", encoding="utf-8")
+        for _ in ("parsed", "cached"):
+            store = load_embeddings(path, "text")
+            assert len(store) == 2 and "Paris" in store
+            np.testing.assert_array_equal(store.lookup_folded("paris"), [1, 0])
+        # the binary header is ASCII: a mark there is no number
+        binary = tmp_path / "vecs.bin"
+        binary.write_bytes("\ufeff".encode() + b"1 1\na " + np.ones(1, "<f4").tobytes())
+        with pytest.raises(HeaderMismatch, match="non-integer header"):
+            load_embeddings(binary, "binary")
 
     def test_component_count_enforced(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -580,38 +621,124 @@ def _load(path, fmt="text"):
     return store, spy.called
 
 
-def _assert_same_store(got, want):
-    assert list(got._rows.items()) == list(want._rows.items())
-    assert got._folded == want._folded
-    assert got.matrix.shape == want.matrix.shape
-    assert got.matrix.tobytes() == want.matrix.tobytes()
-
-
-def _cache_regions(data: bytes) -> tuple[int, int]:
-    """Where the matrix ends and the seal line starts, in a cache's bytes."""
+def _cache_regions(data: bytes) -> dict[str, tuple[int, int]]:
+    """Where each region of a cache's bytes starts and ends: the matrix, the
+    offsets, row ids, slots and key blob of the word table ("words-...") and
+    of the normalized-form table ("forms-..."), and the seal line."""
     shape_at = data.index(b"'shape': (") + len(b"'shape': (")
     rows, dim = map(int, data[shape_at:data.index(b")", shape_at)].split(b","))
-    return data.index(b"\n") + 1 + 4 * rows * dim, data.rindex(b"\n") + 1
+    at = data.index(b"\n") + 1
+    regions = {"matrix": (at, at + 4 * rows * dim)}
+    at = regions["matrix"][1]
+    seal_at = data.rindex(b"\n") + 1
+    sizes = [int(field) for field in data[seal_at:].split(b" ")[-5:-1]]
+    for table, keys, blob in [("words", *sizes[:2]), ("forms", *sizes[2:])]:
+        at = -(-at // 8) * 8
+        for region, size in [("offsets", 8 * (keys + 1)), ("rows", 4 * keys),
+                             ("slots", 4 * embeddings._slot_count(keys)), ("blob", blob)]:
+            regions[f"{table}-{region}"] = (at, at + size)
+            at += size
+    regions["seal"] = (seal_at, len(data))
+    return regions
+
+
+TABLE_REGIONS = [f"{table}-{region}" for table in ("words", "forms")
+                 for region in ("offsets", "rows", "slots", "blob")]
+
+
+def _cut_in(region):
+    def cut(data):
+        start, end = _cache_regions(data)[region]
+        return data[:(start + end) // 2]
+    return cut
+
+
+def _flip_in(region):
+    def flip(data):
+        start, end = _cache_regions(data)[region]
+        at = (start + end) // 2
+        return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+    return flip
+
+
+def _resealed(region, dtype, pick, value):
+    """A corruption that sets element `pick(elements)` of `region` to `value`
+    and fixes the seal's CRC-32 to match: only the tables' shape checks find it."""
+    def corrupt(data):
+        regions = _cache_regions(data)
+        start, end = regions[region]
+        elements = np.frombuffer(data[start:end], dtype).copy()
+        elements[pick(elements)] = value
+        data = data[:start] + elements.tobytes() + data[end:]
+        tables_at, seal_at = regions["words-offsets"][0], regions["seal"][0]
+        crc = zlib.crc32(data[tables_at:seal_at - 1])
+        return data[:seal_at] + data[seal_at:].rsplit(b" ", 1)[0] + b" %d" % crc
+    return corrupt
+
+
+def _seal_count(field, change):
+    """A corruption that changes the seal's `field`th table size by `change`."""
+    def corrupt(data):
+        *head, seal = data.rsplit(b"\n", 1)
+        fields = seal.split(b" ")
+        fields[field - 5] = b"%d" % (int(fields[field - 5]) + change)
+        return b"\n".join([*head, b" ".join(fields)])
+    return corrupt
+
+
+def _first(condition):
+    return lambda elements: np.flatnonzero(condition(elements))[0]
 
 
 # Each takes a good cache's bytes and returns a corrupted copy.
 CORRUPTIONS = {
     "empty": lambda data: b"",
     "cut-in-header": lambda data: data[:20],
-    "cut-in-matrix": lambda data: data[:_cache_regions(data)[0] - 3],
-    "cut-in-words": lambda data: data[:_cache_regions(data)[0] + 3],
+    "cut-in-matrix": lambda data: data[:_cache_regions(data)["matrix"][1] - 3],
+    **{f"cut-in-{region}": _cut_in(region) for region in TABLE_REGIONS},
+    **{f"flipped-byte-in-{region}": _flip_in(region) for region in TABLE_REGIONS},
     "cut-in-seal": lambda data: data[:-1],
-    "flipped-key-byte": lambda data: data[:-30] + bytes([data[-30] ^ 1]) + data[-29:],
+    "flipped-key-byte": lambda data: data[:-60] + bytes([data[-60] ^ 1]) + data[-59:],
+    "flipped-checksum-digit": lambda data: data[:-1] + bytes([data[-1] ^ 1]),
+    "one-word-more": _seal_count(0, 1),
+    "one-form-fewer": _seal_count(2, -1),
     "header-length-shrunk": lambda data: data[:8] + bytes([data[8] - 4]) + data[9:],
     "dtype-changed": lambda data: data.replace(b"'<f4'", b"'<i4'", 1),
-    "one-word-more": lambda data: (
-        data[:_cache_regions(data)[1]] + b"extra\n" + data[_cache_regions(data)[1]:]),
-    "one-word-fewer": lambda data: (
-        data[:_cache_regions(data)[0]] + data[data.index(b"\n", _cache_regions(data)[0]) + 1:]),
-    "repeated-word": lambda data: data.replace(b"\nbanana\n", b"\napple\n"),
-    "non-utf8-word": lambda data: data.replace(b"\nbanana\n", b"\nban\xffna\n"),
     "not-npy": lambda data: b"PK\x03\x04" + data[4:],
+    # resealed: the CRC-32 matches, so the tables' shape checks alone refuse them
+    "resealed-falling-offsets": _resealed("words-offsets", "<i8", lambda e: 1, 12),
+    "resealed-offsets-past-the-blob": _resealed("forms-offsets", "<i8", lambda e: -1, 99),
+    "resealed-row-id-past-the-matrix": _resealed("forms-rows", "<i4", lambda e: 0, 3),
+    "resealed-negative-row-id": _resealed("words-rows", "<i4", lambda e: 2, -1),
+    "resealed-slot-id-past-the-keys": _resealed("words-slots", "<i4", _first(lambda e: e >= 0), 3),
+    "resealed-slot-id-below-empty": _resealed("forms-slots", "<i4", _first(lambda e: e < 0), -2),
+    "resealed-one-empty-slot-fewer": _resealed("words-slots", "<i4", _first(lambda e: e < 0), 0),
 }
+
+
+class TestWordTable:
+    @given(st.lists(st.text(max_size=3), unique=True, max_size=40), st.lists(st.text(max_size=3)))
+    def test_finds_each_key_at_its_row_and_nothing_else(self, keys, others):
+        rows = [3 * k + 1 for k in range(len(keys))]
+        table = embeddings.WordTable.build(keys, rows)
+        assert len(table) == len(keys) and table.is_sound(3 * len(keys) + 1)
+        for word in [*keys, *others, "\ud800"]:
+            assert table.get(word) == (rows[keys.index(word)] if word in keys else None)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_the_shape_checks_read_every_block(self, block):
+        table = embeddings.WordTable.build(["a", "bb", "ccc", "dddd", "e", "ff"], range(6))
+        offsets, rows, slots, blob = table.regions
+        with mock.patch.object(embeddings, "_CHECK_BLOCK", block):
+            assert table.is_sound(6)
+            for at in range(1, 6):
+                falling = offsets.copy()
+                falling[at] = falling[at + 1] + 1
+                assert not embeddings.WordTable(falling, rows, slots, blob).is_sound(6)
+            for at in np.flatnonzero(slots < 0):
+                fuller = slots.copy()
+                fuller[at] = 0
+                assert not embeddings.WordTable(offsets, rows, fuller, blob).is_sound(6)
 
 
 class TestEmbeddingCache:
@@ -620,6 +747,7 @@ class TestEmbeddingCache:
     # The last component is 0.0: its bytes are valid UTF-8, so a matrix read
     # from too early an offset leaves a tail that still decodes.
     TEXT = "3 2\napple 1.5 -0.25\nbanana 0.1 0.2\nApple 3 0\n"
+    WORDS = ["apple", "banana", "Apple"]
 
     def test_same_size_edit_with_the_old_mtime_is_a_miss(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -633,7 +761,7 @@ class TestEmbeddingCache:
         store, did_parse = _load(path)
         assert did_parse
         np.testing.assert_array_equal(store.lookup_folded("apple"), [2.5, -0.25])
-        _assert_same_store(_load(path)[0], store)
+        assert_same_store(_load(path)[0], store, self.WORDS)
 
     def test_the_format_is_part_of_the_key(self, tmp_path):
         # a valid store in both formats: to the binary loader, "1.5\n" is a float32
@@ -670,7 +798,7 @@ class TestEmbeddingCache:
         cache.write_bytes(bad)
         store, did_parse = _load(path)
         assert did_parse
-        _assert_same_store(store, parsed)
+        assert_same_store(store, parsed, self.WORDS)
         assert cache.read_bytes() == good
 
     def test_older_layout_version_is_a_miss(self, tmp_path):
@@ -681,6 +809,23 @@ class TestEmbeddingCache:
         assert _load(path)[1]
         assert not _load(path)[1]
 
+    def test_a_version_1_cache_is_a_miss_and_rewritten(self, tmp_path):
+        # the layout before the word tables: the matrix, then each word and the
+        # key line, one a line
+        path = tmp_path / "vecs.txt"
+        path.write_text(self.TEXT)
+        parsed = load_embeddings(path)
+        cache = tmp_path / "vecs.txt.paraplag-cache"
+        good = cache.read_bytes()
+        key = f"paraplag-embedding-cache 1 text sha256:{embeddings._digest(str(path))}"
+        with open(cache, "wb") as fh:
+            np.save(fh, parsed.matrix)
+            offset = fh.tell() - parsed.matrix.nbytes
+            fh.write("\n".join([*self.WORDS, f"{key} {offset} {parsed.matrix.shape}"]).encode())
+        store, did_parse = _load(path)
+        assert did_parse and cache.read_bytes() == good
+        assert_same_store(store, parsed, self.WORDS)
+
     @pytest.mark.parametrize("call, error", [("open", PermissionError), ("replace", OSError)])
     def test_failed_write_still_loads_and_leaves_no_file(self, tmp_path, call, error):
         path = tmp_path / "vecs.txt"
@@ -689,7 +834,7 @@ class TestEmbeddingCache:
             store = load_embeddings(path)
         assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
         np.testing.assert_array_equal(store.lookup_folded("APPLE"), [1.5, -0.25])
-        _assert_same_store(_load(path)[0], store)
+        assert_same_store(_load(path)[0], store, self.WORDS)
 
     def test_store_changed_while_loading_is_not_cached(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -712,10 +857,25 @@ class TestEmbeddingCache:
         parsed, _ = _load(path, fmt)
         cached, did_parse = _load(path, fmt)
         assert not did_parse and len(cached) == 0 and cached.matrix.shape == (0, 3)
-        _assert_same_store(cached, parsed)
+        assert_same_store(cached, parsed, [])
+
+    def test_a_store_of_normalized_words_keeps_one_table(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 2\napple 1 0\ncafe 0 1\n")
+        parsed, _ = _load(path)
+        cached, did_parse = _load(path)
+        assert not did_parse
+        for store in (parsed, cached):
+            assert store.folded is store.exact
+            assert (store.row("APPLE"), store.row("Café"), store.row("CAFE")) == (0, 1, 1)
+        assert_same_store(cached, parsed, ["apple", "cafe"])
+        # the seal sizes one table, 2 keys in 9 bytes, before the CRC-32
+        seal = (tmp_path / "vecs.txt.paraplag-cache").read_bytes().rsplit(b"\n", 1)[1]
+        assert seal.split(b") ")[1].split(b" ")[:-1] == [b"2", b"9"]
 
     def test_binary_words_keep_every_line_break_but_newline(self, tmp_path):
-        # str.splitlines() would split all four words; a split on "\n" keeps them
+        # each word is found at its own row, parsed and cached alike: a split of
+        # the words on str.splitlines() would lose the first four
         words = ["a\x85b", "c\u2028d", "e\tf", "g\rh", "\r"]
         path = tmp_path / "vecs.bin"
         path.write_bytes(f"{len(words)} 2\n".encode("ascii") + b"".join(
@@ -724,8 +884,10 @@ class TestEmbeddingCache:
         ))
         parsed, _ = _load(path, "binary")
         cached, did_parse = _load(path, "binary")
-        assert not did_parse and list(cached._rows) == words
-        _assert_same_store(cached, parsed)
+        assert not did_parse and len(cached) == len(words)
+        for store in (parsed, cached):
+            assert [store.row(word) for word in words] == list(range(len(words)))
+        assert_same_store(cached, parsed, words)
 
     def test_writer_racing_a_rival_leaves_one_complete_cache(self, tmp_path):
         # a second process (another pid) loads the cold store and renames its
@@ -748,7 +910,41 @@ class TestEmbeddingCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vecs.txt", "vecs.txt.paraplag-cache"]
         cached, did_parse = _load(path)
         assert not did_parse
-        _assert_same_store(cached, parsed)
+        assert_same_store(cached, parsed, self.WORDS)
+
+    def test_a_warm_load_builds_nothing_per_word(self, tmp_path):
+        # 200k words, 4k of them cased spellings and 4k accented ones of
+        # others; a warm load maps its tables, so its peak allocation is the
+        # hash's two read blocks and a little more, whatever the word count
+        # (a dict of the words alone would take over 20 MiB)
+        count = 200_000
+        words = [f"w{i}" for i in range(count)] + [
+            f"{prefix}{i}" for prefix in ("W", "É", "é") for i in range(0, count, 50)]
+        path = tmp_path / "vecs.bin"
+        vectors = np.arange(len(words), dtype="<f4")
+        path.write_bytes(f"{len(words)} 1\n".encode("ascii") + b"".join(
+            word.encode("utf-8") + b" " + vectors[row:row + 1].tobytes()
+            for row, word in enumerate(words)
+        ))
+        parsed, _ = _load(path, "binary")
+        tracemalloc.start()
+        try:
+            warm, did_parse = _load(path, "binary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not did_parse and len(warm) == len(words)
+        assert peak < 2 * embeddings._READ_BLOCK + (1 << 20), peak
+        # the parse against dicts of the rule: the word's row, else the row of
+        # the first stored spelling of its normalized form
+        rows = {word: row for row, word in enumerate(words)}
+        first: dict[str, int] = {}
+        for row, word in enumerate(words):
+            first.setdefault(normalize(word), row)
+        sample = random.Random(3).sample(words, 2000) + [f"w{i}" for i in range(count, count + 500)]
+        for word in sample:
+            assert parsed.row(word) == rows.get(word, first.get(normalize(word))), word
+        assert_same_store(warm, parsed, sample)
 
     def test_pool_workers_racing_on_a_cold_cache(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -766,7 +962,7 @@ class TestEmbeddingCache:
         assert not did_parse
         assert cached.matrix.tobytes() == matrix.tobytes()
         for store in stores:
-            _assert_same_store(store, cached)
+            assert_same_store(store, cached, [f"w{row}" for row in range(0, 3000, 7)])
 
 
 class TestCosine:

@@ -590,9 +590,13 @@ def test_each_word_is_looked_up_once_per_run_across_sources(monkeypatch):
     ics_calls = _count_calls(monkeypatch, "subsumer_ics")
     normalized = _count_calls(monkeypatch, "normalize", textprep)
     stores = _counting_stores()
+    rows, row = Counter(), stores.embeddings.row
+    monkeypatch.setattr(stores.embeddings, "row", lambda word: rows.update([word]) or row(word))
     scores = score_pairs(_crowd_pairs(), EngineConfig(), stores=stores)
     # taken before the expectations below preprocess the texts again
     calls, ics_calls, normalized = map(Counter, (calls, ics_calls, normalized))
+    # suspect words, their synonyms and source words alike
+    assert {"automobile", "chased", "machines", "true_cat"} <= set(rows) and max(rows.values()) == 1
     suspects = [suspect for suspect, _ in CROWD]
     texts = [text for pair in CROWD for text in pair]
     assert {"exact", "synonym", "resnik"} <= set().union(*map(_channels, scores))
