@@ -9,11 +9,11 @@ a UTF-8 byte-order mark; the binary header is ASCII.
 
 Both loaders write each vector straight into its row of one float32
 matrix: the text loader as it parses each line, the binary loader from
-blocks of `_READ_BLOCK` bytes.  `WordTable`s find the rows: one keyed by
-word, and one keyed by normalized form (`textprep.normalize`: case and
-diacritics folded, as a token's normalized form is) holding the row of the
-first stored spelling of that form.  When every word is its own normalized
-form the second would copy the first, and the store keeps one.
+blocks of `_READ_BLOCK` bytes.  Two `WordTable`s find the rows: one keyed
+by word, and one of aliases, keyed by normalized form (`textprep.normalize`:
+case and diacritics folded, as a token's normalized form is), holding the
+row of the first stored spelling of each form that is not itself that
+spelling.  A store whose words are all normalized has no aliases.
 
 A store is parsed once per content.  After a parse, `load_embeddings`
 writes the matrix and the tables to a cache file beside the store
@@ -67,11 +67,12 @@ _READ_BLOCK = 1 << 20
 _CHECK_BLOCK = 1 << 16
 
 # The cache beside a store is its path plus this suffix.  Its layout: the
-# float32 matrix in .npy format (version 1.0); then the store's one or two
-# `WordTable`s, each starting at a multiple of 8 bytes and laid out as its offsets (int64),
-# row ids (int32), slots (int32) and key blob, all little-endian; then zero
-# bytes up to a multiple of 8, "\n" and `_seal`'s line, in ASCII.  A change of
-# layout bumps _CACHE_VERSION, so older caches read as misses.
+# float32 matrix in .npy format (version 1.0); then the store's two
+# `WordTable`s, each starting at a multiple of 8 bytes and laid out as its
+# offsets (int64), row ids (int32), slots (int32) and key blob, all
+# little-endian; then zero bytes up to a multiple of 8, "\n" and `_seal`'s
+# line, in ASCII.  A change of layout bumps _CACHE_VERSION, so older caches
+# read as misses.
 CACHE_SUFFIX = ".paraplag-cache"
 _CACHE_VERSION = 2
 
@@ -111,18 +112,28 @@ class WordTable:
 
     @classmethod
     def build(cls, words: Iterable[str], rows: Iterable[int]) -> "WordTable":
-        """The table of distinct `words`, each read as its row in `rows`."""
+        """The table of distinct `words`, each read as its row in `rows`.
+
+        The keys are laid in order of their home slot, each in its home or in
+        the slot after the one laid before it, whichever is later: every slot
+        from a key's home to its own is then taken, as a probe needs.  Keys
+        pushed past the last slot wrap round into the first empty slots from
+        slot 0, in order, so that this holds round the wrap too.
+        """
         keys = [word.encode() for word in words]
-        slots = [-1] * _slot_count(len(keys))
-        mask = len(slots) - 1
-        for k, key in enumerate(keys):
-            i = zlib.crc32(key) & mask
-            while slots[i] >= 0:
-                i = (i + 1) & mask
-            slots[i] = k
+        slots = np.full(_slot_count(len(keys)), -1, "<i4")
+        homes = np.fromiter(map(zlib.crc32, keys), np.int64, len(keys)) & (len(slots) - 1)
+        order = np.argsort(homes, kind="stable")
+        ranks = np.arange(len(keys))
+        # at[i] = max(homes[order[i]], at[i - 1] + 1), as a running maximum
+        at = ranks + np.maximum.accumulate(homes[order] - ranks)
+        fits = at < len(slots)
+        slots[at[fits]] = order[fits]
+        wrapped = order[~fits]
+        slots[np.flatnonzero(slots < 0)[:len(wrapped)]] = wrapped
         offsets = np.zeros(len(keys) + 1, "<i8")
         np.cumsum(np.fromiter(map(len, keys), np.int64, len(keys)), out=offsets[1:])
-        return cls(offsets, np.fromiter(rows, "<i4", len(keys)), np.array(slots, "<i4"),
+        return cls(offsets, np.fromiter(rows, "<i4", len(keys)), slots,
                    np.frombuffer(b"".join(keys), np.uint8))
 
     @classmethod
@@ -210,12 +221,13 @@ class EmbeddingStore:
     """Read-only word vectors with an explicit fallback by normalized form.
 
     The vectors are the rows of one float32 ``(count, dim)`` matrix, in file
-    order; `exact`, a `WordTable` of every word, and `folded`, one of each
-    normalized form with the row of its first stored spelling, find them.
-    `from_words` builds both tables, or one when every word is its own
-    normalized form: `folded` is then `exact`, which it would copy.  The
-    matrix is made read-only here, so every vector handed out is a read-only
-    view of it.
+    order; `exact`, a `WordTable` of every word, and `folded`, of the
+    aliases, find them.  A word's row is its own, else the row of the first
+    stored spelling of its normalized form: `folded` holds that row for each
+    form whose first stored spelling is not the form itself, and `exact`
+    holds it for every other stored form, because a normalized form
+    normalizes to itself.  The matrix is made read-only here, so every
+    vector handed out is a read-only view of it.
     """
 
     def __init__(self, matrix: np.ndarray, exact: WordTable, folded: WordTable):
@@ -232,9 +244,9 @@ class EmbeddingStore:
         first: dict[str, int] = {}
         for row, word in enumerate(words):
             first.setdefault(normalize(word), row)
-        exact = WordTable.build(words, range(len(words)))
-        folded = exact if list(first) == words else WordTable.build(first, first.values())
-        return cls(matrix, exact, folded)
+        aliases = {form: row for form, row in first.items() if words[row] != form}
+        return cls(matrix, WordTable.build(words, range(len(words))),
+                   WordTable.build(aliases, aliases.values()))
 
     def __len__(self) -> int:
         return len(self.exact)
@@ -245,7 +257,11 @@ class EmbeddingStore:
     def row(self, word: str) -> Optional[int]:
         """The matrix row `lookup_folded` reads for the word, or None."""
         row = self.exact.get(word)
-        return self.folded.get(normalize(word)) if row is None else row
+        if row is not None:
+            return row
+        form = normalize(word)
+        row = self.folded.get(form)
+        return self.exact.get(form) if row is None else row
 
     def lookup_folded(self, word: str) -> Optional[np.ndarray]:
         """Exact lookup, then the first stored word of the same normalized form."""
@@ -369,8 +385,8 @@ def _digest(path: str) -> str:
 def _seal(key: str, offset: int, shape: tuple, tables: Sequence[WordTable], crc: int) -> str:
     """The cache's last line: the key, the matrix's offset and shape as
     written, so that a garbled .npy header which still parses is a miss, then
-    each stored table's key count and blob length, then the CRC-32 of the
-    tables' bytes."""
+    each table's key count and blob length, then the CRC-32 of the tables'
+    bytes."""
     sizes = " ".join(f"{len(table)} {len(table.regions[-1])}" for table in tables)  # blob last
     return f"{key} {offset} {shape} {sizes} {crc}"
 
@@ -395,7 +411,7 @@ def _read_cache(cache: str, key: str) -> Optional[EmbeddingStore]:
             buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         seal = buffer[-_SEAL_MAX:].rpartition(b"\n")[2].decode("ascii")
         *sizes, _ = map(int, seal.removeprefix(f"{key} {offset} {shape} ").split(" "))
-        if len(sizes) not in (2, 4) or min(sizes) < 0:
+        if len(sizes) != 4 or min(sizes) < 0:
             return None
         matrix = np.frombuffer(buffer, np.float32, shape[0] * shape[1], offset).reshape(shape)
         start = at = _aligned(offset + matrix.nbytes)
@@ -413,7 +429,7 @@ def _read_cache(cache: str, key: str) -> Optional[EmbeddingStore]:
             or len(buffer) != at + 1 + len(seal) or len(tables[0]) != len(matrix)
             or not all(table.is_sound(len(matrix)) for table in tables)):
         return None
-    return EmbeddingStore(matrix, tables[0], tables[-1])
+    return EmbeddingStore(matrix, *tables)
 
 
 def _write_cache(cache: str, key: str, store: EmbeddingStore) -> None:
@@ -427,8 +443,7 @@ def _write_cache(cache: str, key: str, store: EmbeddingStore) -> None:
         with os.fdopen(fd, "wb") as fh:
             np.save(fh, store.matrix, allow_pickle=False)
             offset = fh.tell() - store.matrix.nbytes
-            # `folded` is written only when it is a table of its own
-            tables = (store.exact,) if store.folded is store.exact else (store.exact, store.folded)
+            tables = (store.exact, store.folded)
             fh.write(bytes(_aligned(fh.tell()) - fh.tell()))
             crc = 0
             for table in tables:

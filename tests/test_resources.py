@@ -708,9 +708,9 @@ CORRUPTIONS = {
     # resealed: the CRC-32 matches, so the tables' shape checks alone refuse them
     "resealed-falling-offsets": _resealed("words-offsets", "<i8", lambda e: 1, 12),
     "resealed-offsets-past-the-blob": _resealed("forms-offsets", "<i8", lambda e: -1, 99),
-    "resealed-row-id-past-the-matrix": _resealed("forms-rows", "<i4", lambda e: 0, 3),
+    "resealed-row-id-past-the-matrix": _resealed("forms-rows", "<i4", lambda e: 0, 4),
     "resealed-negative-row-id": _resealed("words-rows", "<i4", lambda e: 2, -1),
-    "resealed-slot-id-past-the-keys": _resealed("words-slots", "<i4", _first(lambda e: e >= 0), 3),
+    "resealed-slot-id-past-the-keys": _resealed("words-slots", "<i4", _first(lambda e: e >= 0), 4),
     "resealed-slot-id-below-empty": _resealed("forms-slots", "<i4", _first(lambda e: e < 0), -2),
     "resealed-one-empty-slot-fewer": _resealed("words-slots", "<i4", _first(lambda e: e < 0), 0),
 }
@@ -724,6 +724,17 @@ class TestWordTable:
         assert len(table) == len(keys) and table.is_sound(3 * len(keys) + 1)
         for word in [*keys, *others, "\ud800"]:
             assert table.get(word) == (rows[keys.index(word)] if word in keys else None)
+
+    def test_keys_past_the_last_slot_wrap_round(self):
+        # three keys at home in the last of 8 slots and one at home in the
+        # first: two of the three wrap round, past the fourth, to slots 1 and 2
+        homes = {name: zlib.crc32(name.encode()) & 7 for name in (f"k{i}" for i in range(200))}
+        keys = [name for name, home in homes.items() if home == 7][:3]
+        keys.append(next(name for name, home in homes.items() if home == 0))
+        table = embeddings.WordTable.build(keys, range(4))
+        assert table.is_sound(4)
+        assert table.regions[2].tolist() == [3, 1, 2, -1, -1, -1, -1, 0]
+        assert [table.get(key) for key in keys] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("block", [1, 2, 3, 64])
     def test_the_shape_checks_read_every_block(self, block):
@@ -745,9 +756,10 @@ class TestEmbeddingCache:
     """The cache beside a store: hits, misses, and writes that fail."""
 
     # The last component is 0.0: its bytes are valid UTF-8, so a matrix read
-    # from too early an offset leaves a tail that still decodes.
-    TEXT = "3 2\napple 1.5 -0.25\nbanana 0.1 0.2\nApple 3 0\n"
-    WORDS = ["apple", "banana", "Apple"]
+    # from too early an offset leaves a tail that still decodes.  "Éclair" is
+    # the one alias: no stored word is its normalized form.
+    TEXT = "4 2\napple 1.5 -0.25\nbanana 0.1 0.2\nÉclair 2 1\nApple 3 0\n"
+    WORDS = ["apple", "banana", "Éclair", "Apple"]
 
     def test_same_size_edit_with_the_old_mtime_is_a_miss(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -859,19 +871,32 @@ class TestEmbeddingCache:
         assert not did_parse and len(cached) == 0 and cached.matrix.shape == (0, 3)
         assert_same_store(cached, parsed, [])
 
-    def test_a_store_of_normalized_words_keeps_one_table(self, tmp_path):
+    @pytest.mark.parametrize("text, aliases", [
+        # every word is its own normalized form
+        ("2 2\napple 1 0\ncafe 0 1\n", []),
+        # a form stored after another spelling of it is that spelling's alias;
+        # one stored first needs none, however many spellings follow
+        ("4 2\nApple 1 0\napple 0 1\ncafe 1 1\nCafé 0 0\n", ["apple"]),
+        # a form stored nowhere is its first spelling's alias
+        ("3 2\nCAFÉ 1 0\nCafé 0 1\nApple 1 1\n", ["cafe", "apple"]),
+    ])
+    def test_the_form_table_holds_only_aliases(self, tmp_path, text, aliases):
         path = tmp_path / "vecs.txt"
-        path.write_text("2 2\napple 1 0\ncafe 0 1\n")
+        path.write_text(text)
         parsed, _ = _load(path)
         cached, did_parse = _load(path)
         assert not did_parse
+        words = [line.split()[0] for line in text.splitlines()[1:]]
         for store in (parsed, cached):
-            assert store.folded is store.exact
-            assert (store.row("APPLE"), store.row("Café"), store.row("CAFE")) == (0, 1, 1)
-        assert_same_store(cached, parsed, ["apple", "cafe"])
-        # the seal sizes one table, 2 keys in 9 bytes, before the CRC-32
+            assert len(store.folded) == len(aliases)
+            for alias in aliases:
+                first = next(w for w in words if normalize(w) == alias)
+                assert store.folded.get(alias) == store.row(alias.upper()) == words.index(first)
+        assert_same_store(cached, parsed, words)
+        # the seal sizes both tables, the form table's blob last, before the CRC-32
         seal = (tmp_path / "vecs.txt.paraplag-cache").read_bytes().rsplit(b"\n", 1)[1]
-        assert seal.split(b") ")[1].split(b" ")[:-1] == [b"2", b"9"]
+        assert seal.split(b") ")[1].split(b" ")[2:-1] == [
+            b"%d" % len(aliases), b"%d" % len("".join(aliases))]
 
     def test_binary_words_keep_every_line_break_but_newline(self, tmp_path):
         # each word is found at its own row, parsed and cached alike: a split of
@@ -962,7 +987,7 @@ class TestEmbeddingCache:
         assert not did_parse
         assert cached.matrix.tobytes() == matrix.tobytes()
         for store in stores:
-            assert_same_store(store, cached, [f"w{row}" for row in range(0, 3000, 7)])
+            assert_same_store(store, cached, [f"w{row}" for row in range(3000)])
 
 
 class TestCosine:

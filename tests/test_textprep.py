@@ -207,6 +207,16 @@ def test_normalize_idempotent():
         assert normalize(once) == once
 
 
+@given(st.text())
+@example("\u0130\uff9e")
+@example("\u03a3\u03a3")
+def test_normalize_idempotent_on_any_text(surface):
+    # an embedding store finds a stored normalized form through its word
+    # table, not its alias table, because the form normalizes to itself
+    once = normalize(surface)
+    assert normalize(once) == once
+
+
 def test_preprocess_content_and_stems():
     [sentence] = preprocess_passage("The cats RAN quickly.", STOPWORDS)
     assert [t.surface for t in sentence.all_tokens] == ["The", "cats", "RAN", "quickly"]
