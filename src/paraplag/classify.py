@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .editsim import SourceStems
-from .errors import ParaplagError, is_integer
+from .errors import ParaplagError, decode_utf8, is_integer
 from .resources import KnowledgeStores
 from .semsim import PairTables, SemThresholds, Vocabulary, WordMatch, best_sentence
 from .synsim import max_syntactic_similarity
@@ -415,8 +415,8 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """The model `save_model` wrote; `MalformedModel` names the file if it holds none."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            payload = json.loads(decode_utf8(fh.read(), path))
         if not isinstance(payload, dict):
             raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
         kind = payload.pop("kind", None)
@@ -429,8 +429,10 @@ def load_model(path) -> Model:
                 f"a {kind} model has keys {', '.join(keys)}, got {', '.join(sorted(payload))}"
             )
         return cls(**payload)
-    except ValueError as exc:  # also bad UTF-8 and bad JSON
+    except ValueError as exc:  # also bad JSON
         raise MalformedModel(f"{path}: {exc}") from None
+    except ParaplagError as exc:  # bad UTF-8: the message names the file and the line
+        raise MalformedModel(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ CORPUS_KINDS = ("crowd", "cs", "jsonl")
 def _read_text_file(path) -> str:
     try:
         with open(path, encoding="utf-8", errors="replace") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")  # a mark of the encoding, not text
     except OSError as exc:
         raise ParaplagError(f"cannot read {path}: {exc}") from exc
     if not text.strip():

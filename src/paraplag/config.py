@@ -125,9 +125,17 @@ def load_config(path) -> EngineConfig:
 
     A byte that is not UTF-8 raises ParaplagError naming the file and the line.
     """
+    def unique(pairs: list) -> dict:
+        raw: dict = {}
+        for key, value in pairs:
+            if key in raw:  # json alone would keep the last value
+                raise ConfigError(f"config {path} gives key {key!r} twice")
+            raw[key] = value
+        return raw
+
     try:
         with open(path, "rb") as fh:
-            raw = json.loads(decode_utf8(fh.read(), path))
+            raw = json.loads(decode_utf8(fh.read(), path), object_pairs_hook=unique)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -21,12 +21,12 @@ writes the matrix and the tables to a cache file beside the store
 and the SHA-256 of the store's bytes.  A later load whose key matches maps
 the whole file read-only and reads the matrix and the tables in place, so
 it builds nothing per word, and processes loading one store share its
-pages.  A hit checks the tables' bytes against the CRC-32 on the cache's
-last line, and their shape (`WordTable.is_sound`), so that every lookup in
-a hit's tables ends.  A hit does not detect bytes changed inside a
-well-formed matrix, nor tables changed together with their CRC-32.  A
-cache that is missing, keyed otherwise or unreadable in any way is ignored
-and the store parsed again; a cache that cannot be written is not written.
+pages.  The cache's last line, its seal, holds the key, the matrix's shape,
+the tables' sizes and the CRC-32 of their bytes.  A hit checks them all and
+the tables' shape (`WordTable.is_sound`), so that every lookup in its tables
+ends, but not bytes changed inside the matrix, nor tables changed together
+with their CRC-32.  A missing, otherwise keyed, short or garbled cache is
+ignored and the store parsed again; one that cannot be written is not.
 Either way the vectors are the parse's float32 bits, every lookup finds the
 parse's row, and deleting the cache is always safe.
 
@@ -67,14 +67,14 @@ _READ_BLOCK = 1 << 20
 _CHECK_BLOCK = 1 << 16
 
 # The cache beside a store is its path plus this suffix.  Its layout: the
-# float32 matrix in .npy format (version 1.0); then the store's two
+# matrix's float32 values, row by row from byte 0; then the store's two
 # `WordTable`s, each starting at a multiple of 8 bytes and laid out as its
-# offsets (int64), row ids (int32), slots (int32) and key blob, all
+# offsets (int64), row ids (int32), slots (int32) and key blob, all numbers
 # little-endian; then zero bytes up to a multiple of 8, "\n" and `_seal`'s
 # line, in ASCII.  A change of layout bumps _CACHE_VERSION, so older caches
 # read as misses.
 CACHE_SUFFIX = ".paraplag-cache"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 def _slot_count(keys: int) -> int:
@@ -382,13 +382,12 @@ def _digest(path: str) -> str:
     return sha.hexdigest()
 
 
-def _seal(key: str, offset: int, shape: tuple, tables: Sequence[WordTable], crc: int) -> str:
-    """The cache's last line: the key, the matrix's offset and shape as
-    written, so that a garbled .npy header which still parses is a miss, then
+def _seal(key: str, count: int, dim: int, tables: Sequence[WordTable], crc: int) -> str:
+    """The cache's last line: the key, the matrix's row count and dimension,
     each table's key count and blob length, then the CRC-32 of the tables'
     bytes."""
     sizes = " ".join(f"{len(table)} {len(table.regions[-1])}" for table in tables)  # blob last
-    return f"{key} {offset} {shape} {sizes} {crc}"
+    return f"{key} {count} {dim} {sizes} {crc}"
 
 
 # The longest `_seal` line: a key of about 110 bytes, then a few numbers.
@@ -399,35 +398,27 @@ def _read_cache(cache: str, key: str) -> Optional[EmbeddingStore]:
     """The store cached in `cache` under `key`, or None when it holds no such store."""
     try:
         with open(cache, "rb") as fh:
-            # the .npy header np.load would read, without its sniffing for zip
-            # archives and pickles, which a garbled cache could set off; any
-            # dtype but float32, such as an object dtype, is refused
-            if np.lib.format.read_magic(fh) != (1, 0):
-                return None
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            offset = fh.tell()
-            if fortran_order or dtype != np.float32 or len(shape) != 2:
-                return None
             buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         seal = buffer[-_SEAL_MAX:].rpartition(b"\n")[2].decode("ascii")
-        *sizes, _ = map(int, seal.removeprefix(f"{key} {offset} {shape} ").split(" "))
-        if len(sizes) != 4 or min(sizes) < 0:
+        count, dim, *sizes, _ = map(int, seal.removeprefix(f"{key} ").split(" "))
+        # checked before any region is read: a count of -1 reads the whole buffer
+        if len(sizes) != 4 or dim < 1 or min(count, *sizes) < 0:
             return None
-        matrix = np.frombuffer(buffer, np.float32, shape[0] * shape[1], offset).reshape(shape)
-        start = at = _aligned(offset + matrix.nbytes)
+        matrix = np.frombuffer(buffer, "<f4", count * dim).reshape(count, dim)
+        start = at = _aligned(matrix.nbytes)
         tables = []
         for keys, blob_bytes in zip(sizes[::2], sizes[1::2]):
             table, at = WordTable.map(buffer, at, keys, blob_bytes)
             tables.append(table)
         crc = zlib.crc32(memoryview(buffer)[start:at])
-    # On a cut or garbled .npy header numpy raises one of several classes
-    # (ValueError, EOFError, tokenize.TokenError among them): any failure to
-    # read the cache is a miss, and the caller parses the store instead.
-    except Exception:
+    # a missing or empty file (mmap refuses one), a seal that is not ASCII
+    # numbers after the key, or sizes past the file (ValueError) or past any
+    # index (OverflowError): a miss, and the caller parses the store instead
+    except (OSError, ValueError, OverflowError):
         return None
-    if (seal != _seal(key, offset, shape, tables, crc)
-            or len(buffer) != at + 1 + len(seal) or len(tables[0]) != len(matrix)
-            or not all(table.is_sound(len(matrix)) for table in tables)):
+    if (seal != _seal(key, count, dim, tables, crc)
+            or len(buffer) != at + 1 + len(seal) or len(tables[0]) != count
+            or not all(table.is_sound(count) for table in tables)):
         return None
     return EmbeddingStore(matrix, *tables)
 
@@ -441,8 +432,7 @@ def _write_cache(cache: str, key: str, store: EmbeddingStore) -> None:
         return
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.save(fh, store.matrix, allow_pickle=False)
-            offset = fh.tell() - store.matrix.nbytes
+            fh.write(store.matrix.astype("<f4", copy=False))
             tables = (store.exact, store.folded)
             fh.write(bytes(_aligned(fh.tell()) - fh.tell()))
             crc = 0
@@ -453,8 +443,7 @@ def _write_cache(cache: str, key: str, store: EmbeddingStore) -> None:
                 padding = bytes(_aligned(fh.tell()) - fh.tell())
                 fh.write(padding)
                 crc = zlib.crc32(padding, crc)
-            seal = _seal(key, offset, store.matrix.shape, tables, crc)
-            fh.write(b"\n" + seal.encode("ascii"))
+            fh.write(b"\n" + _seal(key, *store.matrix.shape, tables, crc).encode("ascii"))
         os.replace(tmp, cache)
     except OSError:
         with contextlib.suppress(OSError):

@@ -1070,8 +1070,14 @@ class TestModelFile:
     def test_invalid_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_bytes(b'{"kind": "kn\xff"}')
-        with pytest.raises(MalformedModel, match="model.json: 'utf-8' codec"):
+        with pytest.raises(MalformedModel, match="model.json:1: invalid UTF-8"):
             load_model(path)
+
+    def test_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("\ufeff" + json.dumps(KNN), encoding="utf-8")
+        model = load_model(path)
+        assert model.kind == "knn" and model.points.tolist() == KNN["points"]
 
     def test_fitted_models_pass_the_same_checks(self):
         with pytest.raises(ValueError, match="k must be an integer in"):

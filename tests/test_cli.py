@@ -107,7 +107,8 @@ class TestScore:
         assert "sentence" in captured.err
 
     @pytest.mark.parametrize("side", [0, 1], ids=["suspect", "source"])
-    @pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "whitespace"])
+    @pytest.mark.parametrize("text", ["", " \n\t\n", "\ufeff"],
+                             ids=["empty", "whitespace", "byte-order-mark"])
     def test_empty_file_is_named(self, tmp_path, capsys, side, text):
         cfg = write_config(tmp_path)
         files = [write_text(tmp_path, "full.txt", "River stone cloud.\n")] * 2

@@ -164,6 +164,14 @@ class TestLoadConfig:
         path.write_text("\ufeff" + json.dumps({"seed": 12}), encoding="utf-8")
         assert load_config(path).seed == 12
 
+    @pytest.mark.parametrize("text", ['{"seed": 1, "seed": 2}', '{"seed": 1, "folds": 3, "seed": 1}'])
+    def test_a_repeated_key_names_the_file_and_the_key(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"config {path} gives key 'seed' twice"
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json", encoding="utf-8")

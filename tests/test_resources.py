@@ -625,13 +625,10 @@ def _cache_regions(data: bytes) -> dict[str, tuple[int, int]]:
     """Where each region of a cache's bytes starts and ends: the matrix, the
     offsets, row ids, slots and key blob of the word table ("words-...") and
     of the normalized-form table ("forms-..."), and the seal line."""
-    shape_at = data.index(b"'shape': (") + len(b"'shape': (")
-    rows, dim = map(int, data[shape_at:data.index(b")", shape_at)].split(b","))
-    at = data.index(b"\n") + 1
-    regions = {"matrix": (at, at + 4 * rows * dim)}
-    at = regions["matrix"][1]
     seal_at = data.rindex(b"\n") + 1
-    sizes = [int(field) for field in data[seal_at:].split(b" ")[-5:-1]]
+    rows, dim, *sizes = [int(field) for field in data[seal_at:].split(b" ")[-7:-1]]
+    regions = {"matrix": (0, 4 * rows * dim)}
+    at = regions["matrix"][1]
     for table, keys, blob in [("words", *sizes[:2]), ("forms", *sizes[2:])]:
         at = -(-at // 8) * 8
         for region, size in [("offsets", 8 * (keys + 1)), ("rows", 4 * keys),
@@ -676,12 +673,17 @@ def _resealed(region, dtype, pick, value):
     return corrupt
 
 
-def _seal_count(field, change):
-    """A corruption that changes the seal's `field`th table size by `change`."""
+# The seal's fields after the key, before the CRC-32.
+SEAL_SIZES = ["count", "dim", "words-keys", "words-blob", "forms-keys", "forms-blob"]
+
+
+def _seal_size(name, change):
+    """A corruption that sets the seal's size `name` to `change` of its value."""
     def corrupt(data):
         *head, seal = data.rsplit(b"\n", 1)
         fields = seal.split(b" ")
-        fields[field - 5] = b"%d" % (int(fields[field - 5]) + change)
+        at = SEAL_SIZES.index(name) - len(SEAL_SIZES) - 1
+        fields[at] = b"%d" % change(int(fields[at]))
         return b"\n".join([*head, b" ".join(fields)])
     return corrupt
 
@@ -693,18 +695,22 @@ def _first(condition):
 # Each takes a good cache's bytes and returns a corrupted copy.
 CORRUPTIONS = {
     "empty": lambda data: b"",
-    "cut-in-header": lambda data: data[:20],
+    "cut-to-20-bytes": lambda data: data[:20],
     "cut-in-matrix": lambda data: data[:_cache_regions(data)["matrix"][1] - 3],
     **{f"cut-in-{region}": _cut_in(region) for region in TABLE_REGIONS},
     **{f"flipped-byte-in-{region}": _flip_in(region) for region in TABLE_REGIONS},
     "cut-in-seal": lambda data: data[:-1],
     "flipped-key-byte": lambda data: data[:-60] + bytes([data[-60] ^ 1]) + data[-59:],
     "flipped-checksum-digit": lambda data: data[:-1] + bytes([data[-1] ^ 1]),
-    "one-word-more": _seal_count(0, 1),
-    "one-form-fewer": _seal_count(2, -1),
-    "header-length-shrunk": lambda data: data[:8] + bytes([data[8] - 4]) + data[9:],
-    "dtype-changed": lambda data: data.replace(b"'<f4'", b"'<i4'", 1),
-    "not-npy": lambda data: b"PK\x03\x04" + data[4:],
+    "one-word-more": _seal_size("words-keys", lambda n: n + 1),
+    "one-form-fewer": _seal_size("forms-keys", lambda n: n - 1),
+    # the matrix's shape, which only the seal gives
+    "one-row-more": _seal_size("count", lambda n: n + 1),
+    "one-dimension-more": _seal_size("dim", lambda n: n + 1),
+    "no-dimensions": _seal_size("dim", lambda n: 0),
+    "negative-row-count": _seal_size("count", lambda n: -n),
+    "row-count-past-any-index": _seal_size("count", lambda n: n + 2**63),
+    "word-count-past-any-index": _seal_size("words-keys", lambda n: n + 2**63),
     # resealed: the CRC-32 matches, so the tables' shape checks alone refuse them
     "resealed-falling-offsets": _resealed("words-offsets", "<i8", lambda e: 1, 12),
     "resealed-offsets-past-the-blob": _resealed("forms-offsets", "<i8", lambda e: -1, 99),
@@ -838,6 +844,28 @@ class TestEmbeddingCache:
         assert did_parse and cache.read_bytes() == good
         assert_same_store(store, parsed, self.WORDS)
 
+    def test_a_version_2_cache_is_a_miss_and_rewritten(self, tmp_path):
+        # the layout before the seal described the matrix alone: the matrix in
+        # .npy format, then the same tables, and a seal giving the matrix's
+        # offset and shape tuple in place of its row count and dimension
+        path = tmp_path / "vecs.txt"
+        path.write_text(self.TEXT)
+        parsed = load_embeddings(path)
+        cache = tmp_path / "vecs.txt.paraplag-cache"
+        good = cache.read_bytes()
+        regions = _cache_regions(good)
+        key = f"paraplag-embedding-cache 2 text sha256:{embeddings._digest(str(path))}"
+        sizes_and_crc = good[regions["seal"][0]:].split(b" ")[-5:]
+        with open(cache, "wb") as fh:
+            np.save(fh, parsed.matrix)
+            offset = fh.tell() - parsed.matrix.nbytes
+            fh.write(bytes(-fh.tell() % 8))
+            fh.write(good[regions["words-offsets"][0]:regions["seal"][0]])
+            fh.write(f"{key} {offset} {parsed.matrix.shape} ".encode() + b" ".join(sizes_and_crc))
+        store, did_parse = _load(path)
+        assert did_parse and cache.read_bytes() == good
+        assert_same_store(store, parsed, self.WORDS)
+
     @pytest.mark.parametrize("call, error", [("open", PermissionError), ("replace", OSError)])
     def test_failed_write_still_loads_and_leaves_no_file(self, tmp_path, call, error):
         path = tmp_path / "vecs.txt"
@@ -871,6 +899,18 @@ class TestEmbeddingCache:
         assert not did_parse and len(cached) == 0 and cached.matrix.shape == (0, 3)
         assert_same_store(cached, parsed, [])
 
+    def test_an_empty_store_sealed_with_no_dimensions_is_a_miss(self, tmp_path):
+        # no rows take no bytes at any dimension: only the check of the seal's
+        # dimension refuses this one
+        path = tmp_path / "vecs"
+        path.write_bytes(b"0 3\n")
+        load_embeddings(path)
+        cache = tmp_path / "vecs.paraplag-cache"
+        good = cache.read_bytes()
+        cache.write_bytes(_seal_size("dim", lambda n: 0)(good))
+        store, did_parse = _load(path)
+        assert did_parse and store.dim == 3 and cache.read_bytes() == good
+
     @pytest.mark.parametrize("text, aliases", [
         # every word is its own normalized form
         ("2 2\napple 1 0\ncafe 0 1\n", []),
@@ -893,10 +933,12 @@ class TestEmbeddingCache:
                 first = next(w for w in words if normalize(w) == alias)
                 assert store.folded.get(alias) == store.row(alias.upper()) == words.index(first)
         assert_same_store(cached, parsed, words)
-        # the seal sizes both tables, the form table's blob last, before the CRC-32
+        # after the key the seal gives the matrix's shape, then sizes both
+        # tables, the form table's blob last, before the CRC-32
         seal = (tmp_path / "vecs.txt.paraplag-cache").read_bytes().rsplit(b"\n", 1)[1]
-        assert seal.split(b") ")[1].split(b" ")[2:-1] == [
-            b"%d" % len(aliases), b"%d" % len("".join(aliases))]
+        assert seal.split(b" ")[-7:-1] == [b"%d" % len(words), b"2", b"%d" % len(words),
+                                           b"%d" % len("".join(words).encode()),
+                                           b"%d" % len(aliases), b"%d" % len("".join(aliases))]
 
     def test_binary_words_keep_every_line_break_but_newline(self, tmp_path):
         # each word is found at its own row, parsed and cached alike: a split of
