@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .editsim import SourceStems
-from .errors import ParaplagError, decode_utf8, is_integer
+from .errors import ParaplagError, is_integer, load_json
 from .resources import KnowledgeStores
 from .semsim import PairTables, SemThresholds, Vocabulary, WordMatch, best_sentence
 from .synsim import max_syntactic_similarity
@@ -416,7 +416,7 @@ def load_model(path) -> Model:
     """The model `save_model` wrote; `MalformedModel` names the file if it holds none."""
     try:
         with open(path, "rb") as fh:
-            payload = json.loads(decode_utf8(fh.read(), path))
+            payload = load_json(fh.read(), path)
         if not isinstance(payload, dict):
             raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
         kind = payload.pop("kind", None)
@@ -429,7 +429,7 @@ def load_model(path) -> Model:
                 f"a {kind} model has keys {', '.join(keys)}, got {', '.join(sorted(payload))}"
             )
         return cls(**payload)
-    except ValueError as exc:  # also bad JSON
+    except ValueError as exc:  # also bad JSON or a repeated key
         raise MalformedModel(f"{path}: {exc}") from None
     except ParaplagError as exc:  # bad UTF-8: the message names the file and the line
         raise MalformedModel(str(exc)) from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .classify import MODELS, ClassifierSpec, FeatureParams
-from .errors import ParaplagError, decode_utf8, is_integer
+from .errors import ParaplagError, is_integer, load_json
 from .gst import GstParams
 from .resources import KnowledgeStores, load_embeddings, load_ic, load_lexdb
 from .semsim import SemThresholds
@@ -123,23 +123,18 @@ class EngineConfig:
 def load_config(path) -> EngineConfig:
     """Read and validate a flat JSON config file.
 
-    A byte that is not UTF-8 raises ParaplagError naming the file and the line.
+    A byte that is not UTF-8 raises ParaplagError naming the file and the
+    line; a key given twice raises ConfigError naming the file and the key.
     """
-    def unique(pairs: list) -> dict:
-        raw: dict = {}
-        for key, value in pairs:
-            if key in raw:  # json alone would keep the last value
-                raise ConfigError(f"config {path} gives key {key!r} twice")
-            raw[key] = value
-        return raw
-
     try:
         with open(path, "rb") as fh:
-            raw = json.loads(decode_utf8(fh.read(), path), object_pairs_hook=unique)
+            raw = load_json(fh.read(), path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a repeated key
+        raise ConfigError(f"config {path} {exc}") from None
     return EngineConfig.from_dict(raw)
 
 

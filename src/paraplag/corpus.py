@@ -17,7 +17,7 @@ import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import MissingFile, ParaplagError
+from .errors import MissingFile, ParaplagError, load_json
 
 PARAPHRASED = "paraphrased"
 NOT_PARAPHRASED = "not_paraphrased"
@@ -244,7 +244,7 @@ def save_pairs_jsonl(pairs: list[LabelledPair], path) -> None:
 def _pair_from_json(line: bytes) -> LabelledPair:
     """The pair one JSON-lines record holds; ValueError says what is wrong."""
     try:
-        record = json.loads(line.decode("utf-8"))
+        record = load_json(line.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"invalid UTF-8 at byte {exc.start + 1}") from None
     except json.JSONDecodeError as exc:

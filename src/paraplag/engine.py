@@ -6,11 +6,11 @@ reports, and round-trips per-pair feature tables as CSV.  Every fan-out
 goes through `parallel_map`, which groups the pairs by source text and
 hands a task one source and its pairs at a time, at any number of jobs.
 One job runs the sources in this process after one set-up (loading
-stores, say); a pool hands its workers chunks of whole sources, about
-eight pairs on average, and each worker runs the set-up before its first
-source.  So each source's preprocessing, word tables and tiling index are
-built once per run, and one at a time.  Scoring's set-up also makes the
-run's `semsim.Vocabulary`, so what depends on a word alone (its
+stores, say); a pool hands its workers chunks of whole sources, at most
+`CHUNKS_PER_WORKER` chunks per job, and each worker runs the set-up before
+its first source.  So each source's preprocessing, word tables and tiling
+index are built once per run, and one at a time.  Scoring's set-up also
+makes the run's `semsim.Vocabulary`, so what depends on a word alone (its
 normalized form and stem, its synonyms, embedding rows and subsumers) is
 worked out once per run, or once per worker in a pool, and dropped with
 the set-up's result.  Output order always follows input order, so results
@@ -46,9 +46,10 @@ from .semsim import Vocabulary
 # ---------------------------------------------------------------------------
 # Fan-out
 
-# Pairs a pool round trip carries about, on average: the pool hands a worker
-# chunks of whole sources, so that a round trip is not paid per pair.
-PAIRS_PER_TASK = 8
+# Chunks of whole sources a pool hands out per job, at most: few, since a
+# worker waits on each round trip for the pool to queue its next chunk, but
+# enough that an error on an early pair cancels most chunks before they start.
+CHUNKS_PER_WORKER = 16
 
 # This pool worker's set-up result, built before its first source.
 _WORKER: dict = {}
@@ -85,12 +86,13 @@ def parallel_map(
     distinct source, one source after another, in order of the sources'
     first appearance.  With no pairs `setup` never runs.  jobs == 1 runs
     the sources in this process, after one `setup`.  Otherwise the pool
-    hands out chunks of whole sources that carry about PAIRS_PER_TASK pairs
-    on average, to up to `jobs` worker processes, never more than there are
-    chunks, each of which runs `setup` before its first source; task,
-    setup, config, pairs and results must pickle.  A set-up error keeps its
-    class; an error raised on a pair names the pair, and in a pool cancels
-    the chunks not yet started.
+    splits the sources into chunks of one size (the last may be smaller),
+    at most CHUNKS_PER_WORKER per job, and hands them to up to `jobs`
+    worker processes, never more than there are chunks, each of which runs
+    `setup` before its first source; task, setup, config, pairs and
+    results must pickle.  A set-up error keeps its class; an error raised
+    on a pair names the pair, and in a pool cancels the chunks not yet
+    started.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -107,8 +109,8 @@ def parallel_map(
             # imported here, so that a run in this process never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            # the sources that carry about PAIRS_PER_TASK pairs on average
-            chunksize = max(1, PAIRS_PER_TASK * len(groups) // len(pairs))
+            # at most CHUNKS_PER_WORKER chunks per job
+            chunksize = math.ceil(len(groups) / (CHUNKS_PER_WORKER * jobs))
             pool = ProcessPoolExecutor(max_workers=min(jobs, math.ceil(len(groups) / chunksize)))
             # on the way out, failing or not: drop the chunks not yet started
             stack.callback(pool.shutdown, cancel_futures=True)
@@ -259,10 +261,11 @@ def write_feature_csv(
 def read_feature_csv(path) -> tuple[list[str], list[LabelledVector]]:
     """Inverse of write_feature_csv: ids plus (vector, label) rows.
 
-    A row that write_feature_csv could not have written raises a
-    ParaplagError naming the file and the line.
+    A row that write_feature_csv could not have written, such as one that
+    repeats an earlier row's pair_id, raises a ParaplagError naming the file
+    and the line.
     """
-    ids: list[str] = []
+    lines_by_id: dict[str, int] = {}
     dataset: list[LabelledVector] = []
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read(), path)
@@ -281,15 +284,17 @@ def read_feature_csv(path) -> tuple[list[str], list[LabelledVector]]:
                 f"{where}: expected {len(FEATURE_FIELDS)} fields, got {len(row)}"
             )
         pair_id, label, *values = row
+        first = lines_by_id.setdefault(pair_id, reader.line_num)
+        if first != reader.line_num:
+            raise ParaplagError(f"{where}: pair_id {pair_id!r} repeats line {first}")
         if label not in ("0", "1"):
             raise ParaplagError(f"{where}: label must be 0 or 1, got {label!r}")
         try:
             vector = SimilarityVector(*map(float, values))
         except ValueError as exc:
             raise ParaplagError(f"{where}: {exc}") from None
-        ids.append(pair_id)
         dataset.append((vector, label == "1"))
-    return ids, dataset
+    return list(lines_by_id), dataset
 
 
 def baseline_csv_rows(

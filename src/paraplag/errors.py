@@ -1,4 +1,4 @@
-"""Shared exception base for the package, its integer check and its UTF-8 decoding.
+"""Shared exception base for the package, its integer check, its UTF-8 and JSON decoding.
 
 Every error raised deliberately by this package derives from ParaplagError,
 so callers (the CLI in particular) can distinguish expected failure modes
@@ -6,6 +6,7 @@ from genuine bugs.
 """
 
 import copyreg
+import json
 import numbers
 
 
@@ -36,6 +37,27 @@ def decode_utf8(raw: bytes, path) -> str:
         head = raw[: exc.start]
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParaplagError(f"{path}:{line_no}: invalid UTF-8") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:  # json alone would keep the last value
+            raise ValueError(f"gives key {key!r} twice")
+        obj[key] = value
+    return obj
+
+
+def load_json(raw: bytes | str, where=None):
+    """The JSON value `raw` holds; bytes are decoded by `decode_utf8(raw, where)`.
+
+    An object that gives one key twice raises ValueError, as malformed JSON
+    raises json.JSONDecodeError (a ValueError too); neither names where the
+    text came from, so the caller adds the file or the line.
+    """
+    if isinstance(raw, bytes):
+        raw = decode_utf8(raw, where)
+    return json.loads(raw, object_pairs_hook=_unique_keys)
 
 
 def is_integer(value) -> bool:

@@ -121,13 +121,15 @@ def _codepoints(text: str, edge: int) -> np.ndarray:
 
 
 def _gram_keys(ranks: np.ndarray, base: int, width: int) -> np.ndarray:
-    """Key of each `width`-gram of ranks: its ranks read as a base-`base` number."""
-    count = max(len(ranks) - width + 1, 0)
-    keys = ranks[:count].copy()
-    for t in range(1, width):
-        keys *= base
-        keys += ranks[t : t + count]
-    return keys
+    """Key of each `width`-gram of ranks: its ranks read as a base-`base` number.
+
+    Ranks are digits in [0, base), so every partial sum of a key's digits
+    times their place values is at most the key, which is below
+    base**width; the keys are exact while that fits an int64.
+    """
+    if len(ranks) < width:  # np.convolve would swap its operands
+        return np.empty(0, dtype=np.int64)
+    return np.convolve(ranks, base ** np.arange(width, dtype=np.int64), "valid")
 
 
 def _set_bit_runs(bits: int, min_length: int):
@@ -167,17 +169,17 @@ class SourceGrams:
         self.width = 1
         while self.width < params.min_tile and self.base ** (self.width + 1) <= _INT64_MAX:
             self.width += 1
-        ranks = np.searchsorted(self.alphabet, self.codes[1:-1])
+        ranks = self.alphabet.searchsorted(self.codes[1:-1])
         keys = _gram_keys(ranks, self.base, self.width)
-        self.positions = np.argsort(keys, kind="stable")
+        self.positions = keys.argsort(kind="stable")
         self.keys = keys[self.positions]
 
     def _suspect_keys(self, sus: np.ndarray) -> np.ndarray:
-        ranks = np.searchsorted(self.alphabet, sus)
+        ranks = self.alphabet.searchsorted(sus)
         known = self.alphabet[np.minimum(ranks, len(self.alphabet) - 1)] == sus
         return _gram_keys(np.where(known, ranks, len(self.alphabet)), self.base, self.width)
 
-    def _chain_ends(self, sus: np.ndarray) -> list[np.ndarray]:
+    def _chain_ends(self, sus: np.ndarray) -> tuple[np.ndarray, ...]:
         """(i, j) of the seeds that start a chain, and of those that end one.
 
         Seed (i, j) has suspect[i:i+g] == source[j:j+g].  It starts a chain
@@ -186,35 +188,38 @@ class SourceGrams:
         """
         g = self.width
         sus_keys = self._suspect_keys(sus[1:-1])
-        lo = np.searchsorted(self.keys, sus_keys, side="left")
-        counts = np.searchsorted(self.keys, sus_keys, side="right") - lo
+        lo = self.keys.searchsorted(sus_keys, side="left")
+        counts = self.keys.searchsorted(sus_keys, side="right") - lo
         rows = np.flatnonzero(counts)  # suspect positions that seed something
         lo, counts = lo[rows], counts[rows]
-        ends = np.cumsum(counts)
+        ends = counts.cumsum()
 
-        empty = np.empty(0, dtype=np.int64)
-        found = [(empty,) * 4]
+        found = []
         first = 0
         while first < len(rows):
             # Seeds of rows[first:last]: at most _SEED_BLOCK of them, unless one
             # suspect gram alone has more source positions than that.
             before = ends[first] - counts[first]
-            last = int(np.searchsorted(ends, before + _SEED_BLOCK, side="right"))
+            last = int(ends.searchsorted(before + _SEED_BLOCK, side="right"))
             last = max(first + 1, last)
             block = counts[first:last]
             # a seed's index into `positions` is its row's `lo` plus its rank
             # in the row, and its rank is its index in the block minus the
             # row's start
             at = np.arange(ends[last - 1] - before)
-            at += np.repeat(lo[first:last] - (ends[first:last] - block - before), block)
+            at += (lo[first:last] - (ends[first:last] - block - before)).repeat(block)
             j = self.positions[at]
-            i = np.repeat(rows[first:last], block)
+            i = rows[first:last].repeat(block)
             # codes are shifted by the leading edge: codes[i] is text[i - 1]
             starts = sus[i] != self.codes[j]
             stops = sus[i + g + 1] != self.codes[j + g + 1]
             found.append((i[starts], j[starts], i[stops], j[stops]))
             first = last
-        return [np.concatenate(column) for column in zip(*found)]
+        if not found:
+            return (np.empty(0, dtype=np.int64),) * 4
+        if len(found) == 1:  # every seed in one block, as on most pairs
+            return found[0]
+        return tuple(np.concatenate(column) for column in zip(*found))
 
     def runs(self, suspect: str) -> list[tuple[int, int, int]]:
         """(-length, suspect offset, source offset) of each maximal equal run.

@@ -1024,6 +1024,8 @@ MALFORMED_MODELS = [
     (json.dumps(dict(KNN, kind="svm")), "kind must be one of knn, nb, got 'svm'"),
     (json.dumps(dict(KNN, kind=["knn"])), "kind must be one of knn, nb, got ['knn']"),
     ('{"kind": "knn"}', "a knn model has keys k, labels, points, got "),
+    # json alone would keep the last value, a valid k
+    (json.dumps(dict(KNN, k=2))[:-1] + ', "k": 1}', "gives key 'k' twice"),
     (json.dumps({k: v for k, v in NB.items() if k != "priors"}),
      "a nb model has keys means, priors, variances, got means, variances"),
     (json.dumps(dict(KNN, note=1)), "a knn model has keys k, labels, points, got k, labels, note, points"),

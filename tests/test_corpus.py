@@ -47,6 +47,9 @@ MALFORMED_LINES = [
      "source_text holds a lone surrogate at index 0"),
     # outputs and errors name a pair only by its id
     (json.dumps(dict(RECORD, label="not_paraphrased")), "pair_id 's1' repeats line 1"),
+    # json alone would keep the last value, a valid label
+    (json.dumps(dict(RECORD, pair_id="s2"))[:-1] + ', "label": "not_paraphrased"}',
+     "gives key 'label' twice"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import multiprocessing
 import pickle
 import random
 import tempfile
@@ -146,13 +147,13 @@ class TestParallelMap:
 
     @pytest.mark.parametrize(
         "sources, per_source, jobs, chunksize, workers",
-        [(20, 1, 4, 8, 3), (5, 30, 2, 1, 2), (1, 3, 4, 2, 1)],
-        ids=["distinct-sources", "shared-sources", "one-source"],
+        [(20, 1, 4, 1, 4), (5, 30, 2, 1, 2), (1, 3, 4, 1, 1), (600, 1, 2, 19, 2)],
+        ids=["distinct-sources", "shared-sources", "one-source", "600-distinct-sources"],
     )
     def test_pool_chunks_whole_sources(self, monkeypatch, sources, per_source, jobs,
                                        chunksize, workers):
-        # a chunk carries the sources of about PAIRS_PER_TASK pairs on average,
-        # and the pool starts no more workers than there are chunks
+        # the pool hands out at most CHUNKS_PER_WORKER chunks of whole sources
+        # per job, and starts no more workers than there are chunks
         started, chunksizes = [], []
 
         class Recorded(ProcessPoolExecutor):
@@ -175,6 +176,23 @@ class TestParallelMap:
         # no pairs, no pool
         assert parallel_map(_pair_ids, setup, EngineConfig(), [], jobs) == []
         assert started == [workers]
+
+    # Python 3.14 starts pool workers with forkserver on Linux, not fork: a
+    # worker then shares nothing with the parent but what is pickled to it
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_under_other_start_methods_matches_one_job(self, monkeypatch, all_stores,
+                                                             method):
+        context = multiprocessing.get_context(method)
+
+        class Started(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                super().__init__(max_workers, mp_context=context, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Started)
+        pairs = interleaved_pairs()
+        assert extract_features(pairs, all_stores, jobs=2) == extract_features(pairs, all_stores)
+        assert (baseline_containments(pairs, all_stores, jobs=2)
+                == baseline_containments(pairs, all_stores))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_task_call_gets_one_source_in_input_order(self, jobs):
@@ -231,14 +249,14 @@ def lexicon_passage(draw):
 @st.composite
 def _lexicon_pairs(draw):
     sources = draw(st.lists(lexicon_passage(), min_size=2, max_size=5))
-    n = draw(st.integers(engine.PAIRS_PER_TASK + 1, 3 * engine.PAIRS_PER_TASK))
+    n = draw(st.integers(9, 24))
     return [make_pair(i, draw(lexicon_passage()), draw(st.sampled_from(sources))) for i in range(n)]
 
 
 def _chunks(pairs) -> int:
-    """The number of chunks a pool hands out for `pairs`: see `parallel_map`."""
+    """The number of chunks a pool of two jobs hands out for `pairs`: see `parallel_map`."""
     sources = len({p.source_text for p in pairs})
-    return math.ceil(sources / max(1, engine.PAIRS_PER_TASK * sources // len(pairs)))
+    return math.ceil(sources / math.ceil(sources / (engine.CHUNKS_PER_WORKER * 2)))
 
 
 # more than one chunk, so that two workers share the pairs
@@ -589,6 +607,7 @@ class TestFeatureCsv:
             ("p1,7,0.5,0.5,0.2", "label must be 0 or 1, got '7'"),
             ("p1,,0.5,0.5,0.2", "label must be 0 or 1, got ''"),
             ("p1,1,0.5,0.5,0.2,0.9", "expected 5 fields, got 6"),
+            ("p0,1,0.5,0.5,0.2", "pair_id 'p0' repeats line 2"),
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):

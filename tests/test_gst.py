@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from paraplag import gst
@@ -407,7 +407,66 @@ class TestProperties:
             assert tiling_matches(sus, src, LOOSE) == tiling_matches(sus, src, LOOSE)
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _largest_base(width: int) -> int:
+    """The largest base whose `width`-th power fits an int64."""
+    base = int(INT64_MAX ** (1 / width))
+    while base**width > INT64_MAX:
+        base -= 1
+    while (base + 1) ** width <= INT64_MAX:
+        base += 1
+    return base
+
+
+@st.composite
+def gram_key_cases(draw):
+    """Ranks, base and width; often the widest base, and ranks at its top digit."""
+    width = draw(st.integers(1, 30))
+    top = _largest_base(width)
+    base = draw(st.just(top) | st.integers(2, min(top, 0x110002)))
+    digit = st.integers(0, base - 1) | st.just(base - 1)
+    return draw(st.lists(digit, max_size=3 * width)), base, width
+
+
+def horner_keys(ranks: list[int], base: int, width: int) -> list[int]:
+    keys = []
+    for start in range(len(ranks) - width + 1):
+        key = 0
+        for rank in ranks[start : start + width]:
+            key = key * base + rank
+        keys.append(key)
+    return keys
+
+
 class TestSeeding:
+    @given(gram_key_cases())
+    @example(([5, 0, 7], 9, 1))  # width 1: each rank is its own key
+    @example(([3, 1], 9, 3))  # fewer ranks than the width
+    @example(([5000] * 7, 5001, 5))  # 5001 ** 5 fits an int64
+    @example(([_largest_base(3) - 1] * 4, _largest_base(3), 3))  # a key near INT64_MAX
+    def test_gram_keys_read_ranks_as_numbers(self, case):
+        ranks, base, width = case
+        keys = gst._gram_keys(np.array(ranks, dtype=np.int64), base, width)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == horner_keys(ranks, base, width)
+
+    @pytest.mark.parametrize("kind", ["random", "repetitive"])
+    @given(data=st.data())
+    def test_seed_blocks_list_the_runs_of_one_block(self, kind, data):
+        if kind == "random":
+            text = st.text(st.sampled_from("ab c"), max_size=300)
+            sus, src, min_tile = data.draw(text), data.draw(text), data.draw(st.integers(1, 8))
+        else:
+            sus, src, min_tile = data.draw(tiling_cases())
+        grams = gst.SourceGrams(src, GstParams(min_tile=min_tile))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gst, "_SEED_BLOCK", len(sus) * len(src) + 1)
+            whole = grams.runs(sus)
+            patch.setattr(gst, "_SEED_BLOCK", data.draw(st.integers(1, 64)))
+            assert grams.runs(sus) == whole
+
     def test_repetitive_text_stays_in_linear_memory(self):
         # every suspect position seeds ~4000 source positions: 16M seeds in all
         text = "a" * 4000
