@@ -24,11 +24,12 @@ it builds nothing per word, and processes loading one store share its
 pages.  The cache's last line, its seal, holds the key, the matrix's shape,
 the tables' sizes and the CRC-32 of their bytes.  A hit checks them all and
 the tables' shape (`WordTable.is_sound`), so that every lookup in its tables
-ends, but not bytes changed inside the matrix, nor tables changed together
-with their CRC-32.  A missing, otherwise keyed, short or garbled cache is
-ignored and the store parsed again; one that cannot be written is not.
-Either way the vectors are the parse's float32 bits, every lookup finds the
-parse's row, and deleting the cache is always safe.
+reads inside them and gives a row of the matrix or None, but not bytes
+changed inside the matrix, nor tables changed together with their CRC-32.
+A missing, otherwise keyed, short or garbled cache is ignored and the store
+parsed again; one that cannot be written is not.  Either way the vectors
+are the parse's float32 bits, every lookup finds the parse's row, and
+deleting the cache is always safe.
 
 Lookups are exact; ``lookup_folded`` adds an explicit fallback by
 normalized form (the first stored spelling wins) because large
@@ -42,6 +43,7 @@ import contextlib
 import mmap
 import os
 import zlib
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from typing import Optional
 
@@ -69,17 +71,12 @@ _CHECK_BLOCK = 1 << 16
 # The cache beside a store is its path plus this suffix.  Its layout: the
 # matrix's float32 values, row by row from byte 0; then the store's two
 # `WordTable`s, each starting at a multiple of 8 bytes and laid out as its
-# offsets (int64), row ids (int32), slots (int32) and key blob, all numbers
-# little-endian; then zero bytes up to a multiple of 8, "\n" and `_seal`'s
-# line, in ASCII.  A change of layout bumps _CACHE_VERSION, so older caches
-# read as misses.
+# offsets (int64), row ids (int32), key CRC-32s (uint32) and key blob, all
+# numbers little-endian; then zero bytes up to a multiple of 8, "\n" and
+# `_seal`'s line, in ASCII.  A change of layout bumps _CACHE_VERSION, so older
+# caches read as misses.
 CACHE_SUFFIX = ".paraplag-cache"
-_CACHE_VERSION = 3
-
-
-def _slot_count(keys: int) -> int:
-    """A table's slot count: the least power of two that is at least 2 * keys and 2."""
-    return 1 << max(1, (2 * keys - 1).bit_length())
+_CACHE_VERSION = 4
 
 
 def _aligned(at: int) -> int:
@@ -89,59 +86,48 @@ def _aligned(at: int) -> int:
 class WordTable:
     """A read-only map from words to matrix rows, held in four flat arrays.
 
-    Key ``k``'s UTF-8 bytes are ``blob[offsets[k]:offsets[k + 1]]`` and its
-    row is ``rows[k]``.  `slots` is an open-addressing hash table with a
-    power-of-two count of at least twice the keys: key ``k`` sits in the
-    first slot holding ``k`` or -1 (empty) from slot ``crc32(key) mod
-    len(slots)`` on, going up and wrapping round.  crc32 is the same in every
-    process, unlike `hash`, so a table one process writes to the cache
-    another reads in place.  A parse builds the table in memory with `build`;
-    a cache hit maps it with `map`.  Either way `get` reads it.
+    Key ``k``'s UTF-8 bytes are ``blob[offsets[k]:offsets[k + 1]]``, its row
+    is ``rows[k]`` and its CRC-32 is ``hashes[k]``.  The keys are laid in
+    order of rising CRC-32, keys of one CRC-32 in the order given, so `get`
+    bisects `hashes` for the keys that share the word's CRC-32 and compares
+    their bytes.  crc32 is the same in every process, unlike `hash`, so a
+    table one process writes to the cache another reads in place.  A parse
+    builds the table in memory with `build`; a cache hit maps it with `map`.
+    Either way `get` reads it.
     """
 
-    def __init__(self, offsets: np.ndarray, rows: np.ndarray, slots: np.ndarray,
+    def __init__(self, offsets: np.ndarray, rows: np.ndarray, hashes: np.ndarray,
                  blob: np.ndarray):
-        self.regions = (offsets, rows, slots, blob)
+        self.regions = (offsets, rows, hashes, blob)
         # memoryviews index to Python ints and slice to comparable bytes, far
-        # faster per lookup than numpy scalars; a native dtype is no copy
+        # faster per lookup than numpy scalars, and bisect reads them in C; a
+        # native dtype is no copy
         self._offsets = memoryview(np.asarray(offsets, np.int64))
         self._rows = memoryview(np.asarray(rows, np.int32))
-        self._slots = memoryview(np.asarray(slots, np.int32))
+        self._hashes = memoryview(np.asarray(hashes, np.uint32))
         self._blob = memoryview(blob)
-        self._mask = len(slots) - 1
 
     @classmethod
     def build(cls, words: Iterable[str], rows: Iterable[int]) -> "WordTable":
-        """The table of distinct `words`, each read as its row in `rows`.
-
-        The keys are laid in order of their home slot, each in its home or in
-        the slot after the one laid before it, whichever is later: every slot
-        from a key's home to its own is then taken, as a probe needs.  Keys
-        pushed past the last slot wrap round into the first empty slots from
-        slot 0, in order, so that this holds round the wrap too.
-        """
+        """The table of distinct `words`, each read as its row in `rows`."""
         keys = [word.encode() for word in words]
-        slots = np.full(_slot_count(len(keys)), -1, "<i4")
-        homes = np.fromiter(map(zlib.crc32, keys), np.int64, len(keys)) & (len(slots) - 1)
-        order = np.argsort(homes, kind="stable")
-        ranks = np.arange(len(keys))
-        # at[i] = max(homes[order[i]], at[i - 1] + 1), as a running maximum
-        at = ranks + np.maximum.accumulate(homes[order] - ranks)
-        fits = at < len(slots)
-        slots[at[fits]] = order[fits]
-        wrapped = order[~fits]
-        slots[np.flatnonzero(slots < 0)[:len(wrapped)]] = wrapped
+        hashes = np.fromiter(map(zlib.crc32, keys), "<u4", len(keys))
+        # the order of a stable argsort, so that the cache's bytes are the same
+        # for the same words, found far faster by sorting each CRC-32 packed
+        # above its key's index
+        order = np.sort(hashes.astype(np.uint64) << 32 | np.arange(len(keys), dtype=np.uint64))
+        order &= 0xFFFFFFFF
         offsets = np.zeros(len(keys) + 1, "<i8")
-        np.cumsum(np.fromiter(map(len, keys), np.int64, len(keys)), out=offsets[1:])
-        return cls(offsets, np.fromiter(rows, "<i4", len(keys)), slots,
-                   np.frombuffer(b"".join(keys), np.uint8))
+        np.cumsum(np.fromiter(map(len, keys), np.int64, len(keys))[order], out=offsets[1:])
+        return cls(offsets, np.fromiter(rows, "<i4", len(keys))[order], hashes[order],
+                   np.frombuffer(b"".join([keys[k] for k in order.tolist()]), np.uint8))
 
     @classmethod
     def map(cls, buffer, at: int, keys: int, blob_bytes: int) -> tuple["WordTable", int]:
         """The table of `keys` keys in `blob_bytes` key bytes laid out in
         `buffer` from `at`, read in place, and the aligned end of its bytes."""
         regions = []
-        for dtype, count in (("<i8", keys + 1), ("<i4", keys), ("<i4", _slot_count(keys)),
+        for dtype, count in (("<i8", keys + 1), ("<i4", keys), ("<u4", keys),
                              (np.uint8, blob_bytes)):
             regions.append(np.frombuffer(buffer, dtype, count, at))
             at += regions[-1].nbytes
@@ -160,37 +146,34 @@ class WordTable:
             key = word.encode()
         except UnicodeEncodeError:  # a lone surrogate, which no decoded word holds
             return None
-        slots, offsets, blob, mask = self._slots, self._offsets, self._blob, self._mask
-        i = zlib.crc32(key) & mask
-        while (k := slots[i]) >= 0:
+        hashes, offsets, blob = self._hashes, self._offsets, self._blob
+        crc = zlib.crc32(key)
+        k = bisect_left(hashes, crc)
+        while k < len(hashes) and hashes[k] == crc:
             if blob[offsets[k]:offsets[k + 1]] == key:
                 return self._rows[k]
-            i = (i + 1) & mask
+            k += 1
         return None
 
     def is_sound(self, count: int) -> bool:
-        """Whether every lookup ends, reading inside the arrays, at a row below `count`.
+        """Whether every lookup reads inside the arrays and gives a row below
+        `count` or None, and the bisection can find every key.
 
         Offsets rise from 0 to the blob's length, row ids lie in [0, count),
-        slot ids in [-1, keys), and exactly len(slots) - keys slots are empty,
-        which is at least one: so a probe meets an empty slot within a round
-        of the table.  Each check is vectorized over `_CHECK_BLOCK` elements
-        at a time.
+        and the CRC-32s never fall.  Each rise is checked vectorized over
+        `_CHECK_BLOCK` elements at a time.
         """
-        offsets, rows, slots, blob = self.regions
+        offsets, rows, hashes, blob = self.regions
         keys = len(rows)
         if offsets[0] != 0 or offsets[-1] != len(blob):
             return False
         if keys and not (0 <= rows.min() and rows.max() < count):
             return False
-        if not (-1 <= slots.min() and slots.max() < keys):
-            return False
         for at in range(0, keys, _CHECK_BLOCK):
-            if (np.diff(offsets[at:at + _CHECK_BLOCK + 1]) < 0).any():
-                return False
-        empty = sum(int(np.count_nonzero(slots[at:at + _CHECK_BLOCK] < 0))
-                    for at in range(0, len(slots), _CHECK_BLOCK))
-        return empty == len(slots) - keys
+            for column in (offsets[at:at + _CHECK_BLOCK + 1], hashes[at:at + _CHECK_BLOCK + 1]):
+                if (column[1:] < column[:-1]).any():
+                    return False
+        return True
 
 
 class HeaderMismatch(ParaplagError):
@@ -261,7 +244,8 @@ class EmbeddingStore:
             return row
         form = normalize(word)
         row = self.folded.get(form)
-        return self.exact.get(form) if row is None else row
+        # a word that is its own normalized form was just looked up
+        return self.exact.get(form) if row is None and form != word else row
 
     def lookup_folded(self, word: str) -> Optional[np.ndarray]:
         """Exact lookup, then the first stored word of the same normalized form."""

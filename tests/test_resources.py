@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from paraplag.resources import (
@@ -41,7 +41,7 @@ from paraplag.resources import (
 from paraplag.resources import embeddings
 from paraplag.textprep import normalize
 
-from embedding_oracle import assert_same_store
+from embedding_oracle import assert_same_store, embedding_store
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -587,6 +587,22 @@ class TestEmbeddings:
         np.testing.assert_array_equal(store.lookup_folded("paris"), [1, 0])
         np.testing.assert_array_equal(store.lookup_folded("london"), [0, 1])
 
+    @pytest.mark.parametrize("word, probes, row", [
+        # the word, the alias table with its form, and the word table with its
+        # form only where the form is another word
+        ("paros", 2, None),
+        ("Paros", 3, None),
+        ("London", 3, 1),
+        ("paris", 2, 0),
+        ("CAFÉ", 2, 2),
+    ])
+    def test_a_lookup_probes_the_form_only_when_it_is_another_word(self, word, probes, row):
+        store = embedding_store({"Paris": [1, 0], "london": [0, 1], "Café": [1, 1]}, 2)
+        with mock.patch.object(store.exact, "get", wraps=store.exact.get) as exact, \
+                mock.patch.object(store.folded, "get", wraps=store.folded.get) as folded:
+            assert store.row(word) == row
+        assert exact.call_count + folded.call_count == probes
+
     @pytest.mark.parametrize("fmt", ["text", "binary"])
     def test_looked_up_vectors_are_read_only(self, tmp_path, fmt):
         path = tmp_path / "vecs"
@@ -623,7 +639,7 @@ def _load(path, fmt="text"):
 
 def _cache_regions(data: bytes) -> dict[str, tuple[int, int]]:
     """Where each region of a cache's bytes starts and ends: the matrix, the
-    offsets, row ids, slots and key blob of the word table ("words-...") and
+    offsets, row ids, CRC-32s and key blob of the word table ("words-...") and
     of the normalized-form table ("forms-..."), and the seal line."""
     seal_at = data.rindex(b"\n") + 1
     rows, dim, *sizes = [int(field) for field in data[seal_at:].split(b" ")[-7:-1]]
@@ -632,7 +648,7 @@ def _cache_regions(data: bytes) -> dict[str, tuple[int, int]]:
     for table, keys, blob in [("words", *sizes[:2]), ("forms", *sizes[2:])]:
         at = -(-at // 8) * 8
         for region, size in [("offsets", 8 * (keys + 1)), ("rows", 4 * keys),
-                             ("slots", 4 * embeddings._slot_count(keys)), ("blob", blob)]:
+                             ("hashes", 4 * keys), ("blob", blob)]:
             regions[f"{table}-{region}"] = (at, at + size)
             at += size
     regions["seal"] = (seal_at, len(data))
@@ -640,7 +656,7 @@ def _cache_regions(data: bytes) -> dict[str, tuple[int, int]]:
 
 
 TABLE_REGIONS = [f"{table}-{region}" for table in ("words", "forms")
-                 for region in ("offsets", "rows", "slots", "blob")]
+                 for region in ("offsets", "rows", "hashes", "blob")]
 
 
 def _cut_in(region):
@@ -688,10 +704,6 @@ def _seal_size(name, change):
     return corrupt
 
 
-def _first(condition):
-    return lambda elements: np.flatnonzero(condition(elements))[0]
-
-
 # Each takes a good cache's bytes and returns a corrupted copy.
 CORRUPTIONS = {
     "empty": lambda data: b"",
@@ -716,14 +728,19 @@ CORRUPTIONS = {
     "resealed-offsets-past-the-blob": _resealed("forms-offsets", "<i8", lambda e: -1, 99),
     "resealed-row-id-past-the-matrix": _resealed("forms-rows", "<i4", lambda e: 0, 4),
     "resealed-negative-row-id": _resealed("words-rows", "<i4", lambda e: 2, -1),
-    "resealed-slot-id-past-the-keys": _resealed("words-slots", "<i4", _first(lambda e: e >= 0), 4),
-    "resealed-slot-id-below-empty": _resealed("forms-slots", "<i4", _first(lambda e: e < 0), -2),
-    "resealed-one-empty-slot-fewer": _resealed("words-slots", "<i4", _first(lambda e: e < 0), 0),
+    "resealed-falling-hashes": _resealed("words-hashes", "<u4", lambda e: -1, 0),
 }
+
+
+# Two keys of one CRC-32, 1306201125.
+COLLIDING = ["plumless", "buckeroo"]
 
 
 class TestWordTable:
     @given(st.lists(st.text(max_size=3), unique=True, max_size=40), st.lists(st.text(max_size=3)))
+    @example(COLLIDING, [])
+    @example(COLLIDING[:1], COLLIDING[1:])
+    @example(COLLIDING[1:], COLLIDING[:1])
     def test_finds_each_key_at_its_row_and_nothing_else(self, keys, others):
         rows = [3 * k + 1 for k in range(len(keys))]
         table = embeddings.WordTable.build(keys, rows)
@@ -731,31 +748,39 @@ class TestWordTable:
         for word in [*keys, *others, "\ud800"]:
             assert table.get(word) == (rows[keys.index(word)] if word in keys else None)
 
-    def test_keys_past_the_last_slot_wrap_round(self):
-        # three keys at home in the last of 8 slots and one at home in the
-        # first: two of the three wrap round, past the fourth, to slots 1 and 2
-        homes = {name: zlib.crc32(name.encode()) & 7 for name in (f"k{i}" for i in range(200))}
-        keys = [name for name, home in homes.items() if home == 7][:3]
-        keys.append(next(name for name, home in homes.items() if home == 0))
-        table = embeddings.WordTable.build(keys, range(4))
-        assert table.is_sound(4)
-        assert table.regions[2].tolist() == [3, 1, 2, -1, -1, -1, -1, 0]
-        assert [table.get(key) for key in keys] == [0, 1, 2, 3]
+    @given(st.data())
+    def test_garbled_arrays_still_end_every_lookup(self, data):
+        # a table `is_sound` would refuse still ends every lookup, with None or one of its rows
+        words = ["a", "bb", "ccc", *COLLIDING]
+        offsets, rows, hashes, blob = embeddings.WordTable.build(words, range(5)).regions
+        garbled = {
+            "offsets": st.lists(st.integers(-20, 40), min_size=6, max_size=6).map(
+                lambda e: np.array(e, "<i8")),
+            "rows": st.lists(st.integers(-(2**31), 2**31 - 1), min_size=5, max_size=5).map(
+                lambda e: np.array(e, "<i4")),
+            "hashes": st.lists(st.sampled_from([0, *hashes.tolist(), 2**32 - 1]),
+                               min_size=5, max_size=5).map(lambda e: np.array(e, "<u4")),
+        }
+        regions = {"offsets": offsets, "rows": rows, "hashes": hashes, "blob": blob}
+        for name in data.draw(st.lists(st.sampled_from(sorted(garbled)), min_size=1, unique=True)):
+            regions[name] = data.draw(garbled[name], label=name)
+        table = embeddings.WordTable(**regions)
+        for word in [*words, "", "absent"]:
+            assert table.get(word) in [None, *regions["rows"].tolist()]
 
     @pytest.mark.parametrize("block", [1, 2, 3, 64])
     def test_the_shape_checks_read_every_block(self, block):
         table = embeddings.WordTable.build(["a", "bb", "ccc", "dddd", "e", "ff"], range(6))
-        offsets, rows, slots, blob = table.regions
+        offsets, rows, hashes, blob = table.regions
         with mock.patch.object(embeddings, "_CHECK_BLOCK", block):
             assert table.is_sound(6)
             for at in range(1, 6):
                 falling = offsets.copy()
                 falling[at] = falling[at + 1] + 1
-                assert not embeddings.WordTable(falling, rows, slots, blob).is_sound(6)
-            for at in np.flatnonzero(slots < 0):
-                fuller = slots.copy()
-                fuller[at] = 0
-                assert not embeddings.WordTable(offsets, rows, fuller, blob).is_sound(6)
+                assert not embeddings.WordTable(falling, rows, hashes, blob).is_sound(6)
+                swapped = hashes.copy()
+                swapped[[at - 1, at]] = swapped[[at, at - 1]]
+                assert not embeddings.WordTable(offsets, rows, swapped, blob).is_sound(6)
 
 
 class TestEmbeddingCache:
@@ -919,6 +944,8 @@ class TestEmbeddingCache:
         ("4 2\nApple 1 0\napple 0 1\ncafe 1 1\nCafé 0 0\n", ["apple"]),
         # a form stored nowhere is its first spelling's alias
         ("3 2\nCAFÉ 1 0\nCafé 0 1\nApple 1 1\n", ["cafe", "apple"]),
+        # an alias of one CRC-32 with a stored word
+        ("2 2\nPlumless 1 0\nbuckeroo 0 1\n", ["plumless"]),
     ])
     def test_the_form_table_holds_only_aliases(self, tmp_path, text, aliases):
         path = tmp_path / "vecs.txt"
@@ -932,6 +959,9 @@ class TestEmbeddingCache:
             for alias in aliases:
                 first = next(w for w in words if normalize(w) == alias)
                 assert store.folded.get(alias) == store.row(alias.upper()) == words.index(first)
+            for word in words:
+                first = next(w for w in words if normalize(w) == normalize(word))
+                assert store.row(word.upper()) == words.index(first)
         assert_same_store(cached, parsed, words)
         # after the key the seal gives the matrix's shape, then sizes both
         # tables, the form table's blob last, before the CRC-32
@@ -1014,11 +1044,15 @@ class TestEmbeddingCache:
         assert_same_store(warm, parsed, sample)
 
     def test_pool_workers_racing_on_a_cold_cache(self, tmp_path):
+        # 3,000 words, 150 cased spellings of them and 150 accented spellings
+        # of no stored word, so that the workers pickle back 150 aliases too
+        words = [f"w{i}" for i in range(3000)] + [
+            f"{prefix}{i}" for prefix in ("W", "é") for i in range(0, 3000, 20)]
         rng = np.random.default_rng(5)
-        matrix = rng.standard_normal((3000, 16)).astype("<f4")
+        matrix = rng.standard_normal((len(words), 16)).astype("<f4")
         path = tmp_path / "vecs.bin"
-        path.write_bytes(b"3000 16\n" + b"".join(
-            f"w{row} ".encode("ascii") + vec.tobytes() for row, vec in enumerate(matrix)
+        path.write_bytes(f"{len(words)} 16\n".encode("ascii") + b"".join(
+            f"{word} ".encode() + vec.tobytes() for word, vec in zip(words, matrix)
         ))
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=4, mp_context=spawn) as pool:
@@ -1027,9 +1061,9 @@ class TestEmbeddingCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vecs.bin", "vecs.bin.paraplag-cache"]
         cached, did_parse = _load(path, "binary")
         assert not did_parse
-        assert cached.matrix.tobytes() == matrix.tobytes()
+        assert cached.matrix.tobytes() == matrix.tobytes() and len(cached.folded) == 150
         for store in stores:
-            assert_same_store(store, cached, [f"w{row}" for row in range(3000)])
+            assert_same_store(store, cached, words)
 
 
 class TestCosine:
